@@ -33,7 +33,7 @@ from .interferometer import (
     BinningScheme,
     InterferometerConfig,
     default_cutoff,
-    outcome_distribution,
+    outcome_table,
 )
 from .metrics import (
     FIXED_RANDOM_EIGENVALUES,
@@ -274,29 +274,38 @@ def _probs_header(scheme: BinningScheme):
     return ["phi"] + [f"P({k})" for k in scheme.bin_indices()] + ["P(leftover)"]
 
 
+def _write_rows(out: Optional[str], header, columns) -> None:
+    """One CSV row per phase; columns are equal-length sequences."""
+    with _csv_writer(out) as writer:
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([_fmt(v) for v in row])
+
+
+def _write_signal(out: Optional[str], cfg, scheme, obs, grid) -> None:
+    """phi, signal mean, propagated sensitivity and the Cramer-Rao bound."""
+    _write_rows(out, ["phi", "signal_mean", "delta_phi", "crb"], [
+        grid,
+        signal(cfg, scheme, obs, grid).mean,
+        error_propagation_sensitivity(cfg, scheme, obs, grid),
+        crb(cfg, scheme, grid),
+    ])
+
+
 def _cmd_probs(config: RunConfig) -> int:
     cfg = config.interferometer()
     scheme = config.scheme(cfg)
-    with _csv_writer(config.out) as writer:
-        writer.writerow(_probs_header(scheme))
-        for phi in config.phi_grid():
-            dist = outcome_distribution(cfg, scheme, float(phi))
-            writer.writerow([_fmt(phi)] + [_fmt(p) for p in dist.all_probs()])
+    grid = config.phi_grid()
+    probs, _ = outcome_table(cfg, scheme, grid)
+    _write_rows(config.out, _probs_header(scheme), [grid, *probs.T])
     return 0
 
 
 def _cmd_signal(config: RunConfig) -> int:
     cfg = config.interferometer()
     scheme = config.scheme(cfg)
-    obs = config.observable(scheme)
-    with _csv_writer(config.out) as writer:
-        writer.writerow(["phi", "signal_mean", "delta_phi", "crb"])
-        for phi in config.phi_grid():
-            phi = float(phi)
-            point = signal(cfg, scheme, obs, phi)
-            delta = error_propagation_sensitivity(cfg, scheme, obs, phi)
-            bound = crb(cfg, scheme, phi)
-            writer.writerow([_fmt(phi), _fmt(point.mean), _fmt(delta), _fmt(bound)])
+    _write_signal(config.out, cfg, scheme, config.observable(scheme),
+                  config.phi_grid())
     return 0
 
 
@@ -337,10 +346,11 @@ def _simulate_rows(cfg, scheme, obs, phi_grid, shots, replicas, seed,
                    with_estimation=True):
     """Calibration and estimation rows from one shared set of replica draws."""
     mu = obs.all_values()
+    phi_grid = [float(phi) for phi in phi_grid]
+    bounds = crb(cfg, scheme, phi_grid).tolist() if with_estimation else None
     cal_rows = []
     est_rows = []
     for index, phi in enumerate(phi_grid):
-        phi = float(phi)
         rs = _replicas_with_offset(
             cfg, scheme, phi, shots, replicas, seed, index * replicas
         )
@@ -354,7 +364,7 @@ def _simulate_rows(cfg, scheme, obs, phi_grid, shots, replicas, seed,
             math.fsum(mu * r.all_counts()) / shots for r in rs.records
         ]
         mean_signal = math.fsum(measured) / len(measured)
-        bound = crb(cfg, scheme, phi)
+        bound = bounds[index]
         try:
             report = estimate(cfg, scheme, obs, rs)
             est_rows.append(
@@ -479,14 +489,10 @@ def _fig2_system():
 def _reproduce_fig2(out_dir: Path, seed: int, checks: _Checks) -> None:
     cfg, scheme = _fig2_system()
     grid = np.linspace(-math.pi, math.pi, 2001)
-    worst_row_sum = 0.0
-    with _csv_writer(str(out_dir / "fig2_probs.csv")) as writer:
-        writer.writerow(_probs_header(scheme))
-        for phi in grid:
-            dist = outcome_distribution(cfg, scheme, float(phi))
-            probs = dist.all_probs()
-            worst_row_sum = max(worst_row_sum, abs(math.fsum(probs) - 1.0))
-            writer.writerow([_fmt(phi)] + [_fmt(p) for p in probs])
+    probs, _ = outcome_table(cfg, scheme, grid)
+    _write_rows(str(out_dir / "fig2_probs.csv"), _probs_header(scheme),
+                [grid, *probs.T])
+    worst_row_sum = max(abs(math.fsum(row) - 1.0) for row in probs.tolist())
     checks.add(
         scheme.n_outcomes == 6,
         "probability column count",
@@ -506,9 +512,9 @@ def _reproduce_fig2(out_dir: Path, seed: int, checks: _Checks) -> None:
     _write_simulation(str(out_dir / "fig2"), scheme, cal_rows)
 
     cells = ok = 0
-    for row in cal_rows:
-        dist = outcome_distribution(cfg, scheme, row[0])
-        for freq, p in zip(row[1:scheme.n_outcomes + 1], dist.all_probs()):
+    cal_probs, _ = outcome_table(cfg, scheme, [row[0] for row in cal_rows])
+    for row, probs in zip(cal_rows, cal_probs.tolist()):
+        for freq, p in zip(row[1:scheme.n_outcomes + 1], probs):
             se = math.sqrt(max(p * (1.0 - p), 0.0) / (shots * replicas))
             cells += 1
             ok += abs(freq - p) <= max(3.0 * se, 1e-12)
@@ -528,17 +534,8 @@ def _reproduce_fig3(out_dir: Path, seed: int, checks: _Checks) -> None:
     )
     grid = np.linspace(-math.pi, math.pi, 2001)
     for name, obs in variants:
-        path = out_dir / f"fig3_signal_{name}.csv"
-        with _csv_writer(str(path)) as writer:
-            writer.writerow(["phi", "signal_mean", "delta_phi", "crb"])
-            for phi in grid:
-                phi = float(phi)
-                point = signal(cfg, scheme, obs, phi)
-                delta = error_propagation_sensitivity(cfg, scheme, obs, phi)
-                bound = crb(cfg, scheme, phi)
-                writer.writerow(
-                    [_fmt(phi), _fmt(point.mean), _fmt(delta), _fmt(bound)]
-                )
+        _write_signal(str(out_dir / f"fig3_signal_{name}.csv"), cfg, scheme,
+                      obs, grid)
 
     # first divergence of delta_phi at positive phase: the slope zero of the
     # all-ones signal, expected near b/alpha0
@@ -556,12 +553,13 @@ def _reproduce_fig3(out_dir: Path, seed: int, checks: _Checks) -> None:
     alternating = Observable.alternating(scheme)
     cap = 10.0 * 1.37 / math.sqrt(cfg.nbar)
     included = ok = 0
-    for phi in np.linspace(-math.pi + 0.05, math.pi - 0.05, 2000):
-        phi = float(phi)
-        bound = crb(cfg, scheme, phi)
+    ratio_grid = np.linspace(-math.pi + 0.05, math.pi - 0.05, 2000)
+    bounds = crb(cfg, scheme, ratio_grid).tolist()
+    deltas = error_propagation_sensitivity(cfg, scheme, alternating,
+                                           ratio_grid).tolist()
+    for bound, delta in zip(bounds, deltas):
         if not math.isfinite(bound) or bound > cap:
             continue
-        delta = error_propagation_sensitivity(cfg, scheme, alternating, phi)
         included += 1
         ok += math.isfinite(delta) and delta / bound <= 1.25
     checks.add(

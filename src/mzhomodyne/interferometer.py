@@ -36,6 +36,7 @@ __all__ = [
     "g_plus_minus",
     "mode_mix_matrix",
     "outcome_distribution",
+    "outcome_table",
     "quadrature_pdf",
     "wigner_oracle_pdf",
 ]
@@ -250,49 +251,63 @@ def wigner_oracle_pdf(cfg: InterferometerConfig, phi: float, p) -> float:
 # Binned outcome probabilities.
 
 
-def g_plus_minus(cfg: InterferometerConfig, scheme: BinningScheme, phi: float):
-    """(g_minus, g_plus) with g+- = sqrt(2)*(alpha0*sin(phi)/2 +- half_width)."""
-    c = 0.5 * cfg.alpha0 * math.sin(phi)
-    ga = _SQRT2 * scheme.half_width
-    return _SQRT2 * c - ga, _SQRT2 * c + ga
-
-
-def _erf_arguments(cfg, scheme, phi):
-    """Arrays (G_minus, G_plus) over k = -cutoff..cutoff.
+def _erf_limits(cfg, scheme, phis):
+    """Erf arguments (G_minus, G_plus), each [n_phi, 2*cutoff+1].
 
     P(k|phi) integrates the Gaussian over bin k, which in erf form uses
-    G+- = sqrt(2)*(alpha0*sin(phi)/2 + k*spacing +- half_width).
+    G+- = sqrt(2)*(alpha0*sin(phi)/2 + k*spacing +- half_width).  The sine
+    is math.sin of each phase, so a row does not depend on the grid it is in.
     """
-    c = 0.5 * cfg.alpha0 * math.sin(phi)
-    shift = _SQRT2 * (c + scheme.centers())
+    c = 0.5 * cfg.alpha0 * np.array([math.sin(phi) for phi in phis])
+    shift = _SQRT2 * (c[:, None] + scheme.centers())
     ga = _SQRT2 * scheme.half_width
     return shift - ga, shift + ga
 
 
-def _bin_probs(cfg, scheme, phi) -> np.ndarray:
-    g_lo, g_hi = _erf_arguments(cfg, scheme, phi)
-    return 0.5 * erf_diff(g_lo, g_hi)
+def g_plus_minus(cfg: InterferometerConfig, scheme: BinningScheme, phi: float):
+    """(g_minus, g_plus) with g+- = sqrt(2)*(alpha0*sin(phi)/2 +- half_width)."""
+    g_lo, g_hi = _erf_limits(cfg, scheme, [float(phi)])
+    return float(g_lo[0, scheme.cutoff]), float(g_hi[0, scheme.cutoff])
 
 
-def _bin_derivs(cfg, scheme, phi) -> np.ndarray:
+def outcome_table(cfg: InterferometerConfig, scheme: BinningScheme, phis):
+    """Probabilities and phi-derivatives of the whole alphabet on a phase grid.
+
+    Returns (P, dP), each of shape [len(phis), 2*cutoff+2]: the columns are
+    bins -cutoff..cutoff, then the leftover outcome.  Row i depends on
+    phis[i] alone, so it equals the one-phase table of that phase bit for
+    bit.  The leftover probability is max(0, 1 - sum of the bins) and the
+    leftover derivative the negative sum of the bin derivatives, each an
+    exactly rounded math.fsum of its row.
+    """
+    phis = np.asarray(phis, dtype=np.float64)
+    if phis.ndim != 1:
+        raise ValueError(f"phis must be a 1-D array, got shape {phis.shape}")
+    phis = phis.tolist()
+    n_bins = 2 * scheme.cutoff + 1
+    g_lo, g_hi = _erf_limits(cfg, scheme, phis)
+    probs = np.empty((len(phis), n_bins + 1))
+    derivs = np.empty_like(probs)
+    probs[:, :n_bins] = 0.5 * erf_diff(g_lo, g_hi)
     # d/dphi [erf(G)] = (2/sqrt(pi)) exp(-G^2) * dG/dphi with
     # dG/dphi = sqrt(2)*alpha0*cos(phi)/2 = alpha0*cos(phi)/sqrt(2) for both
     # limits, so
     # P'(k|phi) = (1/sqrt(pi)) * (alpha0*cos(phi)/sqrt(2))
     #             * (exp(-G_plus^2) - exp(-G_minus^2))
-    g_lo, g_hi = _erf_arguments(cfg, scheme, phi)
-    factor = _INV_SQRTPI * cfg.alpha0 * math.cos(phi) / _SQRT2
-    return factor * (np.exp(-g_hi * g_hi) - np.exp(-g_lo * g_lo))
+    cos = np.array([math.cos(phi) for phi in phis])
+    factor = _INV_SQRTPI * cfg.alpha0 * cos / _SQRT2
+    derivs[:, :n_bins] = factor[:, None] * (
+        np.exp(-g_hi * g_hi) - np.exp(-g_lo * g_lo))
+    probs[:, n_bins] = [max(0.0, 1.0 - math.fsum(row))
+                        for row in probs[:, :n_bins].tolist()]
+    derivs[:, n_bins] = [-math.fsum(row) for row in derivs[:, :n_bins].tolist()]
+    return probs, derivs
 
 
 def bin_probability(cfg: InterferometerConfig, scheme: BinningScheme,
                     outcome: Outcome, phi: float) -> float:
     """P(outcome | phi); the Leftover outcome takes 1 - sum over bins."""
-    probs = _bin_probs(cfg, scheme, phi)
-    if outcome.is_leftover:
-        return max(0.0, 1.0 - math.fsum(probs))
-    scheme._check_bin(outcome.index)
-    return float(probs[outcome.index + scheme.cutoff])
+    return outcome_distribution(cfg, scheme, phi).prob(outcome)
 
 
 def bin_probability_derivative(cfg: InterferometerConfig, scheme: BinningScheme,
@@ -300,14 +315,10 @@ def bin_probability_derivative(cfg: InterferometerConfig, scheme: BinningScheme,
     """dP(outcome|phi)/dphi in closed form.
 
     Bin derivatives follow from differentiating the erf integral bounds
-    (see _bin_derivs); the Leftover derivative is the negative sum of the
+    (see outcome_table); the Leftover derivative is the negative sum of the
     bin derivatives, so the alphabet's derivatives sum to zero exactly.
     """
-    derivs = _bin_derivs(cfg, scheme, phi)
-    if outcome.is_leftover:
-        return -math.fsum(derivs)
-    scheme._check_bin(outcome.index)
-    return float(derivs[outcome.index + scheme.cutoff])
+    return outcome_distribution(cfg, scheme, phi).deriv(outcome)
 
 
 @dataclass(frozen=True)
@@ -357,14 +368,14 @@ class OutcomeDistribution:
 
 def outcome_distribution(cfg: InterferometerConfig, scheme: BinningScheme,
                          phi: float) -> OutcomeDistribution:
-    """Full alphabet probabilities and derivatives at one phase."""
-    probs = _bin_probs(cfg, scheme, phi)
-    derivs = _bin_derivs(cfg, scheme, phi)
+    """Full alphabet probabilities and derivatives at one phase: the single
+    row of outcome_table."""
+    probs, derivs = outcome_table(cfg, scheme, [phi])
     return OutcomeDistribution(
         phi=float(phi),
         cutoff=scheme.cutoff,
-        bin_probs=probs,
-        leftover_prob=max(0.0, 1.0 - math.fsum(probs)),
-        bin_derivs=derivs,
-        leftover_deriv=-math.fsum(derivs),
+        bin_probs=probs[0, :-1],
+        leftover_prob=float(probs[0, -1]),
+        bin_derivs=derivs[0, :-1],
+        leftover_deriv=float(derivs[0, -1]),
     )

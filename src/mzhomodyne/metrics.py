@@ -19,8 +19,9 @@ from .interferometer import (
     InterferometerConfig,
     Outcome,
     outcome_distribution,
+    outcome_table,
 )
-from .numerics import NoSignChange, find_root, minimize_scalar
+from .numerics import NoSignChange, chunked_walk, find_root, minimize_scalar
 
 __all__ = [
     "AlphabetMismatch",
@@ -133,75 +134,104 @@ def _check_alphabet(obs: Observable, scheme: BinningScheme):
         )
 
 
+def _table(cfg, scheme, phi):
+    """(scalar, P, dP): outcome_table over phi, a float or a 1-D array."""
+    phis = np.asarray(phi, dtype=np.float64)
+    probs, derivs = outcome_table(cfg, scheme, np.atleast_1d(phis))
+    return phis.ndim == 0, probs, derivs
+
+
+def _row_sums(terms: np.ndarray) -> list:
+    """Exactly rounded math.fsum of each row."""
+    return [math.fsum(row) for row in terms.tolist()]
+
+
+def _shaped(scalar: bool, values: list):
+    """A float for a scalar phase, else an array over the phases."""
+    return values[0] if scalar else np.array(values, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class SignalPoint:
-    phi: float
-    mean: float
-    second_moment: float
-    slope: float
+    """Signal at one phase (floats) or on a phase array (arrays like phi)."""
+
+    phi: float | np.ndarray
+    mean: float | np.ndarray
+    second_moment: float | np.ndarray
+    slope: float | np.ndarray
 
     @property
-    def variance(self) -> float:
-        return max(self.second_moment - self.mean * self.mean, 0.0)
+    def variance(self):
+        var = np.maximum(self.second_moment - self.mean * self.mean, 0.0)
+        return float(var) if var.ndim == 0 else var
 
 
 def signal(cfg: InterferometerConfig, scheme: BinningScheme,
-           obs: Observable, phi: float) -> SignalPoint:
-    """Mean, second moment, and phase slope of the observable at phi."""
+           obs: Observable, phi) -> SignalPoint:
+    """Mean, second moment, and phase slope of the observable at phi, a
+    float or a 1-D array of phases."""
     _check_alphabet(obs, scheme)
-    dist = outcome_distribution(cfg, scheme, phi)
+    scalar, probs, derivs = _table(cfg, scheme, phi)
     mu = obs.all_values()
-    probs = dist.all_probs()
-    derivs = dist.all_derivs()
     return SignalPoint(
-        phi=float(phi),
-        mean=math.fsum(mu * probs),
-        second_moment=math.fsum(mu * mu * probs),
-        slope=math.fsum(mu * derivs),
+        phi=float(phi) if scalar else np.array(phi, dtype=np.float64),
+        mean=_shaped(scalar, _row_sums(mu * probs)),
+        second_moment=_shaped(scalar, _row_sums(mu * mu * probs)),
+        slope=_shaped(scalar, _row_sums(mu * derivs)),
     )
 
 
 def error_propagation_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme,
-                                  obs: Observable, phi: float) -> float:
+                                  obs: Observable, phi):
     """Phase uncertainty sqrt(Var)/|slope|; +inf where the signal is flat.
 
+    phi is a float or a 1-D array of phases; the result has the same shape.
     The variance is accumulated in centered form sum (mu - mean)^2 P, which
     stays accurate when an eigenvalue offset dwarfs the spread (the raw
     second_moment - mean^2 difference cancels catastrophically there).
     """
     _check_alphabet(obs, scheme)
-    dist = outcome_distribution(cfg, scheme, phi)
+    scalar, probs, derivs = _table(cfg, scheme, phi)
     mu = obs.all_values()
-    probs = dist.all_probs()
-    slope = math.fsum(mu * dist.all_derivs())
-    if abs(slope) < _SLOPE_FLOOR:
-        return math.inf
-    mean = math.fsum(mu * probs)
-    var = math.fsum((mu - mean) ** 2 * probs)
-    return math.sqrt(var) / abs(slope)
+    slopes = _row_sums(mu * derivs)
+    means = np.array(_row_sums(mu * probs))
+    variances = _row_sums((mu - means[:, None]) ** 2 * probs)
+    return _shaped(scalar, [
+        math.inf if abs(slope) < _SLOPE_FLOOR else math.sqrt(var) / abs(slope)
+        for slope, var in zip(slopes, variances)
+    ])
 
 
-def cfi(cfg: InterferometerConfig, scheme: BinningScheme, phi: float) -> float:
-    """Fisher information of the full outcome alphabet.
+def _fisher_rows(probs: np.ndarray, derivs: np.ndarray) -> list:
+    """sum of P'^2/P over each row's outcomes with P >= 1e-15."""
+    return [
+        math.fsum(d * d / p for p, d in zip(p_row, d_row) if p >= _PROB_FLOOR)
+        for p_row, d_row in zip(probs.tolist(), derivs.tolist())
+    ]
+
+
+def cfi(cfg: InterferometerConfig, scheme: BinningScheme, phi):
+    """Fisher information of the full outcome alphabet at phi, a float or a
+    1-D array of phases.
 
     Terms with probability below 1e-15 are skipped: their true contribution
     [P']^2/P vanishes in the Gaussian tail, but the floating-point quotient
     can blow up first.
     """
-    dist = outcome_distribution(cfg, scheme, phi)
-    probs = dist.all_probs()
-    derivs = dist.all_derivs()
-    return math.fsum(
-        d * d / p for p, d in zip(probs, derivs) if p >= _PROB_FLOOR
-    )
+    scalar, probs, derivs = _table(cfg, scheme, phi)
+    return _shaped(scalar, _fisher_rows(probs, derivs))
 
 
-def crb(cfg: InterferometerConfig, scheme: BinningScheme, phi: float) -> float:
-    """Cramer-Rao phase bound 1/sqrt(cfi); +inf where the information dies."""
-    f = cfi(cfg, scheme, phi)
-    if f < _CFI_FLOOR:
-        return math.inf
-    return 1.0 / math.sqrt(f)
+def crb(cfg: InterferometerConfig, scheme: BinningScheme, phi):
+    """Cramer-Rao phase bound 1/sqrt(cfi); +inf where the information dies.
+
+    phi is a float or a 1-D array of phases; the result has the same shape.
+    """
+    scalar, probs, derivs = _table(cfg, scheme, phi)
+    return _shaped(scalar, [
+        math.inf if f < _CFI_FLOOR else 1.0 / math.sqrt(f)
+        for f in _fisher_rows(probs, derivs)
+    ])
 
 
 def binary_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme,
@@ -238,8 +268,7 @@ def binarized_cfi(cfg: InterferometerConfig, scheme: BinningScheme,
 def visibility(cfg: InterferometerConfig, scheme: BinningScheme,
                obs: Observable) -> float:
     """(s(0) - s(pi/2)) / (s(0) + s(pi/2)) of the signal mean."""
-    s_bright = signal(cfg, scheme, obs, 0.0).mean
-    s_dark = signal(cfg, scheme, obs, math.pi / 2).mean
+    s_bright, s_dark = signal(cfg, scheme, obs, [0.0, math.pi / 2]).mean.tolist()
     denom = s_bright + s_dark
     if abs(denom) < 1e-14:
         raise DegenerateSignal(f"signal means cancel: {s_bright} + {s_dark}")
@@ -278,10 +307,13 @@ def visibility_boundary(half_width: float, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def continuous_signal(cfg: InterferometerConfig, phi: float) -> float:
+def continuous_signal(cfg: InterferometerConfig, phi):
     """Mean measured quadrature -(alpha0/2)*sin(phi); the un-binned
-    reference fringe."""
-    return -0.5 * cfg.alpha0 * math.sin(phi)
+    reference fringe.  phi is a float or a 1-D array of phases."""
+    if np.ndim(phi) == 0:
+        return -0.5 * cfg.alpha0 * math.sin(phi)
+    return np.array([-0.5 * cfg.alpha0 * math.sin(x)
+                     for x in np.asarray(phi, dtype=np.float64).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +328,8 @@ def _fringe_half_crossings(f, center: float, scan_step: float = 0.002,
     flipped so the fringe is always treated as a peak.  Each side walks
     outward to its first local minimum (the fringe-local baseline), refines
     it, and brackets the half-level crossing between center and that dark
-    point.
+    point.  f takes a float or a 1-D array of phases; the walk evaluates it
+    on chunks of steps (see chunked_walk).
     """
     f0 = f(center)
     left_probe = f(center - scan_step)
@@ -314,9 +347,7 @@ def _fringe_half_crossings(f, center: float, scan_step: float = 0.002,
         prev_x, prev_v = center, f0
         dark = None
         steps = int(max_span / scan_step)
-        for i in range(1, steps + 1):
-            x = center + sign * i * scan_step
-            v = h(x)
+        for x, v in chunked_walk(h, center, sign, scan_step, steps):
             if v > prev_v:
                 # passed a local minimum; refine it within the last window
                 lo = min(prev_x - sign * scan_step, x)

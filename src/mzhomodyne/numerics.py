@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "Interval",
+    "NoConvergence",
     "NoSignChange",
     "RandomStream",
     "central_diff",
@@ -24,12 +25,20 @@ __all__ = [
     "erfc",
     "find_root",
     "minimize_scalar",
+    "chunked_walk",
     "uniform_sample",
 ]
 
 
 class NoSignChange(ValueError):
     """Root bracket endpoints do not straddle a sign change."""
+
+
+class NoConvergence(RuntimeError):
+    """A search reached its iteration cap without meeting its tolerance.
+
+    Not a ValueError: the inputs were valid, the search failed on them.
+    """
 
 
 @dataclass(frozen=True)
@@ -202,7 +211,9 @@ def find_root(f: Callable[[float], float], bracket, tol: float = 1e-12) -> float
     convergence is guaranteed once the endpoints straddle a sign change.
     Terminates when the bracket width falls below ~tol.
 
-    Raises NoSignChange if f has the same sign at both endpoints.
+    Raises NoSignChange if f has the same sign at both endpoints, and
+    NoConvergence if the bracket is still wider than ~tol after 200
+    iterations.
     """
     if isinstance(bracket, Interval):
         a, b = bracket.lo, bracket.hi
@@ -264,7 +275,10 @@ def find_root(f: Callable[[float], float], bracket, tol: float = 1e-12) -> float
         else:
             b += tol1 if xm > 0 else -tol1
         fb = f(b)
-    return b
+    raise NoConvergence(
+        f"bracket [{min(b, c)}, {max(b, c)}] still wider than tol={tol} "
+        f"after 200 iterations"
+    )
 
 
 def minimize_scalar(f: Callable[[float], float], bracket, tol: float = 1e-10,
@@ -308,6 +322,28 @@ def minimize_scalar(f: Callable[[float], float], bracket, tol: float = 1e-10,
         if fx < best_f:
             best_x, best_f = float(x), float(fx)
     return best_x, best_f
+
+
+_FIRST_CHUNK = 16
+
+
+def chunked_walk(f: Callable, start: float, direction: float, step: float,
+                 n_steps: int):
+    """Yield (x_i, f(x_i)) for x_i = start + direction*i*step, i = 1..n_steps.
+
+    f maps a 1-D array of points to an array of values.  It is called on
+    chunks of consecutive steps that double in size from 16 points, so a
+    caller that stops after a few steps evaluates f on few points, and one
+    that walks all n_steps makes O(log n_steps) calls.  x_i and f(x_i) are
+    floats, and x_i is the scalar expression above, so a caller sees what a
+    step-by-step walk with a vectorised f would see.
+    """
+    lo, size = 1, _FIRST_CHUNK
+    while lo <= n_steps:
+        hi = min(lo + size, n_steps + 1)
+        xs = [start + direction * i * step for i in range(lo, hi)]
+        yield from zip(xs, f(np.array(xs)).tolist())
+        lo, size = hi, 2 * size
 
 
 def central_diff(f: Callable[[float], float], x: float, h: float) -> float:

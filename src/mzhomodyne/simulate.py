@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import BinningScheme, InterferometerConfig, outcome_distribution
+from .interferometer import BinningScheme, InterferometerConfig, outcome_table
 from .metrics import Observable, signal
-from .numerics import Interval, RandomStream, find_root
+from .numerics import Interval, RandomStream, chunked_walk, find_root
 
 __all__ = [
     "CalibrationPoint",
@@ -118,7 +118,8 @@ def sample_outcomes(cfg: InterferometerConfig, scheme: BinningScheme, phi: float
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    prefix = np.cumsum(outcome_distribution(cfg, scheme, phi).bin_probs)
+    probs, _ = outcome_table(cfg, scheme, [phi])
+    prefix = np.cumsum(probs[0, :-1])
     xi = stream.uniform(size=shots)
     idx = np.searchsorted(prefix, xi, side="left")
     counts = np.bincount(idx, minlength=len(prefix) + 1)
@@ -152,6 +153,7 @@ def monotone_branch(cfg: InterferometerConfig, scheme: BinningScheme,
                     obs: Observable, phi_true: float) -> Interval:
     """Largest interval around phi_true where the sampled signal slope keeps
     one sign (resolution 1e-3 rad, capped at half a period each way).
+    Each side's steps are evaluated in chunks (see chunked_walk).
 
     At an exact extremum the sign is taken from the right neighbor, so the
     branch starts at phi_true itself.
@@ -166,9 +168,9 @@ def monotone_branch(cfg: InterferometerConfig, scheme: BinningScheme,
 
     def walk(direction: float) -> float:
         edge = phi_true
-        for i in range(1, int(math.pi / _BRANCH_STEP) + 1):
-            x = phi_true + direction * i * _BRANCH_STEP
-            if (slope(x) > 0.0) != positive:
+        steps = int(math.pi / _BRANCH_STEP)
+        for x, s in chunked_walk(slope, phi_true, direction, _BRANCH_STEP, steps):
+            if (s > 0.0) != positive:
                 break
             edge = x
         return edge
@@ -181,11 +183,9 @@ def monotone_branch(cfg: InterferometerConfig, scheme: BinningScheme,
 
 def _check_branch_monotone(cfg, scheme, obs, branch):
     n_samples = max(int(branch.width / _BRANCH_STEP), 2)
-    slopes = [
-        signal(cfg, scheme, obs, x).slope
-        for x in np.linspace(branch.lo, branch.hi, n_samples + 1)
-    ]
-    if any(s > _SLOPE_TOL for s in slopes) and any(s < -_SLOPE_TOL for s in slopes):
+    slopes = signal(cfg, scheme, obs,
+                    np.linspace(branch.lo, branch.hi, n_samples + 1)).slope
+    if np.any(slopes > _SLOPE_TOL) and np.any(slopes < -_SLOPE_TOL):
         raise NonMonotoneBranch(
             f"slope changes sign on [{branch.lo}, {branch.hi}]"
         )

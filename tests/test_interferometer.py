@@ -27,10 +27,11 @@ from mzhomodyne.interferometer import (
     g_plus_minus,
     mode_mix_matrix,
     outcome_distribution,
+    outcome_table,
     quadrature_pdf,
     wigner_oracle_pdf,
 )
-from mzhomodyne.numerics import central_diff, minimize_scalar
+from mzhomodyne.numerics import central_diff, erf_diff, minimize_scalar
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
 FIG2_SCHEME = BinningScheme(half_width=0.5, spacing=3.8, cutoff=2)
@@ -401,3 +402,56 @@ def test_outcome_distribution_rejects_foreign_outcome():
         dist.prob(Outcome.bin(7))
     with pytest.raises(InvalidOutcome):
         dist.deriv(Outcome.bin(-3))
+
+
+# ---------------------------------------------------------------------------
+# Phase-batched outcome table.
+
+BATCH_SYSTEMS = {
+    "binary": (InterferometerConfig.from_nbar(200.0), BinningScheme.binary(0.5)),
+    "fig2": (FIG2_CFG, FIG2_SCHEME),
+    "wide": (InterferometerConfig.from_nbar(1e4), BinningScheme(0.5, 3.2, 16)),
+}
+BATCH_GRID = np.concatenate([
+    np.linspace(-math.pi, math.pi, 2001),
+    [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi],
+])
+
+
+def _one_phase_row(cfg, scheme, phi):
+    """Probabilities and derivatives at one phase, by the scalar formulas
+    that evaluated one phase per call before the batched table."""
+    c = 0.5 * cfg.alpha0 * math.sin(phi)
+    shift = math.sqrt(2.0) * (c + scheme.centers())
+    ga = math.sqrt(2.0) * scheme.half_width
+    g_lo, g_hi = shift - ga, shift + ga
+    probs = 0.5 * erf_diff(g_lo, g_hi)
+    factor = (1.0 / math.sqrt(math.pi)) * cfg.alpha0 * math.cos(phi) / math.sqrt(2.0)
+    derivs = factor * (np.exp(-g_hi * g_hi) - np.exp(-g_lo * g_lo))
+    return (np.append(probs, max(0.0, 1.0 - math.fsum(probs))),
+            np.append(derivs, -math.fsum(derivs)))
+
+
+@pytest.mark.parametrize("system", sorted(BATCH_SYSTEMS))
+def test_outcome_table_is_batch_invariant(system):
+    cfg, scheme = BATCH_SYSTEMS[system]
+    probs, derivs = outcome_table(cfg, scheme, BATCH_GRID)
+    assert probs.shape == derivs.shape == (len(BATCH_GRID), 2 * scheme.cutoff + 2)
+
+    rows = [outcome_table(cfg, scheme, [phi]) for phi in BATCH_GRID]
+    assert np.array_equal(probs, np.vstack([p for p, _ in rows]))
+    assert np.array_equal(derivs, np.vstack([d for _, d in rows]))
+    scalar = [_one_phase_row(cfg, scheme, phi) for phi in BATCH_GRID.tolist()]
+    assert np.array_equal(probs, np.array([p for p, _ in scalar]))
+    assert np.array_equal(derivs, np.array([d for _, d in scalar]))
+
+    for p_row, d_row in zip(probs.tolist(), derivs.tolist()):
+        assert abs(math.fsum(p_row) - 1.0) <= 1e-12
+        assert abs(math.fsum(d_row)) <= 1e-12 * (1.0 + cfg.alpha0)
+
+
+def test_outcome_table_rejects_non_vector_phases():
+    with pytest.raises(ValueError):
+        outcome_table(FIG2_CFG, FIG2_SCHEME, 0.3)
+    with pytest.raises(ValueError):
+        outcome_table(FIG2_CFG, FIG2_SCHEME, [[0.1, 0.2]])

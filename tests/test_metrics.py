@@ -658,3 +658,33 @@ def test_sweep_axis_validation():
         sweep([10.0, 5.0], [0.5])
     with pytest.raises(ValueError):
         sweep([10.0], [0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# Phase arrays.
+
+
+def test_figures_of_merit_on_phase_arrays_equal_scalar_calls():
+    # pi/2 puts a zero slope on the grid: sensitivity +inf, crb finite
+    grid = np.concatenate([np.linspace(-math.pi, math.pi, 201), [math.pi / 2]])
+    obs = Observable(FIXED_RANDOM_EIGENVALUES, 0.3)
+    point = signal(FIG2_CFG, FIG2_SCHEME, obs, grid)
+    delta = error_propagation_sensitivity(FIG2_CFG, FIG2_SCHEME, obs, grid)
+    info = cfi(FIG2_CFG, FIG2_SCHEME, grid)
+    bound = crb(FIG2_CFG, FIG2_SCHEME, grid)
+    for values in (point.phi, point.mean, point.second_moment, point.slope,
+                   point.variance, delta, info, bound):
+        assert isinstance(values, np.ndarray) and values.shape == grid.shape
+    assert math.isinf(delta[-1])
+
+    for i, phi in enumerate(grid.tolist()):
+        one = signal(FIG2_CFG, FIG2_SCHEME, obs, phi)
+        assert (point.phi[i], point.mean[i], point.second_moment[i],
+                point.slope[i], point.variance[i]) == (
+            one.phi, one.mean, one.second_moment, one.slope, one.variance)
+        assert delta[i] == error_propagation_sensitivity(
+            FIG2_CFG, FIG2_SCHEME, obs, phi)
+        assert info[i] == cfi(FIG2_CFG, FIG2_SCHEME, phi)
+        assert bound[i] == crb(FIG2_CFG, FIG2_SCHEME, phi)
+    assert type(one.mean) is float and type(one.variance) is float
+    assert type(crb(FIG2_CFG, FIG2_SCHEME, 0.3)) is float

@@ -5,9 +5,11 @@ from scipy import integrate
 
 from mzhomodyne.numerics import (
     Interval,
+    NoConvergence,
     NoSignChange,
     RandomStream,
     central_diff,
+    chunked_walk,
     erf,
     erf_diff,
     erfc,
@@ -161,6 +163,31 @@ def test_find_root_steep_flat_mix():
     f = lambda x: np.tanh(50.0 * (x - 0.7531))
     root = find_root(f, (0.0, 1.0), tol=1e-12)
     assert abs(root - 0.7531) < 1e-9
+
+
+def test_find_root_raises_at_iteration_cap():
+    # a jump at 0 with a tolerance below the spacing of doubles near 0:
+    # the bracket cannot shrink to tol within 200 iterations
+    with pytest.raises(NoConvergence):
+        find_root(lambda x: -1.0 if x < 0 else 1.0, (-1.0, 0.7), tol=1e-300)
+    assert not issubclass(NoConvergence, ValueError)
+
+
+def test_chunked_walk_doubles_and_stops_lazily():
+    calls = []
+
+    def f(xs):
+        calls.append(len(xs))
+        return 2.0 * xs
+
+    steps = list(chunked_walk(f, 0.25, -1.0, 0.002, 100))
+    assert calls == [16, 32, 52]
+    assert steps == [(x, 2.0 * x) for x in
+                     (0.25 + -1.0 * i * 0.002 for i in range(1, 101))]
+
+    calls.clear()
+    next(chunked_walk(f, 0.0, 1.0, 1e-3, 3141))
+    assert calls == [16]
 
 
 def test_minimize_scalar_quadratic():

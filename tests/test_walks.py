@@ -1,0 +1,159 @@
+"""Chunked walks against their step-by-step originals.
+
+The fringe walk of fwhm and the branch walk of monotone_branch evaluate
+their steps in batched chunks.  The oracles below are the one-phase-per-step
+loops they replaced, copied verbatim; every case asserts that both return
+the same crossings or edges as the same floats, or raise the same error.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mzhomodyne.interferometer import BinningScheme, InterferometerConfig
+from mzhomodyne.metrics import NoFringe, Observable, _fringe_half_crossings, signal
+from mzhomodyne.numerics import Interval, NoSignChange, find_root, minimize_scalar
+from mzhomodyne.simulate import NonMonotoneBranch, invert_signal, monotone_branch
+
+FIG4_CFG = InterferometerConfig.from_nbar(1000.0)
+FIG4_SCHEME = BinningScheme(half_width=0.5, spacing=3.2, cutoff=5)
+FIG4_OBS = Observable.alternating(FIG4_SCHEME)
+BRIGHT_CFG = InterferometerConfig.from_nbar(1e8)
+BRIGHT_SCHEME = BinningScheme(half_width=0.5, spacing=3.2, cutoff=3)
+BRIGHT_OBS = Observable.alternating(BRIGHT_SCHEME)
+UNIT_BINARY_OBS = Observable((1.0,), 0.0)
+BRANCH_STEP = 1e-3
+
+
+def _scalar_half_crossings(f, center, scan_step=0.002, max_span=math.pi):
+    """Step-by-step fringe walk: one scalar f call per step."""
+    f0 = f(center)
+    left_probe = f(center - scan_step)
+    right_probe = f(center + scan_step)
+    if left_probe < f0 and right_probe < f0:
+        h = f
+    elif left_probe > f0 and right_probe > f0:
+        h = lambda x: -f(x)
+        f0 = -f0
+    else:
+        raise NoFringe(f"signal is not extremal at center {center}")
+
+    crossings = []
+    for sign in (-1.0, 1.0):
+        prev_x, prev_v = center, f0
+        dark = None
+        steps = int(max_span / scan_step)
+        for i in range(1, steps + 1):
+            x = center + sign * i * scan_step
+            v = h(x)
+            if v > prev_v:
+                lo = min(prev_x - sign * scan_step, x)
+                hi = max(prev_x - sign * scan_step, x)
+                dark, dark_val = minimize_scalar(h, (lo, hi), grid_points=64)
+                break
+            prev_x, prev_v = x, v
+        if dark is None:
+            raise NoFringe("no dark point within half a period of the center")
+        level = 0.5 * (f0 + dark_val)
+        try:
+            crossing = find_root(lambda x: h(x) - level,
+                                 (min(center, dark), max(center, dark)))
+        except NoSignChange as exc:
+            raise NoFringe("fringe shallower than half depth") from exc
+        crossings.append(crossing)
+
+    return min(crossings), max(crossings)
+
+
+def _scalar_branch(cfg, scheme, obs, phi_true):
+    """Step-by-step branch walk: one scalar signal call per step."""
+    slope = lambda x: signal(cfg, scheme, obs, x).slope
+    s0 = slope(phi_true)
+    if s0 == 0.0:
+        s0 = slope(phi_true + BRANCH_STEP)
+    if s0 == 0.0:
+        raise NonMonotoneBranch(f"signal is flat around phi={phi_true}")
+    positive = s0 > 0.0
+
+    def walk(direction):
+        edge = phi_true
+        for i in range(1, int(math.pi / BRANCH_STEP) + 1):
+            x = phi_true + direction * i * BRANCH_STEP
+            if (slope(x) > 0.0) != positive:
+                break
+            edge = x
+        return edge
+
+    lo, hi = walk(-1.0), walk(1.0)
+    if lo == hi:
+        raise NonMonotoneBranch(f"no monotone run around phi={phi_true}")
+    return Interval(lo, hi)
+
+
+def _result(fn, *args):
+    """Return value, or the type of the error raised."""
+    try:
+        return fn(*args)
+    except (NoFringe, NonMonotoneBranch) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("nbar", [5.0, 200.0, 1e6])
+def test_fringe_crossings_match_step_by_step_walk(nbar):
+    cfg = InterferometerConfig.from_nbar(nbar)
+    scheme = BinningScheme.binary(0.5)
+    f = lambda phi: signal(cfg, scheme, UNIT_BINARY_OBS, phi).mean
+    got = _result(_fringe_half_crossings, f, 0.0)
+    assert isinstance(got, tuple)
+    assert got == _result(_scalar_half_crossings, f, 0.0)
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.02, 0.1, 0.18])
+def test_fig4_branch_matches_step_by_step_walk(phi):
+    got = monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, phi)
+    assert got == _scalar_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, phi)
+    assert type(got.lo) is float and type(got.hi) is float
+
+
+@pytest.mark.parametrize("phi, rejected", [(0.0003, False), (0.0006, True)])
+def test_bright_branch_matches_step_by_step_walk(phi, rejected):
+    got = monotone_branch(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, phi)
+    assert got == _scalar_branch(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, phi)
+    # the 1e-3 rad walk steps over slope sign changes at nbar=1e8; the
+    # re-sampling check must keep rejecting the branch it returns at 0.0006
+    measured = signal(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, phi).mean
+    if rejected:
+        with pytest.raises(NonMonotoneBranch):
+            invert_signal(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, measured, got)
+    else:
+        invert_signal(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, measured, got)
+
+
+def _cosine_fringe(period):
+    """cos(pi*x/period), math.cos per point, for floats and arrays."""
+    def f(x):
+        if np.ndim(x) == 0:
+            return math.cos(math.pi * x / period)
+        return np.array([math.cos(math.pi * v / period) for v in x.tolist()])
+    return f
+
+
+def test_fringe_first_rise_on_chunk_boundary():
+    # dark point at 16.3 steps: the first rise is step 17, the first step
+    # of the second chunk, so the walk must carry step 16 across chunks
+    f = _cosine_fringe(16.3 * 0.002)
+    assert f(17 * 0.002) > f(16 * 0.002) and f(16 * 0.002) < f(15 * 0.002)
+    assert _fringe_half_crossings(f, 0.0) == _scalar_half_crossings(f, 0.0)
+
+
+def test_branch_first_flip_on_chunk_boundary():
+    # put the slope zero beyond the fig4 branch half a step after step 16,
+    # so the first flip is step 17, the first step of the second chunk
+    edge = _scalar_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, 0.1).hi
+    zero = find_root(lambda x: signal(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, x).slope,
+                     (edge, edge + BRANCH_STEP))
+    phi = zero - 16.5 * BRANCH_STEP
+    expected = _scalar_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, phi)
+    assert expected.hi == phi + 16 * BRANCH_STEP
+    assert monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, phi) == expected
