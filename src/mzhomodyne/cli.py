@@ -48,7 +48,7 @@ from .metrics import (
     visibility_boundary,
 )
 from .numerics import find_root
-from .simulate import NonMonotoneBranch, _replicas_with_offset, estimate, monotone_branch
+from .simulate import NonMonotoneBranch, calibration_curve, estimate, monotone_branch
 
 __all__ = ["ConfigError", "RunConfig", "build_parser", "main"]
 
@@ -342,44 +342,32 @@ def _cmd_sweep(config: RunConfig) -> int:
     return 0
 
 
-def _simulate_rows(cfg, scheme, obs, phi_grid, shots, replicas, seed,
-                   with_estimation=True):
-    """Calibration and estimation rows from one shared set of replica draws."""
+def _estimation_rows(cfg, scheme, obs, points):
+    """Inversion-estimator row of each calibration point's replica set."""
     mu = obs.all_values()
-    phi_grid = [float(phi) for phi in phi_grid]
-    bounds = crb(cfg, scheme, phi_grid).tolist() if with_estimation else None
-    cal_rows = []
-    est_rows = []
-    for index, phi in enumerate(phi_grid):
-        rs = _replicas_with_offset(
-            cfg, scheme, phi, shots, replicas, seed, index * replicas
-        )
-        freqs = np.array([r.frequencies() for r in rs.records])
-        cal_rows.append(
-            [phi] + list(freqs.mean(axis=0)) + list(freqs.std(axis=0, ddof=0))
-        )
-        if not with_estimation:
-            continue
+    bounds = crb(cfg, scheme, [pt.phi for pt in points]).tolist()
+    rows = []
+    for pt, bound in zip(points, bounds):
+        rs = pt.replicas
         measured = [
-            math.fsum(mu * r.all_counts()) / shots for r in rs.records
+            math.fsum(mu * r.all_counts()) / rs.shots for r in rs.records
         ]
         mean_signal = math.fsum(measured) / len(measured)
-        bound = bounds[index]
         try:
             report = estimate(cfg, scheme, obs, rs)
-            est_rows.append(
-                [phi, mean_signal, report.sigma, bound, report.bias,
+            rows.append(
+                [pt.phi, mean_signal, report.sigma, bound, report.bias,
                  report.std_dev, ""]
             )
         except NonMonotoneBranch:
-            est_rows.append(
-                [phi, mean_signal, math.nan, bound, math.nan, math.nan,
+            rows.append(
+                [pt.phi, mean_signal, math.nan, bound, math.nan, math.nan,
                  "NonMonotoneBranch"]
             )
-    return cal_rows, est_rows
+    return rows
 
 
-def _write_simulation(out_base, scheme, cal_rows, est_rows=None):
+def _write_simulation(out_base, scheme, points, est_rows=None):
     labels = [str(k) for k in scheme.bin_indices()] + ["leftover"]
     cal_path = f"{out_base}_calibration.csv"
     with _csv_writer(cal_path) as writer:
@@ -388,8 +376,10 @@ def _write_simulation(out_base, scheme, cal_rows, est_rows=None):
             + [f"freq({s})" for s in labels]
             + [f"std({s})" for s in labels]
         )
-        for row in cal_rows:
-            writer.writerow([_fmt(v) for v in row])
+        for pt in points:
+            writer.writerow(
+                [_fmt(v) for v in [pt.phi, *pt.mean_freqs, *pt.std_freqs]]
+            )
     if est_rows is None:
         return cal_path, None
     est_path = f"{out_base}_estimation.csv"
@@ -411,11 +401,11 @@ def _cmd_simulate(config: RunConfig) -> int:
     cfg = config.interferometer()
     scheme = config.scheme(cfg)
     obs = config.observable(scheme)
-    cal_rows, est_rows = _simulate_rows(
-        cfg, scheme, obs, config.phi_grid(), config.shots, config.replicas,
-        config.seed,
+    points = calibration_curve(cfg, scheme, config.phi_grid(), config.shots,
+                               config.replicas, config.seed)
+    cal_path, est_path = _write_simulation(
+        out_base, scheme, points, _estimation_rows(cfg, scheme, obs, points)
     )
-    cal_path, est_path = _write_simulation(out_base, scheme, cal_rows, est_rows)
     print(f"wrote {cal_path}", file=sys.stderr)
     print(f"wrote {est_path}", file=sys.stderr)
     return 0
@@ -506,15 +496,13 @@ def _reproduce_fig2(out_dir: Path, seed: int, checks: _Checks) -> None:
 
     shots, replicas = 200, 10
     cal_grid = np.linspace(-math.pi, math.pi, 41)
-    obs = Observable.ones(scheme)
-    cal_rows, _ = _simulate_rows(cfg, scheme, obs, cal_grid, shots, replicas,
-                                 seed, with_estimation=False)
-    _write_simulation(str(out_dir / "fig2"), scheme, cal_rows)
+    points = calibration_curve(cfg, scheme, cal_grid, shots, replicas, seed)
+    _write_simulation(str(out_dir / "fig2"), scheme, points)
 
     cells = ok = 0
-    cal_probs, _ = outcome_table(cfg, scheme, [row[0] for row in cal_rows])
-    for row, probs in zip(cal_rows, cal_probs.tolist()):
-        for freq, p in zip(row[1:scheme.n_outcomes + 1], probs):
+    cal_probs, _ = outcome_table(cfg, scheme, [pt.phi for pt in points])
+    for pt, probs in zip(points, cal_probs.tolist()):
+        for freq, p in zip(pt.mean_freqs, probs):
             se = math.sqrt(max(p * (1.0 - p), 0.0) / (shots * replicas))
             cells += 1
             ok += abs(freq - p) <= max(3.0 * se, 1e-12)
@@ -577,9 +565,9 @@ def _reproduce_fig4(out_dir: Path, seed: int, checks: _Checks) -> None:
     width = branch.hi - branch.lo
     grid = branch.lo + width * np.linspace(0.05, 0.95, 21)
     shots, replicas = 200, 400
-    cal_rows, est_rows = _simulate_rows(cfg, scheme, obs, grid, shots,
-                                        replicas, seed)
-    _write_simulation(str(out_dir / "fig4"), scheme, cal_rows, est_rows)
+    points = calibration_curve(cfg, scheme, grid, shots, replicas, seed)
+    est_rows = _estimation_rows(cfg, scheme, obs, points)
+    _write_simulation(str(out_dir / "fig4"), scheme, points, est_rows)
 
     clean = [row for row in est_rows if row[6] == ""]
     tracked = sum(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,16 +23,10 @@ __all__ = [
     "BinningScheme",
     "GaussianState",
     "InterferometerConfig",
-    "InvalidOutcome",
     "InvalidScheme",
-    "LEFTOVER",
-    "Outcome",
     "OutcomeDistribution",
-    "bin_probability",
-    "bin_probability_derivative",
     "coherent_vacuum_state",
     "default_cutoff",
-    "g_plus_minus",
     "mode_mix_matrix",
     "outcome_distribution",
     "outcome_table",
@@ -47,10 +40,6 @@ _INV_SQRTPI = 1.0 / math.sqrt(math.pi)
 
 class InvalidScheme(ValueError):
     """Binning parameters violate a > 0, b > 2a, or cutoff >= 0."""
-
-
-class InvalidOutcome(ValueError):
-    """Outcome does not belong to the scheme's alphabet."""
 
 
 @dataclass(frozen=True)
@@ -72,31 +61,6 @@ class InterferometerConfig:
         if not nbar > 0:
             raise ValueError(f"nbar must be positive, got {nbar}")
         return cls(math.sqrt(nbar))
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """One element of the measurement alphabet: Bin(k) or Leftover."""
-
-    index: int | None = None
-
-    @classmethod
-    def bin(cls, k: int) -> "Outcome":
-        return cls(int(k))
-
-    @classmethod
-    def leftover(cls) -> "Outcome":
-        return cls(None)
-
-    @property
-    def is_leftover(self) -> bool:
-        return self.index is None
-
-    def __repr__(self):
-        return "Leftover" if self.index is None else f"Bin({self.index})"
-
-
-LEFTOVER = Outcome(None)
 
 
 @dataclass(frozen=True)
@@ -136,18 +100,6 @@ class BinningScheme:
 
     def centers(self) -> np.ndarray:
         return self.spacing * self.bin_indices()
-
-    def center(self, k: int) -> float:
-        self._check_bin(k)
-        return self.spacing * k
-
-    def outcomes(self) -> tuple[Outcome, ...]:
-        bins = tuple(Outcome.bin(int(k)) for k in self.bin_indices())
-        return bins + (LEFTOVER,)
-
-    def _check_bin(self, k: int):
-        if abs(k) > self.cutoff:
-            raise InvalidOutcome(f"bin index {k} outside |k| <= {self.cutoff}")
 
 
 def default_cutoff(cfg: InterferometerConfig, half_width: float, spacing: float) -> int:
@@ -264,12 +216,6 @@ def _erf_limits(cfg, scheme, phis):
     return shift - ga, shift + ga
 
 
-def g_plus_minus(cfg: InterferometerConfig, scheme: BinningScheme, phi: float):
-    """(g_minus, g_plus) with g+- = sqrt(2)*(alpha0*sin(phi)/2 +- half_width)."""
-    g_lo, g_hi = _erf_limits(cfg, scheme, [float(phi)])
-    return float(g_lo[0, scheme.cutoff]), float(g_hi[0, scheme.cutoff])
-
-
 def outcome_table(cfg: InterferometerConfig, scheme: BinningScheme, phis):
     """Probabilities and phi-derivatives of the whole alphabet on a phase grid.
 
@@ -304,23 +250,6 @@ def outcome_table(cfg: InterferometerConfig, scheme: BinningScheme, phis):
     return probs, derivs
 
 
-def bin_probability(cfg: InterferometerConfig, scheme: BinningScheme,
-                    outcome: Outcome, phi: float) -> float:
-    """P(outcome | phi); the Leftover outcome takes 1 - sum over bins."""
-    return outcome_distribution(cfg, scheme, phi).prob(outcome)
-
-
-def bin_probability_derivative(cfg: InterferometerConfig, scheme: BinningScheme,
-                               outcome: Outcome, phi: float) -> float:
-    """dP(outcome|phi)/dphi in closed form.
-
-    Bin derivatives follow from differentiating the erf integral bounds
-    (see outcome_table); the Leftover derivative is the negative sum of the
-    bin derivatives, so the alphabet's derivatives sum to zero exactly.
-    """
-    return outcome_distribution(cfg, scheme, phi).deriv(outcome)
-
-
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Probabilities and phi-derivatives for the full alphabet at one phase."""
@@ -332,34 +261,8 @@ class OutcomeDistribution:
     bin_derivs: np.ndarray
     leftover_deriv: float
 
-    def outcomes(self) -> tuple[Outcome, ...]:
-        bins = tuple(Outcome.bin(int(k)) for k in range(-self.cutoff, self.cutoff + 1))
-        return bins + (LEFTOVER,)
-
-    def prob(self, outcome: Outcome) -> float:
-        if outcome.is_leftover:
-            return self.leftover_prob
-        if abs(outcome.index) > self.cutoff:
-            raise InvalidOutcome(f"bin index {outcome.index} outside |k| <= {self.cutoff}")
-        return float(self.bin_probs[outcome.index + self.cutoff])
-
-    def deriv(self, outcome: Outcome) -> float:
-        if outcome.is_leftover:
-            return self.leftover_deriv
-        if abs(outcome.index) > self.cutoff:
-            raise InvalidOutcome(f"bin index {outcome.index} outside |k| <= {self.cutoff}")
-        return float(self.bin_derivs[outcome.index + self.cutoff])
-
-    @cached_property
-    def probs(self) -> dict:
-        return {o: self.prob(o) for o in self.outcomes()}
-
-    @cached_property
-    def derivs(self) -> dict:
-        return {o: self.deriv(o) for o in self.outcomes()}
-
     def all_probs(self) -> np.ndarray:
-        """Bins then leftover, matching outcomes() order."""
+        """Bins -cutoff..cutoff then leftover: the outcome_table columns."""
         return np.append(self.bin_probs, self.leftover_prob)
 
     def all_derivs(self) -> np.ndarray:

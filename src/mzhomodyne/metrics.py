@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import (
-    LEFTOVER,
-    BinningScheme,
-    InterferometerConfig,
-    Outcome,
-    outcome_distribution,
-    outcome_table,
-)
+from .interferometer import BinningScheme, InterferometerConfig, outcome_table
 from .numerics import NoSignChange, chunked_walk, find_root, minimize_scalar
 
 __all__ = [
@@ -102,17 +95,8 @@ class Observable:
     def is_binary(self) -> bool:
         return len(set(self.bin_values) | {self.leftover_value}) == 2
 
-    def value(self, outcome: Outcome) -> float:
-        if outcome.is_leftover:
-            return self.leftover_value
-        if abs(outcome.index) > self.cutoff:
-            raise AlphabetMismatch(
-                f"no eigenvalue for bin {outcome.index} with cutoff {self.cutoff}"
-            )
-        return self.bin_values[outcome.index + self.cutoff]
-
     def all_values(self) -> np.ndarray:
-        """Bins then leftover, matching OutcomeDistribution order."""
+        """Bins then leftover, matching the outcome_table columns."""
         return np.array(self.bin_values + (self.leftover_value,))
 
     @classmethod
@@ -234,17 +218,18 @@ def crb(cfg: InterferometerConfig, scheme: BinningScheme, phi):
     ])
 
 
-def binary_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme,
-                       phi: float) -> float:
-    """sqrt(P(1-P))/|P'| for the single-bin scheme; eigenvalue-free form."""
+def binary_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme, phi):
+    """sqrt(P(1-P))/|P'| of the single bin; eigenvalue-free form.
+
+    phi is a float or a 1-D array of phases; the result has the same shape.
+    """
     if scheme.cutoff != 0:
         raise SchemeNotBinary(f"cutoff must be 0, got {scheme.cutoff}")
-    dist = outcome_distribution(cfg, scheme, phi)
-    p = dist.prob(Outcome.bin(0))
-    dp = dist.deriv(Outcome.bin(0))
-    if abs(dp) < _SLOPE_FLOOR:
-        return math.inf
-    return math.sqrt(p * (1.0 - p)) / abs(dp)
+    scalar, probs, derivs = _table(cfg, scheme, phi)
+    return _shaped(scalar, [
+        math.inf if abs(dp) < _SLOPE_FLOOR else math.sqrt(p * (1.0 - p)) / abs(dp)
+        for p, dp in zip(probs[:, 0].tolist(), derivs[:, 0].tolist())
+    ])
 
 
 def binarized_cfi(cfg: InterferometerConfig, scheme: BinningScheme,
@@ -252,14 +237,15 @@ def binarized_cfi(cfg: InterferometerConfig, scheme: BinningScheme,
     """Fisher information after coarse-graining outcomes that share an
     eigenvalue (exact value comparison, no tolerance)."""
     _check_alphabet(obs, scheme)
-    dist = outcome_distribution(cfg, scheme, phi)
-    groups: dict[float, list[float]] = {}
-    for o in dist.outcomes():
-        groups.setdefault(obs.value(o), []).append(o)
+    probs, derivs = outcome_table(cfg, scheme, [phi])
+    groups: dict[float, list[int]] = {}
+    for col, value in enumerate(obs.bin_values + (obs.leftover_value,)):
+        groups.setdefault(value, []).append(col)
+    p_row, d_row = probs[0].tolist(), derivs[0].tolist()
     total = 0.0
-    for members in groups.values():
-        q = math.fsum(dist.prob(o) for o in members)
-        dq = math.fsum(dist.deriv(o) for o in members)
+    for cols in groups.values():
+        q = math.fsum(p_row[c] for c in cols)
+        dq = math.fsum(d_row[c] for c in cols)
         if q >= _PROB_FLOOR:
             total += dq * dq / q
     return total

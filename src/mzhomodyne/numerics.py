@@ -26,7 +26,6 @@ __all__ = [
     "find_root",
     "minimize_scalar",
     "chunked_walk",
-    "uniform_sample",
 ]
 
 
@@ -235,7 +234,7 @@ def find_root(f: Callable[[float], float], bracket, tol: float = 1e-12) -> float
 
     c, fc = a, fa
     d = e = b - a
-    eps = np.finfo(float).eps
+    eps = float(np.finfo(float).eps)
     for _ in range(200):
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
@@ -386,8 +385,3 @@ class RandomStream:
 
     def __repr__(self):
         return f"RandomStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
-
-
-def uniform_sample(stream: RandomStream) -> float:
-    """One uniform draw in [0, 1); advances the stream."""
-    return float(stream.uniform())

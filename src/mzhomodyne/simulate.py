@@ -40,7 +40,7 @@ class NonMonotoneBranch(ValueError):
 
 @dataclass(frozen=True)
 class CountsRecord:
-    """Outcome tallies of one N-shot experiment at a fixed phase."""
+    """Per-outcome tallies of one N-shot experiment at a fixed phase."""
 
     phi_true: float
     shots: int
@@ -131,22 +131,14 @@ def sample_outcomes(cfg: InterferometerConfig, scheme: BinningScheme, phi: float
     )
 
 
-def _replicas_with_offset(cfg, scheme, phi, shots, replicas, master_seed,
-                          stream_offset):
-    records = tuple(
-        sample_outcomes(cfg, scheme, phi, shots,
-                        RandomStream(master_seed, stream_offset + i))
-        for i in range(replicas)
-    )
-    return ReplicaSet(float(phi), shots, master_seed, records)
-
-
 def run_replicas(cfg: InterferometerConfig, scheme: BinningScheme, phi: float,
                  shots: int, replicas: int, master_seed: int) -> ReplicaSet:
-    """M independent records; replica i consumes random stream index i."""
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    return _replicas_with_offset(cfg, scheme, phi, shots, replicas, master_seed, 0)
+    """M independent records; replica i consumes random stream index i.
+
+    The replica set of a one-point calibration_curve.
+    """
+    (point,) = calibration_curve(cfg, scheme, [phi], shots, replicas, master_seed)
+    return point.replicas
 
 
 def monotone_branch(cfg: InterferometerConfig, scheme: BinningScheme,
@@ -248,33 +240,40 @@ def estimate(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable,
 
 @dataclass(frozen=True)
 class CalibrationPoint:
-    """Mean and spread of the occurrence frequencies at one grid phase."""
+    """Mean and spread of the occurrence frequencies at one grid phase, and
+    the replica set they were taken from."""
 
     phi: float
     mean_freqs: np.ndarray
     std_freqs: np.ndarray
+    replicas: ReplicaSet
 
 
 def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,
                       phi_grid, shots: int, replicas: int,
                       master_seed: int) -> list[CalibrationPoint]:
-    """Replica statistics of N_k/N across a phase grid.
+    """Replica sets and statistics of N_k/N across a phase grid.
 
-    Grid point p uses stream indices p*replicas .. p*replicas + replicas-1,
-    so a single-point grid reproduces run_replicas exactly and no two grid
-    points share draws.
+    Replica i of grid point p consumes random stream p*replicas + i, so a
+    single-point grid is run_replicas and no two grid points share draws.
     """
     phi_grid = [float(p) for p in phi_grid]
     if len(phi_grid) == 0:
         raise ValueError("phi_grid must be nonempty")
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
     points = []
     for p, phi in enumerate(phi_grid):
-        rs = _replicas_with_offset(cfg, scheme, phi, shots, replicas,
-                                   master_seed, p * replicas)
-        freqs = np.array([r.frequencies() for r in rs.records])
+        records = tuple(
+            sample_outcomes(cfg, scheme, phi, shots,
+                            RandomStream(master_seed, p * replicas + i))
+            for i in range(replicas)
+        )
+        freqs = np.array([r.frequencies() for r in records])
         points.append(CalibrationPoint(
             phi=phi,
             mean_freqs=freqs.mean(axis=0),
             std_freqs=freqs.std(axis=0, ddof=0),
+            replicas=ReplicaSet(phi, shots, master_seed, records),
         ))
     return points

@@ -1,0 +1,19 @@
+"""Every exported name resolves.
+
+perfbench/tracer.py looks up each name in the __all__ of the layer modules
+to wrap it, so one dangling export breaks every traced benchmark run.
+"""
+
+import importlib
+
+import pytest
+
+MODULES = ["mzhomodyne", "mzhomodyne.cli", "mzhomodyne.interferometer",
+           "mzhomodyne.metrics", "mzhomodyne.numerics", "mzhomodyne.simulate"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []

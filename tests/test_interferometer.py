@@ -13,18 +13,12 @@ import pytest
 from scipy import integrate
 
 from mzhomodyne.interferometer import (
-    LEFTOVER,
     BinningScheme,
     GaussianState,
     InterferometerConfig,
-    InvalidOutcome,
     InvalidScheme,
-    Outcome,
-    bin_probability,
-    bin_probability_derivative,
     coherent_vacuum_state,
     default_cutoff,
-    g_plus_minus,
     mode_mix_matrix,
     outcome_distribution,
     outcome_table,
@@ -35,6 +29,16 @@ from mzhomodyne.numerics import central_diff, erf_diff, minimize_scalar
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
 FIG2_SCHEME = BinningScheme(half_width=0.5, spacing=3.8, cutoff=2)
+
+
+def _prob(cfg, scheme, col, phi):
+    """P of outcome_table column col (bin k is column k + cutoff) at phi."""
+    return float(outcome_table(cfg, scheme, [phi])[0][0, col])
+
+
+def _deriv(cfg, scheme, col, phi):
+    """dP/dphi of outcome_table column col at phi."""
+    return float(outcome_table(cfg, scheme, [phi])[1][0, col])
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +75,8 @@ def test_scheme_centers_and_outcomes():
     s = FIG2_SCHEME
     assert np.array_equal(s.bin_indices(), [-2, -1, 0, 1, 2])
     assert np.allclose(s.centers(), [-7.6, -3.8, 0.0, 3.8, 7.6])
-    assert s.center(-2) == pytest.approx(-7.6)
-    with pytest.raises(InvalidOutcome):
-        s.center(3)
-    outs = s.outcomes()
-    assert len(outs) == s.n_outcomes == 6
-    assert outs[0] == Outcome.bin(-2)
-    assert outs[-1] is LEFTOVER or outs[-1].is_leftover
+    probs, derivs = outcome_table(FIG2_CFG, s, [0.3])
+    assert probs.shape == derivs.shape == (1, s.n_outcomes) == (1, 6)
 
 
 def test_binary_scheme():
@@ -85,14 +84,6 @@ def test_binary_scheme():
     assert s.cutoff == 0
     assert s.n_outcomes == 2
     assert s.half_width == 0.5
-
-
-def test_outcome_repr_and_identity():
-    assert repr(Outcome.bin(-2)) == "Bin(-2)"
-    assert repr(LEFTOVER) == "Leftover"
-    assert Outcome.leftover() == LEFTOVER
-    assert Outcome.bin(1) != Outcome.bin(-1)
-    assert not Outcome.bin(0).is_leftover
 
 
 # ---------------------------------------------------------------------------
@@ -217,35 +208,16 @@ def test_wigner_oracle_at_zero_phase_is_vacuum_marginal():
 # Bin probabilities against quadrature of the pdf.
 
 
-def test_g_plus_minus_at_zero_phase():
-    gm, gp = g_plus_minus(FIG2_CFG, FIG2_SCHEME, 0.0)
-    assert gp == pytest.approx(math.sqrt(2.0) * 0.5, rel=1e-15)
-    assert gm == pytest.approx(-math.sqrt(2.0) * 0.5, rel=1e-15)
-
-
-def test_g_plus_minus_at_quarter_turn():
-    gm, gp = g_plus_minus(FIG2_CFG, FIG2_SCHEME, math.pi / 2)
-    root = math.sqrt(2.0)
-    assert gm == pytest.approx(root * (FIG2_CFG.alpha0 / 2 - 0.5), rel=1e-14)
-    assert gp == pytest.approx(root * (FIG2_CFG.alpha0 / 2 + 0.5), rel=1e-14)
-
-
-def test_g_plus_minus_gap_is_constant():
-    for phi in (-2.0, -0.3, 0.9, 3.0):
-        gm, gp = g_plus_minus(FIG2_CFG, FIG2_SCHEME, phi)
-        assert gp - gm == pytest.approx(2.0 * math.sqrt(2.0) * 0.5, rel=1e-13)
-
-
 @pytest.mark.parametrize("phi", [0.0, 0.17, -0.6, 1.1, math.pi / 2, 2.8, -3.0])
 @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
 def test_bin_probability_matches_quadrature(k, phi):
-    lo = FIG2_SCHEME.center(k) - FIG2_SCHEME.half_width
-    hi = FIG2_SCHEME.center(k) + FIG2_SCHEME.half_width
+    lo = FIG2_SCHEME.spacing * k - FIG2_SCHEME.half_width
+    hi = FIG2_SCHEME.spacing * k + FIG2_SCHEME.half_width
     oracle, err = integrate.quad(
         lambda p: quadrature_pdf(FIG2_CFG, phi, p), lo, hi,
         epsabs=1e-14, epsrel=1e-13,
     )
-    got = bin_probability(FIG2_CFG, FIG2_SCHEME, Outcome.bin(k), phi)
+    got = _prob(FIG2_CFG, FIG2_SCHEME, k + 2, phi)
     assert got == pytest.approx(oracle, abs=max(2e-12, 10 * err))
     assert 0.0 <= got <= 1.0
 
@@ -260,7 +232,7 @@ def test_deep_tail_bin_probability_against_mpmath():
         lo = mpmath.sqrt(2) * (c + mpmath.mpf("7.6") - mpmath.mpf("0.5"))
         hi = mpmath.sqrt(2) * (c + mpmath.mpf("7.6") + mpmath.mpf("0.5"))
         oracle = float((mpmath.erfc(lo) - mpmath.erfc(hi)) / 2)
-    got = bin_probability(cfg, s, Outcome.bin(2), phi)
+    got = _prob(cfg, s, 2 + 2, phi)
     assert got == pytest.approx(oracle, rel=1e-12)
     assert 0.0 < got < 1e-80
 
@@ -268,8 +240,8 @@ def test_deep_tail_bin_probability_against_mpmath():
 def test_leftover_completes_the_distribution():
     for phi in np.linspace(-math.pi, math.pi, 41):
         probs = [
-            bin_probability(FIG2_CFG, FIG2_SCHEME, o, phi)
-            for o in FIG2_SCHEME.outcomes()
+            _prob(FIG2_CFG, FIG2_SCHEME, col, phi)
+            for col in range(FIG2_SCHEME.n_outcomes)
         ]
         assert all(0.0 <= q <= 1.0 for q in probs)
         assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
@@ -279,39 +251,32 @@ def test_leftover_probability_against_quadrature():
     phi = 0.45
     inside = 0.0
     for k in range(-2, 3):
-        lo = FIG2_SCHEME.center(k) - 0.5
-        hi = FIG2_SCHEME.center(k) + 0.5
+        lo = FIG2_SCHEME.spacing * k - 0.5
+        hi = FIG2_SCHEME.spacing * k + 0.5
         q, _ = integrate.quad(lambda p: quadrature_pdf(FIG2_CFG, phi, p), lo, hi)
         inside += q
-    got = bin_probability(FIG2_CFG, FIG2_SCHEME, LEFTOVER, phi)
+    got = _prob(FIG2_CFG, FIG2_SCHEME, -1, phi)  # leftover: the last column
     assert got == pytest.approx(1.0 - inside, abs=1e-10)
 
 
 def test_bin_probability_symmetries():
     for phi in (0.13, 0.8, -1.9, 2.2):
         for k in range(-2, 3):
-            direct = bin_probability(FIG2_CFG, FIG2_SCHEME, Outcome.bin(k), phi)
+            direct = _prob(FIG2_CFG, FIG2_SCHEME, k + 2, phi)
             # sin(pi - phi) = sin(phi)
-            mirror = bin_probability(FIG2_CFG, FIG2_SCHEME, Outcome.bin(k), math.pi - phi)
+            mirror = _prob(FIG2_CFG, FIG2_SCHEME, k + 2, math.pi - phi)
             assert mirror == pytest.approx(direct, rel=1e-12, abs=1e-300)
             # flipping the phase flips the quadrature shift, swapping k <-> -k
-            flipped = bin_probability(FIG2_CFG, FIG2_SCHEME, Outcome.bin(-k), -phi)
+            flipped = _prob(FIG2_CFG, FIG2_SCHEME, -k + 2, -phi)
             assert flipped == pytest.approx(direct, rel=1e-12, abs=1e-300)
 
 
 def test_bin_probability_periodicity():
     for phi in (0.0, 0.37, -2.1):
-        for o in FIG2_SCHEME.outcomes():
-            a = bin_probability(FIG2_CFG, FIG2_SCHEME, o, phi)
-            b = bin_probability(FIG2_CFG, FIG2_SCHEME, o, phi + 2.0 * math.pi)
+        for col in range(FIG2_SCHEME.n_outcomes):
+            a = _prob(FIG2_CFG, FIG2_SCHEME, col, phi)
+            b = _prob(FIG2_CFG, FIG2_SCHEME, col, phi + 2.0 * math.pi)
             assert b == pytest.approx(a, rel=1e-10, abs=1e-300)
-
-
-def test_bin_probability_rejects_foreign_outcome():
-    with pytest.raises(InvalidOutcome):
-        bin_probability(FIG2_CFG, FIG2_SCHEME, Outcome.bin(3), 0.0)
-    with pytest.raises(InvalidOutcome):
-        bin_probability_derivative(FIG2_CFG, FIG2_SCHEME, Outcome.bin(-5), 0.0)
 
 
 def test_bin_peak_sits_at_matching_phase():
@@ -325,7 +290,7 @@ def test_bin_peak_sits_at_matching_phase():
     for k in (-1, 1):
         coarse = grid[np.argmax(table[:, k + 2])]
         peak, _ = minimize_scalar(
-            lambda phi: -bin_probability(FIG2_CFG, FIG2_SCHEME, Outcome.bin(k), phi),
+            lambda phi: -_prob(FIG2_CFG, FIG2_SCHEME, k + 2, phi),
             (coarse - 2 * step, coarse + 2 * step),
         )
         expected = -math.asin(2.0 * k * 3.8 / FIG2_CFG.alpha0)
@@ -337,12 +302,15 @@ def test_bin_peak_sits_at_matching_phase():
 
 
 def test_binary_scheme_probability_formula():
-    # cutoff 0: P(0|phi) = [erf(g+) - erf(g-)]/2 directly
+    # cutoff 0: P(0|phi) = [erf(g+) - erf(g-)]/2 directly, with
+    # g+- = sqrt(2)*(alpha0*sin(phi)/2 +- a)
     s = BinningScheme.binary(0.5)
     for phi in (0.0, 0.6, -1.4):
-        gm, gp = g_plus_minus(FIG2_CFG, s, phi)
+        c = FIG2_CFG.alpha0 * math.sin(phi) / 2
+        gm = math.sqrt(2.0) * (c - s.half_width)
+        gp = math.sqrt(2.0) * (c + s.half_width)
         direct = 0.5 * (math.erf(gp) - math.erf(gm))
-        got = bin_probability(FIG2_CFG, s, Outcome.bin(0), phi)
+        got = _prob(FIG2_CFG, s, 0, phi)
         assert got == pytest.approx(direct, rel=1e-13)
 
 
@@ -352,25 +320,25 @@ def test_binary_scheme_probability_formula():
 
 @pytest.mark.parametrize("phi", [0.05, 0.4, -0.9, 1.3, 2.5, -2.9])
 def test_bin_derivative_matches_central_difference(phi):
-    for o in FIG2_SCHEME.outcomes():
-        f = lambda x: bin_probability(FIG2_CFG, FIG2_SCHEME, o, x)
+    for col in range(FIG2_SCHEME.n_outcomes):
+        f = lambda x: _prob(FIG2_CFG, FIG2_SCHEME, col, x)
         numeric = central_diff(f, phi, 1e-6)
-        analytic = bin_probability_derivative(FIG2_CFG, FIG2_SCHEME, o, phi)
+        analytic = _deriv(FIG2_CFG, FIG2_SCHEME, col, phi)
         assert analytic == pytest.approx(numeric, rel=1e-5, abs=1e-9)
 
 
 def test_derivative_vanishes_at_stationary_phases():
     # cos(pi/2) kills every derivative; bin 0 is also even around phi=0
-    for o in FIG2_SCHEME.outcomes():
-        assert abs(bin_probability_derivative(FIG2_CFG, FIG2_SCHEME, o, math.pi / 2)) < 1e-12
-    assert bin_probability_derivative(FIG2_CFG, FIG2_SCHEME, Outcome.bin(0), 0.0) == 0.0
+    for col in range(FIG2_SCHEME.n_outcomes):
+        assert abs(_deriv(FIG2_CFG, FIG2_SCHEME, col, math.pi / 2)) < 1e-12
+    assert _deriv(FIG2_CFG, FIG2_SCHEME, 0 + 2, 0.0) == 0.0
 
 
 def test_derivatives_sum_to_zero():
     for phi in np.linspace(-3.0, 3.0, 25):
         derivs = [
-            bin_probability_derivative(FIG2_CFG, FIG2_SCHEME, o, phi)
-            for o in FIG2_SCHEME.outcomes()
+            _deriv(FIG2_CFG, FIG2_SCHEME, col, phi)
+            for col in range(FIG2_SCHEME.n_outcomes)
         ]
         # leftover is the rounded negative of the bin sum, so the re-summed
         # total carries at most one rounding of the largest term
@@ -386,22 +354,14 @@ def test_outcome_distribution_matches_scalar_calls():
     dist = outcome_distribution(FIG2_CFG, FIG2_SCHEME, phi)
     assert dist.phi == phi
     assert dist.cutoff == 2
-    for o in FIG2_SCHEME.outcomes():
-        assert dist.prob(o) == bin_probability(FIG2_CFG, FIG2_SCHEME, o, phi)
-        assert dist.deriv(o) == bin_probability_derivative(FIG2_CFG, FIG2_SCHEME, o, phi)
-    assert dist.probs[Outcome.bin(1)] == dist.prob(Outcome.bin(1))
-    assert dist.derivs[LEFTOVER] == dist.leftover_deriv
+    for col in range(FIG2_SCHEME.n_outcomes):
+        assert dist.all_probs()[col] == _prob(FIG2_CFG, FIG2_SCHEME, col, phi)
+        assert dist.all_derivs()[col] == _deriv(FIG2_CFG, FIG2_SCHEME, col, phi)
+    assert dist.bin_probs[1 + 2] == _prob(FIG2_CFG, FIG2_SCHEME, 1 + 2, phi)
+    assert dist.leftover_deriv == _deriv(FIG2_CFG, FIG2_SCHEME, -1, phi)
     assert len(dist.all_probs()) == 6
     assert math.fsum(dist.all_probs()) == pytest.approx(1.0, abs=1e-12)
     assert math.fsum(dist.all_derivs()) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_outcome_distribution_rejects_foreign_outcome():
-    dist = outcome_distribution(FIG2_CFG, FIG2_SCHEME, 0.1)
-    with pytest.raises(InvalidOutcome):
-        dist.prob(Outcome.bin(7))
-    with pytest.raises(InvalidOutcome):
-        dist.deriv(Outcome.bin(-3))
 
 
 # ---------------------------------------------------------------------------

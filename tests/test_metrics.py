@@ -15,9 +15,8 @@ from scipy import integrate, optimize, stats
 from mzhomodyne.interferometer import (
     BinningScheme,
     InterferometerConfig,
-    Outcome,
-    bin_probability,
     outcome_distribution,
+    outcome_table,
     quadrature_pdf,
 )
 from mzhomodyne.metrics import (
@@ -50,6 +49,11 @@ BINARY_HALF = BinningScheme.binary(0.5)
 UNIT_BINARY_OBS = Observable((1.0,), 0.0)
 
 
+def _prob(cfg, scheme, col, phi):
+    """P of outcome_table column col (bin k is column k + cutoff) at phi."""
+    return float(outcome_table(cfg, scheme, [phi])[0][0, col])
+
+
 def _cdf_signal(cfg, scheme, values, leftover, phi):
     """Signal mean rebuilt from the normal CDF, bypassing the erf kernels."""
     mean_p = -0.5 * cfg.alpha0 * math.sin(phi)
@@ -78,11 +82,13 @@ def test_observable_validation():
 def test_observable_accessors():
     obs = Observable(FIXED_RANDOM_EIGENVALUES, 0.25)
     assert obs.cutoff == 2
-    assert obs.value(Outcome.bin(-2)) == -0.715
-    assert obs.value(Outcome.bin(2)) == 0.392
-    assert obs.value(Outcome.leftover()) == 0.25
+    values = obs.all_values()
+    assert len(values) == 2 * obs.cutoff + 2
+    assert values[0] == -0.715
+    assert values[4] == 0.392
+    assert values[-1] == 0.25
     with pytest.raises(AlphabetMismatch):
-        obs.value(Outcome.bin(3))
+        signal(FIG2_CFG, BinningScheme(0.5, 3.8, 3), obs, 0.0)
 
 
 def test_observable_binary_flag():
@@ -222,7 +228,7 @@ def test_cfi_binary_equals_inverse_square_sensitivity():
     # i.e. while the central-bin probability stays above the 1e-15 cutoff
     checked = 0
     for phi in np.linspace(0.05, math.pi / 2 - 0.05, 40):
-        p = bin_probability(FIG2_CFG, BINARY_HALF, Outcome.bin(0), phi)
+        p = _prob(FIG2_CFG, BINARY_HALF, 0, phi)
         dphi = binary_sensitivity(FIG2_CFG, BINARY_HALF, phi)
         if p < 1e-12 or not math.isfinite(dphi):
             continue
@@ -239,12 +245,12 @@ def test_cfi_zero_at_symmetric_point():
 def test_cfi_matches_finite_difference_oracle():
     phi, h = 0.1, 1e-6
     total = 0.0
-    for o in FIG2_SCHEME.outcomes():
-        p = bin_probability(FIG2_CFG, FIG2_SCHEME, o, phi)
+    for col in range(FIG2_SCHEME.n_outcomes):
+        p = _prob(FIG2_CFG, FIG2_SCHEME, col, phi)
         if p < 1e-15:
             continue
         dp = central_diff(
-            lambda x: bin_probability(FIG2_CFG, FIG2_SCHEME, o, x), phi, h
+            lambda x: _prob(FIG2_CFG, FIG2_SCHEME, col, x), phi, h
         )
         total += dp * dp / p
     assert cfi(FIG2_CFG, FIG2_SCHEME, phi) == pytest.approx(total, rel=1e-6)
@@ -688,3 +694,12 @@ def test_figures_of_merit_on_phase_arrays_equal_scalar_calls():
         assert bound[i] == crb(FIG2_CFG, FIG2_SCHEME, phi)
     assert type(one.mean) is float and type(one.variance) is float
     assert type(crb(FIG2_CFG, FIG2_SCHEME, 0.3)) is float
+
+    # the binary scheme's fringe peak 0.0 is a zero slope: +inf
+    binary_grid = np.concatenate([np.linspace(-math.pi, math.pi, 201), [0.0]])
+    binary = binary_sensitivity(FIG2_CFG, BINARY_HALF, binary_grid)
+    assert isinstance(binary, np.ndarray) and binary.shape == binary_grid.shape
+    assert math.isinf(binary[-1])
+    for i, phi in enumerate(binary_grid.tolist()):
+        assert binary[i] == binary_sensitivity(FIG2_CFG, BINARY_HALF, phi)
+    assert type(binary_sensitivity(FIG2_CFG, BINARY_HALF, 0.3)) is float

@@ -15,7 +15,6 @@ from mzhomodyne.numerics import (
     erfc,
     find_root,
     minimize_scalar,
-    uniform_sample,
 )
 
 mp.mp.dps = 40
@@ -256,7 +255,7 @@ def test_stream_is_deterministic():
 def test_bulk_draws_equal_sequential_draws():
     bulk = RandomStream(5, 3).uniform(10)
     s = RandomStream(5, 3)
-    seq = np.array([uniform_sample(s) for _ in range(10)])
+    seq = np.array([float(s.uniform()) for _ in range(10)])
     assert np.array_equal(bulk, seq)
 
 

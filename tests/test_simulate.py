@@ -14,9 +14,8 @@ from scipy import optimize, special, stats
 from mzhomodyne.interferometer import (
     BinningScheme,
     InterferometerConfig,
-    Outcome,
-    bin_probability,
     outcome_distribution,
+    outcome_table,
 )
 from mzhomodyne.metrics import Observable, crb, signal
 from mzhomodyne.numerics import Interval, RandomStream
@@ -236,7 +235,7 @@ def test_inversion_binary_tail_matches_erfcinv_oracle():
     # follows from the inverse complementary error function directly
     phi0 = 0.65
     branch = monotone_branch(FIG2_CFG, BINARY_HALF, UNIT_BINARY_OBS, phi0)
-    measured = bin_probability(FIG2_CFG, BINARY_HALF, Outcome.bin(0), phi0)
+    measured = float(outcome_table(FIG2_CFG, BINARY_HALF, [phi0])[0][0, 0])
     got = invert_signal(FIG2_CFG, BINARY_HALF, UNIT_BINARY_OBS, measured, branch)
     c = float(special.erfcinv(2.0 * measured)) / math.sqrt(2.0) + 0.5
     oracle = math.asin(2.0 * c / FIG2_CFG.alpha0)
@@ -336,6 +335,7 @@ def test_calibration_single_point_reduces_to_run_replicas():
     rs = run_replicas(FIG2_CFG, FIG2_SCHEME, 0.3, 200, 10, master_seed=5)
     freqs = np.array([r.frequencies() for r in rs.records])
     assert len(pts) == 1
+    assert pts[0].replicas == rs
     assert np.array_equal(pts[0].mean_freqs, freqs.mean(axis=0))
     assert np.array_equal(pts[0].std_freqs, freqs.std(axis=0, ddof=0))
 
@@ -374,3 +374,5 @@ def test_calibration_standard_error_scales_with_replicas():
 def test_calibration_rejects_empty_grid():
     with pytest.raises(ValueError):
         calibration_curve(FIG2_CFG, FIG2_SCHEME, [], 200, 10, master_seed=1)
+    with pytest.raises(ValueError, match="replicas must be >= 1"):
+        calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 200, 0, master_seed=1)

@@ -1,9 +1,11 @@
-"""Chunked walks against their step-by-step originals.
+"""Chunked walks and column reductions against their one-outcome originals.
 
 The fringe walk of fwhm and the branch walk of monotone_branch evaluate
 their steps in batched chunks.  The oracles below are the one-phase-per-step
 loops they replaced, copied verbatim; every case asserts that both return
 the same crossings or edges as the same floats, or raise the same error.
+binarized_cfi groups outcome_table columns; its oracle is the loop over
+one outcome at a time that it replaced.
 """
 
 import math
@@ -11,11 +13,25 @@ import math
 import numpy as np
 import pytest
 
-from mzhomodyne.interferometer import BinningScheme, InterferometerConfig
-from mzhomodyne.metrics import NoFringe, Observable, _fringe_half_crossings, signal
+from mzhomodyne.interferometer import (
+    BinningScheme,
+    InterferometerConfig,
+    outcome_distribution,
+)
+from mzhomodyne.metrics import (
+    FIXED_RANDOM_EIGENVALUES,
+    NoFringe,
+    Observable,
+    _fringe_half_crossings,
+    binarized_cfi,
+    fwhm,
+    signal,
+)
 from mzhomodyne.numerics import Interval, NoSignChange, find_root, minimize_scalar
 from mzhomodyne.simulate import NonMonotoneBranch, invert_signal, monotone_branch
 
+FIG2_CFG = InterferometerConfig.from_nbar(200.0)
+FIG2_SCHEME = BinningScheme(half_width=0.5, spacing=3.8, cutoff=2)
 FIG4_CFG = InterferometerConfig.from_nbar(1000.0)
 FIG4_SCHEME = BinningScheme(half_width=0.5, spacing=3.2, cutoff=5)
 FIG4_OBS = Observable.alternating(FIG4_SCHEME)
@@ -107,6 +123,7 @@ def test_fringe_crossings_match_step_by_step_walk(nbar):
     got = _result(_fringe_half_crossings, f, 0.0)
     assert isinstance(got, tuple)
     assert got == _result(_scalar_half_crossings, f, 0.0)
+    assert type(fwhm(cfg, scheme, UNIT_BINARY_OBS)) is float
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.02, 0.1, 0.18])
@@ -157,3 +174,41 @@ def test_branch_first_flip_on_chunk_boundary():
     expected = _scalar_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, phi)
     assert expected.hi == phi + 16 * BRANCH_STEP
     assert monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, phi) == expected
+
+
+def _outcome_loop_binarized_cfi(cfg, scheme, obs, phi):
+    """binarized_cfi as one lookup per outcome: bin k, or None for the
+    leftover, with its eigenvalue, probability and derivative."""
+    dist = outcome_distribution(cfg, scheme, phi)
+    outcomes = list(range(-scheme.cutoff, scheme.cutoff + 1)) + [None]
+
+    def value(o):
+        return obs.leftover_value if o is None else obs.bin_values[o + obs.cutoff]
+
+    def prob(o):
+        return dist.leftover_prob if o is None else float(dist.bin_probs[o + dist.cutoff])
+
+    def deriv(o):
+        return dist.leftover_deriv if o is None else float(dist.bin_derivs[o + dist.cutoff])
+
+    groups = {}
+    for o in outcomes:
+        groups.setdefault(value(o), []).append(o)
+    total = 0.0
+    for members in groups.values():
+        q = math.fsum(prob(o) for o in members)
+        dq = math.fsum(deriv(o) for o in members)
+        if q >= 1e-15:
+            total += dq * dq / q
+    return total
+
+
+@pytest.mark.parametrize("obs", [
+    Observable(FIXED_RANDOM_EIGENVALUES, 0.0),
+    Observable.alternating(FIG2_SCHEME),
+    Observable.ones(FIG2_SCHEME),
+], ids=["fixed", "alternating", "ones"])
+def test_binarized_cfi_matches_outcome_loop(obs):
+    for phi in (-2.9, -0.7, 0.0, 0.13, 0.3, 1.1, math.pi / 2, 2.4):
+        assert binarized_cfi(FIG2_CFG, FIG2_SCHEME, obs, phi) == \
+            _outcome_loop_binarized_cfi(FIG2_CFG, FIG2_SCHEME, obs, phi)
