@@ -9,9 +9,10 @@ Subcommands:
   reproduce  canonical datasets (fig1..fig4) checked against thresholds
 
 Parameters come from built-in defaults, then an optional JSON config file
-(--config), then flags; later sources win.  Every number is rendered with
-17 significant digits and LF line endings, so a rerun with the same
-configuration and seed is byte identical.
+(--config) that any subcommand accepts whole, then the subcommand's own
+flags; later sources win.  Every number is rendered with 17 significant
+digits and LF line endings, so a rerun with the same configuration and seed
+is byte identical.
 
 Exit codes: 0 on success, 1 when a reproduce check fails, 2 on an invalid
 configuration.
@@ -22,7 +23,8 @@ import csv
 import json
 import math
 import sys
-from contextlib import contextmanager
+from collections import namedtuple
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -57,55 +59,91 @@ class ConfigError(ValueError):
     """Rejected run configuration; reported on stderr with exit status 2."""
 
 
-_DEFAULT_NBAR = 200.0
-_DEFAULTS = {
-    "nbar": None,
-    "alpha0": None,
-    "a": 0.5,
-    "b": 3.8,
-    "kf": None,
-    "eigenvalues": "ones",
-    "mu_minus": 0.0,
-    "phi_min": -math.pi,
-    "phi_max": math.pi,
-    "steps": 2001,
-    "shots": 200,
-    "replicas": 10,
-    "seed": 0,
-    "out": None,
-    "nbar_axis": None,
-    "a_axis": None,
-}
-# smaller default grid for simulate: every row runs M full replica sets
-_SIMULATE_DEFAULT_STEPS = 41
-
-_FLOAT_KEYS = ("nbar", "alpha0", "a", "b", "mu_minus", "phi_min", "phi_max")
-_INT_KEYS = ("kf", "steps", "shots", "replicas", "seed")
-_STR_KEYS = ("eigenvalues", "out")
-_AXIS_KEYS = ("nbar_axis", "a_axis")
+# ---------------------------------------------------------------------------
+# Parameters: one parser per value, shared by flags and config files.
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+def _finite(name: str, x: float) -> float:
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite")
+    return x
 
 
-def _parse_axis(value, name: str):
-    """Accept a comma separated string or a JSON list of numbers."""
-    if value is None:
-        return None
+def _number(name: str, value) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number")
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number")
+    return _finite(name, x)
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer")
+
+
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string")
+    return value
+
+
+def _axis(name: str, value) -> tuple:
+    """A comma separated string or a JSON list of numbers."""
     if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
+        value = [p.strip() for p in value.split(",") if p.strip()]
+    if not isinstance(value, (list, tuple)) or any(
+            isinstance(p, bool) for p in value):
         raise ConfigError(f"{name} must be a comma separated list of numbers")
     try:
-        axis = tuple(float(p) for p in parts)
+        axis = tuple(float(p) for p in value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a comma separated list of numbers")
     if not axis:
         raise ConfigError(f"{name} must be nonempty")
-    return axis
+    return tuple(_finite(name, x) for x in axis)
+
+
+_Param = namedtuple("_Param", "parse default help")
+_DEFAULT_NBAR = 200.0  # used when neither nbar nor alpha0 is set
+_PARAMS = {
+    "nbar": _Param(_number, None, "mean photon number (> 0; default 200)"),
+    "alpha0": _Param(_number, None, "coherent amplitude; excludes --nbar"),
+    "a": _Param(_number, 0.5, "bin half width (default 0.5)"),
+    "b": _Param(_number, 3.8, "bin spacing, must exceed 2a (default 3.8)"),
+    "kf": _Param(_integer, None,
+                 "largest bin index (default: cover the signal swing)"),
+    "eigenvalues": _Param(_string, "ones",
+                          "ones | alternating | comma separated list of "
+                          "2*kf+1 values (default ones)"),
+    "mu_minus": _Param(_number, 0.0, "leftover outcome eigenvalue (default 0)"),
+    "phi_min": _Param(_number, -math.pi, "grid start (default -pi)"),
+    "phi_max": _Param(_number, math.pi, "grid end (default pi)"),
+    "steps": _Param(_integer, 2001,
+                    "grid points (default 2001; simulate uses 41)"),
+    "shots": _Param(_integer, 200, "measurements N per replica (default 200)"),
+    "replicas": _Param(_integer, 10, "replica count M (default 10)"),
+    "seed": _Param(_integer, 0, "master seed (default 0)"),
+    "out": _Param(_string, None, "output CSV path (default: stdout)"),
+    "nbar_axis": _Param(_axis, (5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
+                                1000.0),
+                        "comma separated nbar values, ascending "
+                        "(default 5..1000)"),
+    "a_axis": _Param(_axis, (0.1, 0.25, 0.5, 1.0),
+                     "comma separated half widths, ascending "
+                     "(default 0.1,0.25,0.5,1)"),
+}
+
+
+def _fmt(x) -> str:
+    return x if isinstance(x, str) else f"{float(x):.17g}"
 
 
 def _load_config_file(path: str) -> dict:
@@ -119,7 +157,7 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
     for key in data:
-        if key not in _DEFAULTS:
+        if key not in _PARAMS:
             raise ConfigError(f"unknown config key: {key}")
     return data
 
@@ -142,8 +180,8 @@ class RunConfig:
     replicas: int
     seed: int
     out: Optional[str]
-    nbar_axis: Optional[tuple]
-    a_axis: Optional[tuple]
+    nbar_axis: tuple
+    a_axis: tuple
 
     def interferometer(self) -> InterferometerConfig:
         if self.nbar is not None:
@@ -175,59 +213,29 @@ class RunConfig:
                 f"eigenvalue list needs {need} entries for cutoff "
                 f"{scheme.cutoff}, got {len(values)}"
             )
-        return Observable(values, self.mu_minus)
+        return Observable(tuple(_finite("eigenvalues", v) for v in values),
+                          self.mu_minus)
 
     def phi_grid(self) -> np.ndarray:
         return np.linspace(self.phi_min, self.phi_max, self.steps)
 
 
-def _coerce(merged: dict) -> dict:
-    out = dict(merged)
-    for key in _FLOAT_KEYS:
-        if out.get(key) is not None:
-            try:
-                out[key] = float(out[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key} must be a number")
-    for key in _INT_KEYS:
-        if out.get(key) is not None:
-            value = out[key]
-            if isinstance(value, float) and not value.is_integer():
-                raise ConfigError(f"{key} must be an integer")
-            try:
-                out[key] = int(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key} must be an integer")
-    for key in _STR_KEYS:
-        if out.get(key) is not None and not isinstance(out[key], str):
-            raise ConfigError(f"{key} must be a string")
-    for key in _AXIS_KEYS:
-        out[key] = _parse_axis(out.get(key), key)
-    return out
-
-
 def _build_config(ns: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
-    if ns.command == "simulate":
-        merged["steps"] = _SIMULATE_DEFAULT_STEPS
-    if getattr(ns, "config", None):
-        merged.update(_load_config_file(ns.config))
+    command = _COMMANDS[ns.command]
+    flags = {name: getattr(ns, name) for name in command.names
+             if getattr(ns, name) is not None}
+    file = _load_config_file(ns.config) if ns.config else {}
+    # a brightness flag displaces the file's brightness, either convention;
+    # a null in the file leaves the default
+    displaced = ("nbar", "alpha0") if flags.keys() & {"nbar", "alpha0"} else ()
+    merged = {name: param.default for name, param in _PARAMS.items()}
+    merged.update(command.defaults)
+    merged.update((k, v) for k, v in file.items()
+                  if k not in displaced and v is not None)
+    merged.update(flags)
 
-    flag_nbar = ns.nbar is not None
-    flag_alpha0 = ns.alpha0 is not None
-    if flag_nbar and flag_alpha0:
-        raise ConfigError("nbar and alpha0 are mutually exclusive")
-    for key in _DEFAULTS:
-        value = getattr(ns, key, None)
-        if value is not None:
-            merged[key] = value
-    # a flag choosing one brightness convention displaces the other
-    if flag_nbar:
-        merged["alpha0"] = None
-    if flag_alpha0:
-        merged["nbar"] = None
-
-    merged = _coerce(merged)
+    merged = {name: None if value is None else _PARAMS[name].parse(name, value)
+              for name, value in merged.items()}
     if merged["nbar"] is not None and merged["alpha0"] is not None:
         raise ConfigError("nbar and alpha0 are mutually exclusive")
     if merged["nbar"] is None and merged["alpha0"] is None:
@@ -250,20 +258,19 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
         cfg = config.interferometer()
         scheme = config.scheme(cfg)
         config.observable(scheme)
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError keeps its message
         raise ConfigError(str(exc))
     return config
 
 
-@contextmanager
-def _csv_writer(out: Optional[str]):
-    if out is None:
-        yield csv.writer(sys.stdout, lineterminator="\n")
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            yield csv.writer(fh, lineterminator="\n")
+def _write_rows(out: Optional[str], header, rows) -> None:
+    """Header, then one CSV line per row; numbers get 17 significant digits
+    and strings pass through."""
+    with (nullcontext(sys.stdout) if out is None
+          else open(out, "w", encoding="utf-8", newline="")) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +281,14 @@ def _probs_header(scheme: BinningScheme):
     return ["phi"] + [f"P({k})" for k in scheme.bin_indices()] + ["P(leftover)"]
 
 
-def _write_rows(out: Optional[str], header, columns) -> None:
-    """One CSV row per phase; columns are equal-length sequences."""
-    with _csv_writer(out) as writer:
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_fmt(v) for v in row])
-
-
 def _write_signal(out: Optional[str], cfg, scheme, obs, grid) -> None:
     """phi, signal mean, propagated sensitivity and the Cramer-Rao bound."""
-    _write_rows(out, ["phi", "signal_mean", "delta_phi", "crb"], [
+    _write_rows(out, ["phi", "signal_mean", "delta_phi", "crb"], zip(
         grid,
         signal(cfg, scheme, obs, grid).mean,
         error_propagation_sensitivity(cfg, scheme, obs, grid),
         crb(cfg, scheme, grid),
-    ])
+    ))
 
 
 def _cmd_probs(config: RunConfig) -> int:
@@ -297,7 +296,7 @@ def _cmd_probs(config: RunConfig) -> int:
     scheme = config.scheme(cfg)
     grid = config.phi_grid()
     probs, _ = outcome_table(cfg, scheme, grid)
-    _write_rows(config.out, _probs_header(scheme), [grid, *probs.T])
+    _write_rows(config.out, _probs_header(scheme), zip(grid, *probs.T))
     return 0
 
 
@@ -310,85 +309,58 @@ def _cmd_signal(config: RunConfig) -> int:
 
 
 def _write_sweep(out: Optional[str], nbar_axis, a_axis) -> None:
+    """Long format: one row per (nbar, a) cell, nbar outermost."""
     try:
         grid = sweep(nbar_axis, a_axis)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    with _csv_writer(out) as writer:
-        writer.writerow(
-            ["nbar", "a", "resolution_ratio", "sensitivity_ratio", "visibility"]
-        )
-        for i, nbar in enumerate(grid.nbar_axis):
-            for j, a in enumerate(grid.a_axis):
-                writer.writerow(
-                    [
-                        _fmt(nbar),
-                        _fmt(a),
-                        _fmt(grid.resolution_ratio[i, j]),
-                        _fmt(grid.sensitivity_ratio[i, j]),
-                        _fmt(grid.visibility[i, j]),
-                    ]
-                )
-
-
-_SWEEP_DEFAULT_NBAR = (5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
-_SWEEP_DEFAULT_A = (0.1, 0.25, 0.5, 1.0)
+    n, m = grid.visibility.shape
+    _write_rows(
+        out, ["nbar", "a", "resolution_ratio", "sensitivity_ratio", "visibility"],
+        zip(np.repeat(grid.nbar_axis, m), np.tile(grid.a_axis, n),
+            grid.resolution_ratio.ravel(), grid.sensitivity_ratio.ravel(),
+            grid.visibility.ravel()),
+    )
 
 
 def _cmd_sweep(config: RunConfig) -> int:
-    nbar_axis = config.nbar_axis or _SWEEP_DEFAULT_NBAR
-    a_axis = config.a_axis or _SWEEP_DEFAULT_A
-    _write_sweep(config.out, nbar_axis, a_axis)
+    _write_sweep(config.out, config.nbar_axis, config.a_axis)
     return 0
 
 
 def _estimation_rows(cfg, scheme, obs, points):
     """Inversion-estimator row of each calibration point's replica set."""
-    mu = obs.all_values()
     bounds = crb(cfg, scheme, [pt.phi for pt in points]).tolist()
     rows = []
     for pt, bound in zip(points, bounds):
-        rs = pt.replicas
-        measured = [
-            math.fsum(mu * r.all_counts()) / rs.shots for r in rs.records
-        ]
+        measured = pt.replicas.measured_signals(obs)
         mean_signal = math.fsum(measured) / len(measured)
         try:
-            report = estimate(cfg, scheme, obs, rs)
-            rows.append(
-                [pt.phi, mean_signal, report.sigma, bound, report.bias,
-                 report.std_dev, ""]
-            )
+            report = estimate(cfg, scheme, obs, pt.replicas)
+            stats, error = (report.sigma, report.bias, report.std_dev), ""
         except NonMonotoneBranch:
-            rows.append(
-                [pt.phi, mean_signal, math.nan, bound, math.nan, math.nan,
-                 "NonMonotoneBranch"]
-            )
+            stats, error = (math.nan, math.nan, math.nan), "NonMonotoneBranch"
+        sigma, bias, std_dev = stats
+        rows.append([pt.phi, mean_signal, sigma, bound, bias, std_dev, error])
     return rows
 
 
 def _write_simulation(out_base, scheme, points, est_rows=None):
     labels = [str(k) for k in scheme.bin_indices()] + ["leftover"]
     cal_path = f"{out_base}_calibration.csv"
-    with _csv_writer(cal_path) as writer:
-        writer.writerow(
-            ["phi"]
-            + [f"freq({s})" for s in labels]
-            + [f"std({s})" for s in labels]
-        )
-        for pt in points:
-            writer.writerow(
-                [_fmt(v) for v in [pt.phi, *pt.mean_freqs, *pt.std_freqs]]
-            )
+    _write_rows(
+        cal_path,
+        ["phi"] + [f"freq({s})" for s in labels] + [f"std({s})" for s in labels],
+        ([pt.phi, *pt.mean_freqs, *pt.std_freqs] for pt in points),
+    )
     if est_rows is None:
         return cal_path, None
     est_path = f"{out_base}_estimation.csv"
-    with _csv_writer(est_path) as writer:
-        writer.writerow(
-            ["phi", "mean_signal", "sigma", "crb", "bias", "std_dev", "error"]
-        )
-        for row in est_rows:
-            writer.writerow([_fmt(v) for v in row[:-1]] + [row[-1]])
+    _write_rows(
+        est_path,
+        ["phi", "mean_signal", "sigma", "crb", "bias", "std_dev", "error"],
+        est_rows,
+    )
     return cal_path, est_path
 
 
@@ -427,8 +399,8 @@ class _Checks:
 
 
 def _reproduce_fig1(out_dir: Path, seed: int, checks: _Checks) -> None:
-    _write_sweep(str(out_dir / "fig1_sweep.csv"), _SWEEP_DEFAULT_NBAR,
-                 _SWEEP_DEFAULT_A)
+    _write_sweep(str(out_dir / "fig1_sweep.csv"), _PARAMS["nbar_axis"].default,
+                 _PARAMS["a_axis"].default)
 
     width = fwhm_continuous(InterferometerConfig.from_nbar(_DEFAULT_NBAR))
     target = 2.0 * math.pi / 3.0
@@ -481,7 +453,7 @@ def _reproduce_fig2(out_dir: Path, seed: int, checks: _Checks) -> None:
     grid = np.linspace(-math.pi, math.pi, 2001)
     probs, _ = outcome_table(cfg, scheme, grid)
     _write_rows(str(out_dir / "fig2_probs.csv"), _probs_header(scheme),
-                [grid, *probs.T])
+                zip(grid, *probs.T))
     worst_row_sum = max(abs(math.fsum(row) - 1.0) for row in probs.tolist())
     checks.add(
         scheme.n_outcomes == 6,
@@ -612,33 +584,24 @@ def _cmd_reproduce(ns: argparse.Namespace) -> int:
 # Argument parsing.
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nbar", type=float, help="mean photon number (> 0)")
-    parser.add_argument("--alpha0", type=float,
-                        help="coherent amplitude; excludes --nbar")
-    parser.add_argument("--a", type=float, help="bin half width (default 0.5)")
-    parser.add_argument("--b", type=float,
-                        help="bin spacing, must exceed 2a (default 3.8)")
-    parser.add_argument("--kf", type=int,
-                        help="largest bin index (default: cover the signal swing)")
-    parser.add_argument("--eigenvalues",
-                        help="ones | alternating | comma separated list "
-                             "of 2*kf+1 values (default ones)")
-    parser.add_argument("--mu-minus", dest="mu_minus", type=float,
-                        help="leftover outcome eigenvalue (default 0)")
-    parser.add_argument("--phi-min", dest="phi_min", type=float,
-                        help="grid start (default -pi)")
-    parser.add_argument("--phi-max", dest="phi_max", type=float,
-                        help="grid end (default pi)")
-    parser.add_argument("--steps", type=int,
-                        help="grid points (default 2001; simulate uses 41)")
-    parser.add_argument("--shots", type=int,
-                        help="measurements N per replica (default 200)")
-    parser.add_argument("--replicas", type=int,
-                        help="replica count M (default 10)")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--config", help="JSON config file; flags override it")
+# Each dataset subcommand: handler, help, the parameters it reads (its
+# flags), and its own defaults.
+_Command = namedtuple("_Command", "run help names defaults")
+_GRID = ("nbar", "alpha0", "a", "b", "kf", "phi_min", "phi_max", "steps", "out")
+_SIGNAL = _GRID + ("eigenvalues", "mu_minus")
+_COMMANDS = {
+    "probs": _Command(_cmd_probs, "outcome probabilities on a phase grid", _GRID, {}),
+    "signal": _Command(_cmd_signal,
+                       "signal mean, sensitivity, and the Cramer-Rao bound",
+                       _SIGNAL, {}),
+    "sweep": _Command(_cmd_sweep,
+                      "merit ratios for the binary scheme over (nbar, a)",
+                      ("nbar_axis", "a_axis", "out"), {}),
+    # a smaller default grid: every row runs a full replica set
+    "simulate": _Command(_cmd_simulate,
+                         "sampled calibration and inversion-estimator CSV pair",
+                         _SIGNAL + ("shots", "replicas", "seed"), {"steps": 41}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -646,32 +609,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mzhomodyne",
         description="Phase estimation datasets for a coherent-light "
                     "interferometer with binned homodyne readout.",
+        allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    probs = commands.add_parser(
-        "probs", help="outcome probabilities on a phase grid")
-    _add_common_flags(probs)
-
-    sig = commands.add_parser(
-        "signal", help="signal mean, sensitivity, and the Cramer-Rao bound")
-    _add_common_flags(sig)
-
-    swp = commands.add_parser(
-        "sweep", help="merit ratios for the binary scheme over (nbar, a)")
-    _add_common_flags(swp)
-    swp.add_argument("--nbar-axis", dest="nbar_axis",
-                     help="comma separated nbar values, ascending")
-    swp.add_argument("--a-axis", dest="a_axis",
-                     help="comma separated half widths, ascending")
-
-    sim = commands.add_parser(
-        "simulate",
-        help="sampled calibration and inversion-estimator CSV pair")
-    _add_common_flags(sim)
+    for command, spec in _COMMANDS.items():
+        sub = commands.add_parser(command, help=spec.help, allow_abbrev=False)
+        for name, param in _PARAMS.items():
+            if name in spec.names:
+                sub.add_argument("--" + name.replace("_", "-"), dest=name,
+                                 help=param.help)
+        sub.add_argument("--config", help="JSON config file; flags override it")
 
     rep = commands.add_parser(
-        "reproduce",
+        "reproduce", allow_abbrev=False,
         help="canonical dataset for one figure id plus threshold checks")
     rep.add_argument("figure", choices=sorted(_FIGURES),
                      help="fig1: merit sweep; fig2: six-outcome calibration; "
@@ -684,14 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "probs": _cmd_probs,
-    "signal": _cmd_signal,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -702,7 +645,7 @@ def main(argv=None) -> int:
         if ns.command == "reproduce":
             return _cmd_reproduce(ns)
         config = _build_config(ns)
-        return _HANDLERS[ns.command](config)
+        return _COMMANDS[ns.command].run(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,6 +51,8 @@ class InterferometerConfig:
     def __post_init__(self):
         if not self.alpha0 > 0:
             raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
+        if not math.isfinite(self.alpha0):
+            raise ValueError(f"alpha0 must be finite, got {self.alpha0}")
 
     @property
     def nbar(self) -> float:
@@ -82,6 +84,8 @@ class BinningScheme:
                 f"spacing must exceed 2*half_width, got spacing={self.spacing}, "
                 f"half_width={self.half_width}"
             )
+        if not math.isfinite(self.spacing):
+            raise InvalidScheme(f"spacing must be finite, got {self.spacing}")
         if not (isinstance(self.cutoff, int) and self.cutoff >= 0):
             raise InvalidScheme(f"cutoff must be a non-negative integer, got {self.cutoff}")
 

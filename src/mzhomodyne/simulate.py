@@ -84,6 +84,11 @@ class ReplicaSet:
     def replicas(self) -> int:
         return len(self.records)
 
+    def measured_signals(self, obs: Observable) -> list[float]:
+        """Each record's measured signal sum_k mu_k N_k / N."""
+        mu = obs.all_values()
+        return [math.fsum(mu * r.all_counts()) / self.shots for r in self.records]
+
 
 @dataclass(frozen=True)
 class EstimationReport:
@@ -183,9 +188,8 @@ def _check_branch_monotone(cfg, scheme, obs, branch):
         )
 
 
-def _invert_unchecked(cfg, scheme, obs, measured, branch):
+def _invert_unchecked(cfg, scheme, obs, measured, branch, g_lo, g_hi):
     g = lambda x: signal(cfg, scheme, obs, x).mean
-    g_lo, g_hi = g(branch.lo), g(branch.hi)
     if measured > max(g_lo, g_hi):
         return (branch.lo if g_lo >= g_hi else branch.hi), True
     if measured < min(g_lo, g_hi):
@@ -204,7 +208,9 @@ def invert_signal(cfg: InterferometerConfig, scheme: BinningScheme,
     """
     branch = branch if isinstance(branch, Interval) else Interval(*branch)
     _check_branch_monotone(cfg, scheme, obs, branch)
-    phi, _ = _invert_unchecked(cfg, scheme, obs, measured_value, branch)
+    g_lo, g_hi = signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean
+    phi, _ = _invert_unchecked(cfg, scheme, obs, measured_value, branch,
+                               g_lo, g_hi)
     return phi
 
 
@@ -214,12 +220,13 @@ def estimate(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable,
     the true phase and aggregate the estimator statistics."""
     branch = monotone_branch(cfg, scheme, obs, replicas.phi_true)
     _check_branch_monotone(cfg, scheme, obs, branch)
-    mu = obs.all_values()
+    # one two-phase evaluation of the branch ends serves every replica
+    g_lo, g_hi = signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean
     estimates = []
     clamped = 0
-    for record in replicas.records:
-        measured = math.fsum(mu * record.all_counts()) / record.shots
-        phi_inv, was_clamped = _invert_unchecked(cfg, scheme, obs, measured, branch)
+    for measured in replicas.measured_signals(obs):
+        phi_inv, was_clamped = _invert_unchecked(cfg, scheme, obs, measured,
+                                                 branch, g_lo, g_hi)
         estimates.append(phi_inv)
         clamped += was_clamped
     m = len(estimates)

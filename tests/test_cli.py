@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzhomodyne.cli import main
+from mzhomodyne.cli import build_parser, main
 from mzhomodyne.interferometer import (
     BinningScheme,
     InterferometerConfig,
@@ -64,6 +65,16 @@ def read_rows(path):
         (["signal", "--eigenvalues", "bogus"], "eigenvalues must be"),
         (["sweep", "--nbar-axis", "5,1"], "ascending"),
         (["sweep", "--a-axis", ""], "nonempty"),
+        # each subcommand takes only the flags it reads, and no abbreviations
+        (["sweep", "--nbar", "5"], "unrecognized arguments"),
+        (["probs", "--shots", "7"], "unrecognized arguments"),
+        (["probs", "--alp", "5"], "unrecognized arguments"),
+        (["probs", "--nbar", "inf"], "finite"),
+        (["probs", "--b", "inf"], "finite"),
+        (["signal", "--mu-minus", "nan"], "finite"),
+        (["probs", "--phi-min=-inf", "--phi-max=inf"], "finite"),
+        (["signal", "--kf", "1", "--eigenvalues=1,nan,1"], "finite"),
+        (["sweep", "--nbar-axis", "inf"], "finite"),
     ],
 )
 def test_invalid_configs_exit_2(capsys, argv, fragment):
@@ -92,6 +103,11 @@ def test_config_file_errors(tmp_path, capsys):
 
     assert main(["probs", "--config", str(tmp_path / "missing.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+    boolean = tmp_path / "bool.json"
+    boolean.write_text(json.dumps({"nbar": True}))
+    assert main(["probs", "--config", str(boolean)]) == 2
+    assert "nbar must be a number" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +236,49 @@ def test_flag_brightness_displaces_config_file_choice(tmp_path):
     assert out.read_bytes() == direct.read_bytes()
 
 
+def _readme_section(title):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split(f"\n{title}\n", 1)[1].split("\n#", 1)[0]
+
+
+def test_readme_config_file_serves_every_subcommand(tmp_path):
+    # README's example file carries keys that probs and sweep do not read
+    example = _readme_section("### Config files").split("```json\n")[1]
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(example.split("```")[0])
+    runs = {
+        "probs": (["probs", "--config", str(cfg_file)],
+                  ["probs", "--nbar", "1000", "--b", "3.2", "--kf", "5",
+                   "--steps", "9"]),
+        "sweep": (["sweep", "--config", str(cfg_file), "--nbar-axis", "200",
+                   "--a-axis", "0.5"],
+                  ["sweep", "--nbar-axis", "200", "--a-axis", "0.5"]),
+    }
+    for name, (with_file, without) in runs.items():
+        assert main(with_file + ["--out", str(tmp_path / f"{name}_a.csv")]) == 0
+        assert main(without + ["--out", str(tmp_path / f"{name}_b.csv")]) == 0
+        assert ((tmp_path / f"{name}_a.csv").read_bytes()
+                == (tmp_path / f"{name}_b.csv").read_bytes())
+
+
+def test_config_file_null_keeps_default(tmp_path):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"steps": None, "kf": None, "nbar": None}))
+    assert main(["probs", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["probs", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_readme_command_line_examples_parse():
+    block = _readme_section("## Command line").split("```sh\n")[1]
+    lines = block.split("```")[0].replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.strip()]
+    assert commands and all(c[0] == "mzhomodyne" for c in commands)
+    for argv in commands:
+        build_parser().parse_args(argv[1:])  # exits on an unknown flag
+
+
 def test_config_file_axes_as_json_list(tmp_path):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"nbar_axis": [100.0], "a_axis": [0.5]}))
@@ -345,6 +404,8 @@ def test_reproduce_fig2_passes(tmp_path, capsys):
     assert out.count("PASS") == 3 and "FAIL" not in out
     for name in ("fig2_probs.csv", "fig2_calibration.csv", "fig2_summary.txt"):
         assert (tmp_path / name).exists()
+    probs = read_rows(tmp_path / "fig2_probs.csv")
+    assert len(probs) == 2002 and all(len(row) == 7 for row in probs)
     summary = (tmp_path / "fig2_summary.txt").read_text()
     assert "calibration within three standard errors" in summary
 

@@ -52,6 +52,10 @@ def test_config_requires_positive_amplitude():
         InterferometerConfig(-3.0)
     with pytest.raises(ValueError):
         InterferometerConfig.from_nbar(0.0)
+    with pytest.raises(ValueError, match="finite"):
+        InterferometerConfig(math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        InterferometerConfig.from_nbar(math.inf)
 
 
 def test_config_nbar_roundtrip():
@@ -69,6 +73,8 @@ def test_scheme_validation():
         BinningScheme(half_width=0.5, spacing=3.8, cutoff=-1)
     with pytest.raises(InvalidScheme):
         BinningScheme(half_width=0.5, spacing=3.8, cutoff=1.5)
+    with pytest.raises(InvalidScheme, match="finite"):
+        BinningScheme(half_width=0.5, spacing=math.inf, cutoff=0)
 
 
 def test_scheme_centers_and_outcomes():
