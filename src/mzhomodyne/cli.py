@@ -89,6 +89,13 @@ def _integer(name: str, value) -> int:
         raise ConfigError(f"{name} must be an integer")
 
 
+def _seed(name: str, value) -> int:
+    seed = _integer(name, value)
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{name} must be in [0, 2**64)")
+    return seed
+
+
 def _string(name: str, value) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{name} must be a string")
@@ -130,7 +137,7 @@ _PARAMS = {
                     "grid points (default 2001; simulate uses 41)"),
     "shots": _Param(_integer, 200, "measurements N per replica (default 200)"),
     "replicas": _Param(_integer, 10, "replica count M (default 10)"),
-    "seed": _Param(_integer, 0, "master seed (default 0)"),
+    "seed": _Param(_seed, 0, "master seed (default 0)"),
     "out": _Param(_string, None, "output CSV path (default: stdout)"),
     "nbar_axis": _Param(_axis, (5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
                                 1000.0),
@@ -220,7 +227,9 @@ class RunConfig:
         return np.linspace(self.phi_min, self.phi_max, self.steps)
 
 
-def _build_config(ns: argparse.Namespace) -> RunConfig:
+def _build_config(ns: argparse.Namespace):
+    """The validated RunConfig and the interferometer, scheme and
+    observable built from it."""
     command = _COMMANDS[ns.command]
     flags = {name: getattr(ns, name) for name in command.names
              if getattr(ns, name) is not None}
@@ -257,10 +266,10 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
     try:
         cfg = config.interferometer()
         scheme = config.scheme(cfg)
-        config.observable(scheme)
+        obs = config.observable(scheme)
     except ValueError as exc:  # a ConfigError keeps its message
         raise ConfigError(str(exc))
-    return config
+    return config, cfg, scheme, obs
 
 
 def _write_rows(out: Optional[str], header, rows) -> None:
@@ -291,20 +300,15 @@ def _write_signal(out: Optional[str], cfg, scheme, obs, grid) -> None:
     ))
 
 
-def _cmd_probs(config: RunConfig) -> int:
-    cfg = config.interferometer()
-    scheme = config.scheme(cfg)
+def _cmd_probs(config: RunConfig, cfg, scheme, obs) -> int:
     grid = config.phi_grid()
     probs, _ = outcome_table(cfg, scheme, grid)
     _write_rows(config.out, _probs_header(scheme), zip(grid, *probs.T))
     return 0
 
 
-def _cmd_signal(config: RunConfig) -> int:
-    cfg = config.interferometer()
-    scheme = config.scheme(cfg)
-    _write_signal(config.out, cfg, scheme, config.observable(scheme),
-                  config.phi_grid())
+def _cmd_signal(config: RunConfig, cfg, scheme, obs) -> int:
+    _write_signal(config.out, cfg, scheme, obs, config.phi_grid())
     return 0
 
 
@@ -323,7 +327,7 @@ def _write_sweep(out: Optional[str], nbar_axis, a_axis) -> None:
     )
 
 
-def _cmd_sweep(config: RunConfig) -> int:
+def _cmd_sweep(config: RunConfig, cfg, scheme, obs) -> int:
     _write_sweep(config.out, config.nbar_axis, config.a_axis)
     return 0
 
@@ -364,15 +368,12 @@ def _write_simulation(out_base, scheme, points, est_rows=None):
     return cal_path, est_path
 
 
-def _cmd_simulate(config: RunConfig) -> int:
+def _cmd_simulate(config: RunConfig, cfg, scheme, obs) -> int:
     if config.out is None:
         raise ConfigError("simulate writes two files and needs --out")
     out_base = config.out
     if out_base.endswith(".csv"):
         out_base = out_base[:-4]
-    cfg = config.interferometer()
-    scheme = config.scheme(cfg)
-    obs = config.observable(scheme)
     points = calibration_curve(cfg, scheme, config.phi_grid(), config.shots,
                                config.replicas, config.seed)
     cal_path, est_path = _write_simulation(
@@ -568,10 +569,11 @@ _FIGURES = {
 
 
 def _cmd_reproduce(ns: argparse.Namespace) -> int:
+    seed = _seed("seed", ns.seed)
     out_dir = Path(ns.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     checks = _Checks()
-    _FIGURES[ns.figure](out_dir, ns.seed, checks)
+    _FIGURES[ns.figure](out_dir, seed, checks)
     summary = "\n".join(checks.lines) + "\n"
     summary_path = out_dir / f"{ns.figure}_summary.txt"
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
@@ -629,8 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "fig3: signal and sensitivity triplet; "
                           "fig4: estimator versus the bound")
     rep.add_argument("--out", help="output directory (default: current)")
-    rep.add_argument("--seed", type=int, default=0,
-                     help="master seed (default 0)")
+    rep.add_argument("--seed", default=0, help=_PARAMS["seed"].help)
 
     return parser
 
@@ -644,8 +645,7 @@ def main(argv=None) -> int:
     try:
         if ns.command == "reproduce":
             return _cmd_reproduce(ns)
-        config = _build_config(ns)
-        return _COMMANDS[ns.command].run(config)
+        return _COMMANDS[ns.command].run(*_build_config(ns))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -264,8 +264,8 @@ def visibility(cfg: InterferometerConfig, scheme: BinningScheme,
 def visibility_boundary(half_width: float, target: float) -> float:
     """Smallest nbar whose binary {1, 0} fringe visibility reaches target.
 
-    Bisection over nbar in [1e-6, 1e4]; visibility grows monotonically with
-    nbar at fixed half_width.
+    Brent's method over nbar in [1e-6, 1e4]; visibility grows monotonically
+    with nbar at fixed half_width.
     """
     if target >= 1.0:
         raise ValueError(f"target visibility must be below 1, got {target}")
@@ -282,15 +282,7 @@ def visibility_boundary(half_width: float, target: float) -> float:
         raise NoSolution(f"visibility at nbar={hi} still below {target}")
     if vis(lo) >= target:
         return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if vis(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-10 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return find_root(lambda nbar: vis(nbar) - target, (lo, hi), tol=1e-10)
 
 
 def continuous_signal(cfg: InterferometerConfig, phi):

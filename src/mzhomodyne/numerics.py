@@ -133,26 +133,18 @@ def _erfc_positive(y):
     return out
 
 
-def _erf_array(x):
-    y = np.abs(x)
-    out = np.empty_like(x)
+def _erf_parts(v):
+    """(erf(v), erfc(|v|)) of a float64 array.  Each rational form is
+    evaluated once: the small one where |v| <= _THRESH, the tail one where
+    |v| >= _THRESH or v is NaN; erfc(|v|) is 0 where |v| < _THRESH."""
+    y = np.abs(v)
+    tail = ~(y < _THRESH)
+    c = np.zeros_like(v)
+    c[tail] = _erfc_positive(y[tail])
+    f = np.sign(v) * (1.0 - c)
     small = y <= _THRESH
-    out[small] = _erf_rational_small(x[small])
-    big = ~small
-    out[big] = np.sign(x[big]) * (1.0 - _erfc_positive(y[big]))
-    return out
-
-
-def _erfc_array(x):
-    y = np.abs(x)
-    out = np.empty_like(x)
-    small = y <= _THRESH
-    out[small] = 1.0 - _erf_rational_small(x[small])
-    pos = x > _THRESH
-    out[pos] = _erfc_positive(x[pos])
-    neg = x < -_THRESH
-    out[neg] = 2.0 - _erfc_positive(y[neg])
-    return out
+    f[small] = _erf_rational_small(v[small])
+    return f, c
 
 
 def erf(x):
@@ -162,17 +154,17 @@ def erf(x):
     because the sign is applied after evaluating at |x|.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        return float(_erf_array(arr.reshape(1))[0])
-    return _erf_array(arr)
+    f, _ = _erf_parts(np.atleast_1d(arr))
+    return float(f[0]) if arr.ndim == 0 else f
 
 
 def erfc(x):
     """Complementary error function 1 - erf(x), accurate in the far tail."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        return float(_erfc_array(arr.reshape(1))[0])
-    return _erfc_array(arr)
+    v = np.atleast_1d(arr)
+    f, c = _erf_parts(v)
+    out = np.where(v > _THRESH, c, np.where(v < -_THRESH, 2.0 - c, 1.0 - f))
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def erf_diff(x, y):
@@ -187,14 +179,11 @@ def erf_diff(x, y):
     scalar = bx.ndim == 0
     bx = np.atleast_1d(bx)
     by = np.atleast_1d(by)
-    out = np.empty_like(bx)
+    (fx, fy), (cx, cy) = _erf_parts(np.stack((bx, by)))
 
-    hi = (bx >= _THRESH) & (by >= _THRESH)
-    lo = (bx <= -_THRESH) & (by <= -_THRESH)
-    mid = ~(hi | lo)
-    out[hi] = _erfc_positive(bx[hi]) - _erfc_positive(by[hi])
-    out[lo] = _erfc_positive(-by[lo]) - _erfc_positive(-bx[lo])
-    out[mid] = _erf_array(by[mid]) - _erf_array(bx[mid])
+    out = np.where((bx >= _THRESH) & (by >= _THRESH), cx - cy,
+                   np.where((bx <= -_THRESH) & (by <= -_THRESH), cy - cx,
+                            fy - fx))
     out[bx == by] = 0.0
     return float(out[0]) if scalar else out
 

@@ -75,6 +75,11 @@ def read_rows(path):
         (["probs", "--phi-min=-inf", "--phi-max=inf"], "finite"),
         (["signal", "--kf", "1", "--eigenvalues=1,nan,1"], "finite"),
         (["sweep", "--nbar-axis", "inf"], "finite"),
+        # the seed keys a uint64 Philox stream
+        (["simulate", "--seed", "-1", "--out", "x"], "seed must be in"),
+        (["simulate", "--seed", "18446744073709551616", "--out", "x"],
+         "seed must be in"),
+        (["reproduce", "fig2", "--seed", "-1"], "seed must be in"),
     ],
 )
 def test_invalid_configs_exit_2(capsys, argv, fragment):
@@ -108,6 +113,11 @@ def test_config_file_errors(tmp_path, capsys):
     boolean.write_text(json.dumps({"nbar": True}))
     assert main(["probs", "--config", str(boolean)]) == 2
     assert "nbar must be a number" in capsys.readouterr().err
+
+    negative_seed = tmp_path / "seed.json"
+    negative_seed.write_text(json.dumps({"seed": -1}))
+    assert main(["simulate", "--config", str(negative_seed)]) == 2
+    assert "seed must be in" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
