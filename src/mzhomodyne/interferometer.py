@@ -265,6 +265,15 @@ class OutcomeDistribution:
     bin_derivs: np.ndarray
     leftover_deriv: float
 
+    def __eq__(self, other):
+        if not isinstance(other, OutcomeDistribution):
+            return NotImplemented
+        return ((self.phi, self.cutoff, self.leftover_prob, self.leftover_deriv)
+                == (other.phi, other.cutoff, other.leftover_prob,
+                    other.leftover_deriv)
+                and np.array_equal(self.bin_probs, other.bin_probs)
+                and np.array_equal(self.bin_derivs, other.bin_derivs))
+
     def all_probs(self) -> np.ndarray:
         """Bins -cutoff..cutoff then leftover: the outcome_table columns."""
         return np.append(self.bin_probs, self.leftover_prob)

@@ -2,9 +2,9 @@
 
 Error function via fixed rational approximations (no platform-dependent
 special-function library, so CSV output is bit-stable across machines),
-a bracketing Brent root finder, a grid-scan + golden-section minimizer,
-central finite differences, and deterministic counter-based uniform
-random streams.
+a bracketing Brent root finder (one search, or many in lockstep), a
+grid-scan + golden-section minimizer, central finite differences, and
+deterministic counter-based uniform random streams.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "erf_diff",
     "erfc",
     "find_root",
+    "find_roots",
     "minimize_scalar",
     "chunked_walk",
 ]
@@ -101,8 +102,9 @@ def _erf_rational_small(x):
 
 
 def _erfc_positive(y):
-    """erfc(y) for y >= _THRESH."""
-    out = np.empty_like(y)
+    """erfc(y) for y >= _THRESH, or NaN.  Beyond _ERFC_ZERO (inf included)
+    it is 0, set without evaluating the tail form there."""
+    out = np.zeros_like(y)
     mid = y <= 4.0
     ym = y[mid]
     xnum = _C[8] * ym
@@ -116,7 +118,7 @@ def _erfc_positive(y):
     t = np.trunc(ym * 16.0) / 16.0
     out[mid] = np.exp(-t * t) * np.exp(-(ym - t) * (ym + t)) * r
 
-    far = ~mid
+    far = ~(mid | (y > _ERFC_ZERO))  # NaN is in neither, so it lands here
     yf = y[far]
     ysq = 1.0 / (yf * yf)
     xnum = _P[5] * ysq
@@ -128,8 +130,6 @@ def _erfc_positive(y):
     r = (_SQRPI - r) / yf
     t = np.trunc(yf * 16.0) / 16.0
     out[far] = np.exp(-t * t) * np.exp(-(yf - t) * (yf + t)) * r
-
-    out[y > _ERFC_ZERO] = 0.0
     return out
 
 
@@ -192,17 +192,9 @@ def erf_diff(x, y):
 # Root finding and minimization.
 
 
-def find_root(f: Callable[[float], float], bracket, tol: float = 1e-12) -> float:
-    """Brent's method on a sign-changing bracket.
-
-    Inverse-quadratic/secant steps with a bisection fallback, so
-    convergence is guaranteed once the endpoints straddle a sign change.
-    Terminates when the bracket width falls below ~tol.
-
-    Raises NoSignChange if f has the same sign at both endpoints, and
-    NoConvergence if the bracket is still wider than ~tol after 200
-    iterations.
-    """
+def _brent(bracket, tol):
+    """Brent's method as a generator: yields each x it needs f at, is sent
+    f(x), and returns the root (see find_root)."""
     if isinstance(bracket, Interval):
         a, b = bracket.lo, bracket.hi
     else:
@@ -212,8 +204,8 @@ def find_root(f: Callable[[float], float], bracket, tol: float = 1e-12) -> float
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    fa = f(a)
-    fb = f(b)
+    fa = yield a
+    fb = yield b
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -262,11 +254,55 @@ def find_root(f: Callable[[float], float], bracket, tol: float = 1e-12) -> float
             b += d
         else:
             b += tol1 if xm > 0 else -tol1
-        fb = f(b)
+        fb = yield b
     raise NoConvergence(
         f"bracket [{min(b, c)}, {max(b, c)}] still wider than tol={tol} "
         f"after 200 iterations"
     )
+
+
+def find_root(f: Callable[[float], float], bracket, tol: float = 1e-12) -> float:
+    """Brent's method on a sign-changing bracket.
+
+    Inverse-quadratic/secant steps with a bisection fallback, so
+    convergence is guaranteed once the endpoints straddle a sign change.
+    Terminates when the bracket width falls below ~tol.
+
+    Raises NoSignChange if f has the same sign at both endpoints, and
+    NoConvergence if the bracket is still wider than ~tol after 200
+    iterations.
+    """
+    solver = _brent(bracket, tol)
+    x = next(solver)
+    while True:
+        fx = f(x)
+        try:
+            x = solver.send(fx)
+        except StopIteration as done:
+            return done.value
+
+
+def find_roots(g_batch: Callable, targets, brackets, tol: float = 1e-12) -> list:
+    """Roots of g(x) - targets[i] on brackets[i], found in lockstep.
+
+    g_batch maps a 1-D array of points to an array of g values.  Each round
+    calls it once, on the next point of every search still running.  Root i
+    equals find_root(lambda x: g(x) - targets[i], brackets[i], tol) bit for
+    bit, and the first search that fails raises as find_root would.
+    """
+    solvers = [_brent(bracket, tol) for bracket in brackets]
+    roots = [None] * len(solvers)
+    pending = {i: next(solver) for i, solver in enumerate(solvers)}
+    while pending:
+        running = list(pending)
+        values = g_batch(np.array([pending[i] for i in running])).tolist()
+        for i, g in zip(running, values):
+            try:
+                pending[i] = solvers[i].send(g - targets[i])
+            except StopIteration as done:
+                roots[i] = done.value
+                del pending[i]
+    return roots
 
 
 def minimize_scalar(f: Callable[[float], float], bracket, tol: float = 1e-10,

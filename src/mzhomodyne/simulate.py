@@ -14,7 +14,7 @@ import numpy as np
 
 from .interferometer import BinningScheme, InterferometerConfig, outcome_table
 from .metrics import Observable, signal
-from .numerics import Interval, RandomStream, chunked_walk, find_root
+from .numerics import Interval, RandomStream, chunked_walk, find_roots
 
 __all__ = [
     "CalibrationPoint",
@@ -124,16 +124,16 @@ def sample_outcomes(cfg: InterferometerConfig, scheme: BinningScheme, phi: float
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs, _ = outcome_table(cfg, scheme, [phi])
-    prefix = np.cumsum(probs[0, :-1])
+    return _draw(float(phi), np.cumsum(probs[0, :-1]), shots, stream)
+
+
+def _draw(phi, prefix, shots, stream):
+    """sample_outcomes with the prefix sums of the phase's probability row."""
     xi = stream.uniform(size=shots)
-    idx = np.searchsorted(prefix, xi, side="left")
-    counts = np.bincount(idx, minlength=len(prefix) + 1)
-    return CountsRecord(
-        phi_true=float(phi),
-        shots=shots,
-        bin_counts=tuple(int(c) for c in counts[:-1]),
-        leftover_count=int(counts[-1]),
-    )
+    counts = np.bincount(np.searchsorted(prefix, xi, side="left"),
+                         minlength=len(prefix) + 1)
+    return CountsRecord(phi, shots, tuple(int(c) for c in counts[:-1]),
+                        int(counts[-1]))
 
 
 def run_replicas(cfg: InterferometerConfig, scheme: BinningScheme, phi: float,
@@ -188,13 +188,22 @@ def _check_branch_monotone(cfg, scheme, obs, branch):
         )
 
 
-def _invert_unchecked(cfg, scheme, obs, measured, branch, g_lo, g_hi):
-    g = lambda x: signal(cfg, scheme, obs, x).mean
-    if measured > max(g_lo, g_hi):
-        return (branch.lo if g_lo >= g_hi else branch.hi), True
-    if measured < min(g_lo, g_hi):
-        return (branch.lo if g_lo <= g_hi else branch.hi), True
-    return find_root(lambda x: g(x) - measured, branch), False
+def _invert(cfg, scheme, obs, measured, branch, g_lo, g_hi):
+    """Phases of the measured signals on the branch, whose end signals are
+    g_lo and g_hi, and how many of them were clamped to an end.
+
+    A value beyond the branch's signal range clamps to the end whose signal
+    is nearest; all the others are inverted by one lockstep Brent batch.
+    """
+    top = branch.lo if g_lo >= g_hi else branch.hi
+    bottom = branch.lo if g_lo <= g_hi else branch.hi
+    phis = [top if m > max(g_lo, g_hi) else bottom if m < min(g_lo, g_hi)
+            else None for m in measured]
+    inside = [m for m, phi in zip(measured, phis) if phi is None]
+    roots = iter(find_roots(lambda xs: signal(cfg, scheme, obs, xs).mean,
+                            inside, [branch] * len(inside)))
+    return ([next(roots) if phi is None else phi for phi in phis],
+            len(phis) - len(inside))
 
 
 def invert_signal(cfg: InterferometerConfig, scheme: BinningScheme,
@@ -209,26 +218,22 @@ def invert_signal(cfg: InterferometerConfig, scheme: BinningScheme,
     branch = branch if isinstance(branch, Interval) else Interval(*branch)
     _check_branch_monotone(cfg, scheme, obs, branch)
     g_lo, g_hi = signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean
-    phi, _ = _invert_unchecked(cfg, scheme, obs, measured_value, branch,
-                               g_lo, g_hi)
+    (phi,), _ = _invert(cfg, scheme, obs, [measured_value], branch, g_lo, g_hi)
     return phi
 
 
 def estimate(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable,
              replicas: ReplicaSet) -> EstimationReport:
     """Invert each replica's measured signal on the monotone branch around
-    the true phase and aggregate the estimator statistics."""
+    the true phase and aggregate the estimator statistics.  Every replica
+    is inverted in one lockstep batch (see numerics.find_roots)."""
     branch = monotone_branch(cfg, scheme, obs, replicas.phi_true)
     _check_branch_monotone(cfg, scheme, obs, branch)
     # one two-phase evaluation of the branch ends serves every replica
     g_lo, g_hi = signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean
-    estimates = []
-    clamped = 0
-    for measured in replicas.measured_signals(obs):
-        phi_inv, was_clamped = _invert_unchecked(cfg, scheme, obs, measured,
-                                                 branch, g_lo, g_hi)
-        estimates.append(phi_inv)
-        clamped += was_clamped
+    estimates, clamped = _invert(cfg, scheme, obs,
+                                 replicas.measured_signals(obs), branch,
+                                 g_lo, g_hi)
     m = len(estimates)
     mean = math.fsum(estimates) / m
     std_dev = math.sqrt(math.fsum((e - mean) ** 2 for e in estimates) / m)
@@ -255,6 +260,13 @@ class CalibrationPoint:
     std_freqs: np.ndarray
     replicas: ReplicaSet
 
+    def __eq__(self, other):
+        if not isinstance(other, CalibrationPoint):
+            return NotImplemented
+        return (self.phi == other.phi and self.replicas == other.replicas
+                and np.array_equal(self.mean_freqs, other.mean_freqs)
+                and np.array_equal(self.std_freqs, other.std_freqs))
+
 
 def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,
                       phi_grid, shots: int, replicas: int,
@@ -263,17 +275,22 @@ def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,
 
     Replica i of grid point p consumes random stream p*replicas + i, so a
     single-point grid is run_replicas and no two grid points share draws.
+    The grid's outcome table is evaluated once, and each replica is
+    sample_outcomes on its row.
     """
     phi_grid = [float(p) for p in phi_grid]
     if len(phi_grid) == 0:
         raise ValueError("phi_grid must be nonempty")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    probs, _ = outcome_table(cfg, scheme, phi_grid)
     points = []
     for p, phi in enumerate(phi_grid):
+        prefix = np.cumsum(probs[p, :-1])
         records = tuple(
-            sample_outcomes(cfg, scheme, phi, shots,
-                            RandomStream(master_seed, p * replicas + i))
+            _draw(phi, prefix, shots, RandomStream(master_seed, p * replicas + i))
             for i in range(replicas)
         )
         freqs = np.array([r.frequencies() for r in records])

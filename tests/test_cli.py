@@ -431,6 +431,16 @@ def test_reproduce_fig1_reports_known_misses(tmp_path, capsys):
     assert (tmp_path / "fig1_sweep.csv").exists()
 
 
+def test_reproduce_fig4_passes(tmp_path, capsys):
+    assert main(["reproduce", "fig4", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 2 and "FAIL" not in out
+    assert "PASS  sigma tracks the bound" in out
+    assert "PASS  unbiased estimates" in out
+    for name in ("fig4_calibration.csv", "fig4_estimation.csv"):
+        assert len(read_rows(tmp_path / name)[1:]) == 21  # past the header
+
+
 def test_reproduce_rejects_unknown_figure(capsys):
     assert main(["reproduce", "fig9"]) == 2
 

@@ -12,6 +12,7 @@ import pytest
 
 from mzhomodyne import numerics
 from mzhomodyne.numerics import (
+    _ERFC_ZERO,
     _THRESH,
     _erf_rational_small,
     _erfc_positive,
@@ -144,3 +145,54 @@ def test_each_call_evaluates_each_rational_form_once(monkeypatch):
         calls.update(small=0, tail=0)
         call()
         assert calls == {"small": 1, "tail": 1}
+
+
+def unmasked_erfc_positive(y):
+    """_erfc_positive as it was before the elements beyond _ERFC_ZERO left
+    the tail form: it evaluated them, then overwrote them with 0."""
+    out = np.empty_like(y)
+    mid = y <= 4.0
+    ym = y[mid]
+    xnum = numerics._C[8] * ym
+    xden = ym
+    for c, d in zip(numerics._C[:7], numerics._D[:7]):
+        xnum = (xnum + c) * ym
+        xden = (xden + d) * ym
+    r = (xnum + numerics._C[7]) / (xden + numerics._D[7])
+    t = np.trunc(ym * 16.0) / 16.0
+    out[mid] = np.exp(-t * t) * np.exp(-(ym - t) * (ym + t)) * r
+
+    far = ~mid
+    yf = y[far]
+    ysq = 1.0 / (yf * yf)
+    xnum = numerics._P[5] * ysq
+    xden = ysq
+    for p, q in zip(numerics._P[:4], numerics._Q[:4]):
+        xnum = (xnum + p) * ysq
+        xden = (xden + q) * ysq
+    r = ysq * (xnum + numerics._P[4]) / (xden + numerics._Q[4])
+    r = (numerics._SQRPI - r) / yf
+    t = np.trunc(yf * 16.0) / 16.0
+    out[far] = np.exp(-t * t) * np.exp(-(yf - t) * (yf + t)) * r
+
+    out[y > _ERFC_ZERO] = 0.0
+    return out
+
+
+def test_tail_form_is_unchanged_where_it_was_finite():
+    # finite arguments whose squares do not overflow, NaN, and the edges
+    y = np.concatenate([EDGES[EDGES >= _THRESH], np.abs(RANDOM) + _THRESH,
+                        np.geomspace(_THRESH, 1e150, 400), [np.nan]])
+    assert_same(_erfc_positive(y), unmasked_erfc_positive(y))
+
+
+def test_infinite_arguments_give_the_limits_without_warnings():
+    # pytest turns warnings into errors, so inf - inf inside the tail form
+    # would fail here
+    inf = float("inf")
+    assert erf(inf) == 1.0 and erf(-inf) == -1.0
+    assert erfc(inf) == 0.0 and erfc(-inf) == 2.0
+    assert erf_diff(0.0, inf) == 1.0
+    assert erf_diff(-inf, inf) == 2.0
+    assert erf(1e300) == 1.0 and erfc(1e300) == 0.0
+    assert np.isnan(erf(float("nan"))) and np.isnan(erfc(float("nan")))

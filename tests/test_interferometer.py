@@ -370,6 +370,16 @@ def test_outcome_distribution_matches_scalar_calls():
     assert math.fsum(dist.all_derivs()) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_outcome_distributions_compare_by_value():
+    dist = outcome_distribution(FIG2_CFG, FIG2_SCHEME, 0.37)
+    assert dist == outcome_distribution(FIG2_CFG, FIG2_SCHEME, 0.37)
+    assert not dist != outcome_distribution(FIG2_CFG, FIG2_SCHEME, 0.37)
+    assert dist != outcome_distribution(FIG2_CFG, FIG2_SCHEME, 0.38)
+    assert dist != outcome_distribution(InterferometerConfig.from_nbar(201.0),
+                                        FIG2_SCHEME, 0.37)
+    assert dist != "not a distribution"
+
+
 # ---------------------------------------------------------------------------
 # Phase-batched outcome table.
 

@@ -1,6 +1,10 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from mzhomodyne.numerics import (
@@ -14,6 +18,7 @@ from mzhomodyne.numerics import (
     erf_diff,
     erfc,
     find_root,
+    find_roots,
     minimize_scalar,
 )
 
@@ -170,6 +175,77 @@ def test_find_root_raises_at_iteration_cap():
     with pytest.raises(NoConvergence):
         find_root(lambda x: -1.0 if x < 0 else 1.0, (-1.0, 0.7), tol=1e-300)
     assert not issubclass(NoConvergence, ValueError)
+
+
+# find_roots drives one find_root search per bracket in lockstep.  The
+# drawn functions are monotone: a sign, a line, a cubic and a tanh step
+# centred in [0, 1].  A steep step (large k) defeats the interpolation steps,
+# so Brent falls back to bisection; a target equal to g at an end is an
+# endpoint zero.
+
+
+def _monotone(sign, c1, c3, ct, k, x0):
+    return lambda x: sign * (c1 * x + c3 * x ** 3 + ct * math.tanh(k * (x - x0)))
+
+
+@st.composite
+def _root_problems(draw):
+    g = _monotone(draw(st.sampled_from((1.0, -1.0))),
+                  draw(st.floats(1e-3, 10.0)), draw(st.floats(0.0, 10.0)),
+                  draw(st.floats(0.0, 10.0)), 10.0 ** draw(st.floats(-1.0, 6.0)),
+                  draw(st.floats(0.0, 1.0)))
+    brackets, targets = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        lo = draw(st.floats(-2.0, 1.0))
+        hi = lo + draw(st.floats(1e-3, 2.0))
+        g_lo, g_hi = g(lo), g(hi)
+        u = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0))))
+        t = g_lo + u * (g_hi - g_lo)
+        brackets.append((lo, hi))
+        targets.append(g_lo if u == 0.0 else g_hi if u == 1.0
+                       else min(max(t, min(g_lo, g_hi)), max(g_lo, g_hi)))
+    return g, targets, brackets, draw(st.sampled_from((1e-12, 1e-8, 1e-4)))
+
+
+_STEP = _monotone(1.0, 1e-3, 0.0, 1.0, 1e6, 0.3)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_root_problems())
+@example((_STEP, [0.0, 0.5, -0.5, _STEP(1.0)],
+          [(0.0, 1.0), (0.0, 1.0), (-0.5, 0.7), (0.0, 1.0)], 1e-12))
+def test_find_roots_equals_find_root_elementwise(problem):
+    g, targets, brackets, tol = problem
+    batch = lambda xs: np.array([g(x) for x in xs.tolist()])
+    want = [find_root(lambda x: g(x) - t, b, tol) for t, b in zip(targets, brackets)]
+    got = find_roots(batch, targets, brackets, tol)
+    assert got == want
+    assert [type(r) for r in got] == [type(r) for r in want]
+
+
+def test_find_roots_calls_g_once_per_round_on_running_searches():
+    sizes = []
+
+    def batch(xs):
+        sizes.append(len(xs))
+        return np.where(xs < 0, -1.0, 1.0)
+
+    # endpoint zeros end the outer searches after their two bracket ends;
+    # the middle one is the iteration-cap search of find_root's test
+    with pytest.raises(NoConvergence):
+        find_roots(batch, [1.0, 0.0, -1.0], [(-1.0, 0.7)] * 3, tol=1e-300)
+    assert sizes == [3, 3] + [1] * 200
+
+
+def test_find_roots_propagates_no_sign_change():
+    with pytest.raises(NoSignChange):
+        find_roots(lambda xs: xs, [0.5, 5.0, 0.2], [(0.0, 1.0)] * 3)
+
+
+def test_find_roots_of_no_brackets_is_empty():
+    def batch(xs):
+        raise AssertionError("g evaluated without a bracket")
+    assert find_roots(batch, [], []) == []
 
 
 def test_chunked_walk_doubles_and_stops_lazily():

@@ -18,7 +18,7 @@ from mzhomodyne.interferometer import (
     outcome_table,
 )
 from mzhomodyne.metrics import Observable, crb, signal
-from mzhomodyne.numerics import Interval, RandomStream
+from mzhomodyne.numerics import Interval, RandomStream, find_root
 from mzhomodyne.simulate import (
     CountsRecord,
     EstimationReport,
@@ -318,6 +318,53 @@ def test_estimator_tracks_lower_bound():
     assert report.clamp_fraction < 0.01
 
 
+# The per-replica loop estimate ran before its inversions were batched,
+# copied verbatim: one scalar find_root per replica inside the branch.
+
+
+def _invert_unchecked(cfg, scheme, obs, measured, branch, g_lo, g_hi):
+    g = lambda x: signal(cfg, scheme, obs, x).mean
+    if measured > max(g_lo, g_hi):
+        return (branch.lo if g_lo >= g_hi else branch.hi), True
+    if measured < min(g_lo, g_hi):
+        return (branch.lo if g_lo <= g_hi else branch.hi), True
+    return find_root(lambda x: g(x) - measured, branch), False
+
+
+def _per_replica_estimates(cfg, scheme, obs, replicas):
+    branch = monotone_branch(cfg, scheme, obs, replicas.phi_true)
+    g_lo, g_hi = signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean
+    estimates = []
+    clamped = 0
+    for measured in replicas.measured_signals(obs):
+        phi_inv, was_clamped = _invert_unchecked(cfg, scheme, obs, measured,
+                                                 branch, g_lo, g_hi)
+        estimates.append(phi_inv)
+        clamped += was_clamped
+    return estimates, clamped
+
+
+BRIGHT_CFG = InterferometerConfig.from_nbar(1e8)
+BRIGHT_SCHEME = BinningScheme(half_width=0.5, spacing=3.2, cutoff=3)
+
+
+@pytest.mark.parametrize("cfg, scheme, phis, replicas", [
+    (FIG4_CFG, FIG4_SCHEME, (0.012, 0.1, 0.19), 100),
+    (BRIGHT_CFG, BRIGHT_SCHEME, (0.0003, 0.0012), 25),
+], ids=["fig4", "nbar1e8"])
+def test_lockstep_estimate_equals_per_replica_loop(cfg, scheme, phis, replicas):
+    obs = Observable.alternating(scheme)
+    clamps = 0
+    for pt in calibration_curve(cfg, scheme, phis, 200, replicas, master_seed=4):
+        report = estimate(cfg, scheme, obs, pt.replicas)
+        estimates, clamped = _per_replica_estimates(cfg, scheme, obs, pt.replicas)
+        assert list(report.estimates) == estimates
+        assert report.clamp_count == clamped
+        clamps += clamped
+    # the clamped and the inverted replicas share one batch
+    assert 0 < clamps < len(phis) * replicas
+
+
 def test_estimate_propagates_nonmonotone_branch():
     rec = CountsRecord(0.3, 100, (60,), 40)
     rs = ReplicaSet(0.3, 100, 0, (rec,))
@@ -371,8 +418,31 @@ def test_calibration_standard_error_scales_with_replicas():
     assert 1.4 < ratio < 2.9  # expect 2 for a 4x replica increase
 
 
+def test_calibration_records_equal_sample_outcomes_on_each_stream():
+    grid, replicas = [-0.4, 0.1, 0.3], 4
+    pts = calibration_curve(FIG2_CFG, FIG2_SCHEME, grid, 150, replicas,
+                            master_seed=9)
+    for p, (phi, pt) in enumerate(zip(grid, pts)):
+        assert pt.replicas.records == tuple(
+            sample_outcomes(FIG2_CFG, FIG2_SCHEME, phi, 150,
+                            RandomStream(9, p * replicas + i))
+            for i in range(replicas))
+
+
+def test_calibration_points_compare_by_value():
+    a, b = (calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 20, 2, 1)[0]
+            for _ in range(2))
+    other = calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 20, 2, 2)[0]
+    assert a == b
+    assert not a != b
+    assert a != other
+    assert a != "not a point"
+
+
 def test_calibration_rejects_empty_grid():
     with pytest.raises(ValueError):
         calibration_curve(FIG2_CFG, FIG2_SCHEME, [], 200, 10, master_seed=1)
     with pytest.raises(ValueError, match="replicas must be >= 1"):
         calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 200, 0, master_seed=1)
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 0, 10, master_seed=1)
