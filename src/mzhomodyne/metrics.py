@@ -307,7 +307,7 @@ def _fringe_half_crossings(f, center: float, scan_step: float = 0.002,
     outward to its first local minimum (the fringe-local baseline), refines
     it, and brackets the half-level crossing between center and that dark
     point.  f takes a float or a 1-D array of phases; the walk evaluates it
-    on chunks of steps (see chunked_walk).
+    on chunks of steps (see chunked_walk), the dark-point scan on its grid.
     """
     f0 = f(center)
     left_probe = f(center - scan_step)
@@ -330,7 +330,8 @@ def _fringe_half_crossings(f, center: float, scan_step: float = 0.002,
                 # passed a local minimum; refine it within the last window
                 lo = min(prev_x - sign * scan_step, x)
                 hi = max(prev_x - sign * scan_step, x)
-                dark, dark_val = minimize_scalar(h, (lo, hi), grid_points=64)
+                dark, dark_val = minimize_scalar(h, (lo, hi), grid_points=64,
+                                                 f_batch=h)
                 break
             prev_x, prev_v = x, v
         if dark is None:
@@ -405,7 +406,8 @@ def best_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme,
     else:
         _check_alphabet(obs, scheme)
         objective = lambda phi: error_propagation_sensitivity(cfg, scheme, obs, phi)
-    return minimize_scalar(objective, (1e-4, math.pi / 2 - 1e-4))
+    return minimize_scalar(objective, (1e-4, math.pi / 2 - 1e-4),
+                           f_batch=objective)
 
 
 # ---------------------------------------------------------------------------

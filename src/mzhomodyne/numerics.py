@@ -306,12 +306,17 @@ def find_roots(g_batch: Callable, targets, brackets, tol: float = 1e-12) -> list
 
 
 def minimize_scalar(f: Callable[[float], float], bracket, tol: float = 1e-10,
-                    grid_points: int = 512):
+                    grid_points: int = 512, f_batch: Callable | None = None):
     """Global grid scan followed by golden-section refinement.
 
     The target functions here (e.g. sensitivity vs phase) have many local
     minima, so a dense scan locates the global basin before the local
     refinement; a pure descent method would latch onto the wrong valley.
+
+    f_batch, if given, maps the 1-D grid array to an array of values and
+    is called once for the scan instead of f at each point; it must give
+    the same values as f, elementwise, or the result may differ.  The
+    refinement always calls f.
 
     Returns (x_min, f_min).
     """
@@ -323,7 +328,7 @@ def minimize_scalar(f: Callable[[float], float], bracket, tol: float = 1e-10,
         raise ValueError("bracket must satisfy lo < hi")
     n = max(int(grid_points), 3)
     xs = np.linspace(lo, hi, n)
-    fs = np.array([f(x) for x in xs])
+    fs = np.asarray(f_batch(xs)) if f_batch else np.array([f(x) for x in xs])
     i = int(np.argmin(fs))
     best_x, best_f = float(xs[i]), float(fs[i])
 

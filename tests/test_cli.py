@@ -332,6 +332,17 @@ def test_sweep_nan_cells_render_as_nan(tmp_path):
     assert rows[2][2] != "nan"
 
 
+@pytest.mark.parametrize("name, axes", [
+    ("sweep_default.csv", []),
+    # bright cells: the fringe spans 1-12 of the fixed 2 mrad walk steps
+    ("sweep_bright.csv", ["--nbar-axis", "1e4,1e6", "--a-axis", "0.1,1.0"]),
+])
+def test_sweep_golden_regression(tmp_path, name, axes):
+    out = tmp_path / name
+    assert main(["sweep", *axes, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -443,6 +454,44 @@ def test_reproduce_fig4_passes(tmp_path, capsys):
 
 def test_reproduce_rejects_unknown_figure(capsys):
     assert main(["reproduce", "fig9"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _fresh_interpreter(argv, cwd):
+    """Run the CLI on argv in a new interpreter; (exit status, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-m", "mzhomodyne", *argv],
+                          capture_output=True, text=True, cwd=cwd, env=env)
+    return proc.returncode, proc.stderr
+
+
+def test_main_reuses_its_parser_like_fresh_runs(tmp_path, capsys, monkeypatch):
+    runs = [["probs", "--steps", "5", "--out", "p.csv"],
+            ["signal", "--steps", "5", "--eigenvalues", "alternating",
+             "--out", "s.csv"]]
+    rejected = ["probs", "--steps", "5", "--bogus", "1"]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    for argv in runs:
+        assert _fresh_interpreter(argv, fresh) == (0, "")
+    want = _fresh_interpreter(rejected, fresh)
+
+    monkeypatch.chdir(reused)
+    assert [main(argv) for argv in runs] == [0, 0]
+    capsys.readouterr()
+    assert main(rejected) == 2
+    assert (2, capsys.readouterr().err) == want
+    for name in ("p.csv", "s.csv"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+    assert build_parser() is not build_parser()
 
 
 # ---------------------------------------------------------------------------

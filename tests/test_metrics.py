@@ -10,6 +10,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
 from mzhomodyne.interferometer import (
@@ -41,7 +43,7 @@ from mzhomodyne.metrics import (
     visibility,
     visibility_boundary,
 )
-from mzhomodyne.numerics import central_diff
+from mzhomodyne.numerics import central_diff, minimize_scalar
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
 FIG2_SCHEME = BinningScheme(half_width=0.5, spacing=3.8, cutoff=2)
@@ -305,6 +307,56 @@ def test_crb_never_exceeds_error_propagation():
             bound = crb(FIG2_CFG, FIG2_SCHEME, phi)
             if math.isfinite(dphi) and math.isfinite(bound):
                 assert bound <= dphi + 1e-12
+
+
+@st.composite
+def _systems(draw):
+    """(cfg, scheme, phi): nbar log-uniform in [1, 1e8], b > 2a, any cutoff."""
+    cfg = InterferometerConfig.from_nbar(10.0 ** draw(st.floats(0.0, 8.0)))
+    a = draw(st.floats(0.01, 2.0))
+    b = 2.0 * a * (1.0 + draw(st.floats(1e-3, 4.0)))
+    scheme = BinningScheme(half_width=a, spacing=b, cutoff=draw(st.integers(0, 6)))
+    return cfg, scheme, draw(st.floats(-math.pi, math.pi))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_systems(), st.data())
+def test_crb_never_exceeds_error_propagation_on_drawn_systems(system, data):
+    # Braunstein & Caves: 1/sqrt(F) bounds every observable's propagated error
+    cfg, scheme, phi = system
+    n = 2 * scheme.cutoff + 1
+    values = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    obs = data.draw(st.sampled_from((
+        Observable(tuple(values), data.draw(st.floats(-2.0, 2.0))),
+        Observable.ones(scheme), Observable.alternating(scheme))))
+    assert crb(cfg, scheme, phi) <= (
+        error_propagation_sensitivity(cfg, scheme, obs, phi) * (1.0 + 1e-9))
+
+
+# Both cases fail because cfi skips every outcome with P below
+# _PROB_FLOOR = 1e-15, information and all, while the other side keeps it.
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "cfi skips the outcome with P = 3.7e-19 under _PROB_FLOOR (its P'^2/P "
+    "is 4.6e-15), but binarized_cfi keeps it inside its group"))
+def test_binarized_cfi_below_full_cfi_across_the_probability_floor():
+    cfg = InterferometerConfig.from_nbar(317.3215709404951)
+    scheme = BinningScheme(half_width=0.23360844009089715,
+                           spacing=0.5854227906250784, cutoff=5)
+    obs, phi = Observable.alternating(scheme), -2.336068674641469
+    assert binarized_cfi(cfg, scheme, obs, phi) <= cfi(cfg, scheme, phi)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "cfi skips the two outer bins (P = 3.1e-16) under _PROB_FLOOR, so crb "
+    "is inf, while their slope 2.5e-14 keeps the propagated error finite"))
+def test_crb_below_propagated_error_across_the_probability_floor():
+    cfg = InterferometerConfig(alpha0=10.0)
+    scheme = BinningScheme(half_width=1.40625, spacing=5.44921875, cutoff=1)
+    obs = Observable((0.0, 0.0, 1.0), 0.0)
+    assert crb(cfg, scheme, 0.0) <= error_propagation_sensitivity(
+        cfg, scheme, obs, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +670,20 @@ def test_best_sensitivity_alternating_multibin():
     _, dphi_min = best_sensitivity(FIG2_CFG, FIG2_SCHEME, obs)
     target = 1.37 / math.sqrt(200.0)
     assert abs(dphi_min - target) / target < 0.10
+
+
+@pytest.mark.parametrize("nbar", [5.0, 200.0, 1e6])
+def test_best_sensitivity_batched_scan_equals_scalar_scan(nbar):
+    # the grid scan runs on one phase array; the per-phase scan is the oracle
+    cfg = InterferometerConfig.from_nbar(nbar)
+    bracket = (1e-4, math.pi / 2 - 1e-4)
+    for obs, objective in (
+        (UNIT_BINARY_OBS, lambda phi: error_propagation_sensitivity(
+            cfg, BINARY_HALF, UNIT_BINARY_OBS, phi)),
+        (None, lambda phi: crb(cfg, BINARY_HALF, phi)),
+    ):
+        assert best_sensitivity(cfg, BINARY_HALF, obs) == minimize_scalar(
+            objective, bracket)
 
 
 # ---------------------------------------------------------------------------

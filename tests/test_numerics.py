@@ -292,6 +292,59 @@ def test_minimize_scalar_tolerates_inf_values():
     assert abs(x - 2.0) < 1e-6
 
 
+# minimize_scalar's f_batch scans the grid in one call.  The drawn
+# objectives use only exactly rounded operations, so one expression gives
+# the same value on a grid array as at each of its points: a parabola plus
+# a sawtooth ripple (many local minima), optionally rounded down to a
+# quantum (exact ties on the grid; 1e6 ties them all) and set to +inf
+# below a cut (an inf plateau that may cover the whole grid).
+
+
+def _scan_objective(x0, curv, amp, freq, quantum, cut):
+    def f(x):
+        t = x * freq - np.floor(x * freq)
+        v = curv * (x - x0) * (x - x0) + amp * t * (1.0 - t)
+        if quantum:
+            v = np.floor(v / quantum) * quantum
+        return v if cut is None else np.where(x < cut, np.inf, v)
+    return f
+
+
+@st.composite
+def _scan_problems(draw):
+    lo = draw(st.floats(-10.0, 10.0))
+    hi = lo + draw(st.floats(1e-3, 10.0))
+    f = _scan_objective(
+        draw(st.floats(lo, hi)), draw(st.floats(0.0, 10.0)),
+        draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 50.0)),
+        draw(st.sampled_from((0.0, 1e-3, 0.1, 1.0, 1e6))),
+        draw(st.one_of(st.none(), st.floats(lo - 1.0, hi + 1.0))))
+    return f, (lo, hi), draw(st.integers(3, 600))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_scan_problems())
+@example((_scan_objective(0.5, 0.0, 0.0, 1.0, 0.0, None), (0.0, 1.0), 64))
+@example((_scan_objective(1.0, 1.0, 0.5, 3.0, 0.1, 0.7), (0.0, 3.0), 512))
+@example((_scan_objective(1.0, 1.0, 0.0, 1.0, 0.0, 9.0), (0.0, 3.0), 17))
+def test_minimize_scalar_batched_scan_equals_scalar_scan(problem):
+    f, bracket, n = problem
+    assert (minimize_scalar(f, bracket, grid_points=n, f_batch=f)
+            == minimize_scalar(f, bracket, grid_points=n))
+
+
+def test_minimize_scalar_calls_f_batch_once_on_the_grid():
+    calls = []
+
+    def batch(xs):
+        calls.append(xs.copy())
+        return (xs - 1.234) ** 2
+
+    minimize_scalar(lambda x: (x - 1.234) ** 2, (0.0, 3.0), grid_points=64,
+                    f_batch=batch)
+    assert len(calls) == 1 and np.array_equal(calls[0], np.linspace(0.0, 3.0, 64))
+
+
 def test_central_diff_cubic():
     d = central_diff(lambda x: x ** 3, 2.0, 1e-5)
     assert abs(d - 12.0) < 1e-8
