@@ -338,15 +338,15 @@ def _estimation_rows(cfg, scheme, obs, points):
     bounds = crb(cfg, scheme, [pt.phi for pt in points]).tolist()
     rows = []
     for pt, bound in zip(points, bounds):
-        measured = pt.replicas.measured_signals(obs)
-        mean_signal = math.fsum(measured) / len(measured)
         try:
             report = estimate(cfg, scheme, obs, pt.replicas)
-            stats, error = (report.sigma, report.bias, report.std_dev), ""
+            row = [report.mean_signal, report.sigma, bound, report.bias,
+                   report.std_dev, ""]
         except NonMonotoneBranch:
-            stats, error = (math.nan, math.nan, math.nan), "NonMonotoneBranch"
-        sigma, bias, std_dev = stats
-        rows.append([pt.phi, mean_signal, sigma, bound, bias, std_dev, error])
+            measured = pt.replicas.measured_signals(obs)
+            row = [math.fsum(measured) / len(measured), math.nan, bound,
+                   math.nan, math.nan, "NonMonotoneBranch"]
+        rows.append([pt.phi, *row])
     return rows
 
 

@@ -32,6 +32,7 @@ __all__ = [
 
 _BRANCH_STEP = 1e-3
 _SLOPE_TOL = 1e-10
+_BLOCK_DRAWS = 2 ** 16
 
 
 class NonMonotoneBranch(ValueError):
@@ -96,12 +97,14 @@ class EstimationReport:
 
     sigma is the sqrt(N)-scaled RMS error about the true phase, the
     shot-normalized spread that a Cramer-Rao bound is stated for;
-    std_dev is the population spread of the estimates about their own mean.
+    std_dev is the population spread of the estimates about their own mean,
+    and mean_signal the mean of the replicas' measured signals.
     """
 
     phi_true: float
     shots: int
     estimates: tuple[float, ...]
+    mean_signal: float
     mean_estimate: float
     bias: float
     std_dev: float
@@ -119,21 +122,39 @@ def sample_outcomes(cfg: InterferometerConfig, scheme: BinningScheme, phi: float
 
     The partition is left-open right-closed in the alphabet order -cutoff,
     ..., +cutoff, with everything above the final prefix sum treated as
-    Leftover; xi <= P(-cutoff) selects the first bin.
+    Leftover; xi <= P(-cutoff) selects the first bin.  The draws are
+    counted against the non-decreasing prefix sums by _draw, which
+    calibration_curve calls on a block of replicas at a time.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs, _ = outcome_table(cfg, scheme, [phi])
-    return _draw(float(phi), np.cumsum(probs[0, :-1]), shots, stream)
+    (record,), _ = _draw(float(phi), np.cumsum(probs[0, :-1]), shots, [stream])
+    return record
 
 
-def _draw(phi, prefix, shots, stream):
-    """sample_outcomes with the prefix sums of the phase's probability row."""
-    xi = stream.uniform(size=shots)
-    counts = np.bincount(np.searchsorted(prefix, xi, side="left"),
-                         minlength=len(prefix) + 1)
-    return CountsRecord(phi, shots, tuple(int(c) for c in counts[:-1]),
-                        int(counts[-1]))
+def _draw(phi, prefix, shots, streams):
+    """Records and counts matrix of `shots` uniform draws from each stream,
+    classified against the prefix sums of the phase's probability row.
+
+    A block of about _BLOCK_DRAWS draws (a stream per row, at least one row)
+    is counted at once: n_j = #{xi <= prefix[j]} in each row.  The prefix is
+    a running sum of non-negative probabilities, so it never decreases and
+    the differences of the n_j are the left-open right-closed classes.
+    """
+    rows = max(1, _BLOCK_DRAWS // shots)
+    below = np.full((len(streams), len(prefix) + 1), shots, dtype=np.int64)
+    block = np.empty((min(rows, len(streams)), shots))
+    for start in range(0, len(streams), rows):
+        chunk = streams[start:start + rows]
+        for row, stream in zip(block, chunk):
+            row[:] = stream.uniform(size=shots)
+        for j, edge in enumerate(prefix):
+            below[start:start + len(chunk), j] = np.count_nonzero(
+                block[:len(chunk)] <= edge, axis=1)
+    counts = np.diff(below, axis=1, prepend=0)
+    return tuple(CountsRecord(phi, shots, tuple(c[:-1]), c[-1])
+                 for c in counts.tolist()), counts
 
 
 def run_replicas(cfg: InterferometerConfig, scheme: BinningScheme, phi: float,
@@ -231,9 +252,8 @@ def estimate(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable,
     _check_branch_monotone(cfg, scheme, obs, branch)
     # one two-phase evaluation of the branch ends serves every replica
     g_lo, g_hi = signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean
-    estimates, clamped = _invert(cfg, scheme, obs,
-                                 replicas.measured_signals(obs), branch,
-                                 g_lo, g_hi)
+    measured = replicas.measured_signals(obs)
+    estimates, clamped = _invert(cfg, scheme, obs, measured, branch, g_lo, g_hi)
     m = len(estimates)
     mean = math.fsum(estimates) / m
     std_dev = math.sqrt(math.fsum((e - mean) ** 2 for e in estimates) / m)
@@ -242,6 +262,7 @@ def estimate(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable,
         phi_true=replicas.phi_true,
         shots=replicas.shots,
         estimates=tuple(estimates),
+        mean_signal=math.fsum(measured) / m,
         mean_estimate=mean,
         bias=mean - replicas.phi_true,
         std_dev=std_dev,
@@ -275,8 +296,9 @@ def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,
 
     Replica i of grid point p consumes random stream p*replicas + i, so a
     single-point grid is run_replicas and no two grid points share draws.
-    The grid's outcome table is evaluated once, and each replica is
-    sample_outcomes on its row.
+    The grid's outcome table is evaluated once; each point's draws are
+    counted against its row's non-decreasing prefix sums a block of
+    replicas at a time, and each record equals sample_outcomes on its stream.
     """
     phi_grid = [float(p) for p in phi_grid]
     if len(phi_grid) == 0:
@@ -288,12 +310,10 @@ def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,
     probs, _ = outcome_table(cfg, scheme, phi_grid)
     points = []
     for p, phi in enumerate(phi_grid):
-        prefix = np.cumsum(probs[p, :-1])
-        records = tuple(
-            _draw(phi, prefix, shots, RandomStream(master_seed, p * replicas + i))
-            for i in range(replicas)
-        )
-        freqs = np.array([r.frequencies() for r in records])
+        streams = [RandomStream(master_seed, p * replicas + i)
+                   for i in range(replicas)]
+        records, counts = _draw(phi, np.cumsum(probs[p, :-1]), shots, streams)
+        freqs = counts / shots
         points.append(CalibrationPoint(
             phi=phi,
             mean_freqs=freqs.mean(axis=0),

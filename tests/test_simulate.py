@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, special, stats
 
 from mzhomodyne.interferometer import (
@@ -19,6 +21,7 @@ from mzhomodyne.interferometer import (
 )
 from mzhomodyne.metrics import Observable, crb, signal
 from mzhomodyne.numerics import Interval, RandomStream, find_root
+from mzhomodyne import simulate
 from mzhomodyne.simulate import (
     CountsRecord,
     EstimationReport,
@@ -131,6 +134,81 @@ def test_large_sample_frequency_consistency():
 def test_sample_outcomes_rejects_zero_shots():
     with pytest.raises(ValueError):
         sample_outcomes(FIG2_CFG, FIG2_SCHEME, 0.0, 0, RandomStream(1, 0))
+
+
+def _searchsorted_counts(prefix, xi):
+    """The classifier sample_outcomes used before counting against edges."""
+    return np.bincount(np.searchsorted(prefix, xi, side="left"),
+                       minlength=len(prefix) + 1)
+
+
+class _FixedStream:
+    """A stream whose uniform draws are the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def uniform(self, size=None):
+        assert size == len(self.values)
+        return self.values.copy()
+
+
+def test_draw_counts_ties_like_searchsorted():
+    # a zero first bin puts an edge at 0.0; zero bins repeat edges
+    prefix = np.cumsum([0.0, 0.1, 0.0, 0.25, 0.0, 0.0, 0.3])
+    up = np.nextafter(prefix, 2.0)
+    down = np.nextafter(prefix[1:], -1.0)
+    xi = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], prefix, up, down,
+                         np.linspace(0.0, 0.99, 23)])
+    shots = len(xi)
+    # more streams than one block holds, each its own order of the values
+    rows = simulate._BLOCK_DRAWS // shots
+    streams = [_FixedStream(np.roll(xi, i)) for i in range(2 * rows + 3)]
+    records, counts = simulate._draw(0.2, prefix, shots, streams)
+    reference = _searchsorted_counts(prefix, xi)
+    # 0.0 ties the first edge; a zero bin stays empty though draws tie its edge
+    assert reference[0] > 0 and reference[2] == 0
+    assert np.array_equal(counts, np.tile(reference, (len(streams), 1)))
+    assert records[0] == CountsRecord(0.2, shots, tuple(reference[:-1].tolist()),
+                                      int(reference[-1]))
+
+
+@st.composite
+def _systems(draw):
+    """(cfg, scheme): nbar log-uniform in [1, 1e8], b > 2a, cutoff 0-8."""
+    cfg = InterferometerConfig.from_nbar(10.0 ** draw(st.floats(0.0, 8.0)))
+    a = draw(st.floats(0.01, 2.0))
+    b = 2.0 * a * (1.0 + draw(st.floats(1e-3, 4.0)))
+    return cfg, BinningScheme(half_width=a, spacing=b,
+                              cutoff=draw(st.integers(0, 8)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_systems(), st.floats(-math.pi, math.pi),
+       st.one_of(st.integers(1, simulate._BLOCK_DRAWS),
+                 st.integers(simulate._BLOCK_DRAWS + 1,
+                             2 * simulate._BLOCK_DRAWS)),
+       st.integers(0, 2 ** 16))
+def test_sampling_equals_searchsorted_on_drawn_systems(system, phi, shots, seed):
+    cfg, scheme = system
+    rec = sample_outcomes(cfg, scheme, phi, shots, RandomStream(seed, 1))
+    prefix = np.cumsum(outcome_table(cfg, scheme, [phi])[0][0, :-1])
+    xi = RandomStream(seed, 1).uniform(size=shots)
+    assert list(rec.all_counts()) == _searchsorted_counts(prefix, xi).tolist()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_systems(), st.lists(st.floats(-math.pi, math.pi), min_size=1,
+                            max_size=64))
+def test_outcome_table_is_a_distribution_on_drawn_systems(system, phis):
+    # what the sampler's counting relies on: non-decreasing prefix sums
+    cfg, scheme = system
+    probs, derivs = outcome_table(cfg, scheme, phis)
+    assert np.all(probs >= 0.0)
+    assert np.all(np.diff(np.cumsum(probs[:, :-1], axis=1), axis=1) >= 0.0)
+    for p_row, d_row in zip(probs.tolist(), derivs.tolist()):
+        assert abs(math.fsum(p_row) - 1.0) <= 1e-12
+        assert abs(math.fsum(d_row)) <= 1e-12 * (1.0 + cfg.alpha0)
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +497,19 @@ def test_calibration_standard_error_scales_with_replicas():
 
 
 def test_calibration_records_equal_sample_outcomes_on_each_stream():
-    grid, replicas = [-0.4, 0.1, 0.3], 4
-    pts = calibration_curve(FIG2_CFG, FIG2_SCHEME, grid, 150, replicas,
-                            master_seed=9)
-    for p, (phi, pt) in enumerate(zip(grid, pts)):
-        assert pt.replicas.records == tuple(
-            sample_outcomes(FIG2_CFG, FIG2_SCHEME, phi, 150,
-                            RandomStream(9, p * replicas + i))
-            for i in range(replicas))
+    grid = [-0.4, 0.1, 0.3]
+    for shots, replicas in (
+        (150, 4),
+        (70_000, 3),  # more draws than a block: one replica per block
+        (2_000, 70),  # 32 replicas per block, the last block holds 6
+    ):
+        pts = calibration_curve(FIG2_CFG, FIG2_SCHEME, grid, shots, replicas,
+                                master_seed=9)
+        for p, (phi, pt) in enumerate(zip(grid, pts)):
+            assert pt.replicas.records == tuple(
+                sample_outcomes(FIG2_CFG, FIG2_SCHEME, phi, shots,
+                                RandomStream(9, p * replicas + i))
+                for i in range(replicas))
 
 
 def test_calibration_points_compare_by_value():
