@@ -6,130 +6,13 @@ classical Fisher information, and seeded Monte Carlo simulation with an
 inversion estimator.  The CLI lives in mzhomodyne.cli.
 """
 
-from .interferometer import (
-    BinningScheme,
-    GaussianState,
-    InterferometerConfig,
-    InvalidScheme,
-    OutcomeDistribution,
-    coherent_vacuum_state,
-    default_cutoff,
-    mode_mix_matrix,
-    outcome_distribution,
-    outcome_table,
-    quadrature_pdf,
-    wigner_oracle_pdf,
-)
-from .metrics import (
-    FIXED_RANDOM_EIGENVALUES,
-    AlphabetMismatch,
-    DegenerateSignal,
-    NoFringe,
-    NoSolution,
-    Observable,
-    SchemeNotBinary,
-    SignalPoint,
-    SweepGrid,
-    best_sensitivity,
-    binarized_cfi,
-    binary_sensitivity,
-    cfi,
-    continuous_signal,
-    crb,
-    error_propagation_sensitivity,
-    fwhm,
-    fwhm_continuous,
-    signal,
-    signal_peaks,
-    sweep,
-    visibility,
-    visibility_boundary,
-)
-from .numerics import (
-    Interval,
-    NoConvergence,
-    NoSignChange,
-    RandomStream,
-    central_diff,
-    erf,
-    erf_diff,
-    erfc,
-    find_root,
-    find_roots,
-    minimize_scalar,
-)
-from .simulate import (
-    CalibrationPoint,
-    CountsRecord,
-    EstimationReport,
-    NonMonotoneBranch,
-    ReplicaSet,
-    calibration_curve,
-    estimate,
-    invert_signal,
-    monotone_branch,
-    run_replicas,
-    sample_outcomes,
-)
+from . import interferometer, metrics, numerics, simulate
+from .interferometer import *
+from .metrics import *
+from .numerics import *
+from .simulate import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphabetMismatch",
-    "BinningScheme",
-    "CalibrationPoint",
-    "CountsRecord",
-    "DegenerateSignal",
-    "EstimationReport",
-    "FIXED_RANDOM_EIGENVALUES",
-    "GaussianState",
-    "Interval",
-    "InterferometerConfig",
-    "InvalidScheme",
-    "NoConvergence",
-    "NoFringe",
-    "NoSignChange",
-    "NoSolution",
-    "NonMonotoneBranch",
-    "Observable",
-    "OutcomeDistribution",
-    "RandomStream",
-    "ReplicaSet",
-    "SchemeNotBinary",
-    "SignalPoint",
-    "SweepGrid",
-    "best_sensitivity",
-    "binarized_cfi",
-    "binary_sensitivity",
-    "calibration_curve",
-    "central_diff",
-    "cfi",
-    "coherent_vacuum_state",
-    "continuous_signal",
-    "crb",
-    "default_cutoff",
-    "erf",
-    "erf_diff",
-    "erfc",
-    "error_propagation_sensitivity",
-    "estimate",
-    "find_root",
-    "find_roots",
-    "fwhm",
-    "fwhm_continuous",
-    "invert_signal",
-    "minimize_scalar",
-    "mode_mix_matrix",
-    "monotone_branch",
-    "outcome_distribution",
-    "outcome_table",
-    "quadrature_pdf",
-    "run_replicas",
-    "sample_outcomes",
-    "signal",
-    "signal_peaks",
-    "sweep",
-    "visibility",
-    "visibility_boundary",
-    "wigner_oracle_pdf",
-]
+__all__ = (interferometer.__all__ + metrics.__all__ + numerics.__all__
+           + simulate.__all__)

@@ -15,7 +15,7 @@ digits and LF line endings, so a rerun with the same configuration and seed
 is byte identical.
 
 Exit codes: 0 on success, 1 when a reproduce check fails, 2 on an invalid
-configuration.
+configuration or an output that cannot be written.
 """
 
 import argparse
@@ -26,8 +26,8 @@ import math
 import sys
 from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -53,7 +53,7 @@ from .metrics import (
 from .numerics import find_root
 from .simulate import NonMonotoneBranch, calibration_curve, estimate, monotone_branch
 
-__all__ = ["ConfigError", "RunConfig", "build_parser", "main"]
+__all__ = ["ConfigError", "build_parser", "main"]
 
 
 class ConfigError(ValueError):
@@ -170,67 +170,36 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameter set shared by the dataset subcommands."""
-
-    nbar: Optional[float]
-    alpha0: Optional[float]
-    a: float
-    b: float
-    kf: Optional[int]
-    eigenvalues: str
-    mu_minus: float
-    phi_min: float
-    phi_max: float
-    steps: int
-    shots: int
-    replicas: int
-    seed: int
-    out: Optional[str]
-    nbar_axis: tuple
-    a_axis: tuple
-
-    def interferometer(self) -> InterferometerConfig:
-        if self.nbar is not None:
-            return InterferometerConfig.from_nbar(self.nbar)
-        return InterferometerConfig(self.alpha0)
-
-    def scheme(self, cfg: InterferometerConfig) -> BinningScheme:
-        kf = self.kf
-        if kf is None:
-            kf = default_cutoff(cfg, self.a, self.b)
-        return BinningScheme(half_width=self.a, spacing=self.b, cutoff=kf)
-
-    def observable(self, scheme: BinningScheme) -> Observable:
-        choice = self.eigenvalues.strip()
-        if choice == "ones":
-            return Observable.ones(scheme, self.mu_minus)
-        if choice == "alternating":
-            return Observable.alternating(scheme, self.mu_minus)
-        try:
-            values = tuple(float(p) for p in choice.split(","))
-        except ValueError:
-            raise ConfigError(
-                "eigenvalues must be 'ones', 'alternating', or a comma "
-                "separated list of numbers"
-            )
-        need = 2 * scheme.cutoff + 1
-        if len(values) != need:
-            raise ConfigError(
-                f"eigenvalue list needs {need} entries for cutoff "
-                f"{scheme.cutoff}, got {len(values)}"
-            )
-        return Observable(tuple(_finite("eigenvalues", v) for v in values),
-                          self.mu_minus)
-
-    def phi_grid(self) -> np.ndarray:
-        return np.linspace(self.phi_min, self.phi_max, self.steps)
+def _observable(choice: str, mu_minus: float,
+                scheme: BinningScheme) -> Observable:
+    """The eigenvalue assignment named by --eigenvalues: ones, alternating,
+    or a comma separated list of 2*kf+1 numbers."""
+    choice = choice.strip()
+    if choice == "ones":
+        return Observable.ones(scheme, mu_minus)
+    if choice == "alternating":
+        return Observable.alternating(scheme, mu_minus)
+    try:
+        values = tuple(float(p) for p in choice.split(","))
+    except ValueError:
+        raise ConfigError(
+            "eigenvalues must be 'ones', 'alternating', or a comma "
+            "separated list of numbers"
+        )
+    need = 2 * scheme.cutoff + 1
+    if len(values) != need:
+        raise ConfigError(
+            f"eigenvalue list needs {need} entries for cutoff "
+            f"{scheme.cutoff}, got {len(values)}"
+        )
+    return Observable(tuple(_finite("eigenvalues", v) for v in values),
+                      mu_minus)
 
 
 def _build_config(ns: argparse.Namespace):
-    """The validated RunConfig and the interferometer, scheme and
-    observable built from it."""
+    """The merged, checked parameters, the phase grid (None for a
+    subcommand without one), and the interferometer, scheme and observable
+    built from them."""
     command = _COMMANDS[ns.command]
     flags = {name: getattr(ns, name) for name in command.names
              if getattr(ns, name) is not None}
@@ -262,15 +231,21 @@ def _build_config(ns: argparse.Namespace):
     if merged["kf"] is not None and merged["kf"] < 0:
         raise ConfigError("kf must be a non-negative integer")
 
-    config = RunConfig(**merged)
+    config = SimpleNamespace(**merged)
+    grid = (np.linspace(config.phi_min, config.phi_max, config.steps)
+            if "steps" in command.names else None)
+
     # surface the library's own invariant messages (positivity, b > 2a)
     try:
-        cfg = config.interferometer()
-        scheme = config.scheme(cfg)
-        obs = config.observable(scheme)
+        cfg = (InterferometerConfig(config.alpha0) if config.nbar is None
+               else InterferometerConfig.from_nbar(config.nbar))
+        kf = (default_cutoff(cfg, config.a, config.b) if config.kf is None
+              else config.kf)
+        scheme = BinningScheme(half_width=config.a, spacing=config.b, cutoff=kf)
+        obs = _observable(config.eigenvalues, config.mu_minus, scheme)
     except ValueError as exc:  # a ConfigError keeps its message
         raise ConfigError(str(exc))
-    return config, cfg, scheme, obs
+    return config, grid, cfg, scheme, obs
 
 
 def _write_rows(out: Optional[str], header, rows) -> None:
@@ -301,15 +276,14 @@ def _write_signal(out: Optional[str], cfg, scheme, obs, grid) -> None:
     ))
 
 
-def _cmd_probs(config: RunConfig, cfg, scheme, obs) -> int:
-    grid = config.phi_grid()
+def _cmd_probs(config, grid, cfg, scheme, obs) -> int:
     probs, _ = outcome_table(cfg, scheme, grid)
     _write_rows(config.out, _probs_header(scheme), zip(grid, *probs.T))
     return 0
 
 
-def _cmd_signal(config: RunConfig, cfg, scheme, obs) -> int:
-    _write_signal(config.out, cfg, scheme, obs, config.phi_grid())
+def _cmd_signal(config, grid, cfg, scheme, obs) -> int:
+    _write_signal(config.out, cfg, scheme, obs, grid)
     return 0
 
 
@@ -328,7 +302,7 @@ def _write_sweep(out: Optional[str], nbar_axis, a_axis) -> None:
     )
 
 
-def _cmd_sweep(config: RunConfig, cfg, scheme, obs) -> int:
+def _cmd_sweep(config, grid, cfg, scheme, obs) -> int:
     _write_sweep(config.out, config.nbar_axis, config.a_axis)
     return 0
 
@@ -369,13 +343,13 @@ def _write_simulation(out_base, scheme, points, est_rows=None):
     return cal_path, est_path
 
 
-def _cmd_simulate(config: RunConfig, cfg, scheme, obs) -> int:
+def _cmd_simulate(config, grid, cfg, scheme, obs) -> int:
     if config.out is None:
         raise ConfigError("simulate writes two files and needs --out")
     out_base = config.out
     if out_base.endswith(".csv"):
         out_base = out_base[:-4]
-    points = calibration_curve(cfg, scheme, config.phi_grid(), config.shots,
+    points = calibration_curve(cfg, scheme, grid, config.shots,
                                config.replicas, config.seed)
     cal_path, est_path = _write_simulation(
         out_base, scheme, points, _estimation_rows(cfg, scheme, obs, points)
@@ -650,7 +624,7 @@ def main(argv=None) -> int:
         if ns.command == "reproduce":
             return _cmd_reproduce(ns)
         return _COMMANDS[ns.command].run(*_build_config(ns))
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -110,14 +110,10 @@ def default_cutoff(cfg: InterferometerConfig, half_width: float, spacing: float)
     """Cutoff covering the signal swing: round(alpha0 / (2*spacing)).
 
     Rounds to nearest, ties away from zero, so the outermost bins sit at
-    the quadrature turning points +-alpha0/2.
+    the quadrature turning points +-alpha0/2.  Raises InvalidScheme for a
+    half width and spacing that no BinningScheme accepts.
     """
-    if not half_width > 0:
-        raise InvalidScheme(f"half_width must be positive, got {half_width}")
-    if not spacing > 2.0 * half_width:
-        raise InvalidScheme(
-            f"spacing must exceed 2*half_width, got spacing={spacing}, half_width={half_width}"
-        )
+    BinningScheme(half_width, spacing, 0)
     x = cfg.alpha0 / (2.0 * spacing)
     return int(math.floor(x + 0.5))
 

@@ -135,33 +135,41 @@ def _shaped(scalar: bool, values: list):
     return values[0] if scalar else np.array(values, dtype=np.float64)
 
 
+def _moments(obs: Observable, probs: np.ndarray, derivs: np.ndarray):
+    """(means, variances, slopes) of the observable over each table row.
+
+    The variance is the centered sum of (mu - mean)^2 P, which stays
+    accurate when an eigenvalue offset dwarfs the spread (the raw
+    difference sum(mu^2 P) - mean^2 cancels catastrophically there).
+    """
+    mu = obs.all_values()
+    means = _row_sums(mu * probs)
+    variances = _row_sums((mu - np.array(means)[:, None]) ** 2 * probs)
+    return means, variances, _row_sums(mu * derivs)
+
+
 @dataclass(frozen=True)
 class SignalPoint:
     """Signal at one phase (floats) or on a phase array (arrays like phi)."""
 
     phi: float | np.ndarray
     mean: float | np.ndarray
-    second_moment: float | np.ndarray
+    variance: float | np.ndarray
     slope: float | np.ndarray
-
-    @property
-    def variance(self):
-        var = np.maximum(self.second_moment - self.mean * self.mean, 0.0)
-        return float(var) if var.ndim == 0 else var
 
 
 def signal(cfg: InterferometerConfig, scheme: BinningScheme,
            obs: Observable, phi) -> SignalPoint:
-    """Mean, second moment, and phase slope of the observable at phi, a
+    """Mean, centered variance, and phase slope of the observable at phi, a
     float or a 1-D array of phases."""
     _check_alphabet(obs, scheme)
     scalar, probs, derivs = _table(cfg, scheme, phi)
-    mu = obs.all_values()
+    means, variances, slopes = _moments(obs, probs, derivs)
     return SignalPoint(
         phi=float(phi) if scalar else np.array(phi, dtype=np.float64),
-        mean=_shaped(scalar, _row_sums(mu * probs)),
-        second_moment=_shaped(scalar, _row_sums(mu * mu * probs)),
-        slope=_shaped(scalar, _row_sums(mu * derivs)),
+        mean=_shaped(scalar, means),
+        variance=_shaped(scalar, variances),
+        slope=_shaped(scalar, slopes),
     )
 
 
@@ -170,16 +178,11 @@ def error_propagation_sensitivity(cfg: InterferometerConfig, scheme: BinningSche
     """Phase uncertainty sqrt(Var)/|slope|; +inf where the signal is flat.
 
     phi is a float or a 1-D array of phases; the result has the same shape.
-    The variance is accumulated in centered form sum (mu - mean)^2 P, which
-    stays accurate when an eigenvalue offset dwarfs the spread (the raw
-    second_moment - mean^2 difference cancels catastrophically there).
+    The variance is the centered one that signal reports.
     """
     _check_alphabet(obs, scheme)
     scalar, probs, derivs = _table(cfg, scheme, phi)
-    mu = obs.all_values()
-    slopes = _row_sums(mu * derivs)
-    means = np.array(_row_sums(mu * probs))
-    variances = _row_sums((mu - means[:, None]) ** 2 * probs)
+    _, variances, slopes = _moments(obs, probs, derivs)
     return _shaped(scalar, [
         math.inf if abs(slope) < _SLOPE_FLOOR else math.sqrt(var) / abs(slope)
         for slope, var in zip(slopes, variances)

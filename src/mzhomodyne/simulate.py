@@ -126,11 +126,21 @@ def sample_outcomes(cfg: InterferometerConfig, scheme: BinningScheme, phi: float
     counted against the non-decreasing prefix sums by _draw, which
     calibration_curve calls on a block of replicas at a time.
     """
+    phi = _finite_phase(phi)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs, _ = outcome_table(cfg, scheme, [phi])
-    (record,), _ = _draw(float(phi), np.cumsum(probs[0, :-1]), shots, [stream])
+    (record,), _ = _draw(phi, np.cumsum(probs[0, :-1]), shots, [stream])
     return record
+
+
+def _finite_phase(phi) -> float:
+    """phi as a float; a NaN or infinite phase has no prefix sums to draw
+    against, so it is rejected before the table is evaluated."""
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
+    return phi
 
 
 def _draw(phi, prefix, shots, streams):
@@ -209,13 +219,15 @@ def _check_branch_monotone(cfg, scheme, obs, branch):
         )
 
 
-def _invert(cfg, scheme, obs, measured, branch, g_lo, g_hi):
-    """Phases of the measured signals on the branch, whose end signals are
-    g_lo and g_hi, and how many of them were clamped to an end.
+def _invert(cfg, scheme, obs, measured, branch):
+    """Phases of the measured signals on the branch, and how many of them
+    were clamped to an end.
 
-    A value beyond the branch's signal range clamps to the end whose signal
-    is nearest; all the others are inverted by one lockstep Brent batch.
+    One two-phase evaluation of the branch ends serves every value: a value
+    beyond the branch's signal range clamps to the end whose signal is
+    nearest; all the others are inverted by one lockstep Brent batch.
     """
+    g_lo, g_hi = signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean
     top = branch.lo if g_lo >= g_hi else branch.hi
     bottom = branch.lo if g_lo <= g_hi else branch.hi
     phis = [top if m > max(g_lo, g_hi) else bottom if m < min(g_lo, g_hi)
@@ -238,8 +250,7 @@ def invert_signal(cfg: InterferometerConfig, scheme: BinningScheme,
     """
     branch = branch if isinstance(branch, Interval) else Interval(*branch)
     _check_branch_monotone(cfg, scheme, obs, branch)
-    g_lo, g_hi = signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean
-    (phi,), _ = _invert(cfg, scheme, obs, [measured_value], branch, g_lo, g_hi)
+    (phi,), _ = _invert(cfg, scheme, obs, [measured_value], branch)
     return phi
 
 
@@ -250,10 +261,8 @@ def estimate(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable,
     is inverted in one lockstep batch (see numerics.find_roots)."""
     branch = monotone_branch(cfg, scheme, obs, replicas.phi_true)
     _check_branch_monotone(cfg, scheme, obs, branch)
-    # one two-phase evaluation of the branch ends serves every replica
-    g_lo, g_hi = signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean
     measured = replicas.measured_signals(obs)
-    estimates, clamped = _invert(cfg, scheme, obs, measured, branch, g_lo, g_hi)
+    estimates, clamped = _invert(cfg, scheme, obs, measured, branch)
     m = len(estimates)
     mean = math.fsum(estimates) / m
     std_dev = math.sqrt(math.fsum((e - mean) ** 2 for e in estimates) / m)
@@ -300,7 +309,7 @@ def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,
     counted against its row's non-decreasing prefix sums a block of
     replicas at a time, and each record equals sample_outcomes on its stream.
     """
-    phi_grid = [float(p) for p in phi_grid]
+    phi_grid = [_finite_phase(p) for p in phi_grid]
     if len(phi_grid) == 0:
         raise ValueError("phi_grid must be nonempty")
     if replicas < 1:

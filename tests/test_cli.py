@@ -80,6 +80,11 @@ def read_rows(path):
         (["simulate", "--seed", "18446744073709551616", "--out", "x"],
          "seed must be in"),
         (["reproduce", "fig2", "--seed", "-1"], "seed must be in"),
+        # an output that cannot be written
+        (["probs", "--steps", "3", "--out", str(GOLDEN / "missing" / "x.csv")],
+         "No such file or directory"),
+        (["reproduce", "fig2", "--out", str(GOLDEN / "sweep_default.csv" / "d")],
+         "Not a directory"),
     ],
 )
 def test_invalid_configs_exit_2(capsys, argv, fragment):

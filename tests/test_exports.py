@@ -17,3 +17,10 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_exports_the_union_of_the_layers():
+    package = importlib.import_module("mzhomodyne")
+    layers = [importlib.import_module(name).__all__ for name in MODULES[2:]]
+    assert len(package.__all__) == len(set(package.__all__))
+    assert set(package.__all__) == set().union(*layers)

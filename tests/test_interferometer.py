@@ -117,6 +117,8 @@ def test_default_cutoff_rejects_bad_scheme():
         default_cutoff(FIG2_CFG, 0.5, 1.0)
     with pytest.raises(InvalidScheme):
         default_cutoff(FIG2_CFG, -0.5, 3.8)
+    with pytest.raises(InvalidScheme):
+        default_cutoff(FIG2_CFG, 0.5, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -148,11 +148,41 @@ def test_signal_slope_matches_central_difference():
         assert pt.slope == pytest.approx(numeric, rel=1e-6, abs=1e-10)
 
 
-def test_signal_second_moment_dominates_mean_square():
+def test_signal_variance_is_non_negative():
     obs = Observable(FIXED_RANDOM_EIGENVALUES, -0.4)
     for phi in np.linspace(-3.1, 3.1, 101):
         pt = signal(FIG2_CFG, FIG2_SCHEME, obs, phi)
-        assert pt.second_moment >= pt.mean**2 - 1e-12
+        assert pt.variance >= 0.0
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_signal_variance_matches_centered_sum_oracle(offset):
+    # an offset that dwarfs the +-1 spread: sum mu^2 P - mean^2 cancels
+    # catastrophically, the centered sum does not
+    alt = Observable.alternating(FIG2_SCHEME)
+    obs = Observable(tuple(v + offset for v in alt.bin_values),
+                     alt.leftover_value + offset)
+    grid = np.linspace(-3.0, 3.0, 61)
+    point = signal(FIG2_CFG, FIG2_SCHEME, obs, grid)
+    probs, _ = outcome_table(FIG2_CFG, FIG2_SCHEME, grid)
+    mu = [mpmath.mpf(v) for v in obs.all_values().tolist()]
+    with mpmath.workdps(50):
+        for var, row in zip(point.variance.tolist(), probs.tolist()):
+            p = [mpmath.mpf(x) for x in row]
+            mean = mpmath.fsum(m * q for m, q in zip(mu, p))
+            oracle = mpmath.fsum((m - mean) ** 2 * q for m, q in zip(mu, p))
+            assert var == pytest.approx(float(oracle), rel=1e-12)
+
+
+def test_sensitivity_is_root_variance_over_slope():
+    obs = Observable(FIXED_RANDOM_EIGENVALUES, 0.3)
+    grid = np.linspace(0.05, 1.5, 30)
+    point = signal(FIG2_CFG, FIG2_SCHEME, obs, grid)
+    delta = error_propagation_sensitivity(FIG2_CFG, FIG2_SCHEME, obs, grid)
+    assert np.all(np.abs(point.slope) > 1e-14)
+    for d, var, slope in zip(delta.tolist(), point.variance.tolist(),
+                             point.slope.tolist()):
+        assert d == math.sqrt(var) / abs(slope)
 
 
 def test_signal_alternating_flips_sign_between_fringe_peaks():
@@ -744,16 +774,16 @@ def test_figures_of_merit_on_phase_arrays_equal_scalar_calls():
     delta = error_propagation_sensitivity(FIG2_CFG, FIG2_SCHEME, obs, grid)
     info = cfi(FIG2_CFG, FIG2_SCHEME, grid)
     bound = crb(FIG2_CFG, FIG2_SCHEME, grid)
-    for values in (point.phi, point.mean, point.second_moment, point.slope,
-                   point.variance, delta, info, bound):
+    for values in (point.phi, point.mean, point.slope, point.variance, delta,
+                   info, bound):
         assert isinstance(values, np.ndarray) and values.shape == grid.shape
     assert math.isinf(delta[-1])
 
     for i, phi in enumerate(grid.tolist()):
         one = signal(FIG2_CFG, FIG2_SCHEME, obs, phi)
-        assert (point.phi[i], point.mean[i], point.second_moment[i],
-                point.slope[i], point.variance[i]) == (
-            one.phi, one.mean, one.second_moment, one.slope, one.variance)
+        assert (point.phi[i], point.mean[i], point.slope[i],
+                point.variance[i]) == (
+            one.phi, one.mean, one.slope, one.variance)
         assert delta[i] == error_propagation_sensitivity(
             FIG2_CFG, FIG2_SCHEME, obs, phi)
         assert info[i] == cfi(FIG2_CFG, FIG2_SCHEME, phi)

@@ -136,6 +136,16 @@ def test_sample_outcomes_rejects_zero_shots():
         sample_outcomes(FIG2_CFG, FIG2_SCHEME, 0.0, 0, RandomStream(1, 0))
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf])
+def test_samplers_reject_non_finite_phase(phi):
+    # a NaN row has NaN prefix sums, which would send every draw to Leftover
+    with pytest.raises(ValueError, match="phase must be finite"):
+        sample_outcomes(FIG2_CFG, FIG2_SCHEME, phi, 10, RandomStream(1, 0))
+    with pytest.raises(ValueError, match="phase must be finite"):
+        calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3, phi], 10, 2,
+                          master_seed=1)
+
+
 def _searchsorted_counts(prefix, xi):
     """The classifier sample_outcomes used before counting against edges."""
     return np.bincount(np.searchsorted(prefix, xi, side="left"),
