@@ -9,12 +9,14 @@ sweeps over (nbar, a) for the binary scheme.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .interferometer import BinningScheme, InterferometerConfig, outcome_table
-from .numerics import NoSignChange, chunked_walk, find_root, minimize_scalar
+from .numerics import (NoSignChange, _brent, _drive, _golden, _lockstep,
+                       _unwrap, _walk_chunks, find_root, minimize_scalar)
 
 __all__ = [
     "AlphabetMismatch",
@@ -45,6 +47,8 @@ __all__ = [
 _SLOPE_FLOOR = 1e-14
 _PROB_FLOOR = 1e-15
 _CFI_FLOOR = 1e-20
+_SCAN_STEP = 0.002  # fringe walk step, rad
+_SENSITIVITY_BAND = (1e-4, math.pi / 2 - 1e-4)
 
 # fixed pseudorandom eigenvalue vector (bins -2..2) kept as a regression case
 FIXED_RANDOM_EIGENVALUES = (-0.715, 0.068, 0.839, -0.102, 0.392)
@@ -183,10 +187,11 @@ def error_propagation_sensitivity(cfg: InterferometerConfig, scheme: BinningSche
     _check_alphabet(obs, scheme)
     scalar, probs, derivs = _table(cfg, scheme, phi)
     _, variances, slopes = _moments(obs, probs, derivs)
-    return _shaped(scalar, [
-        math.inf if abs(slope) < _SLOPE_FLOOR else math.sqrt(var) / abs(slope)
-        for slope, var in zip(slopes, variances)
-    ])
+    return _shaped(scalar, list(map(_sensitivity, variances, slopes)))
+
+
+def _sensitivity(var: float, slope: float) -> float:
+    return math.inf if abs(slope) < _SLOPE_FLOOR else math.sqrt(var) / abs(slope)
 
 
 def _fisher_rows(probs: np.ndarray, derivs: np.ndarray) -> list:
@@ -257,7 +262,13 @@ def binarized_cfi(cfg: InterferometerConfig, scheme: BinningScheme,
 def visibility(cfg: InterferometerConfig, scheme: BinningScheme,
                obs: Observable) -> float:
     """(s(0) - s(pi/2)) / (s(0) + s(pi/2)) of the signal mean."""
-    s_bright, s_dark = signal(cfg, scheme, obs, [0.0, math.pi / 2]).mean.tolist()
+    return _drive(lambda xs: signal(cfg, scheme, obs, xs).mean.tolist(),
+                  _visibility_search())
+
+
+def _visibility_search():
+    """visibility as a search: yields its two phases, is sent their means."""
+    s_bright, s_dark = yield [0.0, math.pi / 2]
     denom = s_bright + s_dark
     if abs(denom) < 1e-14:
         raise DegenerateSignal(f"signal means cancel: {s_bright} + {s_dark}")
@@ -301,7 +312,40 @@ def continuous_signal(cfg: InterferometerConfig, phi):
 # Fringe geometry.
 
 
-def _fringe_half_crossings(f, center: float, scan_step: float = 0.002,
+def _fringe_side(center, f0, sign, scan_step, max_span):
+    """One side of _fringe_search, sent the fringe oriented as a peak."""
+    prev_x, prev_v = center, f0
+    for xs in _walk_chunks(center, sign, scan_step, int(max_span / scan_step)):
+        for x, v in zip(xs, (yield xs)):
+            if v > prev_v:
+                # passed a local minimum; refine it within the last window
+                lo = min(prev_x - sign * scan_step, x)
+                hi = max(prev_x - sign * scan_step, x)
+                dark, dark_val = yield from _golden((lo, hi), grid_points=64)
+                bracket = (min(center, dark), max(center, dark))
+                try:
+                    return (yield from _brent(bracket, 1e-12, 0.5 * (f0 + dark_val)))
+                except NoSignChange as exc:
+                    raise NoFringe("fringe shallower than half depth") from exc
+            prev_x, prev_v = x, v
+    raise NoFringe("no dark point within half a period of the center")
+
+
+def _fringe_search(center, scan_step=_SCAN_STEP, max_span=math.pi):
+    """_fringe_half_crossings as a search (see numerics._drive), sent f."""
+    f0, left_probe, right_probe = yield [center, center - scan_step, center + scan_step]
+    if left_probe < f0 and right_probe < f0:
+        h = None
+    elif left_probe > f0 and right_probe > f0:
+        h, f0 = operator.neg, -f0
+    else:
+        raise NoFringe(f"signal is not extremal at center {center}")
+    sides = [(_fringe_side(center, f0, s, scan_step, max_span), h) for s in (-1.0, 1.0)]
+    crossings = [_unwrap(side) for side in (yield from _lockstep(sides))]
+    return min(crossings), max(crossings)
+
+
+def _fringe_half_crossings(f, center: float, scan_step: float = _SCAN_STEP,
                            max_span: float = math.pi) -> tuple[float, float]:
     """Half-depth crossings (left, right) of the fringe of f around center.
 
@@ -309,45 +353,18 @@ def _fringe_half_crossings(f, center: float, scan_step: float = 0.002,
     flipped so the fringe is always treated as a peak.  Each side walks
     outward to its first local minimum (the fringe-local baseline), refines
     it, and brackets the half-level crossing between center and that dark
-    point.  f takes a float or a 1-D array of phases; the walk evaluates it
-    on chunks of steps (see chunked_walk), the dark-point scan on its grid.
+    point.  The sides run in lockstep, one call of f (on a 1-D array of
+    phases) per round; the left side's error is raised first.
     """
-    f0 = f(center)
-    left_probe = f(center - scan_step)
-    right_probe = f(center + scan_step)
-    if left_probe < f0 and right_probe < f0:
-        h = f
-    elif left_probe > f0 and right_probe > f0:
-        h = lambda x: -f(x)
-        f0 = -f0
-    else:
-        raise NoFringe(f"signal is not extremal at center {center}")
+    return _drive(lambda xs: f(np.array(xs)).tolist(),
+                  _fringe_search(center, scan_step, max_span))
 
-    crossings = []
-    for sign in (-1.0, 1.0):
-        prev_x, prev_v = center, f0
-        dark = None
-        steps = int(max_span / scan_step)
-        for x, v in chunked_walk(h, center, sign, scan_step, steps):
-            if v > prev_v:
-                # passed a local minimum; refine it within the last window
-                lo = min(prev_x - sign * scan_step, x)
-                hi = max(prev_x - sign * scan_step, x)
-                dark, dark_val = minimize_scalar(h, (lo, hi), grid_points=64,
-                                                 f_batch=h)
-                break
-            prev_x, prev_v = x, v
-        if dark is None:
-            raise NoFringe("no dark point within half a period of the center")
-        level = 0.5 * (f0 + dark_val)
-        try:
-            crossing = find_root(lambda x: h(x) - level,
-                                 (min(center, dark), max(center, dark)))
-        except NoSignChange as exc:
-            raise NoFringe("fringe shallower than half depth") from exc
-        crossings.append(crossing)
 
-    return min(crossings), max(crossings)
+def _fringe_width(lo: float, hi: float) -> float:
+    """hi - lo of half-maximum crossings inside (-pi/2, pi/2)."""
+    if lo <= -math.pi / 2 or hi >= math.pi / 2:
+        raise NoFringe("half-maximum crossings escape (-pi/2, pi/2)")
+    return hi - lo
 
 
 def fwhm(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable) -> float:
@@ -358,12 +375,8 @@ def fwhm(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable) -> f
     crossing is missing or falls outside (-pi/2, pi/2).
     """
     _check_alphabet(obs, scheme)
-    lo, hi = _fringe_half_crossings(
-        lambda phi: signal(cfg, scheme, obs, phi).mean, 0.0
-    )
-    if lo <= -math.pi / 2 or hi >= math.pi / 2:
-        raise NoFringe("half-maximum crossings escape (-pi/2, pi/2)")
-    return hi - lo
+    return _fringe_width(*_fringe_half_crossings(
+        lambda phi: signal(cfg, scheme, obs, phi).mean, 0.0))
 
 
 def fwhm_continuous(cfg: InterferometerConfig) -> float:
@@ -409,8 +422,7 @@ def best_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme,
     else:
         _check_alphabet(obs, scheme)
         objective = lambda phi: error_propagation_sensitivity(cfg, scheme, obs, phi)
-    return minimize_scalar(objective, (1e-4, math.pi / 2 - 1e-4),
-                           f_batch=objective)
+    return minimize_scalar(objective, _SENSITIVITY_BAND, f_batch=objective)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +453,9 @@ class SweepGrid:
 def sweep(nbar_axis, a_axis) -> SweepGrid:
     """Binary-scheme merit grid: (2pi/3)/FWHM, (1/sqrt(nbar))/dphi_min, and
     visibility at each (nbar, a).  Cells that fail to produce a value (no
-    fringe, degenerate signal) are recorded as nan."""
+    fringe, degenerate signal) are recorded as nan.  A cell runs the searches
+    of fwhm, best_sensitivity and visibility in lockstep, one outcome_table
+    call per round, with the values and errors of those three calls."""
     nbar_axis = tuple(float(v) for v in nbar_axis)
     a_axis = tuple(float(v) for v in a_axis)
     for name, axis in (("nbar_axis", nbar_axis), ("a_axis", a_axis)):
@@ -459,15 +473,24 @@ def sweep(nbar_axis, a_axis) -> SweepGrid:
         cfg = InterferometerConfig.from_nbar(nbar)
         for j, a in enumerate(a_axis):
             scheme = BinningScheme.binary(a)
+
+            def rows(phis):  # (mean, sensitivity) at each phase
+                means, var, slopes = _moments(obs, *outcome_table(cfg, scheme, phis))
+                return list(zip(means, map(_sensitivity, var, slopes)))
+
+            mean, sensitivity = operator.itemgetter(0), operator.itemgetter(1)
+            crossings, best, contrast = _drive(rows, _lockstep([
+                (_fringe_search(0.0), mean), (_golden(_SENSITIVITY_BAND), sensitivity),
+                (_visibility_search(), mean)]))
             try:
-                res[i, j] = (2.0 * math.pi / 3.0) / fwhm(cfg, scheme, obs)
+                res[i, j] = (2.0 * math.pi / 3.0) / _fringe_width(*_unwrap(crossings))
             except NoFringe:
                 pass
-            _, dphi_min = best_sensitivity(cfg, scheme, obs)
+            _, dphi_min = _unwrap(best)
             if math.isfinite(dphi_min) and dphi_min > 0.0:
                 sens[i, j] = (1.0 / math.sqrt(nbar)) / dphi_min
             try:
-                vis[i, j] = visibility(cfg, scheme, obs)
+                vis[i, j] = _unwrap(contrast)
             except DegenerateSignal:
                 pass
     return SweepGrid(nbar_axis, a_axis, res, sens, vis)

@@ -2,9 +2,9 @@
 
 Error function via fixed rational approximations (no platform-dependent
 special-function library, so CSV output is bit-stable across machines),
-a bracketing Brent root finder (one search, or many in lockstep), a
-grid-scan + golden-section minimizer, central finite differences, and
-deterministic counter-based uniform random streams.
+a bracketing Brent root finder and a grid-scan + golden-section minimizer
+(each a search that one driver runs alone or in lockstep with others),
+chunked walks, and deterministic counter-based uniform random streams.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "NoConvergence",
     "NoSignChange",
     "RandomStream",
-    "central_diff",
     "erf",
     "erf_diff",
     "erfc",
@@ -191,21 +190,68 @@ def erf_diff(x, y):
 # ---------------------------------------------------------------------------
 # Root finding and minimization.
 
+_EPS = float(np.finfo(float).eps)
 
-def _brent(bracket, tol):
-    """Brent's method as a generator: yields each x it needs f at, is sent
-    f(x), and returns the root (see find_root)."""
-    if isinstance(bracket, Interval):
-        a, b = bracket.lo, bracket.hi
-    else:
-        a, b = bracket
-    if not a < b:
+
+def _ends(bracket):
+    lo, hi = (bracket.lo, bracket.hi) if isinstance(bracket, Interval) else bracket
+    if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
+    return lo, hi
+
+
+def _drive(evaluate, search, values=None):
+    """Result of a search, a generator that yields lists of points and is
+    sent their values: first values (None starts it), then evaluate(points)."""
+    while True:
+        try:
+            points = search.send(values)
+        except StopIteration as done:
+            return done.value
+        values = evaluate(points)
+
+
+def _lockstep(searches):
+    """(search, objective) pairs in lockstep as one search, each sent its values
+    mapped by its objective (None: as they are).  Returns results or errors."""
+    outcomes = [None] * len(searches)
+    running, sent = list(range(len(searches))), [None] * len(searches)
+    while True:
+        points, alive, ends = [], [], []
+        for i, values in zip(running, sent):
+            try:
+                xs = searches[i][0].send(values)
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except Exception as exc:
+                outcomes[i] = exc
+            else:
+                alive.append(i)
+                points.extend(xs)
+                ends.append(len(points))
+        if not alive:
+            return outcomes
+        values = yield points
+        running, sent = alive, [values[a:b] for a, b in zip([0] + ends, ends)]
+        for k, i in enumerate(alive):
+            if searches[i][1] is not None:
+                sent[k] = list(map(searches[i][1], sent[k]))
+
+
+def _unwrap(outcome):
+    """A search's result from _lockstep, or raise the exception it raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _brent(bracket, tol, target=0.0):
+    """Brent's method as a search (see _drive) for a root of f - target."""
+    a, b = _ends(bracket)
     if tol <= 0:
         raise ValueError("tol must be positive")
-
-    fa = yield a
-    fb = yield b
+    fa = (yield [a])[0] - target
+    fb = (yield [b])[0] - target
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -215,7 +261,6 @@ def _brent(bracket, tol):
 
     c, fc = a, fa
     d = e = b - a
-    eps = float(np.finfo(float).eps)
     for _ in range(200):
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
@@ -223,7 +268,7 @@ def _brent(bracket, tol):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * eps * abs(b) + 0.5 * tol
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b
@@ -254,7 +299,7 @@ def _brent(bracket, tol):
             b += d
         else:
             b += tol1 if xm > 0 else -tol1
-        fb = yield b
+        fb = (yield [b])[0] - target
     raise NoConvergence(
         f"bracket [{min(b, c)}, {max(b, c)}] still wider than tol={tol} "
         f"after 200 iterations"
@@ -272,14 +317,7 @@ def find_root(f: Callable[[float], float], bracket, tol: float = 1e-12) -> float
     NoConvergence if the bracket is still wider than ~tol after 200
     iterations.
     """
-    solver = _brent(bracket, tol)
-    x = next(solver)
-    while True:
-        fx = f(x)
-        try:
-            x = solver.send(fx)
-        except StopIteration as done:
-            return done.value
+    return _drive(lambda xs: [f(x) for x in xs], _brent(bracket, tol))
 
 
 def find_roots(g_batch: Callable, targets, brackets, tol: float = 1e-12) -> list:
@@ -288,21 +326,39 @@ def find_roots(g_batch: Callable, targets, brackets, tol: float = 1e-12) -> list
     g_batch maps a 1-D array of points to an array of g values.  Each round
     calls it once, on the next point of every search still running.  Root i
     equals find_root(lambda x: g(x) - targets[i], brackets[i], tol) bit for
-    bit, and the first search that fails raises as find_root would.
+    bit; once all have ended, the first failed bracket's error is raised.
     """
-    solvers = [_brent(bracket, tol) for bracket in brackets]
-    roots = [None] * len(solvers)
-    pending = {i: next(solver) for i, solver in enumerate(solvers)}
-    while pending:
-        running = list(pending)
-        values = g_batch(np.array([pending[i] for i in running])).tolist()
-        for i, g in zip(running, values):
-            try:
-                pending[i] = solvers[i].send(g - targets[i])
-            except StopIteration as done:
-                roots[i] = done.value
-                del pending[i]
-    return roots
+    searches = [(_brent(b, tol, t), None) for t, b in zip(targets, brackets)]
+    roots = _drive(lambda xs: g_batch(np.array(xs)).tolist(), _lockstep(searches))
+    return [_unwrap(root) for root in roots]
+
+
+def _golden(bracket, tol=1e-10, grid_points=512):
+    """minimize_scalar as a search (see _drive), the grid yielded as an array."""
+    n = max(int(grid_points), 3)
+    xs = np.linspace(*_ends(bracket), n)
+    fs = np.asarray((yield xs))
+    i = int(np.argmin(fs))
+    best_x, best_f = float(xs[i]), float(fs[i])
+    a = float(xs[max(i - 1, 0)])
+    b = float(xs[min(i + 1, n - 1)])
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = yield [c, d]
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            (fc,) = yield [c]
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            (fd,) = yield [d]
+    for x, fx in ((c, fc), (d, fd)):
+        if fx < best_f:
+            best_x, best_f = float(x), float(fx)
+    return best_x, best_f
 
 
 def minimize_scalar(f: Callable[[float], float], bracket, tol: float = 1e-10,
@@ -316,44 +372,26 @@ def minimize_scalar(f: Callable[[float], float], bracket, tol: float = 1e-10,
     f_batch, if given, maps the 1-D grid array to an array of values and
     is called once for the scan instead of f at each point; it must give
     the same values as f, elementwise, or the result may differ.  The
-    refinement always calls f.
+    refinement always calls f, one point at a time (the search is _golden).
 
     Returns (x_min, f_min).
     """
-    if isinstance(bracket, Interval):
-        lo, hi = bracket.lo, bracket.hi
-    else:
-        lo, hi = bracket
-    if not lo < hi:
-        raise ValueError("bracket must satisfy lo < hi")
-    n = max(int(grid_points), 3)
-    xs = np.linspace(lo, hi, n)
-    fs = np.asarray(f_batch(xs)) if f_batch else np.array([f(x) for x in xs])
-    i = int(np.argmin(fs))
-    best_x, best_f = float(xs[i]), float(fs[i])
-
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, n - 1)])
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    for x, fx in ((c, fc), (d, fd)):
-        if fx < best_f:
-            best_x, best_f = float(x), float(fx)
-    return best_x, best_f
+    search = _golden(bracket, tol, grid_points)
+    grid = next(search)
+    scan = f_batch(grid) if f_batch else [f(x) for x in grid]
+    return _drive(lambda xs: [f(x) for x in xs], search, scan)
 
 
 _FIRST_CHUNK = 16
+
+
+def _walk_chunks(start: float, direction: float, step: float, n_steps: int):
+    """The points of chunked_walk, one list per chunk."""
+    lo, size = 1, _FIRST_CHUNK
+    while lo <= n_steps:
+        hi = min(lo + size, n_steps + 1)
+        yield [start + direction * i * step for i in range(lo, hi)]
+        lo, size = hi, 2 * size
 
 
 def chunked_walk(f: Callable, start: float, direction: float, step: float,
@@ -367,19 +405,8 @@ def chunked_walk(f: Callable, start: float, direction: float, step: float,
     floats, and x_i is the scalar expression above, so a caller sees what a
     step-by-step walk with a vectorised f would see.
     """
-    lo, size = 1, _FIRST_CHUNK
-    while lo <= n_steps:
-        hi = min(lo + size, n_steps + 1)
-        xs = [start + direction * i * step for i in range(lo, hi)]
+    for xs in _walk_chunks(start, direction, step, n_steps):
         yield from zip(xs, f(np.array(xs)).tolist())
-        lo, size = hi, 2 * size
-
-
-def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
-    """Second-order central difference (f(x+h) - f(x-h)) / (2h)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,9 @@ from mzhomodyne.metrics import (
     signal,
     visibility_boundary,
 )
-from mzhomodyne.numerics import central_diff, find_root
+from mzhomodyne.numerics import find_root
 from mzhomodyne.simulate import calibration_curve, estimate, monotone_branch, run_replicas
+from oracles import central_diff
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
 FIG2_SCHEME = BinningScheme(half_width=0.5, spacing=3.8, cutoff=2)

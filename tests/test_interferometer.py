@@ -25,7 +25,8 @@ from mzhomodyne.interferometer import (
     quadrature_pdf,
     wigner_oracle_pdf,
 )
-from mzhomodyne.numerics import central_diff, erf_diff, minimize_scalar
+from mzhomodyne.numerics import erf_diff, minimize_scalar
+from oracles import central_diff
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
 FIG2_SCHEME = BinningScheme(half_width=0.5, spacing=3.8, cutoff=2)

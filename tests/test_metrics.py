@@ -43,7 +43,8 @@ from mzhomodyne.metrics import (
     visibility,
     visibility_boundary,
 )
-from mzhomodyne.numerics import central_diff, minimize_scalar
+from mzhomodyne.numerics import minimize_scalar
+from oracles import central_diff
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
 FIG2_SCHEME = BinningScheme(half_width=0.5, spacing=3.8, cutoff=2)

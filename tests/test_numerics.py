@@ -12,7 +12,6 @@ from mzhomodyne.numerics import (
     NoConvergence,
     NoSignChange,
     RandomStream,
-    central_diff,
     chunked_walk,
     erf,
     erf_diff,
@@ -21,6 +20,7 @@ from mzhomodyne.numerics import (
     find_roots,
     minimize_scalar,
 )
+from oracles import central_diff
 
 mp.mp.dps = 40
 

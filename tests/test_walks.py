@@ -164,6 +164,39 @@ def test_fringe_first_rise_on_chunk_boundary():
     assert _fringe_half_crossings(f, 0.0) == _scalar_half_crossings(f, 0.0)
 
 
+def _two_sided(left, right):
+    """left(x) for x < 0, else right(x): scalar functions, for floats and
+    arrays."""
+    def f(x):
+        if np.ndim(x) == 0:
+            return left(x) if x < 0 else right(x)
+        return np.array([left(v) if v < 0 else right(v) for v in x.tolist()])
+    return f
+
+
+# sides that fail: one never turns up again within pi ("no dark point");
+# one is a cosine fringe whose dark point, 16.5 steps out, is NaN, so the
+# half level is NaN and the crossing has no sign change ("shallower")
+_FALLING = lambda x: 1.0 - x * x
+_FRINGE = lambda x: math.cos(math.pi * x / 0.033)
+_NAN_DARK = lambda x: math.nan if abs(abs(x) - 0.033) < 2e-4 else _FRINGE(x)
+
+
+@pytest.mark.parametrize("left, right", [
+    (_FALLING, _FRINGE), (_FRINGE, _FALLING), (_NAN_DARK, _FRINGE),
+    (_FRINGE, _NAN_DARK), (_FALLING, _NAN_DARK), (_NAN_DARK, _FALLING),
+], ids=["left-flat", "right-flat", "left-nan", "right-nan", "flat-nan", "nan-flat"])
+def test_fringe_failing_sides_raise_like_step_by_step_walk(left, right):
+    # both sides now run in lockstep, but a failure still reads as the
+    # sequential walk's: the left side's error when both fail
+    f = _two_sided(left, right)
+    with pytest.raises(NoFringe) as want:
+        _scalar_half_crossings(f, 0.0)
+    with pytest.raises(NoFringe) as got:
+        _fringe_half_crossings(f, 0.0)
+    assert str(got.value) == str(want.value)
+
+
 def test_branch_first_flip_on_chunk_boundary():
     # put the slope zero beyond the fig4 branch half a step after step 16,
     # so the first flip is step 17, the first step of the second chunk
