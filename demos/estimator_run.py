@@ -6,7 +6,7 @@ resulting signal value on the monotone fringe branch containing the true
 phase.  The spread of those M phase estimates, scaled by sqrt(N), should
 track the Cramer-Rao bound if the readout wastes no information.
 
-Run: python3 demos/estimator_run.py  (about half a minute)
+Run: python3 demos/estimator_run.py
 """
 
 import math

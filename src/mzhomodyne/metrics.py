@@ -361,9 +361,11 @@ def _fringe_half_crossings(f, center: float, scan_step: float = _SCAN_STEP,
 
 
 def _fringe_width(lo: float, hi: float) -> float:
-    """hi - lo of half-maximum crossings inside (-pi/2, pi/2)."""
+    """hi - lo of half-maximum crossings inside (-pi/2, pi/2), if positive."""
     if lo <= -math.pi / 2 or hi >= math.pi / 2:
         raise NoFringe("half-maximum crossings escape (-pi/2, pi/2)")
+    if hi - lo <= 0.0:
+        raise NoFringe(f"zero-width fringe: both crossings at {lo}")
     return hi - lo
 
 
@@ -372,7 +374,8 @@ def fwhm(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable) -> f
 
     The baseline on each side is the signal value at the first dark point;
     half level is midway between peak and baseline.  Raises NoFringe when a
-    crossing is missing or falls outside (-pi/2, pi/2).
+    crossing is missing or falls outside (-pi/2, pi/2), or when both
+    crossings coincide (a fringe one rounding step deep).
     """
     _check_alphabet(obs, scheme)
     return _fringe_width(*_fringe_half_crossings(

@@ -245,13 +245,15 @@ def _unwrap(outcome):
     return outcome
 
 
-def _brent(bracket, tol, target=0.0):
-    """Brent's method as a search (see _drive) for a root of f - target."""
+def _brent(bracket, tol, target=0.0, f_ends=None):
+    """Brent's method as a search (see _drive) for a root of f - target.
+    f_ends, if given, is (f(lo), f(hi)), which the search then does not ask for."""
     a, b = _ends(bracket)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    fa = (yield [a])[0] - target
-    fb = (yield [b])[0] - target
+    if f_ends is None:
+        f_ends = (yield [a])[0], (yield [b])[0]
+    fa, fb = f_ends[0] - target, f_ends[1] - target
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -320,15 +322,20 @@ def find_root(f: Callable[[float], float], bracket, tol: float = 1e-12) -> float
     return _drive(lambda xs: [f(x) for x in xs], _brent(bracket, tol))
 
 
-def find_roots(g_batch: Callable, targets, brackets, tol: float = 1e-12) -> list:
+def find_roots(g_batch: Callable, targets, brackets, tol: float = 1e-12,
+               g_ends=None) -> list:
     """Roots of g(x) - targets[i] on brackets[i], found in lockstep.
 
     g_batch maps a 1-D array of points to an array of g values.  Each round
     calls it once, on the next point of every search still running.  Root i
     equals find_root(lambda x: g(x) - targets[i], brackets[i], tol) bit for
     bit; once all have ended, the first failed bracket's error is raised.
+    g_ends, if given, holds (g(lo), g(hi)) of each bracket, as g_batch would
+    give them, and saves the searches' first two rounds.
     """
-    searches = [(_brent(b, tol, t), None) for t, b in zip(targets, brackets)]
+    g_ends = [None] * len(brackets) if g_ends is None else g_ends
+    searches = [(_brent(b, tol, t, e), None)
+                for t, b, e in zip(targets, brackets, g_ends)]
     roots = _drive(lambda xs: g_batch(np.array(xs)).tolist(), _lockstep(searches))
     return [_unwrap(root) for root in roots]
 

@@ -150,9 +150,17 @@ def _draw(phi, prefix, shots, streams):
     A block of about _BLOCK_DRAWS draws (a stream per row, at least one row)
     is counted at once: n_j = #{xi <= prefix[j]} in each row.  The prefix is
     a running sum of non-negative probabilities, so it never decreases and
-    the differences of the n_j are the left-open right-closed classes.
+    the differences of the n_j are the left-open right-closed classes.  A
+    one-row block is counted whole by an axis-less count_nonzero, whose
+    intp count holds any row length; a block of several rows sums each
+    row's comparison bytes into uint32, which cannot wrap because such a
+    row holds at most _BLOCK_DRAWS // 2 draws.
     """
     rows = max(1, _BLOCK_DRAWS // shots)
+    if rows == 1:
+        count = np.count_nonzero
+    else:  # a row of at most _BLOCK_DRAWS // 2 draws: a uint32 count cannot wrap
+        count = lambda hits: hits.view(np.uint8).sum(axis=1, dtype=np.uint32)
     below = np.full((len(streams), len(prefix) + 1), shots, dtype=np.int64)
     block = np.empty((min(rows, len(streams)), shots))
     for start in range(0, len(streams), rows):
@@ -160,8 +168,7 @@ def _draw(phi, prefix, shots, streams):
         for row, stream in zip(block, chunk):
             row[:] = stream.uniform(size=shots)
         for j, edge in enumerate(prefix):
-            below[start:start + len(chunk), j] = np.count_nonzero(
-                block[:len(chunk)] <= edge, axis=1)
+            below[start:start + len(chunk), j] = count(block[:len(chunk)] <= edge)
     counts = np.diff(below, axis=1, prepend=0)
     return tuple(CountsRecord(phi, shots, tuple(c[:-1]), c[-1])
                  for c in counts.tolist()), counts
@@ -225,16 +232,18 @@ def _invert(cfg, scheme, obs, measured, branch):
 
     One two-phase evaluation of the branch ends serves every value: a value
     beyond the branch's signal range clamps to the end whose signal is
-    nearest; all the others are inverted by one lockstep Brent batch.
+    nearest; all the others are inverted by one lockstep Brent batch, which
+    is given the end signals instead of evaluating them again.
     """
-    g_lo, g_hi = signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean
+    g_lo, g_hi = signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean.tolist()
     top = branch.lo if g_lo >= g_hi else branch.hi
     bottom = branch.lo if g_lo <= g_hi else branch.hi
     phis = [top if m > max(g_lo, g_hi) else bottom if m < min(g_lo, g_hi)
             else None for m in measured]
     inside = [m for m, phi in zip(measured, phis) if phi is None]
     roots = iter(find_roots(lambda xs: signal(cfg, scheme, obs, xs).mean,
-                            inside, [branch] * len(inside)))
+                            inside, [branch] * len(inside),
+                            g_ends=[(g_lo, g_hi)] * len(inside)))
     return ([next(roots) if phi is None else phi for phi in phis],
             len(phis) - len(inside))
 

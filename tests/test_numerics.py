@@ -218,9 +218,11 @@ def test_find_roots_equals_find_root_elementwise(problem):
     g, targets, brackets, tol = problem
     batch = lambda xs: np.array([g(x) for x in xs.tolist()])
     want = [find_root(lambda x: g(x) - t, b, tol) for t, b in zip(targets, brackets)]
-    got = find_roots(batch, targets, brackets, tol)
-    assert got == want
-    assert [type(r) for r in got] == [type(r) for r in want]
+    # given the end values, the searches skip their first two rounds
+    for g_ends in (None, [(g(lo), g(hi)) for lo, hi in brackets]):
+        got = find_roots(batch, targets, brackets, tol, g_ends=g_ends)
+        assert got == want
+        assert [type(r) for r in got] == [type(r) for r in want]
 
 
 def test_find_roots_calls_g_once_per_round_on_running_searches():
@@ -235,6 +237,11 @@ def test_find_roots_calls_g_once_per_round_on_running_searches():
     with pytest.raises(NoConvergence):
         find_roots(batch, [1.0, 0.0, -1.0], [(-1.0, 0.7)] * 3, tol=1e-300)
     assert sizes == [3, 3] + [1] * 200
+    sizes.clear()
+    with pytest.raises(NoConvergence):
+        find_roots(batch, [1.0, 0.0, -1.0], [(-1.0, 0.7)] * 3, tol=1e-300,
+                   g_ends=[(-1.0, 1.0)] * 3)
+    assert sizes == [1] * 200
 
 
 def test_find_roots_propagates_no_sign_change():

@@ -163,16 +163,23 @@ class _FixedStream:
         return self.values.copy()
 
 
-def test_draw_counts_ties_like_searchsorted():
+# Blocks of many rows (the last one partial), of two rows at the largest
+# shots that still share a block, and of one row from one shot more on.
+@pytest.mark.parametrize("shots", [
+    None, simulate._BLOCK_DRAWS // 2, simulate._BLOCK_DRAWS // 2 + 1,
+    simulate._BLOCK_DRAWS + 5,
+], ids=["many_rows", "two_rows", "one_row", "one_long_row"])
+def test_draw_counts_ties_like_searchsorted(shots):
     # a zero first bin puts an edge at 0.0; zero bins repeat edges
     prefix = np.cumsum([0.0, 0.1, 0.0, 0.25, 0.0, 0.0, 0.3])
     up = np.nextafter(prefix, 2.0)
     down = np.nextafter(prefix[1:], -1.0)
     xi = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], prefix, up, down,
                          np.linspace(0.0, 0.99, 23)])
+    xi = np.resize(xi, shots or len(xi))  # tiled to the requested shots
     shots = len(xi)
     # more streams than one block holds, each its own order of the values
-    rows = simulate._BLOCK_DRAWS // shots
+    rows = max(1, simulate._BLOCK_DRAWS // shots)
     streams = [_FixedStream(np.roll(xi, i)) for i in range(2 * rows + 3)]
     records, counts = simulate._draw(0.2, prefix, shots, streams)
     reference = _searchsorted_counts(prefix, xi)

@@ -123,6 +123,8 @@ def _fwhm(cfg, scheme, obs):
     )
     if lo <= -math.pi / 2 or hi >= math.pi / 2:
         raise NoFringe("half-maximum crossings escape (-pi/2, pi/2)")
+    if hi - lo <= 0.0:
+        raise NoFringe(f"zero-width fringe: both crossings at {lo}")
     return hi - lo
 
 
@@ -187,7 +189,7 @@ def _same(x, y):
 @example(1e-12, 0.05)   # not extremal at 0: NoFringe, finite sensitivity
 @example(1e-10, 3.0)    # NoFringe and no finite sensitivity
 @example(1e-30, 0.5)    # flat to double precision
-@example(1e-28, 0.05)   # zero width: ZeroDivisionError in both
+@example(1e-28, 0.05)   # zero width: NoFringe, a NaN resolution
 def test_sweep_cell_equals_sequential_oracle(nbar, a):
     got = _outcome(_sweep_cell, nbar, a)
     want = _outcome(_sequential_cell, nbar, a)
@@ -226,3 +228,17 @@ def test_cell_without_fringe_keeps_sensitivity_and_visibility():
     assert math.isnan(res)
     assert math.isfinite(sens) and sens == (1.0 / math.sqrt(nbar)) / dphi
     assert math.isfinite(vis) and vis == visibility(cfg, scheme, UNIT_BINARY_OBS)
+
+
+def test_zero_width_fringe_is_no_fringe_and_a_nan_cell():
+    # at nbar=1e-28 the fringe is one rounding step deep: both half-level
+    # crossings land on the center, so there is no width to divide by
+    nbar, a = 1e-28, 0.05
+    cfg = InterferometerConfig.from_nbar(nbar)
+    scheme = BinningScheme.binary(a)
+    with pytest.raises(NoFringe, match="zero-width"):
+        fwhm(cfg, scheme, UNIT_BINARY_OBS)
+    res, sens, vis = _sweep_cell(nbar, a)
+    assert math.isnan(res)
+    assert _same(sens, _sequential_cell(nbar, a)[1])
+    assert vis == visibility(cfg, scheme, UNIT_BINARY_OBS)
