@@ -19,10 +19,10 @@ configuration or an output that cannot be written.
 """
 
 import argparse
-import csv
 import functools
 import json
 import math
+import re
 import sys
 from collections import namedtuple
 from contextlib import nullcontext
@@ -41,9 +41,9 @@ from .interferometer import (
 from .metrics import (
     FIXED_RANDOM_EIGENVALUES,
     Observable,
+    _signal_columns,
     best_sensitivity,
     crb,
-    error_propagation_sensitivity,
     fwhm,
     fwhm_continuous,
     signal,
@@ -150,10 +150,6 @@ _PARAMS = {
 }
 
 
-def _fmt(x) -> str:
-    return x if isinstance(x, str) else f"{float(x):.17g}"
-
-
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -248,14 +244,29 @@ def _build_config(ns: argparse.Namespace):
     return config, grid, cfg, scheme, obs
 
 
+# a field that csv.writer would quote, in any Python version
+_QUOTED = re.compile(r'[,"\r\n]')
+
+
 def _write_rows(out: Optional[str], header, rows) -> None:
-    """Header, then one CSV line per row; numbers get 17 significant digits
-    and strings pass through."""
+    """Header, then one CSV line per row, each rendered by one template:
+    "%.17g" in a number column and "%s" in a column whose first value is a
+    string.  The bytes are those of csv.writer over f"{float(x):.17g}"; a
+    string that csv.writer would quote raises ValueError instead."""
+    rows = list(map(tuple, rows))
+    text = [i for i, v in enumerate(rows[0]) if isinstance(v, str)] if rows else []
+    for value in [*header, *(row[i] for row in rows for i in text)]:
+        if not isinstance(value, str):
+            raise ValueError(f"text column holds a non-string {value!r}")
+        if _QUOTED.search(value) or (len(header) == 1 and not value):
+            raise ValueError(f"CSV field {value!r} would need quoting")
+    template = ",".join("%s" if i in text else "%.17g"
+                        for i in range(len(header))) + "\n"
+    body = "".join(map(template.__mod__, rows))
     with (nullcontext(sys.stdout) if out is None
           else open(out, "w", encoding="utf-8", newline="")) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        fh.write(",".join(header) + "\n")
+        fh.write(body)
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +277,24 @@ def _probs_header(scheme: BinningScheme):
     return ["phi"] + [f"P({k})" for k in scheme.bin_indices()] + ["P(leftover)"]
 
 
-def _write_signal(out: Optional[str], cfg, scheme, obs, grid) -> None:
-    """phi, signal mean, propagated sensitivity and the Cramer-Rao bound."""
-    _write_rows(out, ["phi", "signal_mean", "delta_phi", "crb"], zip(
-        grid,
-        signal(cfg, scheme, obs, grid).mean,
-        error_propagation_sensitivity(cfg, scheme, obs, grid),
-        crb(cfg, scheme, grid),
-    ))
+def _write_probs(out: Optional[str], scheme, grid, probs) -> None:
+    _write_rows(out, _probs_header(scheme), np.column_stack((grid, probs)).tolist())
+
+
+def _write_signal(out: Optional[str], obs, grid, table) -> None:
+    """phi, signal mean, propagated sensitivity and the Cramer-Rao bound,
+    reduced from the grid's outcome table."""
+    _write_rows(out, ["phi", "signal_mean", "delta_phi", "crb"],
+                zip(grid.tolist(), *_signal_columns(obs, *table)))
 
 
 def _cmd_probs(config, grid, cfg, scheme, obs) -> int:
-    probs, _ = outcome_table(cfg, scheme, grid)
-    _write_rows(config.out, _probs_header(scheme), zip(grid, *probs.T))
+    _write_probs(config.out, scheme, grid, outcome_table(cfg, scheme, grid)[0])
     return 0
 
 
 def _cmd_signal(config, grid, cfg, scheme, obs) -> int:
-    _write_signal(config.out, cfg, scheme, obs, grid)
+    _write_signal(config.out, obs, grid, outcome_table(cfg, scheme, grid))
     return 0
 
 
@@ -428,8 +439,7 @@ def _reproduce_fig2(out_dir: Path, seed: int, checks: _Checks) -> None:
     cfg, scheme = _fig2_system()
     grid = np.linspace(-math.pi, math.pi, 2001)
     probs, _ = outcome_table(cfg, scheme, grid)
-    _write_rows(str(out_dir / "fig2_probs.csv"), _probs_header(scheme),
-                zip(grid, *probs.T))
+    _write_probs(str(out_dir / "fig2_probs.csv"), scheme, grid, probs)
     worst_row_sum = max(abs(math.fsum(row) - 1.0) for row in probs.tolist())
     checks.add(
         scheme.n_outcomes == 6,
@@ -469,9 +479,9 @@ def _reproduce_fig3(out_dir: Path, seed: int, checks: _Checks) -> None:
         ("alternating", Observable.alternating(scheme)),
     )
     grid = np.linspace(-math.pi, math.pi, 2001)
+    table = outcome_table(cfg, scheme, grid)
     for name, obs in variants:
-        _write_signal(str(out_dir / f"fig3_signal_{name}.csv"), cfg, scheme,
-                      obs, grid)
+        _write_signal(str(out_dir / f"fig3_signal_{name}.csv"), obs, grid, table)
 
     # first divergence of delta_phi at positive phase: the slope zero of the
     # all-ones signal, expected near b/alpha0
@@ -490,9 +500,8 @@ def _reproduce_fig3(out_dir: Path, seed: int, checks: _Checks) -> None:
     cap = 10.0 * 1.37 / math.sqrt(cfg.nbar)
     included = ok = 0
     ratio_grid = np.linspace(-math.pi + 0.05, math.pi - 0.05, 2000)
-    bounds = crb(cfg, scheme, ratio_grid).tolist()
-    deltas = error_propagation_sensitivity(cfg, scheme, alternating,
-                                           ratio_grid).tolist()
+    _, deltas, bounds = _signal_columns(
+        alternating, *outcome_table(cfg, scheme, ratio_grid))
     for bound, delta in zip(bounds, deltas):
         if not math.isfinite(bound) or bound > cap:
             continue

@@ -214,16 +214,27 @@ def cfi(cfg: InterferometerConfig, scheme: BinningScheme, phi):
     return _shaped(scalar, _fisher_rows(probs, derivs))
 
 
+def _bounds(probs: np.ndarray, derivs: np.ndarray) -> list:
+    """1/sqrt(cfi) of each row; +inf where the information is below 1e-20."""
+    return [math.inf if f < _CFI_FLOOR else 1.0 / math.sqrt(f)
+            for f in _fisher_rows(probs, derivs)]
+
+
 def crb(cfg: InterferometerConfig, scheme: BinningScheme, phi):
     """Cramer-Rao phase bound 1/sqrt(cfi); +inf where the information dies.
 
     phi is a float or a 1-D array of phases; the result has the same shape.
     """
     scalar, probs, derivs = _table(cfg, scheme, phi)
-    return _shaped(scalar, [
-        math.inf if f < _CFI_FLOOR else 1.0 / math.sqrt(f)
-        for f in _fisher_rows(probs, derivs)
-    ])
+    return _shaped(scalar, _bounds(probs, derivs))
+
+
+def _signal_columns(obs: Observable, probs: np.ndarray, derivs: np.ndarray):
+    """(means, sensitivities, bounds) of each table row: the values of
+    signal(...).mean, error_propagation_sensitivity and crb, from one table."""
+    means, variances, slopes = _moments(obs, probs, derivs)
+    return (means, list(map(_sensitivity, variances, slopes)),
+            _bounds(probs, derivs))
 
 
 def binary_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme, phi):
@@ -322,6 +333,8 @@ def _fringe_side(center, f0, sign, scan_step, max_span):
                 lo = min(prev_x - sign * scan_step, x)
                 hi = max(prev_x - sign * scan_step, x)
                 dark, dark_val = yield from _golden((lo, hi), grid_points=64)
+                if f0 - dark_val <= 1e-10 * max(abs(f0), abs(dark_val)):
+                    raise NoFringe("fringe depth within rounding noise")
                 bracket = (min(center, dark), max(center, dark))
                 try:
                     return (yield from _brent(bracket, 1e-12, 0.5 * (f0 + dark_val)))
@@ -374,8 +387,9 @@ def fwhm(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable) -> f
 
     The baseline on each side is the signal value at the first dark point;
     half level is midway between peak and baseline.  Raises NoFringe when a
-    crossing is missing or falls outside (-pi/2, pi/2), or when both
-    crossings coincide (a fringe one rounding step deep).
+    crossing is missing or falls outside (-pi/2, pi/2), when a side's depth
+    is at most 1e-10 of the signal (rounding noise), or when both crossings
+    coincide.
     """
     _check_alphabet(obs, scheme)
     return _fringe_width(*_fringe_half_crossings(

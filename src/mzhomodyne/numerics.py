@@ -443,9 +443,10 @@ class RandomStream:
         key = np.array([master_seed, stream_index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniform(self, size=None):
-        """Draw uniforms in [0, 1); a scalar when size is None."""
-        return self._gen.random(size)
+    def uniform(self, size=None, out=None):
+        """Draw uniforms in [0, 1); a scalar when size and out are None.
+        With out, the draws fill that float64 array in place."""
+        return self._gen.random(size, out=out)
 
     def __repr__(self):
         return f"RandomStream(master_seed={self.master_seed}, stream_index={self.stream_index})"

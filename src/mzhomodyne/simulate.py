@@ -147,14 +147,14 @@ def _draw(phi, prefix, shots, streams):
     """Records and counts matrix of `shots` uniform draws from each stream,
     classified against the prefix sums of the phase's probability row.
 
-    A block of about _BLOCK_DRAWS draws (a stream per row, at least one row)
-    is counted at once: n_j = #{xi <= prefix[j]} in each row.  The prefix is
-    a running sum of non-negative probabilities, so it never decreases and
-    the differences of the n_j are the left-open right-closed classes.  A
-    one-row block is counted whole by an axis-less count_nonzero, whose
-    intp count holds any row length; a block of several rows sums each
-    row's comparison bytes into uint32, which cannot wrap because such a
-    row holds at most _BLOCK_DRAWS // 2 draws.
+    A block of about _BLOCK_DRAWS draws (a stream per row, drawn in place,
+    at least one row) is counted at once: n_j = #{xi <= prefix[j]} in each
+    row.  The prefix is a running sum of non-negative probabilities, so it
+    never decreases and the differences of the n_j are the left-open
+    right-closed classes.  A one-row block is counted whole by an axis-less
+    count_nonzero, whose intp count holds any row length; a block of several
+    rows sums each row's comparison bytes into uint32, which cannot wrap
+    because such a row holds at most _BLOCK_DRAWS // 2 draws.
     """
     rows = max(1, _BLOCK_DRAWS // shots)
     if rows == 1:
@@ -166,7 +166,7 @@ def _draw(phi, prefix, shots, streams):
     for start in range(0, len(streams), rows):
         chunk = streams[start:start + rows]
         for row, stream in zip(block, chunk):
-            row[:] = stream.uniform(size=shots)
+            stream.uniform(size=shots, out=row)
         for j, edge in enumerate(prefix):
             below[start:start + len(chunk), j] = count(block[:len(chunk)] <= edge)
     counts = np.diff(below, axis=1, prepend=0)

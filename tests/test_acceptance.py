@@ -19,7 +19,6 @@ from mzhomodyne.interferometer import (
     outcome_distribution,
     outcome_table,
     quadrature_pdf,
-    wigner_oracle_pdf,
 )
 from mzhomodyne.metrics import (
     Observable,
@@ -36,7 +35,7 @@ from mzhomodyne.metrics import (
 )
 from mzhomodyne.numerics import find_root
 from mzhomodyne.simulate import calibration_curve, estimate, monotone_branch, run_replicas
-from oracles import central_diff
+from oracles import central_diff, wigner_oracle_pdf
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
 FIG2_SCHEME = BinningScheme(half_width=0.5, spacing=3.8, cutoff=2)

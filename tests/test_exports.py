@@ -24,3 +24,13 @@ def test_package_exports_the_union_of_the_layers():
     layers = [importlib.import_module(name).__all__ for name in MODULES[2:]]
     assert len(package.__all__) == len(set(package.__all__))
     assert set(package.__all__) == set().union(*layers)
+
+
+def test_interferometer_exports_no_test_oracle():
+    # the Gaussian-state propagation oracle lives in tests/oracles.py
+    module = importlib.import_module("mzhomodyne.interferometer")
+    assert sorted(module.__all__) == [
+        "BinningScheme", "InterferometerConfig", "InvalidScheme",
+        "OutcomeDistribution", "default_cutoff", "outcome_distribution",
+        "outcome_table", "quadrature_pdf",
+    ]

@@ -14,19 +14,21 @@ from scipy import integrate
 
 from mzhomodyne.interferometer import (
     BinningScheme,
-    GaussianState,
     InterferometerConfig,
     InvalidScheme,
-    coherent_vacuum_state,
     default_cutoff,
-    mode_mix_matrix,
     outcome_distribution,
     outcome_table,
     quadrature_pdf,
-    wigner_oracle_pdf,
 )
 from mzhomodyne.numerics import erf_diff, minimize_scalar
-from oracles import central_diff
+from oracles import (
+    GaussianState,
+    central_diff,
+    coherent_vacuum_state,
+    mode_mix_matrix,
+    wigner_oracle_pdf,
+)
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
 FIG2_SCHEME = BinningScheme(half_width=0.5, spacing=3.8, cutoff=2)

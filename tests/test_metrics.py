@@ -628,6 +628,21 @@ def test_fwhm_rejects_flat_signal():
         fwhm(InterferometerConfig(1e-15), BINARY_HALF, UNIT_BINARY_OBS)
 
 
+@pytest.mark.parametrize("nbar", [1e-20, 1e-14])
+def test_fwhm_rejects_a_rounding_noise_dark_point(nbar):
+    # at these nbar each side's first "dark point" is a one-ulp rise, which
+    # once read as a width of a few 1e-3 rad (a resolution ratio near 500)
+    cfg = InterferometerConfig.from_nbar(nbar)
+    with pytest.raises(NoFringe, match="rounding noise"):
+        fwhm(cfg, BINARY_HALF, UNIT_BINARY_OBS)
+    assert np.isnan(sweep([nbar], [0.5]).resolution_ratio[0, 0])
+
+
+def test_fwhm_depth_rule_keeps_a_faint_real_fringe():
+    # at nbar=1e-8 the fringe is 3.5e-9 of the signal deep: a real one
+    assert sweep([1e-8], [0.5]).resolution_ratio[0, 0] == 1.3333334142542634
+
+
 # ---------------------------------------------------------------------------
 # signal_peaks
 

@@ -395,6 +395,16 @@ def test_bulk_draws_equal_sequential_draws():
     assert np.array_equal(bulk, seq)
 
 
+def test_uniform_in_place_equals_fresh_draws():
+    n = 1000
+    fresh, stream = RandomStream(5, 3), RandomStream(5, 3)
+    buf = np.full(2 * n, np.nan)
+    assert stream.uniform(out=buf[:n]) is not None
+    stream.uniform(size=n, out=buf[n:])
+    assert np.array_equal(buf[:n], fresh.uniform(size=n))
+    assert np.array_equal(buf[n:], fresh.uniform(size=n))
+
+
 def test_distinct_stream_indices_are_distinct():
     a = RandomStream(12345, 0).uniform(100)
     b = RandomStream(12345, 1).uniform(100)

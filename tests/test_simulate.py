@@ -158,9 +158,12 @@ class _FixedStream:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def uniform(self, size=None):
+    def uniform(self, size=None, out=None):
         assert size == len(self.values)
-        return self.values.copy()
+        if out is None:
+            return self.values.copy()
+        out[:] = self.values
+        return out
 
 
 # Blocks of many rows (the last one partial), of two rows at the largest

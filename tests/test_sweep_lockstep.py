@@ -106,6 +106,8 @@ def _fringe_half_crossings(f, center, scan_step=0.002, max_span=math.pi):
             prev_x, prev_v = x, v
         if dark is None:
             raise NoFringe("no dark point within half a period of the center")
+        if f0 - dark_val <= 1e-10 * max(abs(f0), abs(dark_val)):
+            raise NoFringe("fringe depth within rounding noise")
         level = 0.5 * (f0 + dark_val)
         try:
             crossing = find_root(lambda x: h(x) - level,
@@ -189,7 +191,8 @@ def _same(x, y):
 @example(1e-12, 0.05)   # not extremal at 0: NoFringe, finite sensitivity
 @example(1e-10, 3.0)    # NoFringe and no finite sensitivity
 @example(1e-30, 0.5)    # flat to double precision
-@example(1e-28, 0.05)   # zero width: NoFringe, a NaN resolution
+@example(1e-28, 0.05)   # two ulps deep: NoFringe, a NaN resolution
+@example(1e-14, 0.5)    # a rounding-noise dark point: NoFringe
 def test_sweep_cell_equals_sequential_oracle(nbar, a):
     got = _outcome(_sweep_cell, nbar, a)
     want = _outcome(_sequential_cell, nbar, a)
@@ -231,13 +234,16 @@ def test_cell_without_fringe_keeps_sensitivity_and_visibility():
 
 
 def test_zero_width_fringe_is_no_fringe_and_a_nan_cell():
-    # at nbar=1e-28 the fringe is one rounding step deep: both half-level
-    # crossings land on the center, so there is no width to divide by
+    # at nbar=1e-28 the fringe is two ulps deep, which the depth rule
+    # rejects before its half-level crossings (both on the center) are
+    # sought; the zero-width guard stays behind it
     nbar, a = 1e-28, 0.05
     cfg = InterferometerConfig.from_nbar(nbar)
     scheme = BinningScheme.binary(a)
-    with pytest.raises(NoFringe, match="zero-width"):
+    with pytest.raises(NoFringe, match="rounding noise"):
         fwhm(cfg, scheme, UNIT_BINARY_OBS)
+    with pytest.raises(NoFringe, match="zero-width"):
+        metrics._fringe_width(0.0, 0.0)
     res, sens, vis = _sweep_cell(nbar, a)
     assert math.isnan(res)
     assert _same(sens, _sequential_cell(nbar, a)[1])
