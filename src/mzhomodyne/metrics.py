@@ -16,7 +16,7 @@ import numpy as np
 
 from .interferometer import BinningScheme, InterferometerConfig, outcome_table
 from .numerics import (NoSignChange, _brent, _drive, _golden, _lockstep,
-                       _unwrap, _walk_chunks, find_root, minimize_scalar)
+                       _unwrap, _walk_chunks, find_root)
 
 __all__ = [
     "AlphabetMismatch",
@@ -432,14 +432,15 @@ def best_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme,
 
     With an observable, minimizes error_propagation_sensitivity; with None,
     minimizes the Cramer-Rao bound.  The guard band keeps the search away
-    from the slope zeros at 0 and pi/2 where the objective diverges.
+    from the slope zeros at 0 and pi/2 where the objective diverges.  The
+    grid scan is one outcome_table call, and so is each refinement step.
     """
     if obs is None:
-        objective = lambda phi: crb(cfg, scheme, phi)
+        objective = lambda phis: crb(cfg, scheme, phis)
     else:
         _check_alphabet(obs, scheme)
-        objective = lambda phi: error_propagation_sensitivity(cfg, scheme, obs, phi)
-    return minimize_scalar(objective, _SENSITIVITY_BAND, f_batch=objective)
+        objective = lambda phis: error_propagation_sensitivity(cfg, scheme, obs, phis)
+    return _drive(lambda xs: objective(xs).tolist(), _golden(_SENSITIVITY_BAND))
 
 
 # ---------------------------------------------------------------------------

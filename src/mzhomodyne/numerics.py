@@ -2,13 +2,15 @@
 
 Error function via fixed rational approximations (no platform-dependent
 special-function library, so CSV output is bit-stable across machines),
-a bracketing Brent root finder and a grid-scan + golden-section minimizer
-(each a search that one driver runs alone or in lockstep with others),
-chunked walks, and deterministic counter-based uniform random streams.
+a bracketing Brent root finder, a grid-scan + golden-section minimizer and
+doubling-chunk walks (each a search that one driver runs alone or in
+lockstep with others), and deterministic counter-based uniform random
+streams.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +27,6 @@ __all__ = [
     "find_root",
     "find_roots",
     "minimize_scalar",
-    "chunked_walk",
 ]
 
 
@@ -200,9 +201,10 @@ def _ends(bracket):
     return lo, hi
 
 
-def _drive(evaluate, search, values=None):
+def _drive(evaluate, search):
     """Result of a search, a generator that yields lists of points and is
-    sent their values: first values (None starts it), then evaluate(points)."""
+    sent evaluate(points), their values."""
+    values = None
     while True:
         try:
             points = search.send(values)
@@ -331,11 +333,12 @@ def find_roots(g_batch: Callable, targets, brackets, tol: float = 1e-12,
     equals find_root(lambda x: g(x) - targets[i], brackets[i], tol) bit for
     bit; once all have ended, the first failed bracket's error is raised.
     g_ends, if given, holds (g(lo), g(hi)) of each bracket, as g_batch would
-    give them, and saves the searches' first two rounds.
+    give them, and saves the searches' first two rounds.  Lists of different
+    lengths raise ValueError.
     """
     g_ends = [None] * len(brackets) if g_ends is None else g_ends
     searches = [(_brent(b, tol, t, e), None)
-                for t, b, e in zip(targets, brackets, g_ends)]
+                for t, b, e in zip(targets, brackets, g_ends, strict=True)]
     roots = _drive(lambda xs: g_batch(np.array(xs)).tolist(), _lockstep(searches))
     return [_unwrap(root) for root in roots]
 
@@ -369,51 +372,36 @@ def _golden(bracket, tol=1e-10, grid_points=512):
 
 
 def minimize_scalar(f: Callable[[float], float], bracket, tol: float = 1e-10,
-                    grid_points: int = 512, f_batch: Callable | None = None):
+                    grid_points: int = 512):
     """Global grid scan followed by golden-section refinement.
 
     The target functions here (e.g. sensitivity vs phase) have many local
     minima, so a dense scan locates the global basin before the local
     refinement; a pure descent method would latch onto the wrong valley.
-
-    f_batch, if given, maps the 1-D grid array to an array of values and
-    is called once for the scan instead of f at each point; it must give
-    the same values as f, elementwise, or the result may differ.  The
-    refinement always calls f, one point at a time (the search is _golden).
+    f is called one point at a time; a caller with a vectorised objective
+    drives _golden itself, one call per round.
 
     Returns (x_min, f_min).
     """
-    search = _golden(bracket, tol, grid_points)
-    grid = next(search)
-    scan = f_batch(grid) if f_batch else [f(x) for x in grid]
-    return _drive(lambda xs: [f(x) for x in xs], search, scan)
+    return _drive(lambda xs: [f(x) for x in xs], _golden(bracket, tol, grid_points))
 
 
 _FIRST_CHUNK = 16
 
 
 def _walk_chunks(start: float, direction: float, step: float, n_steps: int):
-    """The points of chunked_walk, one list per chunk."""
+    """Points x_i = start + direction*i*step, i = 1..n_steps, one list per chunk.
+
+    Chunks of consecutive steps double in size from 16 points, so a walk
+    that stops after a few steps evaluates few points, and one that walks
+    all n_steps takes O(log n_steps) chunks.  Each x_i is the scalar
+    expression above, so a walk sees the points a step-by-step loop would.
+    """
     lo, size = 1, _FIRST_CHUNK
     while lo <= n_steps:
         hi = min(lo + size, n_steps + 1)
         yield [start + direction * i * step for i in range(lo, hi)]
         lo, size = hi, 2 * size
-
-
-def chunked_walk(f: Callable, start: float, direction: float, step: float,
-                 n_steps: int):
-    """Yield (x_i, f(x_i)) for x_i = start + direction*i*step, i = 1..n_steps.
-
-    f maps a 1-D array of points to an array of values.  It is called on
-    chunks of consecutive steps that double in size from 16 points, so a
-    caller that stops after a few steps evaluates f on few points, and one
-    that walks all n_steps makes O(log n_steps) calls.  x_i and f(x_i) are
-    floats, and x_i is the scalar expression above, so a caller sees what a
-    step-by-step walk with a vectorised f would see.
-    """
-    for xs in _walk_chunks(start, direction, step, n_steps):
-        yield from zip(xs, f(np.array(xs)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +420,13 @@ class RandomStream:
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        master_seed = int(master_seed)
-        stream_index = int(stream_index)
-        if not 0 <= master_seed < 2 ** 64:
-            raise ValueError("master_seed must fit in uint64")
-        if not 0 <= stream_index < 2 ** 64:
-            raise ValueError("stream_index must fit in uint64")
-        self.master_seed = master_seed
-        self.stream_index = stream_index
-        key = np.array([master_seed, stream_index], dtype=np.uint64)
+        # an int() of 1.5 would silently draw seed 1's stream
+        for name, value in (("master_seed", master_seed), ("stream_index", stream_index)):
+            if not isinstance(value, numbers.Integral) or not 0 <= value < 2 ** 64:
+                raise ValueError(f"{name} must be an integer that fits in uint64, "
+                                 f"got {value!r}")
+        self.master_seed, self.stream_index = int(master_seed), int(stream_index)
+        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def uniform(self, size=None, out=None):

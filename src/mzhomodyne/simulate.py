@@ -14,7 +14,8 @@ import numpy as np
 
 from .interferometer import BinningScheme, InterferometerConfig, outcome_table
 from .metrics import Observable, signal
-from .numerics import Interval, RandomStream, chunked_walk, find_roots
+from .numerics import (Interval, RandomStream, _drive, _lockstep, _walk_chunks,
+                       find_roots)
 
 __all__ = [
     "CalibrationPoint",
@@ -188,32 +189,41 @@ def monotone_branch(cfg: InterferometerConfig, scheme: BinningScheme,
                     obs: Observable, phi_true: float) -> Interval:
     """Largest interval around phi_true where the sampled signal slope keeps
     one sign (resolution 1e-3 rad, capped at half a period each way).
-    Each side's steps are evaluated in chunks (see chunked_walk).
+    The two sides walk in lockstep, in doubling chunks of steps (see
+    numerics._walk_chunks): each round is one outcome_table call.
 
     At an exact extremum the sign is taken from the right neighbor, so the
     branch starts at phi_true itself.
     """
-    slope = lambda x: signal(cfg, scheme, obs, x).slope
-    s0 = slope(phi_true)
+    return _drive(lambda xs: signal(cfg, scheme, obs, xs).slope.tolist(),
+                  _branch_search(phi_true))
+
+
+def _branch_search(phi_true):
+    """monotone_branch as a search (see numerics._drive), sent slopes."""
+    (s0,) = yield [phi_true]
     if s0 == 0.0:
-        s0 = slope(phi_true + _BRANCH_STEP)
+        (s0,) = yield [phi_true + _BRANCH_STEP]
     if s0 == 0.0:
         raise NonMonotoneBranch(f"signal is flat around phi={phi_true}")
-    positive = s0 > 0.0
-
-    def walk(direction: float) -> float:
-        edge = phi_true
-        steps = int(math.pi / _BRANCH_STEP)
-        for x, s in chunked_walk(slope, phi_true, direction, _BRANCH_STEP, steps):
-            if (s > 0.0) != positive:
-                break
-            edge = x
-        return edge
-
-    lo, hi = walk(-1.0), walk(1.0)
+    steps = int(math.pi / _BRANCH_STEP)
+    sides = [(_branch_side(phi_true, direction, s0 > 0.0, steps), None)
+             for direction in (-1.0, 1.0)]
+    lo, hi = yield from _lockstep(sides)
     if lo == hi:
         raise NonMonotoneBranch(f"no monotone run around phi={phi_true}")
     return Interval(lo, hi)
+
+
+def _branch_side(start, direction, positive, steps):
+    """The last step from start whose slope keeps the sign `positive`."""
+    edge = start
+    for xs in _walk_chunks(start, direction, _BRANCH_STEP, steps):
+        for x, s in zip(xs, (yield xs)):
+            if (s > 0.0) != positive:
+                return edge
+            edge = x
+    return edge
 
 
 def _check_branch_monotone(cfg, scheme, obs, branch):

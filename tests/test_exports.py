@@ -1,4 +1,4 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and each layer exports a pinned list.
 
 perfbench/tracer.py looks up each name in the __all__ of the layer modules
 to wrap it, so one dangling export breaks every traced benchmark run.
@@ -26,11 +26,37 @@ def test_package_exports_the_union_of_the_layers():
     assert set(package.__all__) == set().union(*layers)
 
 
-def test_interferometer_exports_no_test_oracle():
-    # the Gaussian-state propagation oracle lives in tests/oracles.py
-    module = importlib.import_module("mzhomodyne.interferometer")
-    assert sorted(module.__all__) == [
+# Each layer's exports, pinned: perfbench/tracer.py wraps exactly these
+# names, so adding or removing one is a visible edit here.  The Gaussian-state
+# propagation oracle lives in tests/oracles.py, not in interferometer.
+LAYER_EXPORTS = {
+    "numerics": [
+        "Interval", "NoConvergence", "NoSignChange", "RandomStream", "erf",
+        "erf_diff", "erfc", "find_root", "find_roots", "minimize_scalar",
+    ],
+    "interferometer": [
         "BinningScheme", "InterferometerConfig", "InvalidScheme",
         "OutcomeDistribution", "default_cutoff", "outcome_distribution",
         "outcome_table", "quadrature_pdf",
-    ]
+    ],
+    "metrics": [
+        "AlphabetMismatch", "DegenerateSignal", "FIXED_RANDOM_EIGENVALUES",
+        "NoFringe", "NoSolution", "Observable", "SchemeNotBinary",
+        "SignalPoint", "SweepGrid", "best_sensitivity", "binarized_cfi",
+        "binary_sensitivity", "cfi", "continuous_signal", "crb",
+        "error_propagation_sensitivity", "fwhm", "fwhm_continuous", "signal",
+        "signal_peaks", "sweep", "visibility", "visibility_boundary",
+    ],
+    "simulate": [
+        "CalibrationPoint", "CountsRecord", "EstimationReport",
+        "NonMonotoneBranch", "ReplicaSet", "calibration_curve", "estimate",
+        "invert_signal", "monotone_branch", "run_replicas", "sample_outcomes",
+    ],
+    "cli": ["ConfigError", "build_parser", "main"],
+}
+
+
+@pytest.mark.parametrize("layer", sorted(LAYER_EXPORTS))
+def test_layer_exports_are_pinned(layer):
+    module = importlib.import_module(f"mzhomodyne.{layer}")
+    assert sorted(module.__all__) == LAYER_EXPORTS[layer]

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
+from mzhomodyne import metrics
 from mzhomodyne.interferometer import (
     BinningScheme,
     InterferometerConfig,
@@ -730,6 +731,22 @@ def test_best_sensitivity_batched_scan_equals_scalar_scan(nbar):
     ):
         assert best_sensitivity(cfg, BINARY_HALF, obs) == minimize_scalar(
             objective, bracket)
+
+
+def test_best_sensitivity_scans_its_grid_in_one_table_call(monkeypatch):
+    calls = []
+
+    def recording(cfg, scheme, phis):
+        calls.append(np.array(phis, dtype=float))
+        return outcome_table(cfg, scheme, phis)
+
+    monkeypatch.setattr(metrics, "outcome_table", recording)
+    for obs in (UNIT_BINARY_OBS, None):
+        calls.clear()
+        best_sensitivity(FIG2_CFG, BINARY_HALF, obs)
+        assert np.array_equal(calls[0], np.linspace(1e-4, math.pi / 2 - 1e-4, 512))
+        # then the golden-section refinement, two points and then one a call
+        assert [len(c) for c in calls[1:]] == [2] + [1] * (len(calls) - 2)
 
 
 # ---------------------------------------------------------------------------

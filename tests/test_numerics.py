@@ -12,7 +12,9 @@ from mzhomodyne.numerics import (
     NoConvergence,
     NoSignChange,
     RandomStream,
-    chunked_walk,
+    _drive,
+    _golden,
+    _walk_chunks,
     erf,
     erf_diff,
     erfc,
@@ -255,20 +257,32 @@ def test_find_roots_of_no_brackets_is_empty():
     assert find_roots(batch, [], []) == []
 
 
-def test_chunked_walk_doubles_and_stops_lazily():
+def test_find_roots_rejects_lists_of_different_lengths():
+    with pytest.raises(ValueError):
+        find_roots(lambda xs: xs, [0.1, 0.2, 0.3], [(0.0, 1.0)] * 2)
+    with pytest.raises(ValueError):
+        find_roots(lambda xs: xs, [0.1, 0.2], [(0.0, 1.0)] * 3)
+    with pytest.raises(ValueError):
+        find_roots(lambda xs: xs, [0.1, 0.2], [(0.0, 1.0)] * 2,
+                   g_ends=[(0.0, 1.0)])
+
+
+def test_walk_chunks_doubles_and_stops_lazily():
+    chunks = list(_walk_chunks(0.25, -1.0, 0.002, 100))
+    assert [len(xs) for xs in chunks] == [16, 32, 52]
+    assert sum(chunks, []) == [0.25 + -1.0 * i * 0.002 for i in range(1, 101)]
+
+    def first_value(walk):  # a search that stops at the walk's first step
+        for xs in walk:
+            return (yield xs)[0]
+
     calls = []
 
-    def f(xs):
+    def batch(xs):
         calls.append(len(xs))
-        return 2.0 * xs
+        return [2.0 * x for x in xs]
 
-    steps = list(chunked_walk(f, 0.25, -1.0, 0.002, 100))
-    assert calls == [16, 32, 52]
-    assert steps == [(x, 2.0 * x) for x in
-                     (0.25 + -1.0 * i * 0.002 for i in range(1, 101))]
-
-    calls.clear()
-    next(chunked_walk(f, 0.0, 1.0, 1e-3, 3141))
+    assert _drive(batch, first_value(_walk_chunks(0.0, 1.0, 1e-3, 3141))) == 2e-3
     assert calls == [16]
 
 
@@ -299,12 +313,13 @@ def test_minimize_scalar_tolerates_inf_values():
     assert abs(x - 2.0) < 1e-6
 
 
-# minimize_scalar's f_batch scans the grid in one call.  The drawn
-# objectives use only exactly rounded operations, so one expression gives
-# the same value on a grid array as at each of its points: a parabola plus
-# a sawtooth ripple (many local minima), optionally rounded down to a
-# quantum (exact ties on the grid; 1e6 ties them all) and set to +inf
-# below a cut (an inf plateau that may cover the whole grid).
+# A vectorised objective drives _golden itself, one call per round (as
+# best_sensitivity does).  The drawn objectives use only exactly rounded
+# operations, so one expression gives the same value on a phase array as at
+# each of its points: a parabola plus a sawtooth ripple (many local minima),
+# optionally rounded down to a quantum (exact ties on the grid; 1e6 ties
+# them all) and set to +inf below a cut (an inf plateau that may cover the
+# whole grid).
 
 
 def _scan_objective(x0, curv, amp, freq, quantum, cut):
@@ -336,20 +351,9 @@ def _scan_problems(draw):
 @example((_scan_objective(1.0, 1.0, 0.0, 1.0, 0.0, 9.0), (0.0, 3.0), 17))
 def test_minimize_scalar_batched_scan_equals_scalar_scan(problem):
     f, bracket, n = problem
-    assert (minimize_scalar(f, bracket, grid_points=n, f_batch=f)
+    batch = lambda xs: np.asarray(f(np.asarray(xs)), dtype=float).tolist()
+    assert (_drive(batch, _golden(bracket, grid_points=n))
             == minimize_scalar(f, bracket, grid_points=n))
-
-
-def test_minimize_scalar_calls_f_batch_once_on_the_grid():
-    calls = []
-
-    def batch(xs):
-        calls.append(xs.copy())
-        return (xs - 1.234) ** 2
-
-    minimize_scalar(lambda x: (x - 1.234) ** 2, (0.0, 3.0), grid_points=64,
-                    f_batch=batch)
-    assert len(calls) == 1 and np.array_equal(calls[0], np.linspace(0.0, 3.0, 64))
 
 
 def test_central_diff_cubic():
@@ -439,3 +443,23 @@ def test_stream_rejects_bad_seeds():
         RandomStream(-1, 0)
     with pytest.raises(ValueError):
         RandomStream(0, 2 ** 64)
+
+
+@pytest.mark.parametrize("seed, index", [
+    (1.5, 0), (0, 2.5), (1.0, 0), (np.float64(3.0), 0), ("1", 0), (None, 0),
+])
+def test_stream_rejects_non_integral_keys(seed, index):
+    # int() would truncate 1.5 and silently draw seed 1's stream
+    with pytest.raises(ValueError):
+        RandomStream(seed, index)
+
+
+@pytest.mark.parametrize("seed, index", [
+    (np.int64(12345), np.uint32(7)), (np.uint64(2 ** 64 - 1), np.int8(0)),
+])
+def test_stream_accepts_numpy_integer_keys(seed, index):
+    stream = RandomStream(seed, index)
+    assert (stream.master_seed, stream.stream_index) == (int(seed), int(index))
+    assert type(stream.master_seed) is int and type(stream.stream_index) is int
+    assert np.array_equal(stream.uniform(50),
+                          RandomStream(int(seed), int(index)).uniform(50))

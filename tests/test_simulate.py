@@ -549,3 +549,13 @@ def test_calibration_rejects_empty_grid():
         calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 200, 0, master_seed=1)
     with pytest.raises(ValueError, match="shots must be >= 1"):
         calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 0, 10, master_seed=1)
+
+
+def test_calibration_rejects_a_non_integral_seed():
+    # int() would truncate 1.5: seed 1's draws recorded as master_seed 1.5
+    with pytest.raises(ValueError, match="master_seed must be an integer"):
+        calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 200, 10, master_seed=1.5)
+    (point,) = calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 200, 10,
+                                 master_seed=np.int64(1))
+    assert point.replicas == run_replicas(FIG2_CFG, FIG2_SCHEME, 0.3, 200, 10,
+                                          master_seed=1)

@@ -1,9 +1,10 @@
-"""Chunked walks and column reductions against their one-outcome originals.
+"""Walks and column reductions against their one-outcome originals.
 
-The fringe walk of fwhm and the branch walk of monotone_branch evaluate
-their steps in batched chunks.  The oracles below are the one-phase-per-step
-loops they replaced, copied verbatim; every case asserts that both return
-the same crossings or edges as the same floats, or raise the same error.
+The fringe walk of fwhm and the branch walk of monotone_branch are searches
+that evaluate their steps in doubling chunks, both sides of a walk in
+lockstep.  The oracles below are the one-phase-per-step loops they
+replaced, copied verbatim; every case asserts that both return the same
+crossings or edges as the same floats, or raise the same error.
 binarized_cfi groups outcome_table columns; its oracle is the loop over
 one outcome at a time that it replaced.
 """
@@ -13,10 +14,12 @@ import math
 import numpy as np
 import pytest
 
+from mzhomodyne import metrics
 from mzhomodyne.interferometer import (
     BinningScheme,
     InterferometerConfig,
     outcome_distribution,
+    outcome_table,
 )
 from mzhomodyne.metrics import (
     FIXED_RANDOM_EIGENVALUES,
@@ -145,6 +148,25 @@ def test_bright_branch_matches_step_by_step_walk(phi, rejected):
             invert_signal(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, measured, got)
     else:
         invert_signal(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, measured, got)
+
+
+@pytest.mark.parametrize("system, phi, rounds", [
+    ((FIG4_CFG, FIG4_SCHEME, FIG4_OBS), 0.1, 4),
+    ((BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS), 0.0003, 2),
+], ids=["fig4", "bright"])
+def test_branch_sides_walk_in_lockstep(monkeypatch, system, phi, rounds):
+    # one table for the probe at phi, then one per round of the longer side
+    calls = []
+
+    def recording(cfg, scheme, phis):
+        calls.append(len(phis))
+        return outcome_table(cfg, scheme, phis)
+
+    monkeypatch.setattr(metrics, "outcome_table", recording)
+    got = monotone_branch(*system, phi)
+    assert len(calls) == rounds
+    monkeypatch.undo()
+    assert got == _scalar_branch(*system, phi)
 
 
 def _cosine_fringe(period):
