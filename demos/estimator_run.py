@@ -30,11 +30,11 @@ scheme = BinningScheme(half_width=0.5, spacing=3.2, cutoff=5)
 obs = Observable.alternating(scheme)
 shots, replicas = 200, 400
 
-# one raw record first: counts over the twelve outcomes at phi = 0.1
+# one raw record first: counts over the twelve outcomes at phi = 0.1, in
+# outcome_table column order (bins -5..5, then the leftover)
 record = sample_outcomes(cfg, scheme, 0.1, shots, RandomStream(1, 0))
-print("one replica of counts at phi=0.1:",
-      dict(zip([f"{k}" for k in scheme.bin_indices()], record.bin_counts)),
-      f"leftover={record.leftover_count}")
+labels = [f"{k}" for k in scheme.bin_indices()] + ["leftover"]
+print("one replica of counts at phi=0.1:", dict(zip(labels, record)))
 
 # the estimator needs a branch where the signal is monotone; around 0.1 it
 # runs from the fringe peak at 0 to the next peak

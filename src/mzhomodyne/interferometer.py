@@ -13,6 +13,7 @@ k = -cutoff..cutoff, plus a leftover outcome collecting everything else.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +83,10 @@ class BinningScheme:
             )
         if not math.isfinite(self.spacing):
             raise InvalidScheme(f"spacing must be finite, got {self.spacing}")
-        if not (isinstance(self.cutoff, int) and self.cutoff >= 0):
+        if isinstance(self.cutoff, bool) or not (
+                isinstance(self.cutoff, numbers.Integral) and self.cutoff >= 0):
             raise InvalidScheme(f"cutoff must be a non-negative integer, got {self.cutoff}")
+        object.__setattr__(self, "cutoff", int(self.cutoff))
 
     @classmethod
     def binary(cls, half_width: float) -> "BinningScheme":

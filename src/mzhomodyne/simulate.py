@@ -19,7 +19,6 @@ from .numerics import (Interval, RandomStream, _drive, _lockstep, _walk_chunks,
 
 __all__ = [
     "CalibrationPoint",
-    "CountsRecord",
     "EstimationReport",
     "NonMonotoneBranch",
     "ReplicaSet",
@@ -41,46 +40,26 @@ class NonMonotoneBranch(ValueError):
 
 
 @dataclass(frozen=True)
-class CountsRecord:
-    """Per-outcome tallies of one N-shot experiment at a fixed phase."""
-
-    phi_true: float
-    shots: int
-    bin_counts: tuple[int, ...]
-    leftover_count: int
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.leftover_count < 0 or any(c < 0 for c in self.bin_counts):
-            raise ValueError("counts must be non-negative")
-        total = sum(self.bin_counts) + self.leftover_count
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, expected {self.shots}")
-
-    def all_counts(self) -> np.ndarray:
-        """Bins then leftover, matching the outcome alphabet order."""
-        return np.array(self.bin_counts + (self.leftover_count,))
-
-    def frequencies(self) -> np.ndarray:
-        return self.all_counts() / self.shots
-
-
-@dataclass(frozen=True)
 class ReplicaSet:
-    """M independent repetitions of the same N-shot experiment."""
+    """M independent repetitions of the same N-shot experiment.  A record is
+    one replica's outcome counts, a tuple of ints in outcome_table column
+    order: bins -cutoff..cutoff, then the leftover."""
 
     phi_true: float
     shots: int
     master_seed: int
-    records: tuple[CountsRecord, ...]
+    records: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.records) < 1:
-            raise ValueError("need at least one record")
-        for r in self.records:
-            if r.phi_true != self.phi_true or r.shots != self.shots:
-                raise ValueError("records disagree on phi_true or shots")
+        if self.shots < 1:
+            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if len({len(r) for r in self.records}) != 1:
+            raise ValueError("need at least one record, all of one length")
+        counts = np.array(self.records)
+        if np.any(counts < 0):
+            raise ValueError("counts must be non-negative")
+        if np.any(counts.sum(axis=1) != self.shots):
+            raise ValueError(f"a record's counts do not sum to {self.shots}")
 
     @property
     def replicas(self) -> int:
@@ -88,8 +67,8 @@ class ReplicaSet:
 
     def measured_signals(self, obs: Observable) -> list[float]:
         """Each record's measured signal sum_k mu_k N_k / N."""
-        mu = obs.all_values()
-        return [math.fsum(mu * r.all_counts()) / self.shots for r in self.records]
+        terms = obs.all_values() * np.array(self.records)
+        return [math.fsum(row) / self.shots for row in terms.tolist()]
 
 
 @dataclass(frozen=True)
@@ -118,21 +97,21 @@ class EstimationReport:
 
 
 def sample_outcomes(cfg: InterferometerConfig, scheme: BinningScheme, phi: float,
-                    shots: int, stream: RandomStream) -> CountsRecord:
+                    shots: int, stream: RandomStream) -> tuple[int, ...]:
     """Classify `shots` uniform draws by cumulative outcome probability.
 
     The partition is left-open right-closed in the alphabet order -cutoff,
     ..., +cutoff, with everything above the final prefix sum treated as
-    Leftover; xi <= P(-cutoff) selects the first bin.  The draws are
-    counted against the non-decreasing prefix sums by _draw, which
-    calibration_curve calls on a block of replicas at a time.
+    Leftover; xi <= P(-cutoff) selects the first bin.  _draw counts the
+    draws against the non-decreasing prefix sums, in outcome_table column
+    order; calibration_curve calls it on a block of replicas at a time.
     """
     phi = _finite_phase(phi)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs, _ = outcome_table(cfg, scheme, [phi])
-    (record,), _ = _draw(phi, np.cumsum(probs[0, :-1]), shots, [stream])
-    return record
+    (counts,) = _draw(np.cumsum(probs[0, :-1]), shots, [stream]).tolist()
+    return tuple(counts)
 
 
 def _finite_phase(phi) -> float:
@@ -144,9 +123,9 @@ def _finite_phase(phi) -> float:
     return phi
 
 
-def _draw(phi, prefix, shots, streams):
-    """Records and counts matrix of `shots` uniform draws from each stream,
-    classified against the prefix sums of the phase's probability row.
+def _draw(prefix, shots, streams):
+    """Counts matrix, a row per stream, of `shots` uniform draws from each
+    stream classified against the prefix sums of a probability row.
 
     A block of about _BLOCK_DRAWS draws (a stream per row, drawn in place,
     at least one row) is counted at once: n_j = #{xi <= prefix[j]} in each
@@ -170,9 +149,7 @@ def _draw(phi, prefix, shots, streams):
             stream.uniform(size=shots, out=row)
         for j, edge in enumerate(prefix):
             below[start:start + len(chunk), j] = count(block[:len(chunk)] <= edge)
-    counts = np.diff(below, axis=1, prepend=0)
-    return tuple(CountsRecord(phi, shots, tuple(c[:-1]), c[-1])
-                 for c in counts.tolist()), counts
+    return np.diff(below, axis=1, prepend=0)
 
 
 def run_replicas(cfg: InterferometerConfig, scheme: BinningScheme, phi: float,
@@ -340,12 +317,13 @@ def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,
     for p, phi in enumerate(phi_grid):
         streams = [RandomStream(master_seed, p * replicas + i)
                    for i in range(replicas)]
-        records, counts = _draw(phi, np.cumsum(probs[p, :-1]), shots, streams)
+        counts = _draw(np.cumsum(probs[p, :-1]), shots, streams)
         freqs = counts / shots
         points.append(CalibrationPoint(
             phi=phi,
             mean_freqs=freqs.mean(axis=0),
             std_freqs=freqs.std(axis=0, ddof=0),
-            replicas=ReplicaSet(phi, shots, master_seed, records),
+            replicas=ReplicaSet(phi, shots, master_seed,
+                                tuple(map(tuple, counts.tolist()))),
         ))
     return points

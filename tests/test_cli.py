@@ -376,7 +376,7 @@ def test_simulate_calibration_matches_replica_stream(tmp_path):
     cfg = InterferometerConfig.from_nbar(1000.0)
     scheme = BinningScheme(half_width=0.5, spacing=3.2, cutoff=5)
     rs = run_replicas(cfg, scheme, 0.02, 100, 5, master_seed=7)
-    freqs = np.array([r.frequencies() for r in rs.records])
+    freqs = np.array(rs.records) / rs.shots
     got = [float(cell) for cell in rows[1]]
     assert got[1:13] == list(freqs.mean(axis=0))
     assert got[13:] == list(freqs.std(axis=0, ddof=0))

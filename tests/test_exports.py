@@ -48,7 +48,7 @@ LAYER_EXPORTS = {
         "signal_peaks", "sweep", "visibility", "visibility_boundary",
     ],
     "simulate": [
-        "CalibrationPoint", "CountsRecord", "EstimationReport",
+        "CalibrationPoint", "EstimationReport",
         "NonMonotoneBranch", "ReplicaSet", "calibration_curve", "estimate",
         "invert_signal", "monotone_branch", "run_replicas", "sample_outcomes",
     ],

@@ -80,6 +80,20 @@ def test_scheme_validation():
         BinningScheme(half_width=0.5, spacing=math.inf, cutoff=0)
 
 
+def test_scheme_rejects_a_bool_cutoff():
+    # True is an int subclass, but not a count of bins
+    with pytest.raises(InvalidScheme, match="cutoff must be a non-negative"):
+        BinningScheme(0.5, 3.8, True)
+
+
+def test_scheme_stores_a_numpy_integer_cutoff_as_int():
+    s = BinningScheme(0.5, 3.8, np.int64(2))
+    assert type(s.cutoff) is int
+    assert s == FIG2_SCHEME
+    assert np.array_equal(outcome_table(FIG2_CFG, s, [0.3])[0],
+                          outcome_table(FIG2_CFG, FIG2_SCHEME, [0.3])[0])
+
+
 def test_scheme_centers_and_outcomes():
     s = FIG2_SCHEME
     assert np.array_equal(s.bin_indices(), [-2, -1, 0, 1, 2])

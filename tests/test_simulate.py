@@ -23,7 +23,6 @@ from mzhomodyne.metrics import Observable, crb, signal
 from mzhomodyne.numerics import Interval, RandomStream, find_root
 from mzhomodyne import simulate
 from mzhomodyne.simulate import (
-    CountsRecord,
     EstimationReport,
     NonMonotoneBranch,
     ReplicaSet,
@@ -48,29 +47,47 @@ UNIT_BINARY_OBS = Observable((1.0,), 0.0)
 # Record types.
 
 
-def test_counts_record_validation():
-    CountsRecord(0.1, 10, (4, 3), 3)
-    with pytest.raises(ValueError):
-        CountsRecord(0.1, 10, (4, 3), 2)  # sums to 9
-    with pytest.raises(ValueError):
-        CountsRecord(0.1, 10, (-1, 8), 3)
-    with pytest.raises(ValueError):
-        CountsRecord(0.1, 0, (), 0)
-
-
-def test_counts_record_frequencies():
-    rec = CountsRecord(0.1, 10, (4, 3), 3)
-    assert np.array_equal(rec.all_counts(), [4, 3, 3])
-    assert np.allclose(rec.frequencies(), [0.4, 0.3, 0.3])
+def test_replica_set_accepts_count_records():
+    rs = ReplicaSet(0.1, 10, 7, ((4, 3, 3), (10, 0, 0)))
+    assert rs.replicas == 2
+    assert np.allclose(np.array(rs.records) / rs.shots,
+                       [[0.4, 0.3, 0.3], [1.0, 0.0, 0.0]])
 
 
 def test_replica_set_validation():
-    a = CountsRecord(0.1, 10, (10,), 0)
-    b = CountsRecord(0.2, 10, (10,), 0)
-    with pytest.raises(ValueError):
-        ReplicaSet(0.1, 10, 7, (a, b))  # mismatched phi_true
-    with pytest.raises(ValueError):
-        ReplicaSet(0.1, 10, 7, ())
+    for shots, records, message in (
+        (10, (), "at least one record"),
+        (10, ((-1, 8, 3),), "non-negative"),
+        (10, ((4, 3, 2),), "sum to 10"),  # sums to 9
+        (10, ((4, 3, 3), (10, 0)), "one length"),
+        (0, ((0, 0),), "shots must be >= 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ReplicaSet(0.1, shots, 7, records)
+
+
+def _fsum_per_record(obs, replicas):
+    """measured_signals as a loop over records, one fsum per record."""
+    mu = obs.all_values()
+    return [math.fsum(mu * np.array(r)) / replicas.shots
+            for r in replicas.records]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 6).flatmap(lambda cutoff: st.tuples(
+    st.lists(st.floats(-1e6, 1e6), min_size=2 * cutoff + 2,
+             max_size=2 * cutoff + 2),
+    st.lists(st.lists(st.integers(0, 10 ** 6), min_size=2 * cutoff + 2,
+                      max_size=2 * cutoff + 2).filter(lambda c: sum(c) > 0),
+             min_size=1, max_size=8))))
+def test_measured_signals_equal_per_record_fsum(alphabet):
+    values, counts = alphabet
+    # every record is rescaled to one shot total by topping up its leftover
+    shots = max(sum(c) for c in counts)
+    records = tuple(tuple(c[:-1]) + (c[-1] + shots - sum(c),) for c in counts)
+    rs = ReplicaSet(0.0, shots, 0, records)
+    obs = Observable(tuple(values[:-1]), values[-1])
+    assert rs.measured_signals(obs) == _fsum_per_record(obs, rs)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +118,7 @@ def test_sampling_matches_explicit_classifier():
                 break
         else:
             counts[-1] += 1
-    assert list(rec.all_counts()) == counts
+    assert list(rec) == counts
 
 
 def test_sampling_near_certain_outcome():
@@ -109,13 +126,12 @@ def test_sampling_near_certain_outcome():
     scheme = BinningScheme(half_width=20.0, spacing=50.0, cutoff=0)
     rec = sample_outcomes(InterferometerConfig(2.0), scheme, 0.0, 500,
                           RandomStream(1, 0))
-    assert rec.bin_counts == (500,)
-    assert rec.leftover_count == 0
+    assert rec == (500, 0)
 
 
 def test_sampled_frequencies_match_probabilities():
     rs = run_replicas(FIG2_CFG, FIG2_SCHEME, 0.0, 200, 10, master_seed=5)
-    freqs = np.array([r.frequencies() for r in rs.records]).mean(axis=0)
+    freqs = (np.array(rs.records) / rs.shots).mean(axis=0)
     dist = outcome_distribution(FIG2_CFG, FIG2_SCHEME, 0.0)
     for f, p in zip(freqs, dist.all_probs()):
         se = math.sqrt(max(p * (1.0 - p), 1e-30) / 2000.0)
@@ -126,7 +142,7 @@ def test_large_sample_frequency_consistency():
     phi, shots = 0.3, 20000
     rec = sample_outcomes(FIG2_CFG, FIG2_SCHEME, phi, shots, RandomStream(9, 0))
     dist = outcome_distribution(FIG2_CFG, FIG2_SCHEME, phi)
-    for f, p in zip(rec.frequencies(), dist.all_probs()):
+    for f, p in zip(np.array(rec) / shots, dist.all_probs()):
         bound = 5.0 * math.sqrt(max(p * (1.0 - p), 1e-30) / shots)
         assert abs(f - p) <= max(bound, 1e-12)
 
@@ -184,13 +200,11 @@ def test_draw_counts_ties_like_searchsorted(shots):
     # more streams than one block holds, each its own order of the values
     rows = max(1, simulate._BLOCK_DRAWS // shots)
     streams = [_FixedStream(np.roll(xi, i)) for i in range(2 * rows + 3)]
-    records, counts = simulate._draw(0.2, prefix, shots, streams)
+    counts = simulate._draw(prefix, shots, streams)
     reference = _searchsorted_counts(prefix, xi)
     # 0.0 ties the first edge; a zero bin stays empty though draws tie its edge
     assert reference[0] > 0 and reference[2] == 0
     assert np.array_equal(counts, np.tile(reference, (len(streams), 1)))
-    assert records[0] == CountsRecord(0.2, shots, tuple(reference[:-1].tolist()),
-                                      int(reference[-1]))
 
 
 @st.composite
@@ -214,7 +228,7 @@ def test_sampling_equals_searchsorted_on_drawn_systems(system, phi, shots, seed)
     rec = sample_outcomes(cfg, scheme, phi, shots, RandomStream(seed, 1))
     prefix = np.cumsum(outcome_table(cfg, scheme, [phi])[0][0, :-1])
     xi = RandomStream(seed, 1).uniform(size=shots)
-    assert list(rec.all_counts()) == _searchsorted_counts(prefix, xi).tolist()
+    assert list(rec) == _searchsorted_counts(prefix, xi).tolist()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -247,7 +261,7 @@ def test_replica_spread_shrinks_with_shots():
     spread = []
     for shots in (200, 2000):
         rs = run_replicas(FIG2_CFG, FIG2_SCHEME, phi, shots, 40, master_seed=3)
-        freqs = np.array([r.frequencies() for r in rs.records])
+        freqs = np.array(rs.records) / rs.shots
         spread.append(freqs[:, 2].std(ddof=0))  # central bin
     ratio = spread[0] / spread[1]
     assert 2.2 < ratio < 4.5  # expect sqrt(10) ~ 3.16
@@ -257,11 +271,11 @@ def test_different_seeds_same_envelope():
     phi, shots, m = 0.2, 200, 50
     rs_a = run_replicas(FIG2_CFG, FIG2_SCHEME, phi, shots, m, master_seed=101)
     rs_b = run_replicas(FIG2_CFG, FIG2_SCHEME, phi, shots, m, master_seed=202)
-    counts_a = [r.bin_counts for r in rs_a.records]
-    counts_b = [r.bin_counts for r in rs_b.records]
+    counts_a = [r[:-1] for r in rs_a.records]
+    counts_b = [r[:-1] for r in rs_b.records]
     assert counts_a != counts_b
-    freq_a = [r.frequencies()[2] for r in rs_a.records]
-    freq_b = [r.frequencies()[2] for r in rs_b.records]
+    freq_a = [r[2] / shots for r in rs_a.records]
+    freq_b = [r[2] / shots for r in rs_b.records]
     assert stats.ks_2samp(freq_a, freq_b).pvalue > 1e-3
 
 
@@ -373,7 +387,7 @@ def test_estimate_zero_noise_single_replica():
     shots, k0 = 1000, 450
     g = lambda x: signal(FIG2_CFG, BINARY_HALF, UNIT_BINARY_OBS, x).mean
     phi_true = optimize.brentq(lambda x: g(x) - k0 / shots, 0.05, 1.5, xtol=1e-14)
-    record = CountsRecord(phi_true, shots, (k0,), shots - k0)
+    record = (k0, shots - k0)
     rs = ReplicaSet(phi_true, shots, 0, (record,))
     report = estimate(FIG2_CFG, BINARY_HALF, UNIT_BINARY_OBS, rs)
     assert report.bias == pytest.approx(0.0, abs=1e-8)
@@ -386,9 +400,7 @@ def test_estimate_statistics_definitions():
     shots = 100
     g = lambda x: signal(FIG2_CFG, BINARY_HALF, UNIT_BINARY_OBS, x).mean
     phi_true = 0.05
-    records = tuple(
-        CountsRecord(phi_true, shots, (k,), shots - k) for k in (55, 59)
-    )
+    records = tuple((k, shots - k) for k in (55, 59))
     rs = ReplicaSet(phi_true, shots, 0, records)
     report = estimate(FIG2_CFG, BINARY_HALF, UNIT_BINARY_OBS, rs)
     e = report.estimates
@@ -464,7 +476,7 @@ def test_lockstep_estimate_equals_per_replica_loop(cfg, scheme, phis, replicas):
 
 
 def test_estimate_propagates_nonmonotone_branch():
-    rec = CountsRecord(0.3, 100, (60,), 40)
+    rec = (60, 40)
     rs = ReplicaSet(0.3, 100, 0, (rec,))
     flat = Observable((1.0,), 1.0)
     with pytest.raises(NonMonotoneBranch):
@@ -478,7 +490,7 @@ def test_estimate_propagates_nonmonotone_branch():
 def test_calibration_single_point_reduces_to_run_replicas():
     pts = calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 200, 10, master_seed=5)
     rs = run_replicas(FIG2_CFG, FIG2_SCHEME, 0.3, 200, 10, master_seed=5)
-    freqs = np.array([r.frequencies() for r in rs.records])
+    freqs = np.array(rs.records) / rs.shots
     assert len(pts) == 1
     assert pts[0].replicas == rs
     assert np.array_equal(pts[0].mean_freqs, freqs.mean(axis=0))
