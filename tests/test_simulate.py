@@ -54,16 +54,24 @@ def test_replica_set_accepts_count_records():
                        [[0.4, 0.3, 0.3], [1.0, 0.0, 0.0]])
 
 
-def test_replica_set_validation():
-    for shots, records, message in (
-        (10, (), "at least one record"),
-        (10, ((-1, 8, 3),), "non-negative"),
-        (10, ((4, 3, 2),), "sum to 10"),  # sums to 9
-        (10, ((4, 3, 3), (10, 0)), "one length"),
-        (0, ((0, 0),), "shots must be >= 1"),
+def test_counts_record_validation():
+    # a record is one replica's count tuple; ReplicaSet checks each one
+    for shots, record, message in (
+        (10, (-1, 8, 3), "non-negative"),
+        (10, (4, 3, 2), "sum to 10"),  # sums to 9
+        (0, (0, 0), "shots must be >= 1"),
     ):
         with pytest.raises(ValueError, match=message):
-            ReplicaSet(0.1, shots, 7, records)
+            ReplicaSet(0.1, shots, 7, (record,))
+
+
+def test_replica_set_validation():
+    for records, message in (
+        ((), "at least one record"),
+        (((4, 3, 3), (10, 0)), "one length"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ReplicaSet(0.1, 10, 7, records)
 
 
 def _fsum_per_record(obs, replicas):
