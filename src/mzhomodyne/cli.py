@@ -188,8 +188,7 @@ def _observable(choice: str, mu_minus: float,
             f"eigenvalue list needs {need} entries for cutoff "
             f"{scheme.cutoff}, got {len(values)}"
         )
-    return Observable(tuple(_finite("eigenvalues", v) for v in values),
-                      mu_minus)
+    return Observable(values, mu_minus)
 
 
 def _build_config(ns: argparse.Namespace):

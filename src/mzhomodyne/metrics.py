@@ -90,6 +90,9 @@ class Observable:
             raise ValueError(
                 f"bin_values must have odd positive length, got {len(vals)}"
             )
+        if not all(map(math.isfinite, vals + (self.leftover_value,))):
+            raise ValueError(f"eigenvalues must be finite, got bins {vals} "
+                             f"and leftover {self.leftover_value}")
 
     @property
     def cutoff(self) -> int:
@@ -323,15 +326,15 @@ def continuous_signal(cfg: InterferometerConfig, phi):
 # Fringe geometry.
 
 
-def _fringe_side(center, f0, sign, scan_step, max_span):
+def _fringe_side(center, f0, sign):
     """One side of _fringe_search, sent the fringe oriented as a peak."""
     prev_x, prev_v = center, f0
-    for xs in _walk_chunks(center, sign, scan_step, int(max_span / scan_step)):
+    for xs in _walk_chunks(center, sign, _SCAN_STEP, int(math.pi / _SCAN_STEP)):
         for x, v in zip(xs, (yield xs)):
             if v > prev_v:
                 # passed a local minimum; refine it within the last window
-                lo = min(prev_x - sign * scan_step, x)
-                hi = max(prev_x - sign * scan_step, x)
+                lo = min(prev_x - sign * _SCAN_STEP, x)
+                hi = max(prev_x - sign * _SCAN_STEP, x)
                 dark, dark_val = yield from _golden((lo, hi), grid_points=64)
                 if f0 - dark_val <= 1e-10 * max(abs(f0), abs(dark_val)):
                     raise NoFringe("fringe depth within rounding noise")
@@ -344,33 +347,32 @@ def _fringe_side(center, f0, sign, scan_step, max_span):
     raise NoFringe("no dark point within half a period of the center")
 
 
-def _fringe_search(center, scan_step=_SCAN_STEP, max_span=math.pi):
+def _fringe_search(center):
     """_fringe_half_crossings as a search (see numerics._drive), sent f."""
-    f0, left_probe, right_probe = yield [center, center - scan_step, center + scan_step]
+    f0, left_probe, right_probe = yield [center, center - _SCAN_STEP, center + _SCAN_STEP]
     if left_probe < f0 and right_probe < f0:
         h = None
     elif left_probe > f0 and right_probe > f0:
         h, f0 = operator.neg, -f0
     else:
         raise NoFringe(f"signal is not extremal at center {center}")
-    sides = [(_fringe_side(center, f0, s, scan_step, max_span), h) for s in (-1.0, 1.0)]
+    sides = [(_fringe_side(center, f0, s), h) for s in (-1.0, 1.0)]
     crossings = [_unwrap(side) for side in (yield from _lockstep(sides))]
     return min(crossings), max(crossings)
 
 
-def _fringe_half_crossings(f, center: float, scan_step: float = _SCAN_STEP,
-                           max_span: float = math.pi) -> tuple[float, float]:
+def _fringe_half_crossings(f, center: float) -> tuple[float, float]:
     """Half-depth crossings (left, right) of the fringe of f around center.
 
     Orientation is taken from the neighborhood of the center: a dip is
     flipped so the fringe is always treated as a peak.  Each side walks
-    outward to its first local minimum (the fringe-local baseline), refines
-    it, and brackets the half-level crossing between center and that dark
-    point.  The sides run in lockstep, one call of f (on a 1-D array of
-    phases) per round; the left side's error is raised first.
+    outward in steps of _SCAN_STEP, for at most pi, to its first local
+    minimum (the fringe-local baseline), refines it, and brackets the
+    half-level crossing between center and that dark point.  The sides run
+    in lockstep, one call of f (on a 1-D array of phases) per round; the
+    left side's error is raised first.
     """
-    return _drive(lambda xs: f(np.array(xs)).tolist(),
-                  _fringe_search(center, scan_step, max_span))
+    return _drive(lambda xs: f(np.array(xs)).tolist(), _fringe_search(center))
 
 
 def _fringe_width(lo: float, hi: float) -> float:

@@ -1,11 +1,11 @@
 """Self-contained numerical kernels.
 
-Error function via fixed rational approximations (no platform-dependent
-special-function library, so CSV output is bit-stable across machines),
-a bracketing Brent root finder, a grid-scan + golden-section minimizer and
-doubling-chunk walks (each a search that one driver runs alone or in
-lockstep with others), and deterministic counter-based uniform random
-streams.
+The error function, whose one entry point is erf_diff (erf over a bin),
+from fixed rational approximations (no platform-dependent special-function
+library, so CSV output is bit-stable across machines); a bracketing Brent
+root finder, a grid-scan + golden-section minimizer and doubling-chunk
+walks (each a search that one driver runs alone or in lockstep with
+others); and deterministic counter-based uniform random streams.
 """
 
 from __future__ import annotations
@@ -21,12 +21,9 @@ __all__ = [
     "NoConvergence",
     "NoSignChange",
     "RandomStream",
-    "erf",
     "erf_diff",
-    "erfc",
     "find_root",
     "find_roots",
-    "minimize_scalar",
 ]
 
 
@@ -65,10 +62,9 @@ class Interval:
 #
 # Rational minimax approximations after W. J. Cody, "Rational Chebyshev
 # approximation for the error function" (the SPECFUN/CALERF coefficients).
-# Relative error is a few ulp over the whole double range, far below the
-# 1e-14 absolute bound documented for erf().  Only exp/sqrt primitives are
-# used, with fixed coefficients, so results do not depend on the platform's
-# libm erf.
+# Relative error is a few ulp over the whole double range, far below a
+# 1e-14 absolute bound on erf.  Only exp/sqrt primitives are used, with
+# fixed coefficients, so results do not depend on the platform's libm erf.
 
 _THRESH = 0.46875
 _SQRPI = 5.6418958354775628695e-1  # 1/sqrt(pi)
@@ -133,53 +129,27 @@ def _erfc_positive(y):
     return out
 
 
-def _erf_parts(v):
-    """(erf(v), erfc(|v|)) of a float64 array.  Each rational form is
-    evaluated once: the small one where |v| <= _THRESH, the tail one where
-    |v| >= _THRESH or v is NaN; erfc(|v|) is 0 where |v| < _THRESH."""
-    y = np.abs(v)
-    tail = ~(y < _THRESH)
-    c = np.zeros_like(v)
-    c[tail] = _erfc_positive(y[tail])
-    f = np.sign(v) * (1.0 - c)
-    small = y <= _THRESH
-    f[small] = _erf_rational_small(v[small])
-    return f, c
-
-
-def erf(x):
-    """Error function, |absolute error| <= 1e-14 for all finite x.
-
-    Accepts a float or ndarray; odd symmetry erf(-x) = -erf(x) is exact
-    because the sign is applied after evaluating at |x|.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    f, _ = _erf_parts(np.atleast_1d(arr))
-    return float(f[0]) if arr.ndim == 0 else f
-
-
-def erfc(x):
-    """Complementary error function 1 - erf(x), accurate in the far tail."""
-    arr = np.asarray(x, dtype=np.float64)
-    v = np.atleast_1d(arr)
-    f, c = _erf_parts(v)
-    out = np.where(v > _THRESH, c, np.where(v < -_THRESH, 2.0 - c, 1.0 - f))
-    return float(out[0]) if arr.ndim == 0 else out
-
-
 def erf_diff(x, y):
     """erf(y) - erf(x) without catastrophic cancellation.
 
     When both arguments sit in the same tail (beyond +-_THRESH) the
     difference is formed from erfc values, which keeps the *relative*
-    error small even when erf(x) and erf(y) both round to +-1.
+    error small even when erf(x) and erf(y) both round to +-1.  Each
+    rational form is evaluated once per call, on both arguments: the small
+    one where |v| <= _THRESH, the tail one where |v| >= _THRESH or v is NaN.
     """
     bx, by = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
                                  np.asarray(y, dtype=np.float64))
     scalar = bx.ndim == 0
-    bx = np.atleast_1d(bx)
-    by = np.atleast_1d(by)
-    (fx, fy), (cx, cy) = _erf_parts(np.stack((bx, by)))
+    v = np.stack((np.atleast_1d(bx), np.atleast_1d(by)))
+    a = np.abs(v)
+    tail = ~(a < _THRESH)
+    c = np.zeros_like(v)  # erfc(|v|), 0 where |v| < _THRESH
+    c[tail] = _erfc_positive(a[tail])
+    f = np.sign(v) * (1.0 - c)  # erf(v)
+    small = a <= _THRESH
+    f[small] = _erf_rational_small(v[small])
+    (bx, by), (fx, fy), (cx, cy) = v, f, c
 
     out = np.where((bx >= _THRESH) & (by >= _THRESH), cx - cy,
                    np.where((bx <= -_THRESH) & (by <= -_THRESH), cy - cx,
@@ -344,7 +314,9 @@ def find_roots(g_batch: Callable, targets, brackets, tol: float = 1e-12,
 
 
 def _golden(bracket, tol=1e-10, grid_points=512):
-    """minimize_scalar as a search (see _drive), the grid yielded as an array."""
+    """(x_min, f_min) as a search (see _drive): a grid scan, yielded as one
+    array, finds the global basin among many local minima (a pure descent
+    would latch onto the wrong valley); golden sections then refine it."""
     n = max(int(grid_points), 3)
     xs = np.linspace(*_ends(bracket), n)
     fs = np.asarray((yield xs))
@@ -369,21 +341,6 @@ def _golden(bracket, tol=1e-10, grid_points=512):
         if fx < best_f:
             best_x, best_f = float(x), float(fx)
     return best_x, best_f
-
-
-def minimize_scalar(f: Callable[[float], float], bracket, tol: float = 1e-10,
-                    grid_points: int = 512):
-    """Global grid scan followed by golden-section refinement.
-
-    The target functions here (e.g. sensitivity vs phase) have many local
-    minima, so a dense scan locates the global basin before the local
-    refinement; a pure descent method would latch onto the wrong valley.
-    f is called one point at a time; a caller with a vectorised objective
-    drives _golden itself, one call per round.
-
-    Returns (x_min, f_min).
-    """
-    return _drive(lambda xs: [f(x) for x in xs], _golden(bracket, tol, grid_points))
 
 
 _FIRST_CHUNK = 16

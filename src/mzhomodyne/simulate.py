@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interferometer import BinningScheme, InterferometerConfig, outcome_table
-from .metrics import Observable, signal
+from .metrics import AlphabetMismatch, Observable, signal
 from .numerics import (Interval, RandomStream, _drive, _lockstep, _walk_chunks,
                        find_roots)
 
@@ -66,7 +66,11 @@ class ReplicaSet:
         return len(self.records)
 
     def measured_signals(self, obs: Observable) -> list[float]:
-        """Each record's measured signal sum_k mu_k N_k / N."""
+        """Each record's measured signal sum_k mu_k N_k / N.  Raises
+        AlphabetMismatch unless obs assigns one value to each count."""
+        if len(self.records[0]) != len(obs.bin_values) + 1:
+            raise AlphabetMismatch(f"records hold {len(self.records[0])} counts, "
+                                   f"obs has {len(obs.bin_values) + 1} values")
         terms = obs.all_values() * np.array(self.records)
         return [math.fsum(row) / self.shots for row in terms.tolist()]
 

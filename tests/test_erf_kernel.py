@@ -1,10 +1,10 @@
-"""erf, erfc and erf_diff against the per-function case analysis they replaced.
+"""erf_diff against the per-function case analysis it replaced.
 
-The three public functions are built from one split that evaluates each
-rational form once per call.  The oracles below are the helpers and the
-erf_diff they replaced, copied verbatim; they call the same two rational
-forms, so every case asserts bit equality (int64 views, which tell +0.0
-from -0.0) and the same return type.
+erf_diff is built from one split that evaluates each rational form once
+per call.  The oracles below are the helper and the erf_diff it replaced,
+copied verbatim; they call the same two rational forms, so every case
+asserts bit equality (int64 views, which tell +0.0 from -0.0) and the same
+return type.
 """
 
 import numpy as np
@@ -16,9 +16,7 @@ from mzhomodyne.numerics import (
     _THRESH,
     _erf_rational_small,
     _erfc_positive,
-    erf,
     erf_diff,
-    erfc,
 )
 
 
@@ -30,32 +28,6 @@ def _erf_array(x):
     big = ~small
     out[big] = np.sign(x[big]) * (1.0 - _erfc_positive(y[big]))
     return out
-
-
-def _erfc_array(x):
-    y = np.abs(x)
-    out = np.empty_like(x)
-    small = y <= _THRESH
-    out[small] = 1.0 - _erf_rational_small(x[small])
-    pos = x > _THRESH
-    out[pos] = _erfc_positive(x[pos])
-    neg = x < -_THRESH
-    out[neg] = 2.0 - _erfc_positive(y[neg])
-    return out
-
-
-def old_erf(x):
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        return float(_erf_array(arr.reshape(1))[0])
-    return _erf_array(arr)
-
-
-def old_erfc(x):
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        return float(_erfc_array(arr.reshape(1))[0])
-    return _erfc_array(arr)
 
 
 def old_erf_diff(x, y):
@@ -98,16 +70,6 @@ def assert_same(got, want):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("new, old", [(erf, old_erf), (erfc, old_erfc)],
-                         ids=["erf", "erfc"])
-def test_one_argument_functions_match_case_analysis(new, old):
-    for x in EDGES.tolist():
-        assert_same(new(x), old(x))
-        assert type(new(x)) is float
-    for arr in (EDGES, RANDOM, RANDOM.reshape(80, 100), np.array(0.3)):
-        assert_same(new(arr), old(arr))
-
-
 def test_erf_diff_matches_case_analysis():
     for x in EDGES.tolist():
         for y in EDGES.tolist():
@@ -138,9 +100,8 @@ def test_each_call_evaluates_each_rational_form_once(monkeypatch):
                         counted("small", _erf_rational_small))
     monkeypatch.setattr(numerics, "_erfc_positive",
                         counted("tail", _erfc_positive))
-    for call in (lambda: erf(0.3), lambda: erf(RANDOM), lambda: erfc(-2.0),
-                 lambda: erfc(RANDOM), lambda: erf_diff(0.1, 2.0),
-                 lambda: erf_diff(5.0, 5.5),
+    for call in (lambda: erf_diff(0.0, 0.3), lambda: erf_diff(0.0, RANDOM),
+                 lambda: erf_diff(0.1, 2.0), lambda: erf_diff(5.0, 5.5),
                  lambda: erf_diff(EDGES[:, None], EDGES[None, :])):
         calls.update(small=0, tail=0)
         call()
@@ -190,9 +151,8 @@ def test_infinite_arguments_give_the_limits_without_warnings():
     # pytest turns warnings into errors, so inf - inf inside the tail form
     # would fail here
     inf = float("inf")
-    assert erf(inf) == 1.0 and erf(-inf) == -1.0
-    assert erfc(inf) == 0.0 and erfc(-inf) == 2.0
-    assert erf_diff(0.0, inf) == 1.0
-    assert erf_diff(-inf, inf) == 2.0
-    assert erf(1e300) == 1.0 and erfc(1e300) == 0.0
-    assert np.isnan(erf(float("nan"))) and np.isnan(erfc(float("nan")))
+    assert erf_diff(0.0, inf) == 1.0 and erf_diff(0.0, -inf) == -1.0
+    assert erf_diff(-inf, inf) == 2.0 and erf_diff(inf, -inf) == -2.0
+    assert erf_diff(0.0, 1e300) == 1.0 and erf_diff(1e300, inf) == 0.0
+    nan = float("nan")
+    assert np.isnan(erf_diff(0.0, nan)) and np.isnan(erf_diff(nan, inf))

@@ -31,8 +31,8 @@ def test_package_exports_the_union_of_the_layers():
 # propagation oracle lives in tests/oracles.py, not in interferometer.
 LAYER_EXPORTS = {
     "numerics": [
-        "Interval", "NoConvergence", "NoSignChange", "RandomStream", "erf",
-        "erf_diff", "erfc", "find_root", "find_roots", "minimize_scalar",
+        "Interval", "NoConvergence", "NoSignChange", "RandomStream",
+        "erf_diff", "find_root", "find_roots",
     ],
     "interferometer": [
         "BinningScheme", "InterferometerConfig", "InvalidScheme",

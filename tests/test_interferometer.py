@@ -21,7 +21,7 @@ from mzhomodyne.interferometer import (
     outcome_table,
     quadrature_pdf,
 )
-from mzhomodyne.numerics import erf_diff, minimize_scalar
+from mzhomodyne.numerics import _drive, _golden, erf_diff
 from oracles import (
     GaussianState,
     central_diff,
@@ -314,9 +314,9 @@ def test_bin_peak_sits_at_matching_phase():
     step = grid[1] - grid[0]
     for k in (-1, 1):
         coarse = grid[np.argmax(table[:, k + 2])]
-        peak, _ = minimize_scalar(
-            lambda phi: -_prob(FIG2_CFG, FIG2_SCHEME, k + 2, phi),
-            (coarse - 2 * step, coarse + 2 * step),
+        peak, _ = _drive(
+            lambda xs: [-_prob(FIG2_CFG, FIG2_SCHEME, k + 2, phi) for phi in xs],
+            _golden((coarse - 2 * step, coarse + 2 * step)),
         )
         expected = -math.asin(2.0 * k * 3.8 / FIG2_CFG.alpha0)
         assert abs(peak - expected) < 1e-7

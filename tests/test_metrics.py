@@ -44,7 +44,7 @@ from mzhomodyne.metrics import (
     visibility,
     visibility_boundary,
 )
-from mzhomodyne.numerics import minimize_scalar
+from mzhomodyne.numerics import _drive, _golden
 from oracles import central_diff
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
@@ -81,6 +81,14 @@ def test_observable_validation():
         Observable(())
     with pytest.raises(ValueError):
         Observable((1.0, 2.0))  # even length has no center bin
+
+
+@pytest.mark.parametrize("bins, leftover", [
+    ((math.nan,), 0.0), ((1.0, math.inf, 1.0), 0.0), ((1.0,), math.nan)])
+def test_observable_rejects_non_finite_eigenvalues(bins, leftover):
+    # unchecked, a NaN eigenvalue gives a NaN visibility, an inf one a NaN variance
+    with pytest.raises(ValueError, match="finite"):
+        Observable(bins, leftover)
 
 
 def test_observable_accessors():
@@ -729,8 +737,8 @@ def test_best_sensitivity_batched_scan_equals_scalar_scan(nbar):
             cfg, BINARY_HALF, UNIT_BINARY_OBS, phi)),
         (None, lambda phi: crb(cfg, BINARY_HALF, phi)),
     ):
-        assert best_sensitivity(cfg, BINARY_HALF, obs) == minimize_scalar(
-            objective, bracket)
+        assert best_sensitivity(cfg, BINARY_HALF, obs) == _drive(
+            lambda xs: [objective(x) for x in xs], _golden(bracket))
 
 
 def test_best_sensitivity_scans_its_grid_in_one_table_call(monkeypatch):

@@ -15,12 +15,9 @@ from mzhomodyne.numerics import (
     _drive,
     _golden,
     _walk_chunks,
-    erf,
     erf_diff,
-    erfc,
     find_root,
     find_roots,
-    minimize_scalar,
 )
 from oracles import central_diff
 
@@ -32,11 +29,13 @@ def gauss_density(t):
 
 
 # ---------------------------------------------------------------------------
-# erf / erfc / erf_diff
+# erf_diff, and erf and erfc through it: erf(x) is erf_diff(0.0, x) and
+# erfc(x) is erf_diff(x, inf)
 
 
 def test_erf_zero_is_zero():
-    assert erf(0.0) == 0.0
+    assert erf_diff(0.0, 0.0) == 0.0
+    assert erf_diff(0.0, -0.0) == 0.0
 
 
 def test_erf_one_sigma_matches_quadrature():
@@ -45,14 +44,14 @@ def test_erf_one_sigma_matches_quadrature():
         lambda t: np.exp(-t * t / 2.0) / np.sqrt(2.0 * np.pi), -1.0, 1.0
     )
     assert err < 1e-13
-    assert abs(erf(1.0 / np.sqrt(2.0)) - oracle) < 1e-12
+    assert abs(erf_diff(0.0, 1.0 / np.sqrt(2.0)) - oracle) < 1e-12
 
 
 @pytest.mark.parametrize("x", [0.1, 0.46875, 0.7, 1.3, 2.9, 4.2, 5.5])
 def test_erf_matches_quadrature(x):
     oracle, err = integrate.quad(gauss_density, 0.0, x, epsabs=1e-14, epsrel=1e-13)
     assert err < 1e-11
-    assert abs(erf(x) - oracle) < 1e-11
+    assert abs(erf_diff(0.0, x) - oracle) < 1e-11
 
 
 def test_erf_absolute_error_bound():
@@ -64,42 +63,44 @@ def test_erf_absolute_error_bound():
             np.random.default_rng(11).uniform(-12.0, 12.0, 300),
         ]
     )
-    worst = max(abs(erf(float(x)) - float(mp.erf(mp.mpf(float(x))))) for x in xs)
+    worst = max(abs(erf_diff(0.0, float(x)) - float(mp.erf(mp.mpf(float(x)))))
+                for x in xs)
     assert worst <= 1e-14
 
 
 def test_erf_odd_symmetry_exact():
+    # compares values: erf_diff(0.0, -0.0) is +0.0, not erf(-0.0) = -0.0
     for x in np.linspace(1e-8, 9.0, 137):
-        assert erf(-float(x)) == -erf(float(x))
+        assert erf_diff(0.0, -float(x)) == -erf_diff(0.0, float(x))
 
 
 def test_erf_saturates():
     for x in (6.0, 7.5, 20.0, 300.0):
-        assert abs(erf(x) - 1.0) <= 1e-15
-        assert abs(erf(-x) + 1.0) <= 1e-15
+        assert abs(erf_diff(0.0, x) - 1.0) <= 1e-15
+        assert abs(erf_diff(0.0, -x) + 1.0) <= 1e-15
 
 
 def test_erf_monotone_and_bounded():
     xs = np.sort(np.random.default_rng(3).uniform(-10.0, 10.0, 4000))
-    vals = erf(xs)
+    vals = erf_diff(0.0, xs)
     assert np.all(np.diff(vals) >= 0.0)
     assert np.all(np.abs(vals) <= 1.0)
 
 
 def test_erf_array_matches_scalar():
     xs = np.array([-8.0, -1.0, -0.2, 0.0, 0.3, 2.0, 9.0])
-    vec = erf(xs)
+    vec = erf_diff(0.0, xs)
     assert vec.shape == xs.shape
     for i, x in enumerate(xs):
-        assert vec[i] == erf(float(x))
+        assert vec[i] == erf_diff(0.0, float(x))
 
 
 def test_erfc_complement_and_tail():
     for x in (0.1, 1.0, 3.0):
-        assert abs(erfc(x) - (1.0 - erf(x))) < 1e-15
+        assert abs(erf_diff(x, math.inf) - (1.0 - erf_diff(0.0, x))) < 1e-15
     for x in (5.0, 9.0, 15.0, 25.0):
         exact = float(mp.erfc(mp.mpf(x)))
-        assert abs(erfc(x) - exact) / exact < 1e-13
+        assert abs(erf_diff(x, math.inf) - exact) / exact < 1e-13
 
 
 def test_erf_diff_identical_arguments_exact_zero():
@@ -126,7 +127,7 @@ def test_erf_diff_matches_plain_difference_midrange():
     rng = np.random.default_rng(5)
     for _ in range(200):
         a, b = rng.uniform(-2.0, 2.0, 2)
-        assert abs(erf_diff(a, b) - (erf(b) - erf(a))) < 5e-16
+        assert abs(erf_diff(a, b) - (erf_diff(0.0, b) - erf_diff(0.0, a))) < 5e-16
 
 
 def test_erf_diff_antisymmetry():
@@ -286,8 +287,12 @@ def test_walk_chunks_doubles_and_stops_lazily():
     assert calls == [16]
 
 
+# Scalar minimisation: _golden driven with one objective call per point.
+
+
 def test_minimize_scalar_quadratic():
-    x, fx = minimize_scalar(lambda x: (x - 1.234) ** 2 + 0.5, (0.0, 3.0))
+    f = lambda x: (x - 1.234) ** 2 + 0.5
+    x, fx = _drive(lambda xs: [f(x) for x in xs], _golden((0.0, 3.0)))
     assert abs(x - 1.234) < 1e-7
     assert abs(fx - 0.5) < 1e-12
 
@@ -298,7 +303,7 @@ def test_minimize_scalar_finds_narrow_global_basin():
     def f(x):
         return 0.2 * np.cos(7.0 * x) - np.exp(-300.0 * (x - 2.347) ** 2)
 
-    x, fx = minimize_scalar(f, (0.0, 4.0), tol=1e-12)
+    x, fx = _drive(lambda xs: [f(x) for x in xs], _golden((0.0, 4.0), tol=1e-12))
     brute = np.linspace(2.3, 2.4, 200_001)
     oracle = brute[np.argmin([f(t) for t in brute])]
     assert abs(x - oracle) < 1e-6
@@ -309,12 +314,12 @@ def test_minimize_scalar_tolerates_inf_values():
     def f(x):
         return float("inf") if x < 1.5 else (x - 2.0) ** 2
 
-    x, _ = minimize_scalar(f, (0.0, 3.0))
+    x, _ = _drive(lambda xs: [f(x) for x in xs], _golden((0.0, 3.0)))
     assert abs(x - 2.0) < 1e-6
 
 
-# A vectorised objective drives _golden itself, one call per round (as
-# best_sensitivity does).  The drawn objectives use only exactly rounded
+# A vectorised objective drives _golden with one call per round (as
+# best_sensitivity does), and gives what per-point calls give.  The drawn objectives use only exactly rounded
 # operations, so one expression gives the same value on a phase array as at
 # each of its points: a parabola plus a sawtooth ripple (many local minima),
 # optionally rounded down to a quantum (exact ties on the grid; 1e6 ties
@@ -352,8 +357,9 @@ def _scan_problems(draw):
 def test_minimize_scalar_batched_scan_equals_scalar_scan(problem):
     f, bracket, n = problem
     batch = lambda xs: np.asarray(f(np.asarray(xs)), dtype=float).tolist()
+    scalar = lambda xs: [f(x) for x in xs]
     assert (_drive(batch, _golden(bracket, grid_points=n))
-            == minimize_scalar(f, bracket, grid_points=n))
+            == _drive(scalar, _golden(bracket, grid_points=n)))
 
 
 def test_central_diff_cubic():

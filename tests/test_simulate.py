@@ -19,7 +19,7 @@ from mzhomodyne.interferometer import (
     outcome_distribution,
     outcome_table,
 )
-from mzhomodyne.metrics import Observable, crb, signal
+from mzhomodyne.metrics import AlphabetMismatch, Observable, crb, signal
 from mzhomodyne.numerics import Interval, RandomStream, find_root
 from mzhomodyne import simulate
 from mzhomodyne.simulate import (
@@ -96,6 +96,18 @@ def test_measured_signals_equal_per_record_fsum(alphabet):
     rs = ReplicaSet(0.0, shots, 0, records)
     obs = Observable(tuple(values[:-1]), values[-1])
     assert rs.measured_signals(obs) == _fsum_per_record(obs, rs)
+
+
+@pytest.mark.parametrize("records", [((10,), (10,)), ((4, 6), (10, 0))])
+def test_records_of_another_alphabet_raise_alphabet_mismatch(records):
+    # unchecked, one-count records broadcast to estimates (0.0, 0.0), and
+    # two-count ones fail inside numpy
+    replicas = ReplicaSet(0.1, 10, 0, records)
+    obs = Observable.alternating(FIG2_SCHEME)
+    with pytest.raises(AlphabetMismatch):
+        replicas.measured_signals(obs)
+    with pytest.raises(AlphabetMismatch):
+        estimate(FIG2_CFG, FIG2_SCHEME, obs, replicas)
 
 
 # ---------------------------------------------------------------------------

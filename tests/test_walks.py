@@ -30,7 +30,7 @@ from mzhomodyne.metrics import (
     fwhm,
     signal,
 )
-from mzhomodyne.numerics import Interval, NoSignChange, find_root, minimize_scalar
+from mzhomodyne.numerics import Interval, NoSignChange, _drive, _golden, find_root
 from mzhomodyne.simulate import NonMonotoneBranch, invert_signal, monotone_branch
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
@@ -69,7 +69,8 @@ def _scalar_half_crossings(f, center, scan_step=0.002, max_span=math.pi):
             if v > prev_v:
                 lo = min(prev_x - sign * scan_step, x)
                 hi = max(prev_x - sign * scan_step, x)
-                dark, dark_val = minimize_scalar(h, (lo, hi), grid_points=64)
+                dark, dark_val = _drive(lambda xs: [h(x) for x in xs],
+                                        _golden((lo, hi), grid_points=64))
                 break
             prev_x, prev_v = x, v
         if dark is None:
