@@ -17,12 +17,10 @@ from mzhomodyne import (
     BinningScheme,
     InterferometerConfig,
     Observable,
+    calibration_curve,
     crb,
     estimate,
     monotone_branch,
-    run_replicas,
-    sample_outcomes,
-    RandomStream,
 )
 
 cfg = InterferometerConfig.from_nbar(1000.0)
@@ -31,8 +29,9 @@ obs = Observable.alternating(scheme)
 shots, replicas = 200, 400
 
 # one raw record first: counts over the twelve outcomes at phi = 0.1, in
-# outcome_table column order (bins -5..5, then the leftover)
-record = sample_outcomes(cfg, scheme, 0.1, shots, RandomStream(1, 0))
+# outcome_table column order (bins -5..5, then the leftover), drawn from
+# random stream 0 of master seed 1
+record = calibration_curve(cfg, scheme, [0.1], shots, 1, 1)[0].records[0]
 labels = [f"{k}" for k in scheme.bin_indices()] + ["leftover"]
 print("one replica of counts at phi=0.1:", dict(zip(labels, record)))
 
@@ -46,7 +45,7 @@ print(f"\n{'phi_true':>9}{'mean est':>10}{'bias':>11}{'sigma':>9}{'bound':>9}"
 width = branch.hi - branch.lo
 for index, frac in enumerate(np.linspace(0.15, 0.85, 5)):
     phi = branch.lo + width * float(frac)
-    rs = run_replicas(cfg, scheme, phi, shots, replicas, master_seed=index)
+    (rs,) = calibration_curve(cfg, scheme, [phi], shots, replicas, index)
     report = estimate(cfg, scheme, obs, rs)
     bound = crb(cfg, scheme, phi)
     print(f"{phi:9.4f}{report.mean_estimate:10.4f}{report.bias:11.2e}"

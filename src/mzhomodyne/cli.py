@@ -318,16 +318,16 @@ def _cmd_sweep(config, grid, cfg, scheme, obs) -> int:
 
 
 def _estimation_rows(cfg, scheme, obs, points):
-    """Inversion-estimator row of each calibration point's replica set."""
+    """Inversion-estimator row of each grid point's replica set."""
     bounds = crb(cfg, scheme, [pt.phi for pt in points]).tolist()
     rows = []
     for pt, bound in zip(points, bounds):
         try:
-            report = estimate(cfg, scheme, obs, pt.replicas)
+            report = estimate(cfg, scheme, obs, pt)
             row = [report.mean_signal, report.sigma, bound, report.bias,
                    report.std_dev, ""]
         except NonMonotoneBranch:
-            measured = pt.replicas.measured_signals(obs)
+            measured = pt.measured_signals(obs)
             row = [math.fsum(measured) / len(measured), math.nan, bound,
                    math.nan, math.nan, "NonMonotoneBranch"]
         rows.append([pt.phi, *row])

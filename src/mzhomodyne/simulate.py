@@ -8,7 +8,8 @@ curve g(phi) on a monotone branch around the true phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .numerics import (Interval, RandomStream, _drive, _lockstep, _walk_chunks,
                        find_roots)
 
 __all__ = [
-    "CalibrationPoint",
     "EstimationReport",
     "NonMonotoneBranch",
     "ReplicaSet",
@@ -26,8 +26,6 @@ __all__ = [
     "estimate",
     "invert_signal",
     "monotone_branch",
-    "run_replicas",
-    "sample_outcomes",
 ]
 
 _BRANCH_STEP = 1e-3
@@ -41,29 +39,42 @@ class NonMonotoneBranch(ValueError):
 
 @dataclass(frozen=True)
 class ReplicaSet:
-    """M independent repetitions of the same N-shot experiment.  A record is
-    one replica's outcome counts, a tuple of ints in outcome_table column
-    order: bins -cutoff..cutoff, then the leftover."""
+    """M independent repetitions of the same N-shot experiment at phase phi.
+    A record is one replica's outcome counts, a tuple of ints in outcome_table
+    column order: bins -cutoff..cutoff, then the leftover.  The count matrix
+    that checks them is kept, read-only, in _counts; mean_freqs and std_freqs
+    are the mean and population spread of each N_k/N over the replicas."""
 
-    phi_true: float
+    phi: float
     shots: int
     master_seed: int
     records: tuple[tuple[int, ...], ...]
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        object.__setattr__(self, "phi", _finite_phase(self.phi))
+        _check_count("shots", self.shots)
         if len({len(r) for r in self.records}) != 1:
             raise ValueError("need at least one record, all of one length")
         counts = np.array(self.records)
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
+        if counts.dtype.kind not in "iu" or np.any(counts < 0):
+            raise ValueError("counts must be non-negative integers")
         if np.any(counts.sum(axis=1) != self.shots):
             raise ValueError(f"a record's counts do not sum to {self.shots}")
+        counts.flags.writeable = False
+        object.__setattr__(self, "_counts", counts)
 
     @property
     def replicas(self) -> int:
         return len(self.records)
+
+    @property
+    def mean_freqs(self) -> np.ndarray:
+        return (self._counts / self.shots).mean(axis=0)
+
+    @property
+    def std_freqs(self) -> np.ndarray:
+        return (self._counts / self.shots).std(axis=0, ddof=0)
 
     def measured_signals(self, obs: Observable) -> list[float]:
         """Each record's measured signal sum_k mu_k N_k / N.  Raises
@@ -71,7 +82,7 @@ class ReplicaSet:
         if len(self.records[0]) != len(obs.bin_values) + 1:
             raise AlphabetMismatch(f"records hold {len(self.records[0])} counts, "
                                    f"obs has {len(obs.bin_values) + 1} values")
-        terms = obs.all_values() * np.array(self.records)
+        terms = obs.all_values() * self._counts
         return [math.fsum(row) / self.shots for row in terms.tolist()]
 
 
@@ -100,31 +111,21 @@ class EstimationReport:
         return self.clamp_count / len(self.estimates)
 
 
-def sample_outcomes(cfg: InterferometerConfig, scheme: BinningScheme, phi: float,
-                    shots: int, stream: RandomStream) -> tuple[int, ...]:
-    """Classify `shots` uniform draws by cumulative outcome probability.
-
-    The partition is left-open right-closed in the alphabet order -cutoff,
-    ..., +cutoff, with everything above the final prefix sum treated as
-    Leftover; xi <= P(-cutoff) selects the first bin.  _draw counts the
-    draws against the non-decreasing prefix sums, in outcome_table column
-    order; calibration_curve calls it on a block of replicas at a time.
-    """
-    phi = _finite_phase(phi)
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    probs, _ = outcome_table(cfg, scheme, [phi])
-    (counts,) = _draw(np.cumsum(probs[0, :-1]), shots, [stream]).tolist()
-    return tuple(counts)
-
-
 def _finite_phase(phi) -> float:
     """phi as a float; a NaN or infinite phase has no prefix sums to draw
-    against, so it is rejected before the table is evaluated."""
+    against or slope to walk, so it is rejected before any table call."""
     phi = float(phi)
     if not math.isfinite(phi):
         raise ValueError(f"phase must be finite, got {phi}")
     return phi
+
+
+def _check_count(name, value):
+    """A shot or replica count is an int (a bool is not) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _draw(prefix, shots, streams):
@@ -135,10 +136,10 @@ def _draw(prefix, shots, streams):
     at least one row) is counted at once: n_j = #{xi <= prefix[j]} in each
     row.  The prefix is a running sum of non-negative probabilities, so it
     never decreases and the differences of the n_j are the left-open
-    right-closed classes.  A one-row block is counted whole by an axis-less
-    count_nonzero, whose intp count holds any row length; a block of several
-    rows sums each row's comparison bytes into uint32, which cannot wrap
-    because such a row holds at most _BLOCK_DRAWS // 2 draws.
+    right-closed classes, leftover last.  A one-row block is counted whole
+    by an axis-less count_nonzero, whose intp count holds any row length; a
+    block of several rows sums each row's comparison bytes into uint32,
+    which cannot wrap because such a row holds at most _BLOCK_DRAWS // 2 draws.
     """
     rows = max(1, _BLOCK_DRAWS // shots)
     if rows == 1:
@@ -156,16 +157,6 @@ def _draw(prefix, shots, streams):
     return np.diff(below, axis=1, prepend=0)
 
 
-def run_replicas(cfg: InterferometerConfig, scheme: BinningScheme, phi: float,
-                 shots: int, replicas: int, master_seed: int) -> ReplicaSet:
-    """M independent records; replica i consumes random stream index i.
-
-    The replica set of a one-point calibration_curve.
-    """
-    (point,) = calibration_curve(cfg, scheme, [phi], shots, replicas, master_seed)
-    return point.replicas
-
-
 def monotone_branch(cfg: InterferometerConfig, scheme: BinningScheme,
                     obs: Observable, phi_true: float) -> Interval:
     """Largest interval around phi_true where the sampled signal slope keeps
@@ -177,7 +168,7 @@ def monotone_branch(cfg: InterferometerConfig, scheme: BinningScheme,
     branch starts at phi_true itself.
     """
     return _drive(lambda xs: signal(cfg, scheme, obs, xs).slope.tolist(),
-                  _branch_search(phi_true))
+                  _branch_search(_finite_phase(phi_true)))
 
 
 def _branch_search(phi_true):
@@ -259,75 +250,49 @@ def estimate(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable,
     """Invert each replica's measured signal on the monotone branch around
     the true phase and aggregate the estimator statistics.  Every replica
     is inverted in one lockstep batch (see numerics.find_roots)."""
-    branch = monotone_branch(cfg, scheme, obs, replicas.phi_true)
+    branch = monotone_branch(cfg, scheme, obs, replicas.phi)
     _check_branch_monotone(cfg, scheme, obs, branch)
     measured = replicas.measured_signals(obs)
     estimates, clamped = _invert(cfg, scheme, obs, measured, branch)
     m = len(estimates)
     mean = math.fsum(estimates) / m
     std_dev = math.sqrt(math.fsum((e - mean) ** 2 for e in estimates) / m)
-    rms = math.sqrt(math.fsum((e - replicas.phi_true) ** 2 for e in estimates) / m)
+    rms = math.sqrt(math.fsum((e - replicas.phi) ** 2 for e in estimates) / m)
     return EstimationReport(
-        phi_true=replicas.phi_true,
+        phi_true=replicas.phi,
         shots=replicas.shots,
         estimates=tuple(estimates),
         mean_signal=math.fsum(measured) / m,
         mean_estimate=mean,
-        bias=mean - replicas.phi_true,
+        bias=mean - replicas.phi,
         std_dev=std_dev,
         sigma=math.sqrt(replicas.shots) * rms,
         clamp_count=clamped,
     )
 
 
-@dataclass(frozen=True)
-class CalibrationPoint:
-    """Mean and spread of the occurrence frequencies at one grid phase, and
-    the replica set they were taken from."""
-
-    phi: float
-    mean_freqs: np.ndarray
-    std_freqs: np.ndarray
-    replicas: ReplicaSet
-
-    def __eq__(self, other):
-        if not isinstance(other, CalibrationPoint):
-            return NotImplemented
-        return (self.phi == other.phi and self.replicas == other.replicas
-                and np.array_equal(self.mean_freqs, other.mean_freqs)
-                and np.array_equal(self.std_freqs, other.std_freqs))
-
-
 def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,
                       phi_grid, shots: int, replicas: int,
-                      master_seed: int) -> list[CalibrationPoint]:
-    """Replica sets and statistics of N_k/N across a phase grid.
+                      master_seed: int) -> list[ReplicaSet]:
+    """One ReplicaSet per grid phase; its mean_freqs and std_freqs are the
+    statistics of N_k/N there.
 
-    Replica i of grid point p consumes random stream p*replicas + i, so a
-    single-point grid is run_replicas and no two grid points share draws.
-    The grid's outcome table is evaluated once; each point's draws are
-    counted against its row's non-decreasing prefix sums a block of
-    replicas at a time, and each record equals sample_outcomes on its stream.
+    Replica i of grid point p consumes random stream p*replicas + i, so no
+    two grid points share draws, and stream (s, i) at phi is record i of a
+    one-point grid at master_seed s.  The grid's outcome table is evaluated
+    once, and each point's draws are counted by _draw.
     """
     phi_grid = [_finite_phase(p) for p in phi_grid]
     if len(phi_grid) == 0:
         raise ValueError("phi_grid must be nonempty")
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    _check_count("replicas", replicas)
+    _check_count("shots", shots)
     probs, _ = outcome_table(cfg, scheme, phi_grid)
     points = []
     for p, phi in enumerate(phi_grid):
         streams = [RandomStream(master_seed, p * replicas + i)
                    for i in range(replicas)]
         counts = _draw(np.cumsum(probs[p, :-1]), shots, streams)
-        freqs = counts / shots
-        points.append(CalibrationPoint(
-            phi=phi,
-            mean_freqs=freqs.mean(axis=0),
-            std_freqs=freqs.std(axis=0, ddof=0),
-            replicas=ReplicaSet(phi, shots, master_seed,
-                                tuple(map(tuple, counts.tolist()))),
-        ))
+        points.append(ReplicaSet(phi, shots, master_seed,
+                                 tuple(map(tuple, counts.tolist()))))
     return points

@@ -34,7 +34,7 @@ from mzhomodyne.metrics import (
     visibility_boundary,
 )
 from mzhomodyne.numerics import find_root
-from mzhomodyne.simulate import calibration_curve, estimate, monotone_branch, run_replicas
+from mzhomodyne.simulate import calibration_curve, estimate, monotone_branch
 from oracles import central_diff, wigner_oracle_pdf
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
@@ -241,8 +241,8 @@ def test_13_inversion_estimator_tracks_the_bound():
     unbiased = True
     for index, phi in enumerate(grid):
         phi = float(phi)
-        rs = run_replicas(FIG4_CFG, FIG4_SCHEME, phi, shots, replicas,
-                          master_seed=index)
+        (rs,) = calibration_curve(FIG4_CFG, FIG4_SCHEME, [phi], shots,
+                                  replicas, master_seed=index)
         report = estimate(FIG4_CFG, FIG4_SCHEME, obs, rs)
         bound = crb(FIG4_CFG, FIG4_SCHEME, phi)
         tracked += abs(report.sigma - bound) <= 0.25 * bound

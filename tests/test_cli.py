@@ -33,7 +33,7 @@ from mzhomodyne.metrics import (
     visibility,
 )
 from mzhomodyne.numerics import RandomStream
-from mzhomodyne.simulate import estimate, run_replicas
+from mzhomodyne.simulate import calibration_curve, estimate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -348,6 +348,24 @@ def test_sweep_golden_regression(tmp_path, name, axes):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name, args", [
+    # README's example
+    ("simulate_readme", ["--nbar", "1000", "--b", "3.2", "--kf", "5",
+                         "--eigenvalues", "alternating", "--phi-min", "0.02",
+                         "--phi-max", "0.18", "--steps", "9", "--seed", "1"]),
+    # nbar=1e8: four of the six estimation rows are NonMonotoneBranch
+    ("simulate_bright", ["--nbar", "1e8", "--b", "3.2", "--kf", "3",
+                         "--eigenvalues", "alternating", "--phi-min", "0.0002",
+                         "--phi-max", "0.0012", "--steps", "6",
+                         "--replicas", "20", "--seed", "2"]),
+])
+def test_simulate_golden_regression(tmp_path, name, args):
+    assert main(["simulate", *args, "--out", str(tmp_path / name)]) == 0
+    for part in ("calibration", "estimation"):
+        csv = f"{name}_{part}.csv"
+        assert (tmp_path / csv).read_bytes() == (GOLDEN / csv).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -372,10 +390,10 @@ def test_simulate_calibration_matches_replica_stream(tmp_path):
     rows = read_rows(tmp_path / "run_calibration.csv")
     assert rows[0][0] == "phi" and rows[0][1] == "freq(-5)"
     assert len(rows) == 4
-    # point 0 uses stream offset 0, so it equals a plain run_replicas call
+    # point 0 uses stream offset 0, so it equals a one-point calibration
     cfg = InterferometerConfig.from_nbar(1000.0)
     scheme = BinningScheme(half_width=0.5, spacing=3.2, cutoff=5)
-    rs = run_replicas(cfg, scheme, 0.02, 100, 5, master_seed=7)
+    (rs,) = calibration_curve(cfg, scheme, [0.02], 100, 5, master_seed=7)
     freqs = np.array(rs.records) / rs.shots
     got = [float(cell) for cell in rows[1]]
     assert got[1:13] == list(freqs.mean(axis=0))
@@ -390,7 +408,7 @@ def test_simulate_estimation_matches_estimate(tmp_path):
     cfg = InterferometerConfig.from_nbar(1000.0)
     scheme = BinningScheme(half_width=0.5, spacing=3.2, cutoff=5)
     obs = Observable.alternating(scheme)
-    rs = run_replicas(cfg, scheme, 0.02, 100, 5, master_seed=7)
+    (rs,) = calibration_curve(cfg, scheme, [0.02], 100, 5, master_seed=7)
     report = estimate(cfg, scheme, obs, rs)
     row = [float(cell) for cell in rows[1][:6]]
     assert row[2] == report.sigma

@@ -48,9 +48,8 @@ LAYER_EXPORTS = {
         "signal_peaks", "sweep", "visibility", "visibility_boundary",
     ],
     "simulate": [
-        "CalibrationPoint", "EstimationReport",
-        "NonMonotoneBranch", "ReplicaSet", "calibration_curve", "estimate",
-        "invert_signal", "monotone_branch", "run_replicas", "sample_outcomes",
+        "EstimationReport", "NonMonotoneBranch", "ReplicaSet",
+        "calibration_curve", "estimate", "invert_signal", "monotone_branch",
     ],
     "cli": ["ConfigError", "build_parser", "main"],
 }

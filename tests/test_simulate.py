@@ -30,8 +30,6 @@ from mzhomodyne.simulate import (
     estimate,
     invert_signal,
     monotone_branch,
-    run_replicas,
-    sample_outcomes,
 )
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
@@ -52,6 +50,10 @@ def test_replica_set_accepts_count_records():
     assert rs.replicas == 2
     assert np.allclose(np.array(rs.records) / rs.shots,
                        [[0.4, 0.3, 0.3], [1.0, 0.0, 0.0]])
+    # the count matrix built to check the records is kept, read-only
+    assert np.array_equal(rs._counts, rs.records)
+    with pytest.raises(ValueError):
+        rs._counts[0, 0] = 5
 
 
 def test_counts_record_validation():
@@ -72,6 +74,23 @@ def test_replica_set_validation():
     ):
         with pytest.raises(ValueError, match=message):
             ReplicaSet(0.1, 10, 7, records)
+
+
+@pytest.mark.parametrize("phi, shots, records, message", [
+    (0.0, 1, ((0.5, 0.5),), "non-negative integers"),
+    (0.0, 2, ((True, True),), "non-negative integers"),
+    (0.0, 2.5, ((2, 0.5),), "shots must be an integer"),
+    (0.0, True, ((1,),), "shots must be an integer"),
+    (math.nan, 2, ((1, 1),), "phase must be finite"),
+    (math.inf, 2, ((1, 1),), "phase must be finite"),
+], ids=["half_counts", "bool_counts", "float_shots", "bool_shots", "nan_phase",
+        "inf_phase"])
+def test_replica_set_rejects_non_integer_counts_and_non_finite_phase(
+        phi, shots, records, message):
+    # if accepted, half counts would read as a signal of 0.5, and a NaN phase
+    # would fail only inside estimate's branch search
+    with pytest.raises(ValueError, match=message):
+        ReplicaSet(phi, shots, 0, records)
 
 
 def _fsum_per_record(obs, replicas):
@@ -111,20 +130,26 @@ def test_records_of_another_alphabet_raise_alphabet_mismatch(records):
 
 
 # ---------------------------------------------------------------------------
-# sample_outcomes
+# Sampling: stream (seed, i) at phi is record i of a one-point calibration.
+
+
+def _stream_record(cfg, scheme, phi, shots, seed, i):
+    """The record drawn from RandomStream(seed, i) at phi."""
+    (rs,) = calibration_curve(cfg, scheme, [phi], shots, i + 1, seed)
+    return rs.records[i]
 
 
 def test_sampling_is_deterministic():
-    first = sample_outcomes(FIG2_CFG, FIG2_SCHEME, 0.3, 500, RandomStream(42, 0))
-    second = sample_outcomes(FIG2_CFG, FIG2_SCHEME, 0.3, 500, RandomStream(42, 0))
+    first = _stream_record(FIG2_CFG, FIG2_SCHEME, 0.3, 500, 42, 0)
+    second = _stream_record(FIG2_CFG, FIG2_SCHEME, 0.3, 500, 42, 0)
     assert first == second
-    other = sample_outcomes(FIG2_CFG, FIG2_SCHEME, 0.3, 500, RandomStream(42, 1))
+    other = _stream_record(FIG2_CFG, FIG2_SCHEME, 0.3, 500, 42, 1)
     assert other != first
 
 
 def test_sampling_matches_explicit_classifier():
     phi, shots = 0.3, 1000
-    rec = sample_outcomes(FIG2_CFG, FIG2_SCHEME, phi, shots, RandomStream(7, 3))
+    rec = _stream_record(FIG2_CFG, FIG2_SCHEME, phi, shots, 7, 3)
     # same draws, classified by an explicit left-to-right prefix scan
     xi = RandomStream(7, 3).uniform(size=shots)
     probs = outcome_distribution(FIG2_CFG, FIG2_SCHEME, phi).bin_probs
@@ -144,13 +169,13 @@ def test_sampling_matches_explicit_classifier():
 def test_sampling_near_certain_outcome():
     # a bin wide enough to capture everything
     scheme = BinningScheme(half_width=20.0, spacing=50.0, cutoff=0)
-    rec = sample_outcomes(InterferometerConfig(2.0), scheme, 0.0, 500,
-                          RandomStream(1, 0))
+    rec = _stream_record(InterferometerConfig(2.0), scheme, 0.0, 500, 1, 0)
     assert rec == (500, 0)
 
 
 def test_sampled_frequencies_match_probabilities():
-    rs = run_replicas(FIG2_CFG, FIG2_SCHEME, 0.0, 200, 10, master_seed=5)
+    (rs,) = calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.0], 200, 10,
+                              master_seed=5)
     freqs = (np.array(rs.records) / rs.shots).mean(axis=0)
     dist = outcome_distribution(FIG2_CFG, FIG2_SCHEME, 0.0)
     for f, p in zip(freqs, dist.all_probs()):
@@ -160,30 +185,30 @@ def test_sampled_frequencies_match_probabilities():
 
 def test_large_sample_frequency_consistency():
     phi, shots = 0.3, 20000
-    rec = sample_outcomes(FIG2_CFG, FIG2_SCHEME, phi, shots, RandomStream(9, 0))
+    rec = _stream_record(FIG2_CFG, FIG2_SCHEME, phi, shots, 9, 0)
     dist = outcome_distribution(FIG2_CFG, FIG2_SCHEME, phi)
     for f, p in zip(np.array(rec) / shots, dist.all_probs()):
         bound = 5.0 * math.sqrt(max(p * (1.0 - p), 1e-30) / shots)
         assert abs(f - p) <= max(bound, 1e-12)
 
 
-def test_sample_outcomes_rejects_zero_shots():
-    with pytest.raises(ValueError):
-        sample_outcomes(FIG2_CFG, FIG2_SCHEME, 0.0, 0, RandomStream(1, 0))
-
-
 @pytest.mark.parametrize("phi", [math.nan, math.inf])
-def test_samplers_reject_non_finite_phase(phi):
+def test_samplers_reject_non_finite_phase(phi, monkeypatch):
     # a NaN row has NaN prefix sums, which would send every draw to Leftover
-    with pytest.raises(ValueError, match="phase must be finite"):
-        sample_outcomes(FIG2_CFG, FIG2_SCHEME, phi, 10, RandomStream(1, 0))
     with pytest.raises(ValueError, match="phase must be finite"):
         calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3, phi], 10, 2,
                           master_seed=1)
+    # the branch search is rejected before its first table call, not after
+    # walking half a period each way
+    def no_table(*args):
+        raise AssertionError("the signal was evaluated")
+    monkeypatch.setattr(simulate, "signal", no_table)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, phi)
 
 
 def _searchsorted_counts(prefix, xi):
-    """The classifier sample_outcomes used before counting against edges."""
+    """The classifier the sampler used before counting against edges."""
     return np.bincount(np.searchsorted(prefix, xi, side="left"),
                        minlength=len(prefix) + 1)
 
@@ -245,7 +270,7 @@ def _systems(draw):
        st.integers(0, 2 ** 16))
 def test_sampling_equals_searchsorted_on_drawn_systems(system, phi, shots, seed):
     cfg, scheme = system
-    rec = sample_outcomes(cfg, scheme, phi, shots, RandomStream(seed, 1))
+    rec = _stream_record(cfg, scheme, phi, shots, seed, 1)
     prefix = np.cumsum(outcome_table(cfg, scheme, [phi])[0][0, :-1])
     xi = RandomStream(seed, 1).uniform(size=shots)
     assert list(rec) == _searchsorted_counts(prefix, xi).tolist()
@@ -266,21 +291,15 @@ def test_outcome_table_is_a_distribution_on_drawn_systems(system, phis):
 
 
 # ---------------------------------------------------------------------------
-# run_replicas
-
-
-def test_single_replica_equals_direct_sampling():
-    rs = run_replicas(FIG2_CFG, FIG2_SCHEME, 0.2, 300, 1, master_seed=11)
-    direct = sample_outcomes(FIG2_CFG, FIG2_SCHEME, 0.2, 300, RandomStream(11, 0))
-    assert rs.replicas == 1
-    assert rs.records[0] == direct
+# Replica sets
 
 
 def test_replica_spread_shrinks_with_shots():
     phi = 0.25
     spread = []
     for shots in (200, 2000):
-        rs = run_replicas(FIG2_CFG, FIG2_SCHEME, phi, shots, 40, master_seed=3)
+        (rs,) = calibration_curve(FIG2_CFG, FIG2_SCHEME, [phi], shots, 40,
+                                  master_seed=3)
         freqs = np.array(rs.records) / rs.shots
         spread.append(freqs[:, 2].std(ddof=0))  # central bin
     ratio = spread[0] / spread[1]
@@ -289,8 +308,10 @@ def test_replica_spread_shrinks_with_shots():
 
 def test_different_seeds_same_envelope():
     phi, shots, m = 0.2, 200, 50
-    rs_a = run_replicas(FIG2_CFG, FIG2_SCHEME, phi, shots, m, master_seed=101)
-    rs_b = run_replicas(FIG2_CFG, FIG2_SCHEME, phi, shots, m, master_seed=202)
+    (rs_a,) = calibration_curve(FIG2_CFG, FIG2_SCHEME, [phi], shots, m,
+                                master_seed=101)
+    (rs_b,) = calibration_curve(FIG2_CFG, FIG2_SCHEME, [phi], shots, m,
+                                master_seed=202)
     counts_a = [r[:-1] for r in rs_a.records]
     counts_b = [r[:-1] for r in rs_b.records]
     assert counts_a != counts_b
@@ -299,9 +320,18 @@ def test_different_seeds_same_envelope():
     assert stats.ks_2samp(freq_a, freq_b).pvalue > 1e-3
 
 
-def test_run_replicas_validation():
-    with pytest.raises(ValueError):
-        run_replicas(FIG2_CFG, FIG2_SCHEME, 0.0, 100, 0, master_seed=1)
+@pytest.mark.parametrize("shots, replicas, message", [
+    (100, 0, "replicas must be >= 1"),
+    (100, True, "replicas must be an integer"),  # not one replica
+    (100, 2.0, "replicas must be an integer"),
+    (True, 2, "shots must be an integer"),
+    (200.0, 2, "shots must be an integer"),
+], ids=["zero_replicas", "bool_replicas", "float_replicas", "bool_shots",
+        "float_shots"])
+def test_calibration_rejects_non_integer_sizes(shots, replicas, message):
+    with pytest.raises(ValueError, match=message):
+        calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.0], shots, replicas,
+                          master_seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +469,8 @@ def test_estimator_tracks_lower_bound():
     # sigma within 25% of the Cramer-Rao bound at the best branch point
     grid = np.linspace(0.02, 0.19, 35)
     phi_best = min(grid, key=lambda p: crb(FIG4_CFG, FIG4_SCHEME, p))
-    rs = run_replicas(FIG4_CFG, FIG4_SCHEME, phi_best, 200, 400, master_seed=12)
+    (rs,) = calibration_curve(FIG4_CFG, FIG4_SCHEME, [phi_best], 200, 400,
+                              master_seed=12)
     report = estimate(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, rs)
     # sigma is sqrt(N)-scaled, so the bound is the single-shot 1/sqrt(F)
     bound = crb(FIG4_CFG, FIG4_SCHEME, phi_best)
@@ -462,7 +493,7 @@ def _invert_unchecked(cfg, scheme, obs, measured, branch, g_lo, g_hi):
 
 
 def _per_replica_estimates(cfg, scheme, obs, replicas):
-    branch = monotone_branch(cfg, scheme, obs, replicas.phi_true)
+    branch = monotone_branch(cfg, scheme, obs, replicas.phi)
     g_lo, g_hi = signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean
     estimates = []
     clamped = 0
@@ -486,8 +517,8 @@ def test_lockstep_estimate_equals_per_replica_loop(cfg, scheme, phis, replicas):
     obs = Observable.alternating(scheme)
     clamps = 0
     for pt in calibration_curve(cfg, scheme, phis, 200, replicas, master_seed=4):
-        report = estimate(cfg, scheme, obs, pt.replicas)
-        estimates, clamped = _per_replica_estimates(cfg, scheme, obs, pt.replicas)
+        report = estimate(cfg, scheme, obs, pt)
+        estimates, clamped = _per_replica_estimates(cfg, scheme, obs, pt)
         assert list(report.estimates) == estimates
         assert report.clamp_count == clamped
         clamps += clamped
@@ -507,12 +538,11 @@ def test_estimate_propagates_nonmonotone_branch():
 # calibration_curve
 
 
-def test_calibration_single_point_reduces_to_run_replicas():
+def test_calibration_frequencies_are_record_statistics():
     pts = calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 200, 10, master_seed=5)
-    rs = run_replicas(FIG2_CFG, FIG2_SCHEME, 0.3, 200, 10, master_seed=5)
-    freqs = np.array(rs.records) / rs.shots
+    freqs = np.array(pts[0].records) / pts[0].shots
     assert len(pts) == 1
-    assert pts[0].replicas == rs
+    assert (pts[0].phi, pts[0].shots, pts[0].replicas) == (0.3, 200, 10)
     assert np.array_equal(pts[0].mean_freqs, freqs.mean(axis=0))
     assert np.array_equal(pts[0].std_freqs, freqs.std(axis=0, ddof=0))
 
@@ -548,7 +578,7 @@ def test_calibration_standard_error_scales_with_replicas():
     assert 1.4 < ratio < 2.9  # expect 2 for a 4x replica increase
 
 
-def test_calibration_records_equal_sample_outcomes_on_each_stream():
+def test_calibration_records_equal_searchsorted_on_each_stream():
     grid = [-0.4, 0.1, 0.3]
     for shots, replicas in (
         (150, 4),
@@ -557,10 +587,12 @@ def test_calibration_records_equal_sample_outcomes_on_each_stream():
     ):
         pts = calibration_curve(FIG2_CFG, FIG2_SCHEME, grid, shots, replicas,
                                 master_seed=9)
-        for p, (phi, pt) in enumerate(zip(grid, pts)):
-            assert pt.replicas.records == tuple(
-                sample_outcomes(FIG2_CFG, FIG2_SCHEME, phi, shots,
-                                RandomStream(9, p * replicas + i))
+        probs, _ = outcome_table(FIG2_CFG, FIG2_SCHEME, grid)
+        for p, pt in enumerate(pts):
+            prefix = np.cumsum(probs[p, :-1])
+            assert pt.records == tuple(
+                tuple(_searchsorted_counts(prefix, RandomStream(
+                    9, p * replicas + i).uniform(size=shots)).tolist())
                 for i in range(replicas))
 
 
@@ -568,10 +600,15 @@ def test_calibration_points_compare_by_value():
     a, b = (calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 20, 2, 1)[0]
             for _ in range(2))
     other = calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 20, 2, 2)[0]
-    assert a == b
+    assert a == b and hash(a) == hash(b)
     assert not a != b
     assert a != other
     assert a != "not a point"
+    # the stored count matrix takes no part in ==, hash or repr
+    twin = ReplicaSet(a.phi, a.shots, a.master_seed, a.records)
+    object.__setattr__(twin, "_counts", np.zeros((1, 1), dtype=np.int64))
+    assert twin == a and hash(twin) == hash(a)
+    assert repr(twin) == repr(a) and "_counts" not in repr(a)
 
 
 def test_calibration_rejects_empty_grid():
@@ -589,5 +626,5 @@ def test_calibration_rejects_a_non_integral_seed():
         calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 200, 10, master_seed=1.5)
     (point,) = calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 200, 10,
                                  master_seed=np.int64(1))
-    assert point.replicas == run_replicas(FIG2_CFG, FIG2_SCHEME, 0.3, 200, 10,
-                                          master_seed=1)
+    assert point == calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 200, 10,
+                                      master_seed=1)[0]
