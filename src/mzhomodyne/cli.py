@@ -36,17 +36,19 @@ from .interferometer import (
     BinningScheme,
     InterferometerConfig,
     default_cutoff,
+    outcome_derivs,
+    outcome_probs,
     outcome_table,
 )
 from .metrics import (
     FIXED_RANDOM_EIGENVALUES,
     Observable,
+    _expectation,
     _signal_columns,
     best_sensitivity,
     crb,
     fwhm,
     fwhm_continuous,
-    signal,
     sweep,
     visibility_boundary,
 )
@@ -272,12 +274,9 @@ def _write_rows(out: Optional[str], header, rows) -> None:
 # Dataset subcommands.
 
 
-def _probs_header(scheme: BinningScheme):
-    return ["phi"] + [f"P({k})" for k in scheme.bin_indices()] + ["P(leftover)"]
-
-
 def _write_probs(out: Optional[str], scheme, grid, probs) -> None:
-    _write_rows(out, _probs_header(scheme), np.column_stack((grid, probs)).tolist())
+    header = ["phi"] + [f"P({k})" for k in scheme.bin_indices()] + ["P(leftover)"]
+    _write_rows(out, header, np.column_stack((grid, probs)).tolist())
 
 
 def _write_signal(out: Optional[str], obs, grid, table) -> None:
@@ -288,7 +287,7 @@ def _write_signal(out: Optional[str], obs, grid, table) -> None:
 
 
 def _cmd_probs(config, grid, cfg, scheme, obs) -> int:
-    _write_probs(config.out, scheme, grid, outcome_table(cfg, scheme, grid)[0])
+    _write_probs(config.out, scheme, grid, outcome_probs(cfg, scheme, grid))
     return 0
 
 
@@ -437,7 +436,7 @@ def _fig2_system():
 def _reproduce_fig2(out_dir: Path, seed: int, checks: _Checks) -> None:
     cfg, scheme = _fig2_system()
     grid = np.linspace(-math.pi, math.pi, 2001)
-    probs, _ = outcome_table(cfg, scheme, grid)
+    probs = outcome_probs(cfg, scheme, grid)
     _write_probs(str(out_dir / "fig2_probs.csv"), scheme, grid, probs)
     worst_row_sum = max(abs(math.fsum(row) - 1.0) for row in probs.tolist())
     checks.add(
@@ -457,7 +456,7 @@ def _reproduce_fig2(out_dir: Path, seed: int, checks: _Checks) -> None:
     _write_simulation(str(out_dir / "fig2"), scheme, points)
 
     cells = ok = 0
-    cal_probs, _ = outcome_table(cfg, scheme, [pt.phi for pt in points])
+    cal_probs = outcome_probs(cfg, scheme, [pt.phi for pt in points])
     for pt, probs in zip(points, cal_probs.tolist()):
         for freq, p in zip(pt.mean_freqs, probs):
             se = math.sqrt(max(p * (1.0 - p), 0.0) / (shots * replicas))
@@ -486,8 +485,8 @@ def _reproduce_fig3(out_dir: Path, seed: int, checks: _Checks) -> None:
     # all-ones signal, expected near b/alpha0
     ones = Observable.ones(scheme)
     dark = find_root(
-        lambda x: signal(cfg, scheme, ones, x).slope, (0.15, 0.4)
-    )
+        lambda x: _expectation(ones, outcome_derivs(cfg, scheme, [x]))[0],
+        (0.15, 0.4))
     target = scheme.spacing / cfg.alpha0
     checks.add(
         abs(dark - target) <= 0.10 * target,

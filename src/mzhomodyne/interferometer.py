@@ -26,7 +26,9 @@ __all__ = [
     "InvalidScheme",
     "OutcomeDistribution",
     "default_cutoff",
+    "outcome_derivs",
     "outcome_distribution",
+    "outcome_probs",
     "outcome_table",
     "quadrature_pdf",
 ]
@@ -134,16 +136,46 @@ def quadrature_pdf(cfg: InterferometerConfig, phi: float, p):
 
 
 def _erf_limits(cfg, scheme, phis):
-    """Erf arguments (G_minus, G_plus), each [n_phi, 2*cutoff+1].
+    """(phis as a list, G_minus, G_plus), each G of shape [n_phi, 2*cutoff+1].
 
     P(k|phi) integrates the Gaussian over bin k, which in erf form uses
     G+- = sqrt(2)*(alpha0*sin(phi)/2 + k*spacing +- half_width).  The sine
     is math.sin of each phase, so a row does not depend on the grid it is in.
     """
+    phis = np.asarray(phis, dtype=np.float64)
+    if phis.ndim != 1:
+        raise ValueError(f"phis must be a 1-D array, got shape {phis.shape}")
+    phis = phis.tolist()
     c = 0.5 * cfg.alpha0 * np.array([math.sin(phi) for phi in phis])
     shift = _SQRT2 * (c[:, None] + scheme.centers())
     ga = _SQRT2 * scheme.half_width
-    return shift - ga, shift + ga
+    return phis, shift - ga, shift + ga
+
+
+def _probs(g_lo, g_hi):
+    bins = 0.5 * erf_diff(g_lo, g_hi)
+    return np.column_stack((bins, [max(0.0, 1.0 - math.fsum(row))
+                                   for row in bins.tolist()]))
+
+
+def _derivs(cfg, phis, g_lo, g_hi):
+    # d/dphi [erf(G)] = (2/sqrt(pi)) exp(-G^2) * dG/dphi, and both limits have
+    # dG/dphi = alpha0*cos(phi)/sqrt(2), so P'(k|phi) = (1/sqrt(pi))
+    # * (alpha0*cos(phi)/sqrt(2)) * (exp(-G_plus^2) - exp(-G_minus^2))
+    cos = np.array([math.cos(phi) for phi in phis])
+    factor = _INV_SQRTPI * cfg.alpha0 * cos / _SQRT2
+    bins = factor[:, None] * (np.exp(-g_hi * g_hi) - np.exp(-g_lo * g_lo))
+    return np.column_stack((bins, [-math.fsum(row) for row in bins.tolist()]))
+
+
+def outcome_probs(cfg: InterferometerConfig, scheme: BinningScheme, phis):
+    """The P of outcome_table alone."""
+    return _probs(*_erf_limits(cfg, scheme, phis)[1:])
+
+
+def outcome_derivs(cfg: InterferometerConfig, scheme: BinningScheme, phis):
+    """The dP of outcome_table alone; it evaluates no error function."""
+    return _derivs(cfg, *_erf_limits(cfg, scheme, phis))
 
 
 def outcome_table(cfg: InterferometerConfig, scheme: BinningScheme, phis):
@@ -154,30 +186,11 @@ def outcome_table(cfg: InterferometerConfig, scheme: BinningScheme, phis):
     phis[i] alone, so it equals the one-phase table of that phase bit for
     bit.  The leftover probability is max(0, 1 - sum of the bins) and the
     leftover derivative the negative sum of the bin derivatives, each an
-    exactly rounded math.fsum of its row.
+    exactly rounded math.fsum of its row.  outcome_probs and outcome_derivs
+    return P and dP alone, bit for bit, for a caller that reads one half.
     """
-    phis = np.asarray(phis, dtype=np.float64)
-    if phis.ndim != 1:
-        raise ValueError(f"phis must be a 1-D array, got shape {phis.shape}")
-    phis = phis.tolist()
-    n_bins = 2 * scheme.cutoff + 1
-    g_lo, g_hi = _erf_limits(cfg, scheme, phis)
-    probs = np.empty((len(phis), n_bins + 1))
-    derivs = np.empty_like(probs)
-    probs[:, :n_bins] = 0.5 * erf_diff(g_lo, g_hi)
-    # d/dphi [erf(G)] = (2/sqrt(pi)) exp(-G^2) * dG/dphi with
-    # dG/dphi = sqrt(2)*alpha0*cos(phi)/2 = alpha0*cos(phi)/sqrt(2) for both
-    # limits, so
-    # P'(k|phi) = (1/sqrt(pi)) * (alpha0*cos(phi)/sqrt(2))
-    #             * (exp(-G_plus^2) - exp(-G_minus^2))
-    cos = np.array([math.cos(phi) for phi in phis])
-    factor = _INV_SQRTPI * cfg.alpha0 * cos / _SQRT2
-    derivs[:, :n_bins] = factor[:, None] * (
-        np.exp(-g_hi * g_hi) - np.exp(-g_lo * g_lo))
-    probs[:, n_bins] = [max(0.0, 1.0 - math.fsum(row))
-                        for row in probs[:, :n_bins].tolist()]
-    derivs[:, n_bins] = [-math.fsum(row) for row in derivs[:, :n_bins].tolist()]
-    return probs, derivs
+    phis, g_lo, g_hi = _erf_limits(cfg, scheme, phis)
+    return _probs(g_lo, g_hi), _derivs(cfg, phis, g_lo, g_hi)
 
 
 @dataclass(frozen=True)
@@ -212,7 +225,8 @@ def outcome_distribution(cfg: InterferometerConfig, scheme: BinningScheme,
                          phi: float) -> OutcomeDistribution:
     """Full alphabet probabilities and derivatives at one phase: the single
     row of outcome_table."""
-    probs, derivs = outcome_table(cfg, scheme, [phi])
+    phis, g_lo, g_hi = _erf_limits(cfg, scheme, [phi])
+    probs, derivs = _probs(g_lo, g_hi), _derivs(cfg, phis, g_lo, g_hi)
     return OutcomeDistribution(
         phi=float(phi),
         cutoff=scheme.cutoff,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import BinningScheme, InterferometerConfig, outcome_table
+from .interferometer import (BinningScheme, InterferometerConfig, outcome_probs,
+                             outcome_table)
 from .numerics import (NoSignChange, _brent, _drive, _golden, _lockstep,
                        _unwrap, _walk_chunks, find_root)
 
@@ -142,6 +143,12 @@ def _shaped(scalar: bool, values: list):
     return values[0] if scalar else np.array(values, dtype=np.float64)
 
 
+def _expectation(obs: Observable, table: np.ndarray) -> list:
+    """sum_k mu_k T[i, k] of each row: the signal mean over outcome_probs,
+    its phase slope over outcome_derivs."""
+    return _row_sums(obs.all_values() * table)
+
+
 def _moments(obs: Observable, probs: np.ndarray, derivs: np.ndarray):
     """(means, variances, slopes) of the observable over each table row.
 
@@ -149,10 +156,9 @@ def _moments(obs: Observable, probs: np.ndarray, derivs: np.ndarray):
     accurate when an eigenvalue offset dwarfs the spread (the raw
     difference sum(mu^2 P) - mean^2 cancels catastrophically there).
     """
-    mu = obs.all_values()
-    means = _row_sums(mu * probs)
-    variances = _row_sums((mu - np.array(means)[:, None]) ** 2 * probs)
-    return means, variances, _row_sums(mu * derivs)
+    means = _expectation(obs, probs)
+    variances = _row_sums((obs.all_values() - np.array(means)[:, None]) ** 2 * probs)
+    return means, variances, _expectation(obs, derivs)
 
 
 @dataclass(frozen=True)
@@ -276,7 +282,8 @@ def binarized_cfi(cfg: InterferometerConfig, scheme: BinningScheme,
 def visibility(cfg: InterferometerConfig, scheme: BinningScheme,
                obs: Observable) -> float:
     """(s(0) - s(pi/2)) / (s(0) + s(pi/2)) of the signal mean."""
-    return _drive(lambda xs: signal(cfg, scheme, obs, xs).mean.tolist(),
+    _check_alphabet(obs, scheme)
+    return _drive(lambda xs: _expectation(obs, outcome_probs(cfg, scheme, xs)),
                   _visibility_search())
 
 
@@ -394,8 +401,8 @@ def fwhm(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable) -> f
     coincide.
     """
     _check_alphabet(obs, scheme)
-    return _fringe_width(*_fringe_half_crossings(
-        lambda phi: signal(cfg, scheme, obs, phi).mean, 0.0))
+    return _fringe_width(*_fringe_half_crossings(lambda phis: np.array(
+        _expectation(obs, outcome_probs(cfg, scheme, phis))), 0.0))
 
 
 def fwhm_continuous(cfg: InterferometerConfig) -> float:

@@ -98,34 +98,34 @@ def _erf_rational_small(x):
 
 
 def _erfc_positive(y):
-    """erfc(y) for y >= _THRESH, or NaN.  Beyond _ERFC_ZERO (inf included)
-    it is 0, set without evaluating the tail form there."""
+    """erfc(y) for y >= _THRESH, or NaN; 0 beyond _ERFC_ZERO (inf included).
+    Each rational form is evaluated only where some element needs it."""
     out = np.zeros_like(y)
     mid = y <= 4.0
-    ym = y[mid]
-    xnum = _C[8] * ym
-    xden = ym
-    for c, d in zip(_C[:7], _D[:7]):
-        xnum = (xnum + c) * ym
-        xden = (xden + d) * ym
-    r = (xnum + _C[7]) / (xden + _D[7])
-    # exp(-y^2) split as exp(-t^2)*exp(-(y-t)(y+t)) with t = trunc(16y)/16
-    # keeps the argument of each exp exactly representable.
-    t = np.trunc(ym * 16.0) / 16.0
-    out[mid] = np.exp(-t * t) * np.exp(-(ym - t) * (ym + t)) * r
-
+    if mid.any():
+        ym = y[mid]
+        xnum = _C[8] * ym
+        xden = ym
+        for c, d in zip(_C[:7], _D[:7]):
+            xnum = (xnum + c) * ym
+            xden = (xden + d) * ym
+        r = (xnum + _C[7]) / (xden + _D[7])
+        # exp(-y^2) split as exp(-t^2)*exp(-(y-t)(y+t)) with t = trunc(16y)/16
+        # keeps the argument of each exp exactly representable.
+        t = np.trunc(ym * 16.0) / 16.0
+        out[mid] = np.exp(-t * t) * np.exp(-(ym - t) * (ym + t)) * r
     far = ~(mid | (y > _ERFC_ZERO))  # NaN is in neither, so it lands here
-    yf = y[far]
-    ysq = 1.0 / (yf * yf)
-    xnum = _P[5] * ysq
-    xden = ysq
-    for p, q in zip(_P[:4], _Q[:4]):
-        xnum = (xnum + p) * ysq
-        xden = (xden + q) * ysq
-    r = ysq * (xnum + _P[4]) / (xden + _Q[4])
-    r = (_SQRPI - r) / yf
-    t = np.trunc(yf * 16.0) / 16.0
-    out[far] = np.exp(-t * t) * np.exp(-(yf - t) * (yf + t)) * r
+    if far.any():
+        yf = y[far]
+        ysq = 1.0 / (yf * yf)
+        xnum = _P[5] * ysq
+        xden = ysq
+        for p, q in zip(_P[:4], _Q[:4]):
+            xnum = (xnum + p) * ysq
+            xden = (xden + q) * ysq
+        r = (_SQRPI - ysq * (xnum + _P[4]) / (xden + _Q[4])) / yf
+        t = np.trunc(yf * 16.0) / 16.0
+        out[far] = np.exp(-t * t) * np.exp(-(yf - t) * (yf + t)) * r
     return out
 
 
@@ -135,8 +135,8 @@ def erf_diff(x, y):
     When both arguments sit in the same tail (beyond +-_THRESH) the
     difference is formed from erfc values, which keeps the *relative*
     error small even when erf(x) and erf(y) both round to +-1.  Each
-    rational form is evaluated once per call, on both arguments: the small
-    one where |v| <= _THRESH, the tail one where |v| >= _THRESH or v is NaN.
+    rational form runs at most once, only if some argument needs it: the
+    small one where |v| <= _THRESH, the tail one where |v| >= _THRESH or NaN.
     """
     bx, by = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
                                  np.asarray(y, dtype=np.float64))
@@ -145,10 +145,12 @@ def erf_diff(x, y):
     a = np.abs(v)
     tail = ~(a < _THRESH)
     c = np.zeros_like(v)  # erfc(|v|), 0 where |v| < _THRESH
-    c[tail] = _erfc_positive(a[tail])
+    if tail.any():
+        c[tail] = _erfc_positive(a[tail])
     f = np.sign(v) * (1.0 - c)  # erf(v)
     small = a <= _THRESH
-    f[small] = _erf_rational_small(v[small])
+    if small.any():
+        f[small] = _erf_rational_small(v[small])
     (bx, by), (fx, fy), (cx, cy) = v, f, c
 
     out = np.where((bx >= _THRESH) & (by >= _THRESH), cx - cy,

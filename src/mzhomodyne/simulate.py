@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interferometer import BinningScheme, InterferometerConfig, outcome_table
-from .metrics import AlphabetMismatch, Observable, signal
+from .interferometer import (BinningScheme, InterferometerConfig, outcome_derivs,
+                             outcome_probs)
+from .metrics import AlphabetMismatch, Observable, _check_alphabet, _expectation
 from .numerics import (Interval, RandomStream, _drive, _lockstep, _walk_chunks,
                        find_roots)
 
@@ -162,13 +163,15 @@ def monotone_branch(cfg: InterferometerConfig, scheme: BinningScheme,
     """Largest interval around phi_true where the sampled signal slope keeps
     one sign (resolution 1e-3 rad, capped at half a period each way).
     The two sides walk in lockstep, in doubling chunks of steps (see
-    numerics._walk_chunks): each round is one outcome_table call.
+    numerics._walk_chunks): each round is one outcome_derivs call.
 
     At an exact extremum the sign is taken from the right neighbor, so the
     branch starts at phi_true itself.
     """
-    return _drive(lambda xs: signal(cfg, scheme, obs, xs).slope.tolist(),
-                  _branch_search(_finite_phase(phi_true)))
+    phi_true = _finite_phase(phi_true)
+    _check_alphabet(obs, scheme)
+    return _drive(lambda xs: _expectation(obs, outcome_derivs(cfg, scheme, xs)),
+                  _branch_search(phi_true))
 
 
 def _branch_search(phi_true):
@@ -199,9 +202,10 @@ def _branch_side(start, direction, positive, steps):
 
 
 def _check_branch_monotone(cfg, scheme, obs, branch):
+    _check_alphabet(obs, scheme)
     n_samples = max(int(branch.width / _BRANCH_STEP), 2)
-    slopes = signal(cfg, scheme, obs,
-                    np.linspace(branch.lo, branch.hi, n_samples + 1)).slope
+    slopes = np.array(_expectation(obs, outcome_derivs(
+        cfg, scheme, np.linspace(branch.lo, branch.hi, n_samples + 1))))
     if np.any(slopes > _SLOPE_TOL) and np.any(slopes < -_SLOPE_TOL):
         raise NonMonotoneBranch(
             f"slope changes sign on [{branch.lo}, {branch.hi}]"
@@ -217,13 +221,14 @@ def _invert(cfg, scheme, obs, measured, branch):
     nearest; all the others are inverted by one lockstep Brent batch, which
     is given the end signals instead of evaluating them again.
     """
-    g_lo, g_hi = signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean.tolist()
+    means = lambda xs: _expectation(obs, outcome_probs(cfg, scheme, xs))
+    g_lo, g_hi = means([branch.lo, branch.hi])
     top = branch.lo if g_lo >= g_hi else branch.hi
     bottom = branch.lo if g_lo <= g_hi else branch.hi
     phis = [top if m > max(g_lo, g_hi) else bottom if m < min(g_lo, g_hi)
             else None for m in measured]
     inside = [m for m, phi in zip(measured, phis) if phi is None]
-    roots = iter(find_roots(lambda xs: signal(cfg, scheme, obs, xs).mean,
+    roots = iter(find_roots(lambda xs: np.array(means(xs)),
                             inside, [branch] * len(inside),
                             g_ends=[(g_lo, g_hi)] * len(inside)))
     return ([next(roots) if phi is None else phi for phi in phis],
@@ -238,8 +243,12 @@ def invert_signal(cfg: InterferometerConfig, scheme: BinningScheme,
     The branch is re-sampled first and rejected if the slope changes sign.
     Values beyond the branch's signal range clamp to the endpoint whose
     signal is nearest (finite-sample fluctuations routinely overshoot).
+    A non-finite measured value or branch end is rejected with ValueError.
     """
     branch = branch if isinstance(branch, Interval) else Interval(*branch)
+    if not all(map(math.isfinite, (measured_value, branch.lo, branch.hi))):
+        raise ValueError(f"measured value and branch ends must be finite, "
+                         f"got {measured_value} on [{branch.lo}, {branch.hi}]")
     _check_branch_monotone(cfg, scheme, obs, branch)
     (phi,), _ = _invert(cfg, scheme, obs, [measured_value], branch)
     return phi
@@ -287,7 +296,7 @@ def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,
         raise ValueError("phi_grid must be nonempty")
     _check_count("replicas", replicas)
     _check_count("shots", shots)
-    probs, _ = outcome_table(cfg, scheme, phi_grid)
+    probs = outcome_probs(cfg, scheme, phi_grid)
     points = []
     for p, phi in enumerate(phi_grid):
         streams = [RandomStream(master_seed, p * replicas + i)

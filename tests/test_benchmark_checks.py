@@ -2,9 +2,9 @@
 
 perfbench/run.py checks each workload's results against what the package
 exposes (records, frequencies, estimates) and traces its calls by name.
-This runs the estimator and calibration workloads at minimal size, traced,
-on a copy of the checkout in a temporary directory, so a change that breaks
-what the benchmark reads from the package fails here.
+This runs each of the four workloads at minimal size, traced, on a copy
+of the checkout in a temporary directory, so a change that breaks what the
+benchmark reads from the package fails here.
 """
 
 import json
@@ -29,7 +29,8 @@ def checkout(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("workload", ["estimator", "calibration"])
+@pytest.mark.parametrize("workload", ["fringe_scan", "merit_sweep", "estimator",
+                                      "calibration"])
 def test_traced_smoke_run_is_correct(checkout, workload):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -2,9 +2,9 @@
 
 `_write_rows` renders every line with one "%" template.  The oracle below
 is the csv.writer path it replaced, copied verbatim; the two must write the
-same bytes.  A dataset grid is evaluated by one outcome_table call, and
-its signal, sensitivity and bound columns equal the library functions
-called one by one, bit for bit.
+same bytes.  A dataset grid is evaluated by one core call (outcome_table,
+or the half of it that the command reads), and its signal, sensitivity and
+bound columns equal the library functions called one by one, bit for bit.
 """
 
 import csv
@@ -103,18 +103,22 @@ def test_row_template_rejects_a_number_in_a_text_column(tmp_path):
 # One outcome table per grid.
 
 
+CORE = ("outcome_table", "outcome_probs", "outcome_derivs")
+
+
 @pytest.fixture
 def table_calls(monkeypatch):
-    """The phase count of every outcome_table call, from any layer."""
+    """The phase count of every call of a core entry point (the whole table
+    or either half of it), from any layer."""
     calls = []
-    table = interferometer.outcome_table
+    for name in CORE:
+        def counted(cfg, scheme, phis, core=getattr(interferometer, name)):
+            calls.append(len(phis))
+            return core(cfg, scheme, phis)
 
-    def counted(cfg, scheme, phis):
-        calls.append(len(phis))
-        return table(cfg, scheme, phis)
-
-    for module in (cli, metrics, simulate):
-        monkeypatch.setattr(module, "outcome_table", counted)
+        for module in (cli, metrics, simulate):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -1,7 +1,7 @@
 """erf_diff against the per-function case analysis it replaced.
 
-erf_diff is built from one split that evaluates each rational form once
-per call.  The oracles below are the helper and the erf_diff it replaced,
+erf_diff is built from one split that evaluates each rational form at most
+once per call, and never on an empty set.  The oracles below are the helper and the erf_diff it replaced,
 copied verbatim; they call the same two rational forms, so every case
 asserts bit equality (int64 views, which tell +0.0 from -0.0) and the same
 return type.
@@ -87,12 +87,13 @@ def test_erf_diff_matches_case_analysis():
         assert_same(erf_diff(x, y), old_erf_diff(x, y))
 
 
-def test_each_call_evaluates_each_rational_form_once(monkeypatch):
-    calls = {"small": 0, "tail": 0}
+def test_each_call_evaluates_each_rational_form_at_most_once_never_empty(
+        monkeypatch):
+    sizes = {"small": [], "tail": []}
 
     def counted(name, form):
         def wrapper(v):
-            calls[name] += 1
+            sizes[name].append(v.size)
             return form(v)
         return wrapper
 
@@ -100,12 +101,18 @@ def test_each_call_evaluates_each_rational_form_once(monkeypatch):
                         counted("small", _erf_rational_small))
     monkeypatch.setattr(numerics, "_erfc_positive",
                         counted("tail", _erfc_positive))
-    for call in (lambda: erf_diff(0.0, 0.3), lambda: erf_diff(0.0, RANDOM),
-                 lambda: erf_diff(0.1, 2.0), lambda: erf_diff(5.0, 5.5),
-                 lambda: erf_diff(EDGES[:, None], EDGES[None, :])):
-        calls.update(small=0, tail=0)
+    both = {"small", "tail"}
+    for call, forms in ((lambda: erf_diff(0.0, 0.3), {"small"}),
+                        (lambda: erf_diff(0.0, RANDOM), both),
+                        (lambda: erf_diff(0.1, 2.0), both),
+                        (lambda: erf_diff(5.0, 5.5), {"tail"}),
+                        (lambda: erf_diff(-np.inf, np.nan), {"tail"}),
+                        (lambda: erf_diff(np.empty(0), np.empty(0)), set()),
+                        (lambda: erf_diff(EDGES[:, None], EDGES[None, :]), both)):
+        sizes.update(small=[], tail=[])
         call()
-        assert calls == {"small": 1, "tail": 1}
+        assert {name for name, n in sizes.items() if n} == forms
+        assert all(len(n) <= 1 and all(n) for n in sizes.values()), sizes
 
 
 def unmasked_erfc_positive(y):

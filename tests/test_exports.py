@@ -36,8 +36,9 @@ LAYER_EXPORTS = {
     ],
     "interferometer": [
         "BinningScheme", "InterferometerConfig", "InvalidScheme",
-        "OutcomeDistribution", "default_cutoff", "outcome_distribution",
-        "outcome_table", "quadrature_pdf",
+        "OutcomeDistribution", "default_cutoff", "outcome_derivs",
+        "outcome_distribution", "outcome_probs", "outcome_table",
+        "quadrature_pdf",
     ],
     "metrics": [
         "AlphabetMismatch", "DegenerateSignal", "FIXED_RANDOM_EIGENVALUES",

@@ -202,7 +202,8 @@ def test_samplers_reject_non_finite_phase(phi, monkeypatch):
     # walking half a period each way
     def no_table(*args):
         raise AssertionError("the signal was evaluated")
-    monkeypatch.setattr(simulate, "signal", no_table)
+    monkeypatch.setattr(simulate, "outcome_derivs", no_table)
+    monkeypatch.setattr(simulate, "outcome_probs", no_table)
     with pytest.raises(ValueError, match="phase must be finite"):
         monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, phi)
 
@@ -426,6 +427,25 @@ def test_inversion_accepts_plain_tuple_branch():
     got = invert_signal(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured,
                         (branch.lo, branch.hi))
     assert got == pytest.approx(0.1, abs=1e-10)
+
+
+@pytest.mark.parametrize("measured, branch", [
+    (math.nan, (0.0, 0.203)),
+    (math.inf, (0.0, 0.203)),
+    (-math.inf, (0.0, 0.203)),
+    (0.5, (0.05, math.inf)),
+    (0.5, (-math.inf, 0.203)),
+])
+def test_inversion_rejects_non_finite_input(monkeypatch, measured, branch):
+    # unchecked, a NaN value reaches Brent as a NoSignChange, an infinite one
+    # clamps to a branch end, and an infinite end overflows the re-check's
+    # sample count; each is rejected before any table call
+    def no_table(*args):
+        raise AssertionError("the signal was evaluated")
+    monkeypatch.setattr(simulate, "outcome_derivs", no_table)
+    monkeypatch.setattr(simulate, "outcome_probs", no_table)
+    with pytest.raises(ValueError, match="must be finite"):
+        invert_signal(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured, branch)
 
 
 # ---------------------------------------------------------------------------

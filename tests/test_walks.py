@@ -14,12 +14,11 @@ import math
 import numpy as np
 import pytest
 
-from mzhomodyne import metrics
+from mzhomodyne import interferometer, metrics, simulate
 from mzhomodyne.interferometer import (
     BinningScheme,
     InterferometerConfig,
     outcome_distribution,
-    outcome_table,
 )
 from mzhomodyne.metrics import (
     FIXED_RANDOM_EIGENVALUES,
@@ -156,14 +155,17 @@ def test_bright_branch_matches_step_by_step_walk(phi, rejected):
     ((BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS), 0.0003, 2),
 ], ids=["fig4", "bright"])
 def test_branch_sides_walk_in_lockstep(monkeypatch, system, phi, rounds):
-    # one table for the probe at phi, then one per round of the longer side
+    # one core call (the whole table or either half) for the probe at phi,
+    # then one per round of the longer side
     calls = []
+    for name in ("outcome_table", "outcome_probs", "outcome_derivs"):
+        def recording(cfg, scheme, phis, core=getattr(interferometer, name)):
+            calls.append(len(phis))
+            return core(cfg, scheme, phis)
 
-    def recording(cfg, scheme, phis):
-        calls.append(len(phis))
-        return outcome_table(cfg, scheme, phis)
-
-    monkeypatch.setattr(metrics, "outcome_table", recording)
+        for module in (metrics, simulate):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording)
     got = monotone_branch(*system, phi)
     assert len(calls) == rounds
     monkeypatch.undo()
