@@ -17,7 +17,7 @@ import numpy as np
 from .interferometer import (BinningScheme, InterferometerConfig, outcome_probs,
                              outcome_table)
 from .numerics import (NoSignChange, _brent, _drive, _golden, _lockstep,
-                       _unwrap, _walk_chunks, find_root)
+                       _unwrap, _walk, find_root)
 
 __all__ = [
     "AlphabetMismatch",
@@ -98,10 +98,6 @@ class Observable:
     @property
     def cutoff(self) -> int:
         return (len(self.bin_values) - 1) // 2
-
-    @property
-    def is_binary(self) -> bool:
-        return len(set(self.bin_values) | {self.leftover_value}) == 2
 
     def all_values(self) -> np.ndarray:
         """Bins then leftover, matching the outcome_table columns."""
@@ -302,12 +298,12 @@ def visibility_boundary(half_width: float, target: float) -> float:
     Brent's method over nbar in [1e-6, 1e4]; visibility grows monotonically
     with nbar at fixed half_width.
     """
-    if target >= 1.0:
+    if not target < 1.0:
         raise ValueError(f"target visibility must be below 1, got {target}")
+    scheme = BinningScheme.binary(half_width)
     lo, hi = 1e-6, 1e4
     if target <= 0.0:
         return lo
-    scheme = BinningScheme.binary(half_width)
     obs = Observable((1.0,), 0.0)
 
     def vis(nbar: float) -> float:
@@ -335,23 +331,19 @@ def continuous_signal(cfg: InterferometerConfig, phi):
 
 def _fringe_side(center, f0, sign):
     """One side of _fringe_search, sent the fringe oriented as a peak."""
-    prev_x, prev_v = center, f0
-    for xs in _walk_chunks(center, sign, _SCAN_STEP, int(math.pi / _SCAN_STEP)):
-        for x, v in zip(xs, (yield xs)):
-            if v > prev_v:
-                # passed a local minimum; refine it within the last window
-                lo = min(prev_x - sign * _SCAN_STEP, x)
-                hi = max(prev_x - sign * _SCAN_STEP, x)
-                dark, dark_val = yield from _golden((lo, hi), grid_points=64)
-                if f0 - dark_val <= 1e-10 * max(abs(f0), abs(dark_val)):
-                    raise NoFringe("fringe depth within rounding noise")
-                bracket = (min(center, dark), max(center, dark))
-                try:
-                    return (yield from _brent(bracket, 1e-12, 0.5 * (f0 + dark_val)))
-                except NoSignChange as exc:
-                    raise NoFringe("fringe shallower than half depth") from exc
-            prev_x, prev_v = x, v
-    raise NoFringe("no dark point within half a period of the center")
+    prev_x, x = yield from _walk(center, sign, _SCAN_STEP, f0, operator.lt)
+    if x is None:
+        raise NoFringe("no dark point within half a period of the center")
+    # passed a local minimum; refine it within the last window
+    back = prev_x - sign * _SCAN_STEP
+    dark, dark_val = yield from _golden((min(back, x), max(back, x)), grid_points=64)
+    if f0 - dark_val <= 1e-10 * max(abs(f0), abs(dark_val)):
+        raise NoFringe("fringe depth within rounding noise")
+    bracket = (min(center, dark), max(center, dark))
+    try:
+        return (yield from _brent(bracket, 1e-12, 0.5 * (f0 + dark_val)))
+    except NoSignChange as exc:
+        raise NoFringe("fringe shallower than half depth") from exc
 
 
 def _fringe_search(center):
@@ -373,11 +365,11 @@ def _fringe_half_crossings(f, center: float) -> tuple[float, float]:
 
     Orientation is taken from the neighborhood of the center: a dip is
     flipped so the fringe is always treated as a peak.  Each side walks
-    outward in steps of _SCAN_STEP, for at most pi, to its first local
-    minimum (the fringe-local baseline), refines it, and brackets the
-    half-level crossing between center and that dark point.  The sides run
-    in lockstep, one call of f (on a 1-D array of phases) per round; the
-    left side's error is raised first.
+    outward (numerics._walk, in steps of _SCAN_STEP for at most pi) to its
+    first local minimum (the fringe-local baseline), refines it, and
+    brackets the half-level crossing between center and that dark point.
+    The sides run in lockstep, one call of f (on a 1-D array of phases) per
+    round; the left side's error is raised first.
     """
     return _drive(lambda xs: f(np.array(xs)).tolist(), _fringe_search(center))
 

@@ -3,13 +3,14 @@
 The error function, whose one entry point is erf_diff (erf over a bin),
 from fixed rational approximations (no platform-dependent special-function
 library, so CSV output is bit-stable across machines); a bracketing Brent
-root finder, a grid-scan + golden-section minimizer and doubling-chunk
-walks (each a search that one driver runs alone or in lockstep with
+root finder, a grid-scan + golden-section minimizer and a doubling-chunk
+walk (each a search that one driver runs alone or in lockstep with
 others); and deterministic counter-based uniform random streams.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -52,9 +53,6 @@ class Interval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +166,8 @@ _EPS = float(np.finfo(float).eps)
 
 def _ends(bracket):
     lo, hi = (bracket.lo, bracket.hi) if isinstance(bracket, Interval) else bracket
-    if not lo < hi:
-        raise ValueError("bracket must satisfy lo < hi")
+    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket must be finite with lo < hi, got [{lo}, {hi}]")
     return lo, hi
 
 
@@ -348,19 +346,31 @@ def _golden(bracket, tol=1e-10, grid_points=512):
 _FIRST_CHUNK = 16
 
 
-def _walk_chunks(start: float, direction: float, step: float, n_steps: int):
-    """Points x_i = start + direction*i*step, i = 1..n_steps, one list per chunk.
+def _walk(start: float, direction: float, step: float, v0: float,
+          stop: Callable[[float, float], bool]):
+    """Walk from start as a search (see _drive) to the first step x whose
+    value v makes stop(v_prev, v) true, v_prev being the value one step
+    back (v0 at start).  Returns (x_prev, x) there, or (x_last, None) when
+    no step stops.
 
-    Chunks of consecutive steps double in size from 16 points, so a walk
-    that stops after a few steps evaluates few points, and one that walks
-    all n_steps takes O(log n_steps) chunks.  Each x_i is the scalar
-    expression above, so a walk sees the points a step-by-step loop would.
+    The points x_i = start + direction*i*step, i = 1..int(pi/step), half a
+    period, are yielded in chunks that double in size from 16 points, so a
+    walk that stops after a few steps evaluates few points, and a full one
+    takes O(log n) rounds.  Each x_i is the scalar expression above, so a
+    walk sees the points a step-by-step loop would.
     """
+    n_steps = int(math.pi / step)
+    x_prev, v_prev = start, v0
     lo, size = 1, _FIRST_CHUNK
     while lo <= n_steps:
         hi = min(lo + size, n_steps + 1)
-        yield [start + direction * i * step for i in range(lo, hi)]
+        xs = [start + direction * i * step for i in range(lo, hi)]
+        for x, v in zip(xs, (yield xs)):
+            if stop(v_prev, v):
+                return x_prev, x
+            x_prev, v_prev = x, v
         lo, size = hi, 2 * size
+    return x_prev, None
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ import numpy as np
 from .interferometer import (BinningScheme, InterferometerConfig, outcome_derivs,
                              outcome_probs)
 from .metrics import AlphabetMismatch, Observable, _check_alphabet, _expectation
-from .numerics import (Interval, RandomStream, _drive, _lockstep, _walk_chunks,
-                       find_roots)
+from .numerics import Interval, RandomStream, _drive, _lockstep, _walk, find_roots
 
 __all__ = [
     "EstimationReport",
@@ -107,10 +106,6 @@ class EstimationReport:
     sigma: float
     clamp_count: int
 
-    @property
-    def clamp_fraction(self) -> float:
-        return self.clamp_count / len(self.estimates)
-
 
 def _finite_phase(phi) -> float:
     """phi as a float; a NaN or infinite phase has no prefix sums to draw
@@ -162,8 +157,9 @@ def monotone_branch(cfg: InterferometerConfig, scheme: BinningScheme,
                     obs: Observable, phi_true: float) -> Interval:
     """Largest interval around phi_true where the sampled signal slope keeps
     one sign (resolution 1e-3 rad, capped at half a period each way).
-    The two sides walk in lockstep, in doubling chunks of steps (see
-    numerics._walk_chunks): each round is one outcome_derivs call.
+    The two sides are numerics._walk searches run in lockstep, each
+    stopping at its first slope sign flip: each round is one
+    outcome_derivs call.
 
     At an exact extremum the sign is taken from the right neighbor, so the
     branch starts at phi_true itself.
@@ -181,24 +177,13 @@ def _branch_search(phi_true):
         (s0,) = yield [phi_true + _BRANCH_STEP]
     if s0 == 0.0:
         raise NonMonotoneBranch(f"signal is flat around phi={phi_true}")
-    steps = int(math.pi / _BRANCH_STEP)
-    sides = [(_branch_side(phi_true, direction, s0 > 0.0, steps), None)
+    flip = lambda v_prev, v: (v_prev > 0.0) != (v > 0.0)
+    sides = [(_walk(phi_true, direction, _BRANCH_STEP, s0, flip), None)
              for direction in (-1.0, 1.0)]
-    lo, hi = yield from _lockstep(sides)
+    (lo, _), (hi, _) = yield from _lockstep(sides)
     if lo == hi:
         raise NonMonotoneBranch(f"no monotone run around phi={phi_true}")
     return Interval(lo, hi)
-
-
-def _branch_side(start, direction, positive, steps):
-    """The last step from start whose slope keeps the sign `positive`."""
-    edge = start
-    for xs in _walk_chunks(start, direction, _BRANCH_STEP, steps):
-        for x, s in zip(xs, (yield xs)):
-            if (s > 0.0) != positive:
-                return edge
-            edge = x
-    return edge
 
 
 def _check_branch_monotone(cfg, scheme, obs, branch):

@@ -475,6 +475,13 @@ def test_reproduce_fig4_passes(tmp_path, capsys):
         assert len(read_rows(tmp_path / name)[1:]) == 21  # past the header
 
 
+def test_reproduce_fig4_golden_regression(tmp_path):
+    # fig4's phase grid is derived from the branch monotone_branch returns
+    assert main(["reproduce", "fig4", "--seed", "0", "--out", str(tmp_path)]) == 0
+    for name in ("fig4_calibration.csv", "fig4_estimation.csv", "fig4_summary.txt"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_reproduce_rejects_unknown_figure(capsys):
     assert main(["reproduce", "fig9"]) == 2
 

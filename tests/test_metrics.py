@@ -18,6 +18,7 @@ from mzhomodyne import metrics
 from mzhomodyne.interferometer import (
     BinningScheme,
     InterferometerConfig,
+    InvalidScheme,
     outcome_distribution,
     outcome_table,
     quadrature_pdf,
@@ -101,14 +102,6 @@ def test_observable_accessors():
     assert values[-1] == 0.25
     with pytest.raises(AlphabetMismatch):
         signal(FIG2_CFG, BinningScheme(0.5, 3.8, 3), obs, 0.0)
-
-
-def test_observable_binary_flag():
-    assert Observable((1.0,), 0.0).is_binary
-    assert Observable((1.0, 1.0, 1.0), 0.0).is_binary
-    assert Observable((1.0, -1.0, 1.0), 0.0).is_binary is False  # three values
-    assert Observable((5.0, 5.0, 5.0), 5.0).is_binary is False  # constant
-    assert Observable(FIXED_RANDOM_EIGENVALUES, 0.0).is_binary is False
 
 
 def test_observable_constructors():
@@ -536,6 +529,21 @@ def test_visibility_boundary_edge_cases():
     assert visibility_boundary(0.5, 0.95) >= visibility_boundary(0.5, 0.9)
     with pytest.raises(ValueError):
         visibility_boundary(0.5, 1.0)
+
+
+@pytest.mark.parametrize("half_width, target, error", [
+    (0.05, math.nan, ValueError), (math.nan, 0.0, InvalidScheme),
+    (math.nan, 0.9, InvalidScheme), (-0.5, -1.0, InvalidScheme),
+])
+def test_visibility_boundary_rejects_invalid_input_before_evaluating(
+        monkeypatch, half_width, target, error):
+    def no_visibility(*args):
+        raise AssertionError("visibility evaluated")
+
+    monkeypatch.setattr(metrics, "visibility", no_visibility)
+    with pytest.raises(error) as err:
+        visibility_boundary(half_width, target)
+    assert type(err.value) is error
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from mzhomodyne.numerics import (
     RandomStream,
     _drive,
     _golden,
-    _walk_chunks,
+    _walk,
     erf_diff,
     find_root,
     find_roots,
@@ -247,6 +247,35 @@ def test_find_roots_calls_g_once_per_round_on_running_searches():
     assert sizes == [1] * 200
 
 
+@pytest.mark.parametrize("bracket", [(0.0, math.inf), (-math.inf, 3.0),
+                                     Interval(0.0, math.inf)])
+def test_searches_reject_an_infinite_bracket_end_before_evaluating(bracket):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 1.0
+
+    for search in (lambda: find_root(f, bracket),
+                   lambda: _drive(lambda xs: [f(x) for x in xs], _golden(bracket))):
+        with pytest.raises(ValueError, match="finite") as err:
+            search()
+        assert type(err.value) is ValueError
+    assert calls == []
+
+
+def test_find_roots_raises_an_infinite_lane_error_in_lane_order():
+    batch = lambda xs: xs - 1.0
+    with pytest.raises(ValueError, match=r"\[-inf, 3.0\]"):
+        find_roots(batch, [0.0] * 3, [(0.0, 2.0), (-math.inf, 3.0), (0.0, math.inf)])
+    # a lane before it that fails on its values raises first
+    with pytest.raises(NoSignChange):
+        find_roots(batch, [5.0, 0.0], [(0.0, 2.0), (0.0, math.inf)])
+    with pytest.raises(ValueError, match=r"\[0.0, inf\]") as err:
+        find_roots(batch, [0.0, 5.0], [(0.0, math.inf), (0.0, 2.0)])
+    assert type(err.value) is ValueError
+
+
 def test_find_roots_propagates_no_sign_change():
     with pytest.raises(NoSignChange):
         find_roots(lambda xs: xs, [0.5, 5.0, 0.2], [(0.0, 1.0)] * 3)
@@ -268,23 +297,41 @@ def test_find_roots_rejects_lists_of_different_lengths():
                    g_ends=[(0.0, 1.0)])
 
 
-def test_walk_chunks_doubles_and_stops_lazily():
-    chunks = list(_walk_chunks(0.25, -1.0, 0.002, 100))
-    assert [len(xs) for xs in chunks] == [16, 32, 52]
-    assert sum(chunks, []) == [0.25 + -1.0 * i * 0.002 for i in range(1, 101)]
-
-    def first_value(walk):  # a search that stops at the walk's first step
-        for xs in walk:
-            return (yield xs)[0]
-
-    calls = []
-
+def _counting(calls):
+    """A batch objective whose values number the points it is sent, 1, 2, ...,
+    in the order they come; calls records each call's points."""
     def batch(xs):
-        calls.append(len(xs))
-        return [2.0 * x for x in xs]
+        calls.append(list(xs))
+        n = sum(map(len, calls))
+        return list(range(n - len(xs) + 1, n + 1))
+    return batch
 
-    assert _drive(batch, first_value(_walk_chunks(0.0, 1.0, 1e-3, 3141))) == 2e-3
-    assert calls == [16]
+
+def test_walk_yields_doubling_chunks_of_the_half_period_span():
+    calls = []
+    never = lambda v_prev, v: False
+    got = _drive(_counting(calls), _walk(0.25, -1.0, 0.002, 0, never))
+    # int(pi / 0.002) = 1570 points
+    assert [len(xs) for xs in calls] == [16, 32, 64, 128, 256, 512, 562]
+    assert sum(calls, []) == [0.25 + -1.0 * i * 0.002 for i in range(1, 1571)]
+    assert got == (0.25 + -1.0 * 1570 * 0.002, None)
+
+
+def test_walk_stopping_at_the_first_step_takes_one_round():
+    calls = []
+    first = lambda v_prev, v: (v_prev, v) == (0, 1)  # v0, then step 1's value
+    assert _drive(_counting(calls), _walk(0.0, 1.0, 1e-3, 0, first)) == (0.0, 1e-3)
+    assert [len(xs) for xs in calls] == [16]
+
+
+def test_walk_stop_across_a_chunk_boundary():
+    # step 16 ends the first chunk and step 17 starts the second: the walk
+    # carries step 16's point and value across the round
+    calls = []
+    across = lambda v_prev, v: (v_prev, v) == (16, 17)
+    got = _drive(_counting(calls), _walk(0.1, 1.0, 1e-3, 0, across))
+    assert got == (0.1 + 1.0 * 16 * 1e-3, 0.1 + 1.0 * 17 * 1e-3)
+    assert [len(xs) for xs in calls] == [16, 32]
 
 
 # Scalar minimisation: _golden driven with one objective call per point.
@@ -385,7 +432,7 @@ def test_interval_validation():
         Interval(1.0, 1.0)
     iv = Interval(-1.0, 2.0)
     assert iv.width == 3.0
-    assert iv.contains(0.0) and not iv.contains(2.5)
+    assert (iv.lo, iv.hi) == (-1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Walks and column reductions against their one-outcome originals.
 
-The fringe walk of fwhm and the branch walk of monotone_branch are searches
-that evaluate their steps in doubling chunks, both sides of a walk in
-lockstep.  The oracles below are the one-phase-per-step loops they
+The fringe walk of fwhm and the branch walk of monotone_branch are both
+numerics._walk, a search that evaluates its steps in doubling chunks, both
+sides of a walk in lockstep.  The oracles below are the one-phase-per-step loops they
 replaced, copied verbatim; every case asserts that both return the same
 crossings or edges as the same floats, or raise the same error.
 binarized_cfi groups outcome_table columns; its oracle is the loop over
@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzhomodyne import interferometer, metrics, simulate
 from mzhomodyne.interferometer import (
@@ -111,10 +113,10 @@ def _scalar_branch(cfg, scheme, obs, phi_true):
 
 
 def _result(fn, *args):
-    """Return value, or the type of the error raised."""
+    """Return value, or the type of the search error raised."""
     try:
         return fn(*args)
-    except (NoFringe, NonMonotoneBranch) as exc:
+    except (ValueError, RuntimeError) as exc:
         return type(exc)
 
 
@@ -170,6 +172,30 @@ def test_branch_sides_walk_in_lockstep(monkeypatch, system, phi, rounds):
     assert len(calls) == rounds
     monkeypatch.undo()
     assert got == _scalar_branch(*system, phi)
+
+
+@st.composite
+def _systems(draw):
+    """A drawn system: nbar log-uniform in [1, 1e4], 0 < a, b > 2a, cutoff
+    0-5, ones or alternating eigenvalues, and a phase."""
+    cfg = InterferometerConfig.from_nbar(10.0 ** draw(st.floats(0.0, 4.0)))
+    a = draw(st.floats(0.05, 2.0))
+    scheme = BinningScheme(a, 2.0 * a * draw(st.floats(1.05, 4.0)),
+                           draw(st.integers(0, 5)))
+    obs = draw(st.sampled_from((Observable.ones, Observable.alternating)))(scheme)
+    return cfg, scheme, obs, draw(st.floats(-math.pi, math.pi))
+
+
+# each example walks up to pi one scalar signal call at a time, ~0.4 s
+@settings(derandomize=True, max_examples=6, deadline=None, database=None)
+@given(_systems())
+def test_walks_match_step_by_step_walks_on_drawn_systems(system):
+    cfg, scheme, obs, phi = system
+    assert _result(monotone_branch, cfg, scheme, obs, phi) == \
+        _result(_scalar_branch, cfg, scheme, obs, phi)
+    f = lambda x: signal(cfg, scheme, obs, x).mean
+    assert _result(_fringe_half_crossings, f, 0.0) == \
+        _result(_scalar_half_crossings, f, 0.0)
 
 
 def _cosine_fringe(period):
