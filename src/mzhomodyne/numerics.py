@@ -389,9 +389,10 @@ class RandomStream:
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        # an int() of 1.5 would silently draw seed 1's stream
+        # int() would truncate 1.5, and True is 1: either would draw seed 1's stream
         for name, value in (("master_seed", master_seed), ("stream_index", stream_index)):
-            if not isinstance(value, numbers.Integral) or not 0 <= value < 2 ** 64:
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                               and 0 <= value < 2 ** 64):
                 raise ValueError(f"{name} must be an integer that fits in uint64, "
                                  f"got {value!r}")
         self.master_seed, self.stream_index = int(master_seed), int(stream_index)
@@ -405,3 +406,16 @@ class RandomStream:
 
     def __repr__(self):
         return f"RandomStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
+
+
+def _streams(master_seed: int, first: int, count: int):
+    """RandomStream(master_seed, first + i) for i < count, one at a time from
+    one Philox re-keyed at each step to the state Philox(key) starts in, a
+    tenth of the cost of a new one: draw from each before taking the next."""
+    stream = RandomStream(master_seed, first + count - 1)  # checks the seed and last index
+    def rekey(index):
+        stream.stream_index, stream._gen.bit_generator.state = index, {
+            "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+            "uinteger": 0, "state": {"counter": [0] * 4, "key": [stream.master_seed, index]}}
+        return stream
+    return map(rekey, range(first, first + count))

@@ -16,7 +16,7 @@ import numpy as np
 from .interferometer import (BinningScheme, InterferometerConfig, outcome_derivs,
                              outcome_probs)
 from .metrics import AlphabetMismatch, Observable, _check_alphabet, _expectation
-from .numerics import Interval, RandomStream, _drive, _lockstep, _walk, find_roots
+from .numerics import Interval, _drive, _lockstep, _streams, _walk, find_roots
 
 __all__ = [
     "EstimationReport",
@@ -124,9 +124,9 @@ def _check_count(name, value):
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _draw(prefix, shots, streams):
-    """Counts matrix, a row per stream, of `shots` uniform draws from each
-    stream classified against the prefix sums of a probability row.
+def _draw(prefix, shots, replicas, streams):
+    """Counts matrix, a row each, of `shots` uniform draws from the next
+    `replicas` streams, classified against a probability row's prefix sums.
 
     A block of about _BLOCK_DRAWS draws (a stream per row, drawn in place,
     at least one row) is counted at once: n_j = #{xi <= prefix[j]} in each
@@ -142,14 +142,14 @@ def _draw(prefix, shots, streams):
         count = np.count_nonzero
     else:  # a row of at most _BLOCK_DRAWS // 2 draws: a uint32 count cannot wrap
         count = lambda hits: hits.view(np.uint8).sum(axis=1, dtype=np.uint32)
-    below = np.full((len(streams), len(prefix) + 1), shots, dtype=np.int64)
-    block = np.empty((min(rows, len(streams)), shots))
-    for start in range(0, len(streams), rows):
-        chunk = streams[start:start + rows]
-        for row, stream in zip(block, chunk):
+    below = np.full((replicas, len(prefix) + 1), shots, dtype=np.int64)
+    block = np.empty((min(rows, replicas), shots))
+    for start in range(0, replicas, rows):
+        chunk = block[:min(rows, replicas - start)]
+        for row, stream in zip(chunk, streams):  # chunk first: no stream is taken past it
             stream.uniform(size=shots, out=row)
         for j, edge in enumerate(prefix):
-            below[start:start + len(chunk), j] = count(block[:len(chunk)] <= edge)
+            below[start:start + len(chunk), j] = count(chunk <= edge)
     return np.diff(below, axis=1, prepend=0)
 
 
@@ -273,20 +273,16 @@ def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,
 
     Replica i of grid point p consumes random stream p*replicas + i, so no
     two grid points share draws, and stream (s, i) at phi is record i of a
-    one-point grid at master_seed s.  The grid's outcome table is evaluated
-    once, and each point's draws are counted by _draw.
+    one-point grid at master_seed s.  The keys are checked, then the grid's
+    outcome table is evaluated once and _draw counts each point's draws.
     """
     phi_grid = [_finite_phase(p) for p in phi_grid]
     if len(phi_grid) == 0:
         raise ValueError("phi_grid must be nonempty")
     _check_count("replicas", replicas)
     _check_count("shots", shots)
-    probs = outcome_probs(cfg, scheme, phi_grid)
-    points = []
-    for p, phi in enumerate(phi_grid):
-        streams = [RandomStream(master_seed, p * replicas + i)
-                   for i in range(replicas)]
-        counts = _draw(np.cumsum(probs[p, :-1]), shots, streams)
-        points.append(ReplicaSet(phi, shots, master_seed,
-                                 tuple(map(tuple, counts.tolist()))))
-    return points
+    streams = _streams(master_seed, 0, len(phi_grid) * replicas)
+    prefixes = np.cumsum(outcome_probs(cfg, scheme, phi_grid)[:, :-1], axis=1)
+    return [ReplicaSet(phi, shots, master_seed,
+                       tuple(map(tuple, _draw(prefix, shots, replicas, streams).tolist())))
+            for phi, prefix in zip(phi_grid, prefixes)]

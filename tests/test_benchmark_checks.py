@@ -29,8 +29,13 @@ def checkout(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("workload", ["fringe_scan", "merit_sweep", "estimator",
-                                      "calibration"])
+# Uniform draws each smoke run makes at seed 7, as the tracer counts them
+# through RandomStream.uniform: sampling that left that path would read 0.
+SMOKE_DRAWS = {"fringe_scan": 0, "merit_sweep": 0, "estimator": 5_600,
+               "calibration": 6_000}
+
+
+@pytest.mark.parametrize("workload", list(SMOKE_DRAWS))
 def test_traced_smoke_run_is_correct(checkout, workload):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -39,3 +44,4 @@ def test_traced_smoke_run_is_correct(checkout, workload):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, done.stdout
+    assert result["metrics"]["numerics.random.draws"]["value"] == SMOKE_DRAWS[workload]

@@ -14,6 +14,7 @@ from mzhomodyne.numerics import (
     RandomStream,
     _drive,
     _golden,
+    _streams,
     _walk,
     erf_diff,
     find_root,
@@ -500,9 +501,10 @@ def test_stream_rejects_bad_seeds():
 
 @pytest.mark.parametrize("seed, index", [
     (1.5, 0), (0, 2.5), (1.0, 0), (np.float64(3.0), 0), ("1", 0), (None, 0),
+    (True, 0), (0, False),
 ])
 def test_stream_rejects_non_integral_keys(seed, index):
-    # int() would truncate 1.5 and silently draw seed 1's stream
+    # int() would truncate 1.5 and silently draw seed 1's stream; True is 1
     with pytest.raises(ValueError):
         RandomStream(seed, index)
 
@@ -516,3 +518,19 @@ def test_stream_accepts_numpy_integer_keys(seed, index):
     assert type(stream.master_seed) is int and type(stream.stream_index) is int
     assert np.array_equal(stream.uniform(50),
                           RandomStream(int(seed), int(index)).uniform(50))
+
+
+def test_rekeyed_streams_draw_as_fresh_streams():
+    # 5 draws leave 3 of Philox's 4 buffered words, which a re-key drops
+    streams = _streams(2 ** 64 - 1, 2 ** 64 - 3, 3)
+    for index in range(2 ** 64 - 3, 2 ** 64):
+        stream = next(streams)
+        assert repr(stream) == repr(RandomStream(2 ** 64 - 1, index))
+        assert np.array_equal(stream.uniform(5),
+                              RandomStream(2 ** 64 - 1, index).uniform(5))
+    assert next(streams, None) is None
+
+
+def test_streams_check_the_last_index_before_the_first_stream():
+    with pytest.raises(ValueError, match="stream_index"):
+        _streams(0, 2 ** 64 - 2, 3)

@@ -246,7 +246,9 @@ def test_draw_counts_ties_like_searchsorted(shots):
     # more streams than one block holds, each its own order of the values
     rows = max(1, simulate._BLOCK_DRAWS // shots)
     streams = [_FixedStream(np.roll(xi, i)) for i in range(2 * rows + 3)]
-    counts = simulate._draw(prefix, shots, streams)
+    taken = iter(streams + ["not drawn"])
+    counts = simulate._draw(prefix, shots, len(streams), taken)
+    assert list(taken) == ["not drawn"]  # only the rows' streams are taken
     reference = _searchsorted_counts(prefix, xi)
     # 0.0 ties the first edge; a zero bin stays empty though draws tie its edge
     assert reference[0] > 0 and reference[2] == 0
@@ -600,19 +602,23 @@ def test_calibration_standard_error_scales_with_replicas():
 
 def test_calibration_records_equal_searchsorted_on_each_stream():
     grid = [-0.4, 0.1, 0.3]
-    for shots, replicas in (
-        (150, 4),
-        (70_000, 3),  # more draws than a block: one replica per block
-        (2_000, 70),  # 32 replicas per block, the last block holds 6
+    for shots, replicas, seed in (
+        (150, 4, 9),
+        (70_000, 3, 9),  # more draws than a block: one replica per block
+        (2_000, 70, 9),  # 32 replicas per block, the last block holds 6
+        (150, 4, 2 ** 64 - 1),  # the largest seed
+        # 32 replicas per block; Philox makes 4 words at a time, so each
+        # replica leaves 3 unused that the next one must not draw
+        (2_001, 40, 9),
     ):
         pts = calibration_curve(FIG2_CFG, FIG2_SCHEME, grid, shots, replicas,
-                                master_seed=9)
+                                master_seed=seed)
         probs, _ = outcome_table(FIG2_CFG, FIG2_SCHEME, grid)
         for p, pt in enumerate(pts):
             prefix = np.cumsum(probs[p, :-1])
             assert pt.records == tuple(
                 tuple(_searchsorted_counts(prefix, RandomStream(
-                    9, p * replicas + i).uniform(size=shots)).tolist())
+                    seed, p * replicas + i).uniform(size=shots)).tolist())
                 for i in range(replicas))
 
 
@@ -640,11 +646,16 @@ def test_calibration_rejects_empty_grid():
         calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 0, 10, master_seed=1)
 
 
-def test_calibration_rejects_a_non_integral_seed():
-    # int() would truncate 1.5: seed 1's draws recorded as master_seed 1.5
-    with pytest.raises(ValueError, match="master_seed must be an integer"):
-        calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 200, 10, master_seed=1.5)
+def test_calibration_rejects_a_non_integral_seed(monkeypatch):
     (point,) = calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 200, 10,
                                  master_seed=np.int64(1))
     assert point == calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3], 200, 10,
                                       master_seed=1)[0]
+    # int() would truncate 1.5 and True is 1: seed 1's draws recorded as
+    # master_seed 1.5 or True.  Every key is checked before the table call.
+    def no_table(*args):
+        raise AssertionError("the outcome table was evaluated")
+    monkeypatch.setattr(simulate, "outcome_probs", no_table)
+    for seed in (1.5, -1, 2 ** 64, True):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            calibration_curve(FIG2_CFG, FIG2_SCHEME, [0.3, 0.5], 20, 3, master_seed=seed)
