@@ -377,6 +377,15 @@ def _walk(start: float, direction: float, step: float, v0: float,
 # Random streams.
 
 
+def _uint64(name, value) -> int:
+    """value as an int key; int() would truncate 1.5, and True is 1: either
+    would draw seed 1's stream, so both are rejected, as is a value past uint64."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       and 0 <= value < 2 ** 64):
+        raise ValueError(f"{name} must be an integer that fits in uint64, got {value!r}")
+    return int(value)
+
+
 class RandomStream:
     """Deterministic uniform stream over [0, 1).
 
@@ -389,13 +398,8 @@ class RandomStream:
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        # int() would truncate 1.5, and True is 1: either would draw seed 1's stream
-        for name, value in (("master_seed", master_seed), ("stream_index", stream_index)):
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                               and 0 <= value < 2 ** 64):
-                raise ValueError(f"{name} must be an integer that fits in uint64, "
-                                 f"got {value!r}")
-        self.master_seed, self.stream_index = int(master_seed), int(stream_index)
+        self.master_seed = _uint64("master_seed", master_seed)
+        self.stream_index = _uint64("stream_index", stream_index)
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 

@@ -16,7 +16,7 @@ import numpy as np
 from .interferometer import (BinningScheme, InterferometerConfig, outcome_derivs,
                              outcome_probs)
 from .metrics import AlphabetMismatch, Observable, _check_alphabet, _expectation
-from .numerics import Interval, _drive, _lockstep, _streams, _walk, find_roots
+from .numerics import Interval, _drive, _lockstep, _streams, _uint64, _walk, find_roots
 
 __all__ = [
     "EstimationReport",
@@ -53,6 +53,7 @@ class ReplicaSet:
 
     def __post_init__(self):
         object.__setattr__(self, "phi", _finite_phase(self.phi))
+        object.__setattr__(self, "master_seed", _uint64("master_seed", self.master_seed))
         _check_count("shots", self.shots)
         if len({len(r) for r in self.records}) != 1:
             raise ValueError("need at least one record, all of one length")
@@ -203,8 +204,11 @@ def _invert(cfg, scheme, obs, measured, branch):
 
     One two-phase evaluation of the branch ends serves every value: a value
     beyond the branch's signal range clamps to the end whose signal is
-    nearest; all the others are inverted by one lockstep Brent batch, which
-    is given the end signals instead of evaluating them again.
+    nearest; each distinct other value, in first-seen order, is inverted
+    once by one lockstep Brent batch, which is given the end signals instead
+    of evaluating them again.  Equal targets on one bracket give one root
+    bit for bit, and Brent reads a target only through f - target, tested
+    for zero and sign, so 0.0 and -0.0 may share theirs.
     """
     means = lambda xs: _expectation(obs, outcome_probs(cfg, scheme, xs))
     g_lo, g_hi = means([branch.lo, branch.hi])
@@ -212,12 +216,12 @@ def _invert(cfg, scheme, obs, measured, branch):
     bottom = branch.lo if g_lo <= g_hi else branch.hi
     phis = [top if m > max(g_lo, g_hi) else bottom if m < min(g_lo, g_hi)
             else None for m in measured]
-    inside = [m for m, phi in zip(measured, phis) if phi is None]
-    roots = iter(find_roots(lambda xs: np.array(means(xs)),
-                            inside, [branch] * len(inside),
-                            g_ends=[(g_lo, g_hi)] * len(inside)))
-    return ([next(roots) if phi is None else phi for phi in phis],
-            len(phis) - len(inside))
+    inside = list(dict.fromkeys(m for m, phi in zip(measured, phis) if phi is None))
+    roots = dict(zip(inside, find_roots(lambda xs: np.array(means(xs)),
+                                        inside, [branch] * len(inside),
+                                        g_ends=[(g_lo, g_hi)] * len(inside))))
+    return ([roots[m] if phi is None else phi for m, phi in zip(measured, phis)],
+            len(phis) - phis.count(None))
 
 
 def invert_signal(cfg: InterferometerConfig, scheme: BinningScheme,
@@ -242,8 +246,9 @@ def invert_signal(cfg: InterferometerConfig, scheme: BinningScheme,
 def estimate(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable,
              replicas: ReplicaSet) -> EstimationReport:
     """Invert each replica's measured signal on the monotone branch around
-    the true phase and aggregate the estimator statistics.  Every replica
-    is inverted in one lockstep batch (see numerics.find_roots)."""
+    the true phase and aggregate the estimator statistics.  Each distinct
+    measured value is inverted once, all of them in one lockstep batch (see
+    numerics.find_roots); replicas that share a value share its root."""
     branch = monotone_branch(cfg, scheme, obs, replicas.phi)
     _check_branch_monotone(cfg, scheme, obs, branch)
     measured = replicas.measured_signals(obs)

@@ -5,11 +5,13 @@ brentq inversion of the cdf-reconstructed signal, an inverse-erfc analytic
 inversion for the binary tail, and binomial/KS statistical envelopes.
 """
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, special, stats
 
@@ -20,7 +22,7 @@ from mzhomodyne.interferometer import (
     outcome_table,
 )
 from mzhomodyne.metrics import AlphabetMismatch, Observable, crb, signal
-from mzhomodyne.numerics import Interval, RandomStream, find_root
+from mzhomodyne.numerics import Interval, RandomStream, find_root, find_roots
 from mzhomodyne import simulate
 from mzhomodyne.simulate import (
     EstimationReport,
@@ -91,6 +93,18 @@ def test_replica_set_rejects_non_integer_counts_and_non_finite_phase(
     # would fail only inside estimate's branch search
     with pytest.raises(ValueError, match=message):
         ReplicaSet(phi, shots, 0, records)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, -7, 2 ** 64])
+def test_replica_set_rejects_a_seed_outside_uint64(seed):
+    # unchecked, each constructed: a record set claiming a seed no stream has
+    with pytest.raises(ValueError, match="master_seed must be an integer that fits in uint64"):
+        ReplicaSet(0.3, 2, seed, ((1, 1),))
+
+
+def test_replica_set_stores_its_seed_as_an_int():
+    rs = ReplicaSet(0.3, 2, np.uint64(2 ** 64 - 1), ((1, 1),))
+    assert type(rs.master_seed) is int and rs.master_seed == 2 ** 64 - 1
 
 
 def _fsum_per_record(obs, replicas):
@@ -546,6 +560,94 @@ def test_lockstep_estimate_equals_per_replica_loop(cfg, scheme, phis, replicas):
         clamps += clamped
     # the clamped and the inverted replicas share one batch
     assert 0 < clamps < len(phis) * replicas
+
+
+# _invert inverts each distinct in-branch value once.  The reference below
+# makes one find_roots call per value on the same bracket and g_ends, cached
+# by value and sign so that 0.0 and -0.0 are each inverted on their own.
+
+
+@functools.cache
+def _one_root(cfg, scheme, obs, branch, g_ends, m, sign):
+    """The root for target m alone; sign, m's copysign, keys the cache only."""
+    g = lambda xs: signal(cfg, scheme, obs, xs).mean
+    (root,) = find_roots(g, [m], [branch], g_ends=[g_ends])
+    return root
+
+
+def _per_value_invert(cfg, scheme, obs, measured, branch):
+    """simulate._invert with one find_roots call per measured value."""
+    g_ends = tuple(map(float, signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean))
+    g_min, g_max = sorted(g_ends)
+    top = branch.lo if g_ends[0] >= g_ends[1] else branch.hi
+    bottom = branch.lo if g_ends[0] <= g_ends[1] else branch.hi
+    phis = [top if m > g_max else bottom if m < g_min
+            else _one_root(cfg, scheme, obs, branch, g_ends, m, math.copysign(1.0, m))
+            for m in measured]
+    return phis, sum(not g_min <= m <= g_max for m in measured)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64)
+
+
+@functools.cache
+def _fig4_targets():
+    """Fig4's branch at phi = 0.1 and 66 targets on it: k/40 for |k| <= 30
+    (beyond both ends from |k| = 28), -0.0, both end signals, and the next
+    float past each end."""
+    branch = monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, 0.1)
+    g_min, g_max = sorted(signal(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, [branch.lo, branch.hi]).mean)
+    ends = [g_min, g_max, math.nextafter(g_min, -math.inf), math.nextafter(g_max, math.inf)]
+    return branch, [k / 40 for k in range(-30, 31)] + [-0.0] + list(map(float, ends))
+
+
+# indices into _fig4_targets: 30 is 0.0, 61 is -0.0, 0 and 60 clamp
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(st.integers(0, 65), min_size=1, max_size=6, unique=True).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
+@example([30, 61, 30, 0, 61, 60, 62, 63, 0, 64, 65])
+@example([61, 30, 61])
+def test_invert_equals_one_find_roots_call_per_value(picks):
+    branch, targets = _fig4_targets()
+    measured = [targets[i] for i in picks]
+    got, clamped = simulate._invert(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured, branch)
+    want, want_clamped = _per_value_invert(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured, branch)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert clamped == want_clamped
+
+
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(st.sampled_from([0.012, 0.1, 0.19]), st.sampled_from([5, 40, 200]),
+       st.integers(1, 60), st.integers(0, 2 ** 64 - 1))
+def test_estimate_equals_per_value_inversion(phi, shots, replicas, seed):
+    (rs,) = calibration_curve(FIG4_CFG, FIG4_SCHEME, [phi], shots, replicas, seed)
+    report = estimate(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, rs)
+    with mock.patch.object(simulate, "_invert", _per_value_invert):
+        want = estimate(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, rs)
+    assert report == want
+    assert np.array_equal(_bits(report.estimates), _bits(want.estimates))
+
+
+def test_estimate_inverts_each_distinct_in_branch_value_once(monkeypatch):
+    (rs,) = calibration_curve(FIG4_CFG, FIG4_SCHEME, [0.012], 200, 100, master_seed=4)
+    calls = []
+    def spy(g_batch, targets, *args, **kwargs):
+        calls.append(list(targets))
+        return find_roots(g_batch, targets, *args, **kwargs)
+    monkeypatch.setattr(simulate, "find_roots", spy)
+    report = estimate(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, rs)
+    branch = monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, rs.phi)
+    g_min, g_max = sorted(signal(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, [branch.lo, branch.hi]).mean)
+    in_branch = [m for m in rs.measured_signals(FIG4_OBS) if g_min <= m <= g_max]
+    distinct = []
+    for m in in_branch:
+        if m not in distinct:
+            distinct.append(m)
+    assert calls == [distinct]
+    # the point has repeats and clamped values, so both are exercised
+    assert len(distinct) < len(in_branch) < rs.replicas
+    assert report.clamp_count == rs.replicas - len(in_branch)
 
 
 def test_estimate_propagates_nonmonotone_branch():
