@@ -141,11 +141,15 @@ def _erf_limits(cfg, scheme, phis):
     P(k|phi) integrates the Gaussian over bin k, which in erf form uses
     G+- = sqrt(2)*(alpha0*sin(phi)/2 + k*spacing +- half_width).  The sine
     is math.sin of each phase, so a row does not depend on the grid it is in.
+    A NaN or infinite phase has no table row and raises ValueError.
     """
     phis = np.asarray(phis, dtype=np.float64)
     if phis.ndim != 1:
         raise ValueError(f"phis must be a 1-D array, got shape {phis.shape}")
     phis = phis.tolist()
+    for phi in phis:
+        if not math.isfinite(phi):
+            raise ValueError(f"phase must be finite, got {phi}")
     c = 0.5 * cfg.alpha0 * np.array([math.sin(phi) for phi in phis])
     shift = _SQRT2 * (c[:, None] + scheme.centers())
     ga = _SQRT2 * scheme.half_width

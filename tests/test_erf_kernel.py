@@ -1,19 +1,28 @@
 """erf_diff against the per-function case analysis it replaced.
 
-erf_diff is built from one split that evaluates each rational form at most
-once per call, and never on an empty set.  The oracles below are the helper and the erf_diff it replaced,
-copied verbatim; they call the same two rational forms, so every case
-asserts bit equality (int64 views, which tell +0.0 from -0.0) and the same
-return type.
+erf_diff runs a call of few finite element pairs in Python floats and any
+other on the array kernel, one split that evaluates each rational form at
+most once per call, and never on an empty set.  The oracles below are the
+helper and the erf_diff it replaced, copied verbatim; they call the same
+rational forms, so every case asserts bit equality (int64 views, which tell
++0.0 from -0.0) and the same return type.  So does the property that holds
+erf_diff to the array kernel on both sides of the size cut.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from mzhomodyne import numerics
+from mzhomodyne import interferometer, numerics
+from mzhomodyne.metrics import sweep
 from mzhomodyne.numerics import (
     _ERFC_ZERO,
+    _FIRST_CHUNK,
+    _FLOAT_PAIRS,
     _THRESH,
+    _erf_diff_array,
     _erf_rational_small,
     _erfc_positive,
     erf_diff,
@@ -87,32 +96,95 @@ def test_erf_diff_matches_case_analysis():
         assert_same(erf_diff(x, y), old_erf_diff(x, y))
 
 
-def test_each_call_evaluates_each_rational_form_at_most_once_never_empty(
-        monkeypatch):
-    sizes = {"small": [], "tail": []}
-
-    def counted(name, form):
+def _spy_on_array_forms(monkeypatch, record):
+    """Route each call of an array form (the small one, or the tail one on
+    the elements beyond _THRESH) through record(name, v); the float path
+    calls the small form on floats, which record does not see."""
+    def spied(name, form):
         def wrapper(v):
-            sizes[name].append(v.size)
+            if isinstance(v, np.ndarray):
+                record(name, v)
             return form(v)
         return wrapper
 
     monkeypatch.setattr(numerics, "_erf_rational_small",
-                        counted("small", _erf_rational_small))
-    monkeypatch.setattr(numerics, "_erfc_positive",
-                        counted("tail", _erfc_positive))
+                        spied("small", _erf_rational_small))
+    monkeypatch.setattr(numerics, "_erfc_positive", spied("tail", _erfc_positive))
+
+
+ABOVE_CUT = np.ones(_FLOAT_PAIRS + 1)  # broadcast against it, a call takes the array path
+
+
+def test_each_call_evaluates_each_rational_form_at_most_once_never_empty(
+        monkeypatch):
+    sizes = {"small": [], "tail": []}
+    _spy_on_array_forms(monkeypatch, lambda name, v: sizes[name].append(v.size))
     both = {"small", "tail"}
-    for call, forms in ((lambda: erf_diff(0.0, 0.3), {"small"}),
+    for call, forms in ((lambda: erf_diff(0.0, 0.3 * ABOVE_CUT), {"small"}),
                         (lambda: erf_diff(0.0, RANDOM), both),
-                        (lambda: erf_diff(0.1, 2.0), both),
-                        (lambda: erf_diff(5.0, 5.5), {"tail"}),
+                        (lambda: erf_diff(0.1, 2.0 * ABOVE_CUT), both),
+                        (lambda: erf_diff(5.0 * ABOVE_CUT, 5.5), {"tail"}),
                         (lambda: erf_diff(-np.inf, np.nan), {"tail"}),
-                        (lambda: erf_diff(np.empty(0), np.empty(0)), set()),
+                        (lambda: _erf_diff_array(np.empty(0), np.empty(0)), set()),
                         (lambda: erf_diff(EDGES[:, None], EDGES[None, :]), both)):
         sizes.update(small=[], tail=[])
         call()
         assert {name for name, n in sizes.items() if n} == forms
         assert all(len(n) <= 1 and all(n) for n in sizes.values()), sizes
+
+
+def test_a_binary_sweep_cell_takes_only_its_grid_scan_and_walk_chunks_to_the_array_forms(
+        monkeypatch):
+    # A cell's rounds are one to a few phases of its searches, except the
+    # 512-point grid scan and the fringe walk chunks of _FIRST_CHUNK points
+    # and more per side; a binary scheme has one bin, so a round of n phases
+    # is one erf_diff call of n element pairs.
+    rounds, reached = [], set()
+    _spy_on_array_forms(monkeypatch, lambda name, v: reached.add(len(rounds) - 1))
+
+    def counted(x, y):
+        rounds.append(np.broadcast(x, y).size)
+        return erf_diff(x, y)
+
+    monkeypatch.setattr(interferometer, "erf_diff", counted)
+    sweep([200.0], [0.5])
+    assert reached == {i for i, n in enumerate(rounds) if n >= _FIRST_CHUNK}
+    assert min(rounds) <= 3 and 512 < max(rounds[i] for i in reached)
+
+
+# Values at the kernel's case boundaries, subnormals and the non-finite
+# ones, which always take the array path, mixed with values across the
+# forms' ranges and beyond erfc's underflow.
+SPECIAL = EDGES.tolist() + [5e-324, -5e-324, 1e-310, -1e-310,
+                            np.inf, -np.inf, np.nan]
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(-30.0, 30.0))
+_COUNT = st.integers(0, 2 * _FLOAT_PAIRS)
+
+
+@st.composite
+def _arguments(draw):
+    """(x, y): drawn arrays of 0 to 2x the cut, 0-d arrays or floats, 2-D
+    shapes that broadcast to an outer product, or an array and a scalar."""
+    x_shape, y_shape = draw(st.one_of(
+        _COUNT.map(lambda n: ((n,), (n,))),
+        st.just(((), ())),
+        st.tuples(st.integers(0, 6), st.integers(0, 6)).map(
+            lambda rc: ((rc[0], 1), (1, rc[1]))),
+        _COUNT.map(lambda n: ((n,), ())),
+        _COUNT.map(lambda n: ((), (n,)))))
+    x, y = (draw(hnp.arrays(np.float64, shape, elements=VALUES))
+            for shape in (x_shape, y_shape))
+    return tuple(float(v) if v.ndim == 0 and draw(st.booleans()) else v
+                 for v in (x, y))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_arguments())
+def test_erf_diff_equals_the_array_kernel(arguments):
+    x, y = arguments
+    want = _erf_diff_array(*np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                                                np.asarray(y, dtype=np.float64)))
+    assert_same(erf_diff(x, y), want)
 
 
 def unmasked_erfc_positive(y):

@@ -12,15 +12,19 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from mzhomodyne import interferometer
 from mzhomodyne.interferometer import (
     BinningScheme,
     InterferometerConfig,
     InvalidScheme,
     default_cutoff,
+    outcome_derivs,
     outcome_distribution,
+    outcome_probs,
     outcome_table,
     quadrature_pdf,
 )
+from mzhomodyne.metrics import Observable, cfi, crb, signal
 from mzhomodyne.numerics import _drive, _golden, erf_diff
 from oracles import (
     GaussianState,
@@ -450,3 +454,24 @@ def test_outcome_table_rejects_non_vector_phases():
         outcome_table(FIG2_CFG, FIG2_SCHEME, 0.3)
     with pytest.raises(ValueError):
         outcome_table(FIG2_CFG, FIG2_SCHEME, [[0.1, 0.2]])
+
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_core_rejects_a_phase_that_is_not_finite(phi, monkeypatch):
+    # a NaN phase gave NaN bins with leftover max(0.0, nan) = 0.0, an
+    # infinite one a bare "math domain error" from math.sin
+    def no_erf(x, y):
+        raise AssertionError("erf_diff called")
+
+    monkeypatch.setattr(interferometer, "erf_diff", no_erf)
+    obs = Observable.ones(FIG2_SCHEME)
+    for call in (lambda: outcome_probs(FIG2_CFG, FIG2_SCHEME, [0.1, phi]),
+                 lambda: outcome_derivs(FIG2_CFG, FIG2_SCHEME, [phi]),
+                 lambda: outcome_table(FIG2_CFG, FIG2_SCHEME, [phi]),
+                 lambda: outcome_distribution(FIG2_CFG, FIG2_SCHEME, phi),
+                 lambda: signal(FIG2_CFG, FIG2_SCHEME, obs, phi),
+                 lambda: cfi(FIG2_CFG, FIG2_SCHEME, np.array([0.2, phi])),
+                 lambda: crb(FIG2_CFG, FIG2_SCHEME, phi)):
+        with pytest.raises(ValueError, match=f"phase must be finite, got {phi}"):
+            call()

@@ -181,6 +181,23 @@ def test_find_root_raises_at_iteration_cap():
     assert not issubclass(NoConvergence, ValueError)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
+def test_root_finders_reject_a_tol_that_is_not_finite_and_positive(tol):
+    # an inf tol returned the first end, where f = -1; a NaN one ran all
+    # 200 iterations and raised NoConvergence
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 1.0
+
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        find_root(f, (0.0, 3.0), tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        find_roots(lambda xs: f(xs), [0.0, 0.5], [(0.0, 3.0)] * 2, tol=tol)
+    assert calls == []
+
+
 # find_roots drives one find_root search per bracket in lockstep.  The
 # drawn functions are monotone: a sign, a line, a cubic and a tanh step
 # centred in [0, 1].  A steep step (large k) defeats the interpolation steps,
