@@ -123,9 +123,18 @@ def default_cutoff(cfg: InterferometerConfig, half_width: float, spacing: float)
 # Quadrature distribution.
 
 
+def _finite_phase(phi) -> float:
+    """phi as a float.  A NaN or infinite phase has no quadrature shift,
+    table row, prefix sums or slope, so every caller rejects it here."""
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
+    return phi
+
+
 def quadrature_pdf(cfg: InterferometerConfig, phi: float, p):
     """Closed-form pdf of the measured p quadrature at phase phi."""
-    shift = 0.5 * cfg.alpha0 * math.sin(phi)
+    shift = 0.5 * cfg.alpha0 * math.sin(_finite_phase(phi))
     arr = np.asarray(p, dtype=np.float64)
     out = math.sqrt(2.0 / math.pi) * np.exp(-2.0 * (arr + shift) ** 2)
     return float(out) if arr.ndim == 0 else out
@@ -141,15 +150,12 @@ def _erf_limits(cfg, scheme, phis):
     P(k|phi) integrates the Gaussian over bin k, which in erf form uses
     G+- = sqrt(2)*(alpha0*sin(phi)/2 + k*spacing +- half_width).  The sine
     is math.sin of each phase, so a row does not depend on the grid it is in.
-    A NaN or infinite phase has no table row and raises ValueError.
+    A NaN or infinite phase raises ValueError (see _finite_phase).
     """
     phis = np.asarray(phis, dtype=np.float64)
     if phis.ndim != 1:
         raise ValueError(f"phis must be a 1-D array, got shape {phis.shape}")
-    phis = phis.tolist()
-    for phi in phis:
-        if not math.isfinite(phi):
-            raise ValueError(f"phase must be finite, got {phi}")
+    phis = [_finite_phase(phi) for phi in phis.tolist()]
     c = 0.5 * cfg.alpha0 * np.array([math.sin(phi) for phi in phis])
     shift = _SQRT2 * (c[:, None] + scheme.centers())
     ga = _SQRT2 * scheme.half_width

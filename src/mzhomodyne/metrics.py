@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import (BinningScheme, InterferometerConfig, outcome_probs,
-                             outcome_table)
+from .interferometer import (BinningScheme, InterferometerConfig, _finite_phase,
+                             outcome_probs, outcome_table)
 from .numerics import (NoSignChange, _brent, _drive, _golden, _lockstep,
                        _unwrap, _walk, find_root)
 
@@ -250,29 +250,24 @@ def binary_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme, phi):
     if scheme.cutoff != 0:
         raise SchemeNotBinary(f"cutoff must be 0, got {scheme.cutoff}")
     scalar, probs, derivs = _table(cfg, scheme, phi)
-    return _shaped(scalar, [
-        math.inf if abs(dp) < _SLOPE_FLOOR else math.sqrt(p * (1.0 - p)) / abs(dp)
-        for p, dp in zip(probs[:, 0].tolist(), derivs[:, 0].tolist())
-    ])
+    return _shaped(scalar, [_sensitivity(p * (1.0 - p), dp) for p, dp in
+                            zip(probs[:, 0].tolist(), derivs[:, 0].tolist())])
 
 
 def binarized_cfi(cfg: InterferometerConfig, scheme: BinningScheme,
-                  obs: Observable, phi: float) -> float:
+                  obs: Observable, phi):
     """Fisher information after coarse-graining outcomes that share an
-    eigenvalue (exact value comparison, no tolerance)."""
+    eigenvalue (exact value comparison, no tolerance): a group's P and P'
+    are math.fsum of its columns, and the groups reduce like cfi's outcomes.
+    phi is a float or a 1-D array of phases; the result has the same shape."""
     _check_alphabet(obs, scheme)
-    probs, derivs = outcome_table(cfg, scheme, [phi])
     groups: dict[float, list[int]] = {}
     for col, value in enumerate(obs.bin_values + (obs.leftover_value,)):
         groups.setdefault(value, []).append(col)
-    p_row, d_row = probs[0].tolist(), derivs[0].tolist()
-    total = 0.0
-    for cols in groups.values():
-        q = math.fsum(p_row[c] for c in cols)
-        dq = math.fsum(d_row[c] for c in cols)
-        if q >= _PROB_FLOOR:
-            total += dq * dq / q
-    return total
+    scalar, probs, derivs = _table(cfg, scheme, phi)
+    merged = [np.column_stack([_row_sums(table[:, cols]) for cols in groups.values()])
+              for table in (probs, derivs)]
+    return _shaped(scalar, _fisher_rows(*merged))
 
 
 def visibility(cfg: InterferometerConfig, scheme: BinningScheme,
@@ -319,10 +314,9 @@ def visibility_boundary(half_width: float, target: float) -> float:
 def continuous_signal(cfg: InterferometerConfig, phi):
     """Mean measured quadrature -(alpha0/2)*sin(phi); the un-binned
     reference fringe.  phi is a float or a 1-D array of phases."""
-    if np.ndim(phi) == 0:
-        return -0.5 * cfg.alpha0 * math.sin(phi)
-    return np.array([-0.5 * cfg.alpha0 * math.sin(x)
-                     for x in np.asarray(phi, dtype=np.float64).tolist()])
+    phis = np.asarray(phi, dtype=np.float64)
+    return _shaped(phis.ndim == 0, [-0.5 * cfg.alpha0 * math.sin(_finite_phase(x))
+                                    for x in np.atleast_1d(phis).tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interferometer import (BinningScheme, InterferometerConfig, outcome_derivs,
-                             outcome_probs)
+from .interferometer import (BinningScheme, InterferometerConfig, _finite_phase,
+                             outcome_derivs, outcome_probs)
 from .metrics import AlphabetMismatch, Observable, _check_alphabet, _expectation
 from .numerics import Interval, _drive, _lockstep, _streams, _uint64, _walk, find_roots
 
@@ -106,15 +106,6 @@ class EstimationReport:
     std_dev: float
     sigma: float
     clamp_count: int
-
-
-def _finite_phase(phi) -> float:
-    """phi as a float; a NaN or infinite phase has no prefix sums to draw
-    against or slope to walk, so it is rejected before any table call."""
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise ValueError(f"phase must be finite, got {phi}")
-    return phi
 
 
 def _check_count(name, value):

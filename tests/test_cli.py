@@ -454,7 +454,7 @@ def test_reproduce_fig2_passes(tmp_path, capsys):
     assert "calibration within three standard errors" in summary
 
 
-def test_reproduce_fig1_reports_known_misses(tmp_path, capsys):
+def test_reproduce_fig1_passes(tmp_path, capsys):
     assert main(["reproduce", "fig1", "--out", str(tmp_path)]) == 0
     summary = (tmp_path / "fig1_summary.txt").read_text()
     lines = summary.strip().splitlines()

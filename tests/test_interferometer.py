@@ -24,7 +24,16 @@ from mzhomodyne.interferometer import (
     outcome_table,
     quadrature_pdf,
 )
-from mzhomodyne.metrics import Observable, cfi, crb, signal
+from mzhomodyne.metrics import (
+    Observable,
+    binarized_cfi,
+    binary_sensitivity,
+    cfi,
+    continuous_signal,
+    crb,
+    error_propagation_sensitivity,
+    signal,
+)
 from mzhomodyne.numerics import _drive, _golden, erf_diff
 from oracles import (
     GaussianState,
@@ -459,18 +468,25 @@ def test_outcome_table_rejects_non_vector_phases():
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
 def test_core_rejects_a_phase_that_is_not_finite(phi, monkeypatch):
-    # a NaN phase gave NaN bins with leftover max(0.0, nan) = 0.0, an
-    # infinite one a bare "math domain error" from math.sin
+    # a NaN phase gave NaN bins with leftover max(0.0, nan) = 0.0, or a NaN
+    # pdf and fringe; an infinite one a bare "math domain error" from math.sin
     def no_erf(x, y):
         raise AssertionError("erf_diff called")
 
     monkeypatch.setattr(interferometer, "erf_diff", no_erf)
     obs = Observable.ones(FIG2_SCHEME)
-    for call in (lambda: outcome_probs(FIG2_CFG, FIG2_SCHEME, [0.1, phi]),
+    binary = BinningScheme.binary(0.5)
+    for call in (lambda: quadrature_pdf(FIG2_CFG, phi, [0.0, 1.0]),
+                 lambda: continuous_signal(FIG2_CFG, phi),
+                 lambda: continuous_signal(FIG2_CFG, np.array([0.3, phi])),
+                 lambda: outcome_probs(FIG2_CFG, FIG2_SCHEME, [0.1, phi]),
                  lambda: outcome_derivs(FIG2_CFG, FIG2_SCHEME, [phi]),
                  lambda: outcome_table(FIG2_CFG, FIG2_SCHEME, [phi]),
                  lambda: outcome_distribution(FIG2_CFG, FIG2_SCHEME, phi),
                  lambda: signal(FIG2_CFG, FIG2_SCHEME, obs, phi),
+                 lambda: error_propagation_sensitivity(FIG2_CFG, FIG2_SCHEME, obs, phi),
+                 lambda: binary_sensitivity(FIG2_CFG, binary, phi),
+                 lambda: binarized_cfi(FIG2_CFG, FIG2_SCHEME, obs, [0.2, phi]),
                  lambda: cfi(FIG2_CFG, FIG2_SCHEME, np.array([0.2, phi])),
                  lambda: crb(FIG2_CFG, FIG2_SCHEME, phi)):
         with pytest.raises(ValueError, match=f"phase must be finite, got {phi}"):

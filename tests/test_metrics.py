@@ -823,8 +823,9 @@ def test_figures_of_merit_on_phase_arrays_equal_scalar_calls():
     delta = error_propagation_sensitivity(FIG2_CFG, FIG2_SCHEME, obs, grid)
     info = cfi(FIG2_CFG, FIG2_SCHEME, grid)
     bound = crb(FIG2_CFG, FIG2_SCHEME, grid)
+    merged = binarized_cfi(FIG2_CFG, FIG2_SCHEME, obs, grid)
     for values in (point.phi, point.mean, point.slope, point.variance, delta,
-                   info, bound):
+                   info, bound, merged):
         assert isinstance(values, np.ndarray) and values.shape == grid.shape
     assert math.isinf(delta[-1])
 
@@ -837,8 +838,10 @@ def test_figures_of_merit_on_phase_arrays_equal_scalar_calls():
             FIG2_CFG, FIG2_SCHEME, obs, phi)
         assert info[i] == cfi(FIG2_CFG, FIG2_SCHEME, phi)
         assert bound[i] == crb(FIG2_CFG, FIG2_SCHEME, phi)
+        assert merged[i] == binarized_cfi(FIG2_CFG, FIG2_SCHEME, obs, phi)
     assert type(one.mean) is float and type(one.variance) is float
     assert type(crb(FIG2_CFG, FIG2_SCHEME, 0.3)) is float
+    assert type(binarized_cfi(FIG2_CFG, FIG2_SCHEME, obs, 0.3)) is float
 
     # the binary scheme's fringe peak 0.0 is a zero slope: +inf
     binary_grid = np.concatenate([np.linspace(-math.pi, math.pi, 201), [0.0]])

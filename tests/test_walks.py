@@ -278,13 +278,13 @@ def _outcome_loop_binarized_cfi(cfg, scheme, obs, phi):
     groups = {}
     for o in outcomes:
         groups.setdefault(value(o), []).append(o)
-    total = 0.0
+    terms = []
     for members in groups.values():
         q = math.fsum(prob(o) for o in members)
         dq = math.fsum(deriv(o) for o in members)
         if q >= 1e-15:
-            total += dq * dq / q
-    return total
+            terms.append(dq * dq / q)
+    return math.fsum(terms)
 
 
 @pytest.mark.parametrize("obs", [
