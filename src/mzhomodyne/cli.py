@@ -279,11 +279,13 @@ def _write_probs(out: Optional[str], scheme, grid, probs) -> None:
     _write_rows(out, header, np.column_stack((grid, probs)).tolist())
 
 
-def _write_signal(out: Optional[str], obs, grid, table) -> None:
+def _write_signal(out: Optional[str], obs, grid, table):
     """phi, signal mean, propagated sensitivity and the Cramer-Rao bound,
-    reduced from the grid's outcome table."""
+    reduced from the grid's outcome table; returns the last three columns."""
+    columns = _signal_columns(obs, *table)
     _write_rows(out, ["phi", "signal_mean", "delta_phi", "crb"],
-                zip(grid.tolist(), *_signal_columns(obs, *table)))
+                zip(grid.tolist(), *columns))
+    return columns
 
 
 def _cmd_probs(config, grid, cfg, scheme, obs) -> int:
@@ -471,22 +473,21 @@ def _reproduce_fig2(out_dir: Path, seed: int, checks: _Checks) -> None:
 
 def _reproduce_fig3(out_dir: Path, seed: int, checks: _Checks) -> None:
     cfg, scheme = _fig2_system()
-    variants = (
-        ("ones", Observable.ones(scheme)),
-        ("fixed", Observable(FIXED_RANDOM_EIGENVALUES, 0.0)),
-        ("alternating", Observable.alternating(scheme)),
-    )
+    variants = {
+        "ones": Observable.ones(scheme),
+        "fixed": Observable(FIXED_RANDOM_EIGENVALUES, 0.0),
+        "alternating": Observable.alternating(scheme),
+    }
     grid = np.linspace(-math.pi, math.pi, 2001)
     table = outcome_table(cfg, scheme, grid)
-    for name, obs in variants:
-        _write_signal(str(out_dir / f"fig3_signal_{name}.csv"), obs, grid, table)
+    columns = {name: _write_signal(str(out_dir / f"fig3_signal_{name}.csv"),
+                                   obs, grid, table)
+               for name, obs in variants.items()}
 
     # first divergence of delta_phi at positive phase: the slope zero of the
     # all-ones signal, expected near b/alpha0
-    ones = Observable.ones(scheme)
-    dark = find_root(
-        lambda x: _expectation(ones, outcome_derivs(cfg, scheme, [x]))[0],
-        (0.15, 0.4))
+    dark = find_root(lambda x: _expectation(
+        variants["ones"], outcome_derivs(cfg, scheme, [x]))[0], (0.15, 0.4))
     target = scheme.spacing / cfg.alpha0
     checks.add(
         abs(dark - target) <= 0.10 * target,
@@ -494,12 +495,10 @@ def _reproduce_fig3(out_dir: Path, seed: int, checks: _Checks) -> None:
         f"got {dark:.5f}, want {target:.5f} within 10%",
     )
 
-    alternating = Observable.alternating(scheme)
+    # the ratio check reads the rows written to fig3_signal_alternating.csv
     cap = 10.0 * 1.37 / math.sqrt(cfg.nbar)
     included = ok = 0
-    ratio_grid = np.linspace(-math.pi + 0.05, math.pi - 0.05, 2000)
-    _, deltas, bounds = _signal_columns(
-        alternating, *outcome_table(cfg, scheme, ratio_grid))
+    _, deltas, bounds = columns["alternating"]
     for bound, delta in zip(bounds, deltas):
         if not math.isfinite(bound) or bound > cap:
             continue

@@ -132,6 +132,14 @@ def _finite_phase(phi) -> float:
     return phi
 
 
+def _finite_phases(phis) -> list:
+    """phis, a 1-D array of phases, as a list of finite floats."""
+    phis = np.asarray(phis, dtype=np.float64)
+    if phis.ndim != 1:
+        raise ValueError(f"phis must be a 1-D array, got shape {phis.shape}")
+    return [_finite_phase(phi) for phi in phis.tolist()]
+
+
 def quadrature_pdf(cfg: InterferometerConfig, phi: float, p):
     """Closed-form pdf of the measured p quadrature at phase phi."""
     shift = 0.5 * cfg.alpha0 * math.sin(_finite_phase(phi))
@@ -152,10 +160,7 @@ def _erf_limits(cfg, scheme, phis):
     is math.sin of each phase, so a row does not depend on the grid it is in.
     A NaN or infinite phase raises ValueError (see _finite_phase).
     """
-    phis = np.asarray(phis, dtype=np.float64)
-    if phis.ndim != 1:
-        raise ValueError(f"phis must be a 1-D array, got shape {phis.shape}")
-    phis = [_finite_phase(phi) for phi in phis.tolist()]
+    phis = _finite_phases(phis)
     c = 0.5 * cfg.alpha0 * np.array([math.sin(phi) for phi in phis])
     shift = _SQRT2 * (c[:, None] + scheme.centers())
     ga = _SQRT2 * scheme.half_width

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import (BinningScheme, InterferometerConfig, _finite_phase,
+from .interferometer import (BinningScheme, InterferometerConfig, _finite_phases,
                              outcome_probs, outcome_table)
 from .numerics import (NoSignChange, _brent, _drive, _golden, _lockstep,
                        _unwrap, _walk, find_root)
@@ -262,7 +262,7 @@ def binarized_cfi(cfg: InterferometerConfig, scheme: BinningScheme,
     phi is a float or a 1-D array of phases; the result has the same shape."""
     _check_alphabet(obs, scheme)
     groups: dict[float, list[int]] = {}
-    for col, value in enumerate(obs.bin_values + (obs.leftover_value,)):
+    for col, value in enumerate(obs.all_values().tolist()):
         groups.setdefault(value, []).append(col)
     scalar, probs, derivs = _table(cfg, scheme, phi)
     merged = [np.column_stack([_row_sums(table[:, cols]) for cols in groups.values()])
@@ -314,9 +314,8 @@ def visibility_boundary(half_width: float, target: float) -> float:
 def continuous_signal(cfg: InterferometerConfig, phi):
     """Mean measured quadrature -(alpha0/2)*sin(phi); the un-binned
     reference fringe.  phi is a float or a 1-D array of phases."""
-    phis = np.asarray(phi, dtype=np.float64)
-    return _shaped(phis.ndim == 0, [-0.5 * cfg.alpha0 * math.sin(_finite_phase(x))
-                                    for x in np.atleast_1d(phis).tolist()])
+    return _shaped(np.ndim(phi) == 0, [-0.5 * cfg.alpha0 * math.sin(x)
+                                       for x in _finite_phases(np.atleast_1d(phi))])
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +340,17 @@ def _fringe_side(center, f0, sign):
 
 
 def _fringe_search(center):
-    """_fringe_half_crossings as a search (see numerics._drive), sent f."""
+    """Half-depth crossings (left, right) of a fringe around center, as a
+    search (see numerics._drive) that is sent the fringe's values.
+
+    Orientation is taken from the neighborhood of the center: a dip is
+    flipped so the fringe is always treated as a peak.  Each side walks
+    outward (numerics._walk, in steps of _SCAN_STEP for at most pi) to its
+    first local minimum (the fringe-local baseline), refines it, and
+    brackets the half-level crossing between center and that dark point.
+    The sides run in lockstep, one evaluation per round; the left side's
+    error is raised first.
+    """
     f0, left_probe, right_probe = yield [center, center - _SCAN_STEP, center + _SCAN_STEP]
     if left_probe < f0 and right_probe < f0:
         h = None
@@ -352,20 +361,6 @@ def _fringe_search(center):
     sides = [(_fringe_side(center, f0, s), h) for s in (-1.0, 1.0)]
     crossings = [_unwrap(side) for side in (yield from _lockstep(sides))]
     return min(crossings), max(crossings)
-
-
-def _fringe_half_crossings(f, center: float) -> tuple[float, float]:
-    """Half-depth crossings (left, right) of the fringe of f around center.
-
-    Orientation is taken from the neighborhood of the center: a dip is
-    flipped so the fringe is always treated as a peak.  Each side walks
-    outward (numerics._walk, in steps of _SCAN_STEP for at most pi) to its
-    first local minimum (the fringe-local baseline), refines it, and
-    brackets the half-level crossing between center and that dark point.
-    The sides run in lockstep, one call of f (on a 1-D array of phases) per
-    round; the left side's error is raised first.
-    """
-    return _drive(lambda xs: f(np.array(xs)).tolist(), _fringe_search(center))
 
 
 def _fringe_width(lo: float, hi: float) -> float:
@@ -387,16 +382,15 @@ def fwhm(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable) -> f
     coincide.
     """
     _check_alphabet(obs, scheme)
-    return _fringe_width(*_fringe_half_crossings(lambda phis: np.array(
-        _expectation(obs, outcome_probs(cfg, scheme, phis))), 0.0))
+    return _fringe_width(*_drive(lambda xs: _expectation(
+        obs, outcome_probs(cfg, scheme, xs)), _fringe_search(0.0)))
 
 
 def fwhm_continuous(cfg: InterferometerConfig) -> float:
     """Width of the un-binned reference fringe |mean quadrature| at half
     depth, centered on its peak at phi=pi/2; equals 2*pi/3 exactly."""
-    lo, hi = _fringe_half_crossings(
-        lambda phi: abs(continuous_signal(cfg, phi)), math.pi / 2
-    )
+    lo, hi = _drive(lambda xs: np.abs(continuous_signal(cfg, xs)).tolist(),
+                    _fringe_search(math.pi / 2))
     return hi - lo
 
 

@@ -83,8 +83,7 @@ class ReplicaSet:
         if len(self.records[0]) != len(obs.bin_values) + 1:
             raise AlphabetMismatch(f"records hold {len(self.records[0])} counts, "
                                    f"obs has {len(obs.bin_values) + 1} values")
-        terms = obs.all_values() * self._counts
-        return [math.fsum(row) / self.shots for row in terms.tolist()]
+        return [s / self.shots for s in _expectation(obs, self._counts)]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from typing import Callable
 
 import numpy as np
 
-from mzhomodyne.interferometer import InterferometerConfig
+from mzhomodyne.interferometer import BinningScheme, InterferometerConfig, outcome_table
+from mzhomodyne.metrics import Observable
 
 
 def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
@@ -90,3 +91,21 @@ def wigner_oracle_pdf(cfg: InterferometerConfig, phi: float, p) -> float:
     arr = np.asarray(p, dtype=np.float64)
     out = np.exp(-((arr - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
     return float(out) if arr.ndim == 0 else out
+
+
+# The score observable: the propagated error that meets the Cramer-Rao bound.
+
+
+def score_observable(cfg: InterferometerConfig, scheme: BinningScheme,
+                     phi: float) -> Observable:
+    """Eigenvalues mu_k = P'_k/P_k from one outcome_table row at phi, 0 where
+    P_k = 0.
+
+    Its mean sum_k P'_k is 0, and its variance sum_k P'_k^2/P_k and slope
+    sum_k P'_k mu_k are both the Fisher information F, so its propagated
+    error sqrt(F)/F is 1/sqrt(F), the Cramer-Rao bound.
+    """
+    probs, derivs = outcome_table(cfg, scheme, [phi])
+    values = [d / p if p > 0.0 else 0.0
+              for p, d in zip(probs[0].tolist(), derivs[0].tolist())]
+    return Observable(tuple(values[:-1]), values[-1])

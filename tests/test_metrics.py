@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
@@ -46,7 +46,7 @@ from mzhomodyne.metrics import (
     visibility_boundary,
 )
 from mzhomodyne.numerics import _drive, _golden
-from oracles import central_diff
+from oracles import central_diff, score_observable
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
 FIG2_SCHEME = BinningScheme(half_width=0.5, spacing=3.8, cutoff=2)
@@ -390,6 +390,40 @@ def test_crb_below_propagated_error_across_the_probability_floor():
     obs = Observable((0.0, 0.0, 1.0), 0.0)
     assert crb(cfg, scheme, 0.0) <= error_propagation_sensitivity(
         cfg, scheme, obs, 0.0)
+
+
+def test_score_observable_meets_the_bound_on_the_fig2_system():
+    # the score's mean sum_k P'_k is 0; its variance and slope are F
+    obs = score_observable(FIG2_CFG, FIG2_SCHEME, 0.3)
+    point = signal(FIG2_CFG, FIG2_SCHEME, obs, 0.3)
+    info = cfi(FIG2_CFG, FIG2_SCHEME, 0.3)
+    assert abs(point.mean) <= 1e-15
+    assert math.isclose(point.variance, info, rel_tol=1e-14)
+    assert math.isclose(point.slope, info, rel_tol=1e-14)
+    assert math.isclose(error_propagation_sensitivity(FIG2_CFG, FIG2_SCHEME, obs, 0.3),
+                        crb(FIG2_CFG, FIG2_SCHEME, 0.3), rel_tol=1e-14)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "cfi skips outcomes with P below _PROB_FLOOR = 1e-15, while the score "
+    "observable's variance keeps their P'^2/P terms, so the two differ "
+    "wherever an outcome holds 0 < P < 1e-15"))
+@example(system=(InterferometerConfig.from_nbar(317.3215709404951),
+                 BinningScheme(half_width=0.23360844009089715,
+                               spacing=0.5854227906250784, cutoff=5),
+                 -2.336068674641469))
+@example(system=(InterferometerConfig(alpha0=10.0),
+                 BinningScheme(half_width=1.40625, spacing=5.44921875, cutoff=1),
+                 0.0))
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_systems())
+def test_score_observable_propagated_error_equals_crb_on_drawn_systems(system):
+    # the score saturates Braunstein & Caves: sqrt(Var mu)/|d<mu>/dphi| is
+    # 1/sqrt(F); math.isclose counts two infinities as equal
+    cfg, scheme, phi = system
+    obs = score_observable(cfg, scheme, phi)
+    assert math.isclose(error_propagation_sensitivity(cfg, scheme, obs, phi),
+                        crb(cfg, scheme, phi), rel_tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -851,3 +885,23 @@ def test_figures_of_merit_on_phase_arrays_equal_scalar_calls():
     for i, phi in enumerate(binary_grid.tolist()):
         assert binary[i] == binary_sensitivity(FIG2_CFG, BINARY_HALF, phi)
     assert type(binary_sensitivity(FIG2_CFG, BINARY_HALF, 0.3)) is float
+
+
+_ONES = Observable.ones(FIG2_SCHEME)
+
+
+@pytest.mark.parametrize("merit", [
+    lambda phis: signal(FIG2_CFG, FIG2_SCHEME, _ONES, phis),
+    lambda phis: error_propagation_sensitivity(FIG2_CFG, FIG2_SCHEME, _ONES, phis),
+    lambda phis: cfi(FIG2_CFG, FIG2_SCHEME, phis),
+    lambda phis: crb(FIG2_CFG, FIG2_SCHEME, phis),
+    lambda phis: binary_sensitivity(FIG2_CFG, BINARY_HALF, phis),
+    lambda phis: binarized_cfi(FIG2_CFG, FIG2_SCHEME, _ONES, phis),
+    lambda phis: continuous_signal(FIG2_CFG, phis),
+], ids=["signal", "error_propagation_sensitivity", "cfi", "crb",
+        "binary_sensitivity", "binarized_cfi", "continuous_signal"])
+def test_figures_of_merit_reject_a_2d_phase_array(merit):
+    # one rule for every phase array: a float or a 1-D array, nothing else
+    message = r"^phis must be a 1-D array, got shape \(2, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        merit(np.zeros((2, 2)))

@@ -6,27 +6,32 @@ sides of a walk in lockstep.  The oracles below are the one-phase-per-step loops
 replaced, copied verbatim; every case asserts that both return the same
 crossings or edges as the same floats, or raise the same error.
 binarized_cfi groups outcome_table columns; its oracle is the loop over
-one outcome at a time that it replaced.
+one outcome at a time that it replaced.  The last two properties sample the
+signal 20 times finer than each walk's fixed step or than the fringe's
+feature scale, and hold both walks to what that finer sampling shows.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from mzhomodyne import interferometer, metrics, simulate
 from mzhomodyne.interferometer import (
     BinningScheme,
     InterferometerConfig,
+    outcome_derivs,
     outcome_distribution,
+    outcome_probs,
 )
 from mzhomodyne.metrics import (
     FIXED_RANDOM_EIGENVALUES,
     NoFringe,
     Observable,
-    _fringe_half_crossings,
+    _fringe_search,
     binarized_cfi,
     fwhm,
     signal,
@@ -44,6 +49,11 @@ BRIGHT_SCHEME = BinningScheme(half_width=0.5, spacing=3.2, cutoff=3)
 BRIGHT_OBS = Observable.alternating(BRIGHT_SCHEME)
 UNIT_BINARY_OBS = Observable((1.0,), 0.0)
 BRANCH_STEP = 1e-3
+
+
+def _fringe_half_crossings(f, center):
+    """The fringe search driven on f, an array function of the phases."""
+    return _drive(lambda xs: f(np.array(xs)).tolist(), _fringe_search(center))
 
 
 def _scalar_half_crossings(f, center, scan_step=0.002, max_span=math.pi):
@@ -296,3 +306,114 @@ def test_binarized_cfi_matches_outcome_loop(obs):
     for phi in (-2.9, -0.7, 0.0, 0.13, 0.3, 1.1, math.pi / 2, 2.4):
         assert binarized_cfi(FIG2_CFG, FIG2_SCHEME, obs, phi) == \
             _outcome_loop_binarized_cfi(FIG2_CFG, FIG2_SCHEME, obs, phi)
+
+
+# ---------------------------------------------------------------------------
+# The walks at the scale of the fringe.  Both take a fixed step in phase
+# (monotone_branch 1e-3 rad, the fringe walk 0.002 rad), while the signal's
+# features are about min(2a, b - 2a, 1)/alpha0 wide: 1.6e-4 rad at nbar=1e8.
+
+
+def _feature_step(cfg, scheme):
+    """A twentieth of the feature scale min(2a, b - 2a, 1)/alpha0."""
+    a, b = scheme.half_width, scheme.spacing
+    return min(2.0 * a, b - 2.0 * a, 1.0) / cfg.alpha0 / 20.0
+
+
+def _reduce(obs, table):
+    """sum_k mu_k T[i, k] of each table row, exactly rounded."""
+    return [math.fsum(row) for row in (obs.all_values() * table).tolist()]
+
+
+def _fine_side(mean, h, side, f0):
+    """The half-depth crossing on one side of 0, or None where there is no
+    fringe.  The grid i*h walks from 0 outward in doubling chunks to the
+    first point that does not fall below the one before it, so an exact
+    plateau (an underflowed tail) ends the walk at its value.  scipy
+    refines the dark value inside the two grid cells around it, and the
+    crossing inside the cell that brackets the half level: where the half
+    level falls on a nearly flat stretch, a grid-rounded dark value would
+    move the crossing by many cells."""
+    values, n_steps, lo, size = [f0], int(math.pi / h), 1, 64
+    while lo <= n_steps:
+        hi = min(lo + size, n_steps + 1)
+        values += mean([side * i * h for i in range(lo, hi)])
+        rise = next((i for i in range(lo, hi) if values[i] >= values[i - 1]), None)
+        if rise is not None:
+            break
+        lo, size = hi, 2 * size
+    else:
+        return None
+    f = lambda x: mean([side * x])[0]
+    refined = optimize.minimize_scalar(f, bounds=((rise - 2) * h, rise * h),
+                                       method="bounded", options={"xatol": 1e-15})
+    dark = min(refined.fun, values[rise - 1])
+    if f0 - dark <= 1e-10 * max(abs(f0), abs(dark)):
+        return None
+    half = 0.5 * (f0 + dark)
+    j = next(i for i, v in enumerate(values) if v <= half)
+    return side * optimize.brentq(lambda x: f(x) - half, (j - 1) * h, j * h, xtol=1e-15)
+
+
+def _fine_grid_fwhm(cfg, scheme, obs, h):
+    """The central fringe's half-depth width on the grid i*h, or None where
+    that grid shows no fringe inside (-pi/2, pi/2)."""
+    f0, left, right = _reduce(obs, outcome_probs(cfg, scheme, [0.0, -h, h]))
+    if left < f0 and right < f0:
+        orient = 1.0
+    elif left > f0 and right > f0:
+        orient = -1.0
+    else:
+        return None
+    mean = lambda xs: [orient * v for v in _reduce(obs, outcome_probs(cfg, scheme, xs))]
+    lo, hi = (_fine_side(mean, h, side, orient * f0) for side in (-1.0, 1.0))
+    if lo is None or hi is None or lo <= -math.pi / 2 or hi >= math.pi / 2:
+        return None
+    return hi - lo
+
+
+@st.composite
+def _bright_systems(draw):
+    """(cfg, scheme, obs): nbar log-uniform in [1, 1e8], 0 < a, b > 2a,
+    cutoff 0-8, ones or alternating eigenvalues."""
+    cfg = InterferometerConfig.from_nbar(10.0 ** draw(st.floats(0.0, 8.0)))
+    a = draw(st.floats(0.05, 2.0))
+    scheme = BinningScheme(a, 2.0 * a * draw(st.floats(1.05, 4.0)),
+                           draw(st.integers(0, 8)))
+    obs = draw(st.sampled_from((Observable.ones, Observable.alternating)))(scheme)
+    return cfg, scheme, obs
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "monotone_branch walks in fixed steps of _BRANCH_STEP = 1e-3 rad and "
+    "steps over slope sign changes of features narrower than that"))
+@example(system=(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS), phi=0.0005)
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(_bright_systems(), st.floats(-math.pi, math.pi))
+def test_branch_keeps_one_slope_sign_at_a_twentieth_of_its_step(system, phi):
+    cfg, scheme, obs = system
+    try:
+        branch = monotone_branch(cfg, scheme, obs, phi)
+    except NonMonotoneBranch:
+        return
+    n = max(1, round(branch.width / (BRANCH_STEP / 20.0)))
+    slopes = _reduce(obs, outcome_derivs(cfg, scheme,
+                                         np.linspace(branch.lo, branch.hi, n + 1)))
+    assert not (max(slopes) > 0.0 and min(slopes) < 0.0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the fringe walk steps _SCAN_STEP = 0.002 rad and passes over dark "
+    "points of fringes narrower than that"))
+@example(system=(BRIGHT_CFG, BRIGHT_SCHEME, Observable.ones(BRIGHT_SCHEME)))
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(_bright_systems())
+def test_fwhm_matches_a_grid_finer_than_the_fringe(system):
+    cfg, scheme, obs = system
+    h = _feature_step(cfg, scheme)
+    want = _fine_grid_fwhm(cfg, scheme, obs, h)
+    got = _result(fwhm, cfg, scheme, obs)
+    if want is None:
+        assert got is NoFringe
+    else:
+        assert got is not NoFringe and abs(got - want) <= h
