@@ -52,6 +52,7 @@ from .metrics import (
     sweep,
     visibility_boundary,
 )
+from . import numerics
 from .numerics import find_root
 from .simulate import NonMonotoneBranch, calibration_curve, estimate, monotone_branch
 
@@ -82,21 +83,20 @@ def _number(name: str, value) -> float:
     return _finite(name, x)
 
 
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool) or (
-            isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer")
-
-
-def _seed(name: str, value) -> int:
-    seed = _integer(name, value)
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"{name} must be in [0, 2**64)")
-    return seed
+def _integer(lo, hi=math.inf):
+    """Parser of an integer in [lo, hi): a flag's text and an integral JSON
+    float are read as an int, then the library's integer rule decides."""
+    def parse(name: str, value) -> int:
+        if isinstance(value, str) or (isinstance(value, float) and value.is_integer()):
+            try:
+                value = int(value)
+            except ValueError:  # text that is no integer; the rule rejects it
+                pass
+        try:
+            return numerics._integer(name, value, lo, hi)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+    return parse
 
 
 def _string(name: str, value) -> str:
@@ -128,7 +128,7 @@ _PARAMS = {
     "alpha0": _Param(_number, None, "coherent amplitude; excludes --nbar"),
     "a": _Param(_number, 0.5, "bin half width (default 0.5)"),
     "b": _Param(_number, 3.8, "bin spacing, must exceed 2a (default 3.8)"),
-    "kf": _Param(_integer, None,
+    "kf": _Param(_integer(0), None,
                  "largest bin index (default: cover the signal swing)"),
     "eigenvalues": _Param(_string, "ones",
                           "ones | alternating | comma separated list of "
@@ -136,11 +136,11 @@ _PARAMS = {
     "mu_minus": _Param(_number, 0.0, "leftover outcome eigenvalue (default 0)"),
     "phi_min": _Param(_number, -math.pi, "grid start (default -pi)"),
     "phi_max": _Param(_number, math.pi, "grid end (default pi)"),
-    "steps": _Param(_integer, 2001,
+    "steps": _Param(_integer(1), 2001,
                     "grid points (default 2001; simulate uses 41)"),
-    "shots": _Param(_integer, 200, "measurements N per replica (default 200)"),
-    "replicas": _Param(_integer, 10, "replica count M (default 10)"),
-    "seed": _Param(_seed, 0, "master seed (default 0)"),
+    "shots": _Param(_integer(1), 200, "measurements N per replica (default 200)"),
+    "replicas": _Param(_integer(1), 10, "replica count M (default 10)"),
+    "seed": _Param(_integer(0, 2 ** 64), 0, "master seed (default 0)"),
     "out": _Param(_string, None, "output CSV path (default: stdout)"),
     "nbar_axis": _Param(_axis, (5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
                                 1000.0),
@@ -217,16 +217,8 @@ def _build_config(ns: argparse.Namespace):
     if merged["nbar"] is None and merged["alpha0"] is None:
         merged["nbar"] = _DEFAULT_NBAR
 
-    if merged["steps"] < 1:
-        raise ConfigError("steps must be at least 1")
     if merged["steps"] > 1 and not merged["phi_max"] > merged["phi_min"]:
         raise ConfigError("phi_max must exceed phi_min")
-    if merged["shots"] < 1:
-        raise ConfigError("shots must be at least 1")
-    if merged["replicas"] < 1:
-        raise ConfigError("replicas must be at least 1")
-    if merged["kf"] is not None and merged["kf"] < 0:
-        raise ConfigError("kf must be a non-negative integer")
 
     config = SimpleNamespace(**merged)
     grid = (np.linspace(config.phi_min, config.phi_max, config.steps)
@@ -550,7 +542,7 @@ _FIGURES = {
 
 
 def _cmd_reproduce(ns: argparse.Namespace) -> int:
-    seed = _seed("seed", ns.seed)
+    seed = _PARAMS["seed"].parse("seed", ns.seed)
     out_dir = Path(ns.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     checks = _Checks()

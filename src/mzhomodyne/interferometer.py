@@ -13,12 +13,11 @@ k = -cutoff..cutoff, plus a leftover outcome collecting everything else.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import erf_diff
+from .numerics import _integer, erf_diff
 
 __all__ = [
     "BinningScheme",
@@ -59,8 +58,8 @@ class InterferometerConfig:
 
     @classmethod
     def from_nbar(cls, nbar: float) -> "InterferometerConfig":
-        if not nbar > 0:
-            raise ValueError(f"nbar must be positive, got {nbar}")
+        if not 0 < nbar < math.inf:
+            raise ValueError(f"nbar must be positive and finite, got {nbar}")
         return cls(math.sqrt(nbar))
 
 
@@ -85,10 +84,10 @@ class BinningScheme:
             )
         if not math.isfinite(self.spacing):
             raise InvalidScheme(f"spacing must be finite, got {self.spacing}")
-        if isinstance(self.cutoff, bool) or not (
-                isinstance(self.cutoff, numbers.Integral) and self.cutoff >= 0):
-            raise InvalidScheme(f"cutoff must be a non-negative integer, got {self.cutoff}")
-        object.__setattr__(self, "cutoff", int(self.cutoff))
+        try:
+            object.__setattr__(self, "cutoff", _integer("cutoff", self.cutoff, 0))
+        except ValueError as exc:
+            raise InvalidScheme(str(exc))
 
     @classmethod
     def binary(cls, half_width: float) -> "BinningScheme":

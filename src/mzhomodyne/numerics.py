@@ -434,12 +434,13 @@ def _walk(start: float, direction: float, step: float, v0: float,
 # Random streams.
 
 
-def _uint64(name, value) -> int:
-    """value as an int key; int() would truncate 1.5, and True is 1: either
-    would draw seed 1's stream, so both are rejected, as is a value past uint64."""
+def _integer(name, value, lo, hi=math.inf) -> int:
+    """value as an int in [lo, hi), the one rule for every count, cutoff
+    and key.  int() would truncate 1.5, and True is 1: either would pass
+    for 1 (a shot count, or seed 1's stream), so both are rejected."""
     if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                       and 0 <= value < 2 ** 64):
-        raise ValueError(f"{name} must be an integer that fits in uint64, got {value!r}")
+                                       and lo <= int(value) < hi):
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
     return int(value)
 
 
@@ -455,8 +456,8 @@ class RandomStream:
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        self.master_seed = _uint64("master_seed", master_seed)
-        self.stream_index = _uint64("stream_index", stream_index)
+        self.master_seed = _integer("master_seed", master_seed, 0, 2 ** 64)
+        self.stream_index = _integer("stream_index", stream_index, 0, 2 ** 64)
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 

@@ -8,15 +8,14 @@ curve g(phi) on a monotone branch around the true phase.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .interferometer import (BinningScheme, InterferometerConfig, _finite_phase,
-                             outcome_derivs, outcome_probs)
+                             _finite_phases, outcome_derivs, outcome_probs)
 from .metrics import AlphabetMismatch, Observable, _check_alphabet, _expectation
-from .numerics import Interval, _drive, _lockstep, _streams, _uint64, _walk, find_roots
+from .numerics import Interval, _drive, _lockstep, _integer, _streams, _walk, find_roots
 
 __all__ = [
     "EstimationReport",
@@ -53,8 +52,9 @@ class ReplicaSet:
 
     def __post_init__(self):
         object.__setattr__(self, "phi", _finite_phase(self.phi))
-        object.__setattr__(self, "master_seed", _uint64("master_seed", self.master_seed))
-        _check_count("shots", self.shots)
+        object.__setattr__(self, "master_seed",
+                           _integer("master_seed", self.master_seed, 0, 2 ** 64))
+        object.__setattr__(self, "shots", _integer("shots", self.shots, 1))
         if len({len(r) for r in self.records}) != 1:
             raise ValueError("need at least one record, all of one length")
         counts = np.array(self.records)
@@ -105,14 +105,6 @@ class EstimationReport:
     std_dev: float
     sigma: float
     clamp_count: int
-
-
-def _check_count(name, value):
-    """A shot or replica count is an int (a bool is not) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _draw(prefix, shots, replicas, streams):
@@ -271,11 +263,11 @@ def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,
     one-point grid at master_seed s.  The keys are checked, then the grid's
     outcome table is evaluated once and _draw counts each point's draws.
     """
-    phi_grid = [_finite_phase(p) for p in phi_grid]
+    phi_grid = _finite_phases(phi_grid)
     if len(phi_grid) == 0:
         raise ValueError("phi_grid must be nonempty")
-    _check_count("replicas", replicas)
-    _check_count("shots", shots)
+    replicas = _integer("replicas", replicas, 1)
+    shots = _integer("shots", shots, 1)
     streams = _streams(master_seed, 0, len(phi_grid) * replicas)
     prefixes = np.cumsum(outcome_probs(cfg, scheme, phi_grid)[:, :-1], axis=1)
     return [ReplicaSet(phi, shots, master_seed,

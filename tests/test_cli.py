@@ -36,6 +36,8 @@ from mzhomodyne.numerics import RandomStream
 from mzhomodyne.simulate import calibration_curve, estimate
 
 GOLDEN = Path(__file__).parent / "golden"
+# the message of a seed outside the uint64 key range of a Philox stream
+SEED_RANGE = "seed must be an integer in [0, 18446744073709551616)"
 
 
 def read_rows(path):
@@ -55,11 +57,18 @@ def read_rows(path):
         (["probs", "--alpha0", "0"], "alpha0 must be positive"),
         (["probs", "--a", "2", "--b", "3"], "spacing"),
         (["probs", "--a", "-1"], "half_width"),
-        (["probs", "--kf", "-2"], "kf must be a non-negative integer"),
-        (["probs", "--steps", "0"], "steps must be at least 1"),
+        # explicit ids keep these node ids stable when a message is edited
+        pytest.param(["probs", "--kf", "-2"], "kf must be an integer in [0, inf)",
+                     id="argv5-kf must be a non-negative integer"),
+        pytest.param(["probs", "--steps", "0"], "steps must be an integer in [1, inf)",
+                     id="argv6-steps must be at least 1"),
         (["probs", "--phi-min", "1", "--phi-max", "0"], "phi_max must exceed"),
-        (["simulate", "--shots", "0", "--out", "x"], "shots must be at least 1"),
-        (["simulate", "--replicas", "0", "--out", "x"], "replicas must be at least 1"),
+        pytest.param(["simulate", "--shots", "0", "--out", "x"],
+                     "shots must be an integer in [1, inf)",
+                     id="argv8-shots must be at least 1"),
+        pytest.param(["simulate", "--replicas", "0", "--out", "x"],
+                     "replicas must be an integer in [1, inf)",
+                     id="argv9-replicas must be at least 1"),
         (["simulate"], "needs --out"),
         (["signal", "--eigenvalues", "1,2"], "eigenvalue list needs 5 entries"),
         (["signal", "--eigenvalues", "bogus"], "eigenvalues must be"),
@@ -75,11 +84,12 @@ def read_rows(path):
         (["probs", "--phi-min=-inf", "--phi-max=inf"], "finite"),
         (["signal", "--kf", "1", "--eigenvalues=1,nan,1"], "finite"),
         (["sweep", "--nbar-axis", "inf"], "finite"),
-        # the seed keys a uint64 Philox stream
-        (["simulate", "--seed", "-1", "--out", "x"], "seed must be in"),
-        (["simulate", "--seed", "18446744073709551616", "--out", "x"],
-         "seed must be in"),
-        (["reproduce", "fig2", "--seed", "-1"], "seed must be in"),
+        pytest.param(["simulate", "--seed", "-1", "--out", "x"], SEED_RANGE,
+                     id="argv24-seed must be in"),
+        pytest.param(["simulate", "--seed", "18446744073709551616", "--out", "x"],
+                     SEED_RANGE, id="argv25-seed must be in"),
+        pytest.param(["reproduce", "fig2", "--seed", "-1"], SEED_RANGE,
+                     id="argv26-seed must be in"),
         # an output that cannot be written
         (["probs", "--steps", "3", "--out", str(GOLDEN / "missing" / "x.csv")],
          "No such file or directory"),
@@ -122,7 +132,7 @@ def test_config_file_errors(tmp_path, capsys):
     negative_seed = tmp_path / "seed.json"
     negative_seed.write_text(json.dumps({"seed": -1}))
     assert main(["simulate", "--config", str(negative_seed)]) == 2
-    assert "seed must be in" in capsys.readouterr().err
+    assert SEED_RANGE in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,13 @@ def test_config_requires_positive_amplitude():
         InterferometerConfig.from_nbar(math.inf)
 
 
+@pytest.mark.parametrize("nbar", [math.inf, math.nan, 0.0, -1.0])
+def test_from_nbar_names_the_nbar_it_rejects(nbar):
+    # the message names the parameter the caller passed, not alpha0
+    with pytest.raises(ValueError, match=f"^nbar must be positive and finite, got {nbar}$"):
+        InterferometerConfig.from_nbar(nbar)
+
+
 def test_config_nbar_roundtrip():
     cfg = InterferometerConfig.from_nbar(200.0)
     assert cfg.alpha0 == pytest.approx(math.sqrt(200.0), abs=0.0)
@@ -95,7 +102,7 @@ def test_scheme_validation():
 
 def test_scheme_rejects_a_bool_cutoff():
     # True is an int subclass, but not a count of bins
-    with pytest.raises(InvalidScheme, match="cutoff must be a non-negative"):
+    with pytest.raises(InvalidScheme, match=r"cutoff must be an integer in \[0, inf\)"):
         BinningScheme(0.5, 3.8, True)
 
 

@@ -46,6 +46,7 @@ from mzhomodyne.metrics import (
     visibility_boundary,
 )
 from mzhomodyne.numerics import _drive, _golden
+from mzhomodyne.simulate import calibration_curve
 from oracles import central_diff, score_observable
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
@@ -905,3 +906,11 @@ def test_figures_of_merit_reject_a_2d_phase_array(merit):
     message = r"^phis must be a 1-D array, got shape \(2, 2\)$"
     with pytest.raises(ValueError, match=message):
         merit(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("grid, shape", [(np.zeros((2, 2)), r"\(2, 2\)"),
+                                         (np.array(0.3), r"\(\)")], ids=["2d", "0d"])
+def test_calibration_curve_rejects_a_grid_that_is_not_1d(grid, shape):
+    # the one phase-array rule of the figures of merit, a ValueError
+    with pytest.raises(ValueError, match=rf"^phis must be a 1-D array, got shape {shape}$"):
+        calibration_curve(FIG2_CFG, FIG2_SCHEME, grid, 20, 2, master_seed=0)
