@@ -53,7 +53,7 @@ from .metrics import (
     visibility_boundary,
 )
 from . import numerics
-from .numerics import find_root
+from .numerics import _row_sums, find_root
 from .simulate import NonMonotoneBranch, calibration_curve, estimate, monotone_branch
 
 __all__ = ["ConfigError", "build_parser", "main"]
@@ -276,7 +276,7 @@ def _write_signal(out: Optional[str], obs, grid, table):
     reduced from the grid's outcome table; returns the last three columns."""
     columns = _signal_columns(obs, *table)
     _write_rows(out, ["phi", "signal_mean", "delta_phi", "crb"],
-                zip(grid.tolist(), *columns))
+                np.column_stack((grid, *columns)).tolist())
     return columns
 
 
@@ -432,7 +432,7 @@ def _reproduce_fig2(out_dir: Path, seed: int, checks: _Checks) -> None:
     grid = np.linspace(-math.pi, math.pi, 2001)
     probs = outcome_probs(cfg, scheme, grid)
     _write_probs(str(out_dir / "fig2_probs.csv"), scheme, grid, probs)
-    worst_row_sum = max(abs(math.fsum(row) - 1.0) for row in probs.tolist())
+    worst_row_sum = np.abs(_row_sums(probs) - 1.0).max()
     checks.add(
         scheme.n_outcomes == 6,
         "probability column count",
@@ -478,8 +478,8 @@ def _reproduce_fig3(out_dir: Path, seed: int, checks: _Checks) -> None:
 
     # first divergence of delta_phi at positive phase: the slope zero of the
     # all-ones signal, expected near b/alpha0
-    dark = find_root(lambda x: _expectation(
-        variants["ones"], outcome_derivs(cfg, scheme, [x]))[0], (0.15, 0.4))
+    dark = find_root(lambda x: float(_expectation(
+        variants["ones"], outcome_derivs(cfg, scheme, [x]))[0]), (0.15, 0.4))
     target = scheme.spacing / cfg.alpha0
     checks.add(
         abs(dark - target) <= 0.10 * target,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _integer, erf_diff
+from .numerics import _integer, _row_sums, erf_diff
 
 __all__ = [
     "BinningScheme",
@@ -136,7 +136,9 @@ def _finite_phases(phis) -> list:
     phis = np.asarray(phis, dtype=np.float64)
     if phis.ndim != 1:
         raise ValueError(f"phis must be a 1-D array, got shape {phis.shape}")
-    return [_finite_phase(phi) for phi in phis.tolist()]
+    if not np.isfinite(phis).all():  # name the first non-finite phase
+        _finite_phase(phis[np.argmin(np.isfinite(phis))])
+    return phis.tolist()
 
 
 def quadrature_pdf(cfg: InterferometerConfig, phi: float, p):
@@ -160,7 +162,7 @@ def _erf_limits(cfg, scheme, phis):
     A NaN or infinite phase raises ValueError (see _finite_phase).
     """
     phis = _finite_phases(phis)
-    c = 0.5 * cfg.alpha0 * np.array([math.sin(phi) for phi in phis])
+    c = 0.5 * cfg.alpha0 * np.array(list(map(math.sin, phis)))
     shift = _SQRT2 * (c[:, None] + scheme.centers())
     ga = _SQRT2 * scheme.half_width
     return phis, shift - ga, shift + ga
@@ -168,18 +170,17 @@ def _erf_limits(cfg, scheme, phis):
 
 def _probs(g_lo, g_hi):
     bins = 0.5 * erf_diff(g_lo, g_hi)
-    return np.column_stack((bins, [max(0.0, 1.0 - math.fsum(row))
-                                   for row in bins.tolist()]))
+    return np.column_stack((bins, np.fmax(0.0, 1.0 - _row_sums(bins))))
 
 
 def _derivs(cfg, phis, g_lo, g_hi):
     # d/dphi [erf(G)] = (2/sqrt(pi)) exp(-G^2) * dG/dphi, and both limits have
     # dG/dphi = alpha0*cos(phi)/sqrt(2), so P'(k|phi) = (1/sqrt(pi))
     # * (alpha0*cos(phi)/sqrt(2)) * (exp(-G_plus^2) - exp(-G_minus^2))
-    cos = np.array([math.cos(phi) for phi in phis])
+    cos = np.array(list(map(math.cos, phis)))
     factor = _INV_SQRTPI * cfg.alpha0 * cos / _SQRT2
     bins = factor[:, None] * (np.exp(-g_hi * g_hi) - np.exp(-g_lo * g_lo))
-    return np.column_stack((bins, [-math.fsum(row) for row in bins.tolist()]))
+    return np.column_stack((bins, -_row_sums(bins)))
 
 
 def outcome_probs(cfg: InterferometerConfig, scheme: BinningScheme, phis):

@@ -17,7 +17,7 @@ import numpy as np
 from .interferometer import (BinningScheme, InterferometerConfig, _finite_phases,
                              outcome_probs, outcome_table)
 from .numerics import (NoSignChange, _brent, _drive, _golden, _lockstep,
-                       _unwrap, _walk, find_root)
+                       _row_sums, _unwrap, _walk, find_root)
 
 __all__ = [
     "AlphabetMismatch",
@@ -129,17 +129,12 @@ def _table(cfg, scheme, phi):
     return phis.ndim == 0, probs, derivs
 
 
-def _row_sums(terms: np.ndarray) -> list:
-    """Exactly rounded math.fsum of each row."""
-    return [math.fsum(row) for row in terms.tolist()]
-
-
-def _shaped(scalar: bool, values: list):
+def _shaped(scalar: bool, values):
     """A float for a scalar phase, else an array over the phases."""
-    return values[0] if scalar else np.array(values, dtype=np.float64)
+    return float(values[0]) if scalar else np.asarray(values, dtype=np.float64)
 
 
-def _expectation(obs: Observable, table: np.ndarray) -> list:
+def _expectation(obs: Observable, table: np.ndarray) -> np.ndarray:
     """sum_k mu_k T[i, k] of each row: the signal mean over outcome_probs,
     its phase slope over outcome_derivs."""
     return _row_sums(obs.all_values() * table)
@@ -153,7 +148,7 @@ def _moments(obs: Observable, probs: np.ndarray, derivs: np.ndarray):
     difference sum(mu^2 P) - mean^2 cancels catastrophically there).
     """
     means = _expectation(obs, probs)
-    variances = _row_sums((obs.all_values() - np.array(means)[:, None]) ** 2 * probs)
+    variances = _row_sums((obs.all_values() - means[:, None]) ** 2 * probs)
     return means, variances, _expectation(obs, derivs)
 
 
@@ -192,19 +187,21 @@ def error_propagation_sensitivity(cfg: InterferometerConfig, scheme: BinningSche
     _check_alphabet(obs, scheme)
     scalar, probs, derivs = _table(cfg, scheme, phi)
     _, variances, slopes = _moments(obs, probs, derivs)
-    return _shaped(scalar, list(map(_sensitivity, variances, slopes)))
+    return _shaped(scalar, _sensitivities(variances, slopes))
 
 
-def _sensitivity(var: float, slope: float) -> float:
-    return math.inf if abs(slope) < _SLOPE_FLOOR else math.sqrt(var) / abs(slope)
+def _sensitivities(variances: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """sqrt(var)/|slope| of each row; +inf where |slope| < _SLOPE_FLOOR."""
+    slopes = np.abs(slopes)
+    return np.divide(np.sqrt(variances), slopes, out=np.full_like(slopes, math.inf),
+                     where=~(slopes < _SLOPE_FLOOR))
 
 
-def _fisher_rows(probs: np.ndarray, derivs: np.ndarray) -> list:
-    """sum of P'^2/P over each row's outcomes with P >= 1e-15."""
-    return [
-        math.fsum(d * d / p for p, d in zip(p_row, d_row) if p >= _PROB_FLOOR)
-        for p_row, d_row in zip(probs.tolist(), derivs.tolist())
-    ]
+def _fisher_rows(probs: np.ndarray, derivs: np.ndarray) -> np.ndarray:
+    """sum of P'^2/P over each row's outcomes with P >= 1e-15; a skipped
+    term is an exact 0.0, which leaves the row sum unchanged."""
+    return _row_sums(np.divide(derivs * derivs, probs, out=np.zeros_like(probs),
+                               where=probs >= _PROB_FLOOR))
 
 
 def cfi(cfg: InterferometerConfig, scheme: BinningScheme, phi):
@@ -219,10 +216,11 @@ def cfi(cfg: InterferometerConfig, scheme: BinningScheme, phi):
     return _shaped(scalar, _fisher_rows(probs, derivs))
 
 
-def _bounds(probs: np.ndarray, derivs: np.ndarray) -> list:
+def _bounds(probs: np.ndarray, derivs: np.ndarray) -> np.ndarray:
     """1/sqrt(cfi) of each row; +inf where the information is below 1e-20."""
-    return [math.inf if f < _CFI_FLOOR else 1.0 / math.sqrt(f)
-            for f in _fisher_rows(probs, derivs)]
+    info = _fisher_rows(probs, derivs)
+    return np.divide(1.0, np.sqrt(info), out=np.full_like(info, math.inf),
+                     where=~(info < _CFI_FLOOR))
 
 
 def crb(cfg: InterferometerConfig, scheme: BinningScheme, phi):
@@ -238,20 +236,18 @@ def _signal_columns(obs: Observable, probs: np.ndarray, derivs: np.ndarray):
     """(means, sensitivities, bounds) of each table row: the values of
     signal(...).mean, error_propagation_sensitivity and crb, from one table."""
     means, variances, slopes = _moments(obs, probs, derivs)
-    return (means, list(map(_sensitivity, variances, slopes)),
-            _bounds(probs, derivs))
+    return means, _sensitivities(variances, slopes), _bounds(probs, derivs)
 
 
 def binary_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme, phi):
-    """sqrt(P(1-P))/|P'| of the single bin; eigenvalue-free form.
+    """sqrt(P(1-P))/|P'| of the single bin: the propagated error of the
+    {1, 0} observable.
 
     phi is a float or a 1-D array of phases; the result has the same shape.
     """
     if scheme.cutoff != 0:
         raise SchemeNotBinary(f"cutoff must be 0, got {scheme.cutoff}")
-    scalar, probs, derivs = _table(cfg, scheme, phi)
-    return _shaped(scalar, [_sensitivity(p * (1.0 - p), dp) for p, dp in
-                            zip(probs[:, 0].tolist(), derivs[:, 0].tolist())])
+    return error_propagation_sensitivity(cfg, scheme, Observable((1.0,), 0.0), phi)
 
 
 def binarized_cfi(cfg: InterferometerConfig, scheme: BinningScheme,
@@ -274,7 +270,7 @@ def visibility(cfg: InterferometerConfig, scheme: BinningScheme,
                obs: Observable) -> float:
     """(s(0) - s(pi/2)) / (s(0) + s(pi/2)) of the signal mean."""
     _check_alphabet(obs, scheme)
-    return _drive(lambda xs: _expectation(obs, outcome_probs(cfg, scheme, xs)),
+    return _drive(lambda xs: _expectation(obs, outcome_probs(cfg, scheme, xs)).tolist(),
                   _visibility_search())
 
 
@@ -300,15 +296,13 @@ def visibility_boundary(half_width: float, target: float) -> float:
     if target <= 0.0:
         return lo
     obs = Observable((1.0,), 0.0)
-
-    def vis(nbar: float) -> float:
-        return visibility(InterferometerConfig.from_nbar(nbar), scheme, obs)
-
-    if vis(hi) < target:
-        raise NoSolution(f"visibility at nbar={hi} still below {target}")
-    if vis(lo) >= target:
+    vis = lambda nbar: visibility(InterferometerConfig.from_nbar(nbar), scheme, obs)
+    try:
+        return find_root(lambda nbar: vis(nbar) - target, (lo, hi), tol=1e-10)
+    except NoSignChange:
+        if vis(hi) < target:
+            raise NoSolution(f"visibility at nbar={hi} still below {target}") from None
         return lo
-    return find_root(lambda nbar: vis(nbar) - target, (lo, hi), tol=1e-10)
 
 
 def continuous_signal(cfg: InterferometerConfig, phi):
@@ -383,7 +377,7 @@ def fwhm(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable) -> f
     """
     _check_alphabet(obs, scheme)
     return _fringe_width(*_drive(lambda xs: _expectation(
-        obs, outcome_probs(cfg, scheme, xs)), _fringe_search(0.0)))
+        obs, outcome_probs(cfg, scheme, xs)).tolist(), _fringe_search(0.0)))
 
 
 def fwhm_continuous(cfg: InterferometerConfig) -> float:
@@ -483,7 +477,7 @@ def sweep(nbar_axis, a_axis) -> SweepGrid:
 
             def rows(phis):  # (mean, sensitivity) at each phase
                 means, var, slopes = _moments(obs, *outcome_table(cfg, scheme, phis))
-                return list(zip(means, map(_sensitivity, var, slopes)))
+                return list(zip(means.tolist(), _sensitivities(var, slopes).tolist()))
 
             mean, sensitivity = operator.itemgetter(0), operator.itemgetter(1)
             crossings, best, contrast = _drive(rows, _lockstep([

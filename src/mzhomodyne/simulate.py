@@ -83,7 +83,7 @@ class ReplicaSet:
         if len(self.records[0]) != len(obs.bin_values) + 1:
             raise AlphabetMismatch(f"records hold {len(self.records[0])} counts, "
                                    f"obs has {len(obs.bin_values) + 1} values")
-        return [s / self.shots for s in _expectation(obs, self._counts)]
+        return (_expectation(obs, self._counts) / self.shots).tolist()
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def monotone_branch(cfg: InterferometerConfig, scheme: BinningScheme,
     """
     phi_true = _finite_phase(phi_true)
     _check_alphabet(obs, scheme)
-    return _drive(lambda xs: _expectation(obs, outcome_derivs(cfg, scheme, xs)),
+    return _drive(lambda xs: _expectation(obs, outcome_derivs(cfg, scheme, xs)).tolist(),
                   _branch_search(phi_true))
 
 
@@ -171,9 +171,11 @@ def _branch_search(phi_true):
 
 def _check_branch_monotone(cfg, scheme, obs, branch):
     _check_alphabet(obs, scheme)
+    if branch.width > 2.0 * math.pi:
+        raise NonMonotoneBranch(f"branch [{branch.lo}, {branch.hi}] is wider than 2*pi")
     n_samples = max(int(branch.width / _BRANCH_STEP), 2)
-    slopes = np.array(_expectation(obs, outcome_derivs(
-        cfg, scheme, np.linspace(branch.lo, branch.hi, n_samples + 1))))
+    slopes = _expectation(obs, outcome_derivs(
+        cfg, scheme, np.linspace(branch.lo, branch.hi, n_samples + 1)))
     if np.any(slopes > _SLOPE_TOL) and np.any(slopes < -_SLOPE_TOL):
         raise NonMonotoneBranch(
             f"slope changes sign on [{branch.lo}, {branch.hi}]"
@@ -193,14 +195,13 @@ def _invert(cfg, scheme, obs, measured, branch):
     for zero and sign, so 0.0 and -0.0 may share theirs.
     """
     means = lambda xs: _expectation(obs, outcome_probs(cfg, scheme, xs))
-    g_lo, g_hi = means([branch.lo, branch.hi])
+    g_lo, g_hi = means([branch.lo, branch.hi]).tolist()
     top = branch.lo if g_lo >= g_hi else branch.hi
     bottom = branch.lo if g_lo <= g_hi else branch.hi
     phis = [top if m > max(g_lo, g_hi) else bottom if m < min(g_lo, g_hi)
             else None for m in measured]
     inside = list(dict.fromkeys(m for m, phi in zip(measured, phis) if phi is None))
-    roots = dict(zip(inside, find_roots(lambda xs: np.array(means(xs)),
-                                        inside, [branch] * len(inside),
+    roots = dict(zip(inside, find_roots(means, inside, [branch] * len(inside),
                                         g_ends=[(g_lo, g_hi)] * len(inside))))
     return ([roots[m] if phi is None else phi for m, phi in zip(measured, phis)],
             len(phis) - phis.count(None))
@@ -211,7 +212,8 @@ def invert_signal(cfg: InterferometerConfig, scheme: BinningScheme,
                   branch: Interval) -> float:
     """Phase whose signal mean equals measured_value on the given branch.
 
-    The branch is re-sampled first and rejected if the slope changes sign.
+    The branch is rejected unsampled if wider than 2*pi, else re-sampled
+    and rejected if the slope changes sign.
     Values beyond the branch's signal range clamp to the endpoint whose
     signal is nearest (finite-sample fluctuations routinely overshoot).
     A non-finite measured value or branch end is rejected with ValueError.

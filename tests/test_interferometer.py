@@ -473,6 +473,17 @@ def test_outcome_table_rejects_non_vector_phases():
 
 
 
+@pytest.mark.parametrize("grid, named", [
+    ([0.1, math.inf, math.nan], "inf"),
+    ([0.2, 0.3, math.nan, -math.inf, math.inf], "nan"),
+    ([-math.inf, 0.0, math.nan], "-inf"),
+])
+def test_a_grid_names_its_first_non_finite_phase(grid, named):
+    for call in (outcome_probs, outcome_derivs, outcome_table):
+        with pytest.raises(ValueError, match=f"^phase must be finite, got {named}$"):
+            call(FIG2_CFG, FIG2_SCHEME, grid)
+
+
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
 def test_core_rejects_a_phase_that_is_not_finite(phi, monkeypatch):
     # a NaN phase gave NaN bins with leftover max(0.0, nan) = 0.0, or a NaN

@@ -255,8 +255,66 @@ def test_ones_signal_dark_point_location():
     assert error_propagation_sensitivity(FIG2_CFG, FIG2_SCHEME, obs, 0.15) < 1.0
 
 
+def _floor_neighbours(floor):
+    """floor, the two floats next to it, and each of them negated."""
+    near = [floor, math.nextafter(floor, 0.0), math.nextafter(floor, math.inf)]
+    return near + [-x for x in near]
+
+
+def test_vector_sensitivity_equals_the_scalar_formula_around_the_slope_floor():
+    slopes = _floor_neighbours(metrics._SLOPE_FLOOR) + [0.0, -0.0, 1e-300, 0.7, -3.5]
+    for variance in (0.0, 5e-324, 0.25, 1e300):
+        want = [math.inf if abs(s) < metrics._SLOPE_FLOOR else math.sqrt(variance) / abs(s)
+                for s in slopes]
+        got = metrics._sensitivities(np.full(len(slopes), variance), np.array(slopes))
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # cfi / crb
+
+
+def test_vector_bound_equals_the_scalar_formula_around_the_cfi_floor():
+    # one outcome with P' = 1, so a row's information is 1/P: P = 1e20 and
+    # its neighbours put it at _CFI_FLOOR = 1e-20 and on either side
+    probs = [1e20, math.nextafter(1e20, 0.0), math.nextafter(1e20, math.inf),
+             1.0, 1e-3, 1e-16]
+    probs, derivs = np.array(probs)[:, None], np.ones((len(probs), 1))
+    info = metrics._fisher_rows(probs, derivs).tolist()
+    assert info[:3] == [metrics._CFI_FLOOR,
+                        math.nextafter(metrics._CFI_FLOOR, 1.0),
+                        math.nextafter(metrics._CFI_FLOOR, 0.0)]
+    want = [math.inf if f < metrics._CFI_FLOOR else 1.0 / math.sqrt(f) for f in info]
+    got = metrics._bounds(probs, derivs)
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    assert got[2] == math.inf and math.isfinite(got[0])
+
+
+_NEAR_PROB_FLOOR = [0.0, -0.0, 1e-16, math.nextafter(1e-15, 0.0), 1e-15,
+                    math.nextafter(1e-15, 1.0), 1e-9, 0.5, 1.0, math.nan]
+
+
+@st.composite
+def _fisher_tables(draw):
+    """(P, P') tables of 1, 2 or 6 columns; P drawn around _PROB_FLOOR."""
+    cols = draw(st.sampled_from([1, 2, 6]))
+    rows = draw(st.integers(0, 20))
+    probs = st.one_of(st.sampled_from(_NEAR_PROB_FLOOR), st.floats(0.0, 1.0))
+    derivs = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
+    tables = [[[draw(f) for _ in range(cols)] for _ in range(rows)] for f in (probs, derivs)]
+    return [np.array(t, dtype=np.float64).reshape(rows, cols) for t in tables]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_fisher_tables())
+def test_fisher_rows_equal_the_fsum_of_the_kept_terms(tables):
+    # the masked array gives each skipped term an exact 0.0; the sum is the
+    # fsum over the outcomes with P >= _PROB_FLOOR alone, bit for bit
+    probs, derivs = tables
+    want = [math.fsum(d * d / p for p, d in zip(p_row, d_row) if p >= metrics._PROB_FLOOR)
+            for p_row, d_row in zip(probs.tolist(), derivs.tolist())]
+    got = metrics._fisher_rows(probs, derivs)
+    assert np.array_equal(got.view(np.int64), np.array(want, dtype=np.float64).view(np.int64))
 
 
 def test_cfi_binary_equals_inverse_square_sensitivity():
@@ -436,6 +494,14 @@ def test_binary_sensitivity_requires_single_bin():
         binary_sensitivity(FIG2_CFG, FIG2_SCHEME, 0.3)
 
 
+def test_binary_sensitivity_is_the_propagated_error_of_the_unit_bin():
+    phis = np.linspace(-math.pi, math.pi, 101)
+    for cfg in (FIG2_CFG, InterferometerConfig.from_nbar(1e6)):
+        got = binary_sensitivity(cfg, BINARY_HALF, phis)
+        want = error_propagation_sensitivity(cfg, BINARY_HALF, UNIT_BINARY_OBS, phis)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_binary_sensitivity_diverges_at_fringe_peak():
     assert binary_sensitivity(FIG2_CFG, BINARY_HALF, 0.0) == math.inf
 
@@ -556,6 +622,22 @@ def test_visibility_boundary_half_width_bin():
     assert 7.5 < got < 8.2
     cfg = InterferometerConfig.from_nbar(got)
     assert visibility(cfg, BINARY_HALF, UNIT_BINARY_OBS) == pytest.approx(0.9, abs=1e-6)
+
+
+def test_visibility_boundary_evaluates_each_visibility_once(monkeypatch):
+    # find_root evaluates both bracket ends and every Brent step; nothing
+    # else is evaluated on a bracket that straddles the target
+    calls = []
+    real = metrics.visibility
+
+    def counting(cfg, scheme, obs):
+        calls.append(cfg.nbar)
+        return real(cfg, scheme, obs)
+
+    monkeypatch.setattr(metrics, "visibility", counting)
+    assert visibility_boundary(0.5, 0.9) == 7.8348041126464345
+    assert len(calls) == 20
+    assert len(set(calls)) == 20
 
 
 def test_visibility_boundary_edge_cases():

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -12,8 +14,10 @@ from mzhomodyne.numerics import (
     NoConvergence,
     NoSignChange,
     RandomStream,
+    _FSUM_ROWS,
     _drive,
     _golden,
+    _row_sums,
     _streams,
     _walk,
     erf_diff,
@@ -451,6 +455,85 @@ def test_interval_validation():
     iv = Interval(-1.0, 2.0)
     assert iv.width == 3.0
     assert (iv.lo, iv.hi) == (-1.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# row sums: the exactly rounded math.fsum of each row
+
+
+_BIG = 2.0 ** 1022
+_MAX = sys.float_info.max
+_ZEROS = st.sampled_from([0.0, -0.0])
+# Each table draws its terms from one pool, so some tables stay under the
+# column add's magnitude guard and some cross it: any finite float; small
+# values with signed zeros; subnormals; values around the guard, 2**1022,
+# up to the largest float, whose pairwise sums overflow.
+_TERM_POOLS = [
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.one_of(_ZEROS, st.floats(-1e3, 1e3)),
+    st.one_of(_ZEROS, st.floats(-2.3e-308, 2.3e-308)),
+    st.one_of(_ZEROS, st.sampled_from([_BIG, -_BIG, math.nextafter(_BIG, _MAX),
+                                       2.0 ** 1023, -(2.0 ** 1023), _MAX, -_MAX]),
+              st.floats(2.0 ** 1021, _MAX), st.floats(-_MAX, -(2.0 ** 1021))),
+]
+
+
+@st.composite
+def _row_tables(draw):
+    """A float64 table of 1, 2, 5 or 8 columns and 0 to 3*_FSUM_ROWS rows,
+    so both the column add and the row-by-row fsum run; a drawn row may
+    end in a pair that cancels exactly or to within an ulp."""
+    cols = draw(st.sampled_from([1, 2, 5, 8]))
+    rows = draw(st.integers(0, 3 * _FSUM_ROWS))
+    terms = draw(st.sampled_from(_TERM_POOLS))
+    table = [[draw(terms) for _ in range(cols)] for _ in range(rows)]
+    for row in table:
+        if cols > 1 and draw(st.booleans()):
+            row[-1] = -draw(st.sampled_from([row[-2], math.nextafter(row[-2], 0.0)]))
+    return np.array(table, dtype=np.float64).reshape(rows, cols)
+
+
+def _assert_row_sums_equal_fsum(table):
+    """_row_sums(table) has the bits of math.fsum on each row, or raises the
+    error math.fsum raises first, with no RuntimeWarning either way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            want = [math.fsum(row) for row in table.tolist()]
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                _row_sums(table)
+            return
+        got = _row_sums(table)
+    assert got.dtype == np.float64 and got.shape == (len(table),)
+    assert np.array_equal(got.view(np.int64), np.array(want, dtype=np.float64).view(np.int64))
+
+
+_MANY = 2 * _FSUM_ROWS + 1  # rows enough for the column add
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_row_tables())
+@example(np.full((_MANY, 1), -0.0))
+@example(np.full((_MANY, 2), -0.0))
+@example(np.tile([[5e-324, -5e-324]], (_MANY, 1)))
+@example(np.tile([[_BIG, _BIG]], (_MANY, 1)))
+@example(np.tile([[2.0 ** 1023, 2.0 ** 1023]], (_MANY, 1)))
+@example(np.tile([[2.0 ** 1023, -(2.0 ** 1023)]], (_MANY, 1)))
+@example(np.tile([[1.0, 2.0 ** -53 + 2.0 ** -105]], (_MANY, 1)))
+def test_row_sums_equal_fsum_bit_for_bit(table):
+    _assert_row_sums_equal_fsum(table)
+
+
+@pytest.mark.parametrize("rows", [1, _MANY])
+@pytest.mark.parametrize("row", [
+    [math.inf], [-math.inf], [math.nan], [math.inf, 1.0], [math.inf, -math.inf],
+    [math.nan, 1.0], [math.inf, math.nan], [sys.float_info.max, sys.float_info.max],
+    [-(2.0 ** 1023), -(2.0 ** 1023)], [1.0, 2.0, math.inf, -math.inf, 3.0],
+], ids=repr)
+def test_row_sums_of_non_finite_and_overflowing_rows_act_as_fsum(row, rows):
+    table = np.array([[0.5] * len(row)] * (rows - 1) + [row], dtype=np.float64)
+    _assert_row_sums_equal_fsum(table)
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,20 @@ def test_inversion_accepts_plain_tuple_branch():
     assert got == pytest.approx(0.1, abs=1e-10)
 
 
+@pytest.mark.parametrize("width", [math.nextafter(2.0 * math.pi, 7.0), 20.0, 200.0])
+def test_inversion_rejects_a_branch_wider_than_a_period_before_evaluating(
+        monkeypatch, width):
+    # the re-check samples a branch every 1e-3 rad, so the rows it asks for
+    # grow without bound with the width (2e9 for a 2e6-rad branch); no
+    # signal is monotone over a whole period
+    def no_table(*args):
+        raise AssertionError("the signal was evaluated")
+    monkeypatch.setattr(simulate, "outcome_derivs", no_table)
+    monkeypatch.setattr(simulate, "outcome_probs", no_table)
+    with pytest.raises(NonMonotoneBranch, match="wider than 2\\*pi"):
+        invert_signal(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, 0.2, Interval(0.0, width))
+
+
 @pytest.mark.parametrize("measured, branch", [
     (math.nan, (0.0, 0.203)),
     (math.inf, (0.0, 0.203)),
