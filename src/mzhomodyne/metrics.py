@@ -16,8 +16,8 @@ import numpy as np
 
 from .interferometer import (BinningScheme, InterferometerConfig, _finite_phases,
                              outcome_probs, outcome_table)
-from .numerics import (NoSignChange, _brent, _drive, _golden, _lockstep,
-                       _row_sums, _unwrap, _walk, find_root)
+from .numerics import (_ERFC_ZERO, _FIRST_CHUNK, NoSignChange, _brent, _drive, _golden,
+                       _lockstep, _row_sums, _unwrap, find_root)
 
 __all__ = [
     "AlphabetMismatch",
@@ -48,7 +48,7 @@ __all__ = [
 _SLOPE_FLOOR = 1e-14
 _PROB_FLOOR = 1e-15
 _CFI_FLOOR = 1e-20
-_SCAN_STEP = 0.002  # fringe walk step, rad
+_SIDE_CHUNK = 1024  # most lattice phases one fringe side asks for in a round
 _SENSITIVITY_BAND = (1e-4, math.pi / 2 - 1e-4)
 
 # fixed pseudorandom eigenvalue vector (bins -2..2) kept as a regression case
@@ -316,45 +316,70 @@ def continuous_signal(cfg: InterferometerConfig, phi):
 # Fringe geometry.
 
 
-def _fringe_side(center, f0, sign):
-    """One side of _fringe_search, sent the fringe oriented as a peak."""
-    prev_x, x = yield from _walk(center, sign, _SCAN_STEP, f0, operator.lt)
-    if x is None:
-        raise NoFringe("no dark point within half a period of the center")
-    # passed a local minimum; refine it within the last window
-    back = prev_x - sign * _SCAN_STEP
-    dark, dark_val = yield from _golden((min(back, x), max(back, x)), grid_points=64)
-    if f0 - dark_val <= 1e-10 * max(abs(f0), abs(dark_val)):
+def _shift_lattice(cfg, scheme):
+    """Phases asin(2*j*h/alpha0), then pi/2, of a lattice in the shift
+    c = alpha0*sin(phi)/2, through which alone P depends on phi.  Its step
+    h = min(2a, b - 2a, 1)/20 (no b - 2a for one bin) follows the bins, not
+    nbar; it ends at alpha0/2, or where every bin's P and P' underflow."""
+    a, b = scheme.half_width, scheme.spacing
+    h = min(2.0 * a, b - 2.0 * a if scheme.cutoff else 1.0, 1.0) / 20.0
+    end = min(0.5 * cfg.alpha0, scheme.cutoff * b + a + _ERFC_ZERO / math.sqrt(2.0))
+    c = np.arange(1, int(end / h) + 1) * h  # 2c/alpha0 may round above 1: asin raises
+    return list(map(math.asin, np.fmin(1.0, 2.0 * c / cfg.alpha0).tolist())) + [math.pi / 2]
+
+
+def _half_crossing(center, f0, dark, f_dark, orient):
+    """The half-depth crossing between a fringe's center and its dark point
+    (orient +1 for a peak, -1 for a dip), as a search sent the signal."""
+    if orient * (f0 - f_dark) <= 1e-10 * max(abs(f0), abs(f_dark)):
         raise NoFringe("fringe depth within rounding noise")
-    bracket = (min(center, dark), max(center, dark))
+    (lo, f_lo), (hi, f_hi) = sorted(((center, f0), (dark, f_dark)))
     try:
-        return (yield from _brent(bracket, 1e-12, 0.5 * (f0 + dark_val)))
+        return (yield from _brent((lo, hi), 1e-12, 0.5 * (f0 + f_dark), (f_lo, f_hi)))
     except NoSignChange as exc:
         raise NoFringe("fringe shallower than half depth") from exc
 
 
-def _fringe_search(center):
-    """Half-depth crossings (left, right) of a fringe around center, as a
-    search (see numerics._drive) that is sent the fringe's values.
+def _dark_point(lattice, side, orient, first):
+    """(dark, mean there) on one side, as a search sent _cell_rows (first:
+    the row at side*lattice[0]): the slope's Brent root before the first
+    lattice phase where the oriented signal rises, else side*pi/2."""
+    (prev_x, (prev_mean, _, prev_slope)), lo, size = (side * lattice[0], first), 1, _FIRST_CHUNK
+    while lo < len(lattice):
+        xs = [side * x for x in lattice[lo:lo + size]]
+        for x, (mean, _, slope) in zip(xs, (yield xs)):
+            if side * orient * slope > 0.0:
+                (a, fa), (b, fb) = sorted(((prev_x, prev_slope), (x, slope)))
+                root = _brent((a, b), 1e-12, 0.0, (fa, fb))
+                dark = _unwrap((yield from _lockstep([(root, operator.itemgetter(2))]))[0])
+                return dark, (yield [dark])[0][0]
+            prev_x, prev_mean, prev_slope = x, mean, slope
+        lo, size = lo + size, min(2 * size, _SIDE_CHUNK)
+    return prev_x, prev_mean
 
-    Orientation is taken from the neighborhood of the center: a dip is
-    flipped so the fringe is always treated as a peak.  Each side walks
-    outward (numerics._walk, in steps of _SCAN_STEP for at most pi) to its
-    first local minimum (the fringe-local baseline), refines it, and
-    brackets the half-level crossing between center and that dark point.
-    The sides run in lockstep, one evaluation per round; the left side's
-    error is raised first.
-    """
-    f0, left_probe, right_probe = yield [center, center - _SCAN_STEP, center + _SCAN_STEP]
-    if left_probe < f0 and right_probe < f0:
-        h = None
-    elif left_probe > f0 and right_probe > f0:
-        h, f0 = operator.neg, -f0
-    else:
-        raise NoFringe(f"signal is not extremal at center {center}")
-    sides = [(_fringe_side(center, f0, s), h) for s in (-1.0, 1.0)]
-    crossings = [_unwrap(side) for side in (yield from _lockstep(sides))]
-    return min(crossings), max(crossings)
+
+def _fringe_search(cfg, scheme):
+    """Half-depth width of the central fringe, as a search (numerics._drive)
+    sent _cell_rows.  The slope on (-pi/2, pi/2) has the sign of dS/dc, so
+    both sides read it on one _shift_lattice, in lockstep (dark points, then
+    crossings; the left side's error first).  The first lattice phases give
+    the orientation: falling outward is a peak, rising a dip, else NoFringe."""
+    lattice = _shift_lattice(cfg, scheme)
+    (f0, _, _), left, right = yield [0.0, -lattice[0], lattice[0]]
+    if not (left[2] > 0.0 > right[2] or left[2] < 0.0 < right[2]):
+        raise NoFringe("signal is not extremal at 0")
+    orient = math.copysign(1.0, left[2])
+    darks = yield from _lockstep([(_dark_point(lattice, side, orient, first), None)
+                                  for side, first in ((-1.0, left), (1.0, right))])
+    crossings = yield from _lockstep([(_half_crossing(0.0, f0, *_unwrap(d), orient),
+                                       operator.itemgetter(0)) for d in darks])
+    return _fringe_width(*sorted(map(_unwrap, crossings)))
+
+
+def _cell_rows(cfg, scheme, obs, phis):
+    """(mean, sensitivity, slope) rows of one outcome_table call."""
+    means, var, slopes = _moments(obs, *outcome_table(cfg, scheme, phis))
+    return list(zip(means.tolist(), _sensitivities(var, slopes).tolist(), slopes.tolist()))
 
 
 def _fringe_width(lo: float, hi: float) -> float:
@@ -369,23 +394,24 @@ def _fringe_width(lo: float, hi: float) -> float:
 def fwhm(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable) -> float:
     """Full width at half maximum of the central signal fringe around phi=0.
 
-    The baseline on each side is the signal value at the first dark point;
-    half level is midway between peak and baseline.  Raises NoFringe when a
-    crossing is missing or falls outside (-pi/2, pi/2), when a side's depth
-    is at most 1e-10 of the signal (rounding noise), or when both crossings
-    coincide.
+    The baseline on each side is the signal at its dark point, the first
+    slope root where the fringe turns back (or +-pi/2 if it never does).
+    Raises NoFringe when the center is not extremal, when a crossing is
+    missing or falls outside (-pi/2, pi/2), when a side's depth is at most
+    1e-10 of the signal (rounding noise), or when both crossings coincide.
     """
     _check_alphabet(obs, scheme)
-    return _fringe_width(*_drive(lambda xs: _expectation(
-        obs, outcome_probs(cfg, scheme, xs)).tolist(), _fringe_search(0.0)))
+    return _drive(lambda xs: _cell_rows(cfg, scheme, obs, xs), _fringe_search(cfg, scheme))
 
 
 def fwhm_continuous(cfg: InterferometerConfig) -> float:
     """Width of the un-binned reference fringe |mean quadrature| at half
-    depth, centered on its peak at phi=pi/2; equals 2*pi/3 exactly."""
-    lo, hi = _drive(lambda xs: np.abs(continuous_signal(cfg, xs)).tolist(),
-                    _fringe_search(math.pi / 2))
-    return hi - lo
+    depth, centered on its peak at phi=pi/2, whose dark points are 0 and pi;
+    equals 2*pi/3."""
+    evaluate = lambda xs: np.abs(continuous_signal(cfg, xs)).tolist()
+    f0, left, right = evaluate([math.pi / 2, 0.0, math.pi])
+    crossing = lambda *dark: _drive(evaluate, _half_crossing(math.pi / 2, f0, *dark, 1.0))
+    return crossing(math.pi, right) - crossing(0.0, left)
 
 
 def signal_peaks(cfg: InterferometerConfig, scheme: BinningScheme) -> list[float]:
@@ -452,39 +478,33 @@ class SweepGrid:
 
 
 def sweep(nbar_axis, a_axis) -> SweepGrid:
-    """Binary-scheme merit grid: (2pi/3)/FWHM, (1/sqrt(nbar))/dphi_min, and
-    visibility at each (nbar, a).  Cells that fail to produce a value (no
-    fringe, degenerate signal) are recorded as nan.  A cell runs the searches
-    of fwhm, best_sensitivity and visibility in lockstep, one outcome_table
-    call per round, with the values and errors of those three calls."""
+    """Binary-scheme merit grid: (2pi/3)/FWHM, (1/sqrt(nbar))/dphi_min and
+    visibility at each (nbar, a); nan where no value exists.  A cell runs the
+    searches of fwhm, best_sensitivity and visibility in lockstep on _cell_rows,
+    with the values and errors of those three calls.  An empty, non-finite or
+    unsorted axis raises ValueError before any cell."""
     nbar_axis = tuple(float(v) for v in nbar_axis)
     a_axis = tuple(float(v) for v in a_axis)
     for name, axis in (("nbar_axis", nbar_axis), ("a_axis", a_axis)):
-        if len(axis) == 0:
-            raise ValueError(f"{name} must be nonempty")
+        if len(axis) == 0 or not all(map(math.isfinite, axis)):  # NaN passes the order test
+            raise ValueError(f"{name} must be nonempty and finite, got {axis}")
         if any(y <= x for x, y in zip(axis, axis[1:])):
             raise ValueError(f"{name} must be strictly ascending")
 
     shape = (len(nbar_axis), len(a_axis))
-    res = np.full(shape, math.nan)
-    sens = np.full(shape, math.nan)
-    vis = np.full(shape, math.nan)
+    res, sens, vis = (np.full(shape, math.nan) for _ in range(3))
     obs = Observable((1.0,), 0.0)
     for i, nbar in enumerate(nbar_axis):
         cfg = InterferometerConfig.from_nbar(nbar)
         for j, a in enumerate(a_axis):
             scheme = BinningScheme.binary(a)
-
-            def rows(phis):  # (mean, sensitivity) at each phase
-                means, var, slopes = _moments(obs, *outcome_table(cfg, scheme, phis))
-                return list(zip(means.tolist(), _sensitivities(var, slopes).tolist()))
-
-            mean, sensitivity = operator.itemgetter(0), operator.itemgetter(1)
-            crossings, best, contrast = _drive(rows, _lockstep([
-                (_fringe_search(0.0), mean), (_golden(_SENSITIVITY_BAND), sensitivity),
-                (_visibility_search(), mean)]))
+            rows = lambda xs: _cell_rows(cfg, scheme, obs, xs)
+            width, best, contrast = _drive(rows, _lockstep([
+                (_fringe_search(cfg, scheme), None),
+                (_golden(_SENSITIVITY_BAND), operator.itemgetter(1)),
+                (_visibility_search(), operator.itemgetter(0))]))
             try:
-                res[i, j] = (2.0 * math.pi / 3.0) / _fringe_width(*_unwrap(crossings))
+                res[i, j] = (2.0 * math.pi / 3.0) / _unwrap(width)
             except NoFringe:
                 pass
             _, dphi_min = _unwrap(best)

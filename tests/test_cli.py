@@ -349,7 +349,7 @@ def test_sweep_nan_cells_render_as_nan(tmp_path):
 
 @pytest.mark.parametrize("name, axes", [
     ("sweep_default.csv", []),
-    # bright cells: the fringe spans 1-12 of the fixed 2 mrad walk steps
+    # bright cells: fringes 2.4e-3 to 4.1e-2 rad wide
     ("sweep_bright.csv", ["--nbar-axis", "1e4,1e6", "--a-axis", "0.1,1.0"]),
 ])
 def test_sweep_golden_regression(tmp_path, name, axes):

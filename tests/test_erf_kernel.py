@@ -136,7 +136,7 @@ def test_each_call_evaluates_each_rational_form_at_most_once_never_empty(
 def test_a_binary_sweep_cell_takes_only_its_grid_scan_and_walk_chunks_to_the_array_forms(
         monkeypatch):
     # A cell's rounds are one to a few phases of its searches, except the
-    # 512-point grid scan and the fringe walk chunks of _FIRST_CHUNK points
+    # 512-point grid scan and the fringe lattice chunks of _FIRST_CHUNK points
     # and more per side; a binary scheme has one bin, so a round of n phases
     # is one erf_diff call of n element pairs.
     rounds, reached = [], set()

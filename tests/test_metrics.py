@@ -773,8 +773,10 @@ def test_fwhm_rejects_a_rounding_noise_dark_point(nbar):
 
 
 def test_fwhm_depth_rule_keeps_a_faint_real_fringe():
-    # at nbar=1e-8 the fringe is 3.5e-9 of the signal deep: a real one
-    assert sweep([1e-8], [0.5]).resolution_ratio[0, 0] == 1.3333334142542634
+    # at nbar=1e-8 the fringe is 3.5e-9 of the signal deep: a real one.  Its
+    # half level holds about 7 digits: a 50-digit mpmath crossing gives
+    # 1.33333333404, and the 2 mrad walk's dark point gave 1.3333334142542634
+    assert sweep([1e-8], [0.5]).resolution_ratio[0, 0] == 1.3333333945100445
 
 
 # ---------------------------------------------------------------------------
@@ -926,6 +928,21 @@ def test_sweep_axis_validation():
         sweep([10.0, 5.0], [0.5])
     with pytest.raises(ValueError):
         sweep([10.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["nbar_axis", "a_axis"])
+def test_sweep_rejects_a_non_finite_axis_before_any_cell(monkeypatch, axis, bad):
+    # NaN compares false both ways, so [5, nan, 1] passed the order check
+    # and the nbar = 5 row ran before from_nbar(nan) raised
+    def no_table(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(metrics, "outcome_table", no_table)
+    axes = {"nbar_axis": [1.0, 5.0], "a_axis": [0.1, 0.5]}
+    axes[axis] = [axes[axis][1], bad, axes[axis][0]]  # as [5, nan, 1]
+    with pytest.raises(ValueError, match=f"{axis} must be nonempty and finite"):
+        sweep(**axes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Walks and column reductions against their one-outcome originals.
+"""Searches and column reductions against finer or one-outcome originals.
 
-The fringe walk of fwhm and the branch walk of monotone_branch are both
-numerics._walk, a search that evaluates its steps in doubling chunks, both
-sides of a walk in lockstep.  The oracles below are the one-phase-per-step loops they
-replaced, copied verbatim; every case asserts that both return the same
-crossings or edges as the same floats, or raise the same error.
-binarized_cfi groups outcome_table columns; its oracle is the loop over
-one outcome at a time that it replaced.  The last two properties sample the
-signal 20 times finer than each walk's fixed step or than the fringe's
-feature scale, and hold both walks to what that finer sampling shows.
+The branch walk of monotone_branch is numerics._walk, a search that
+evaluates its steps in doubling chunks, both sides in lockstep.  Its oracle
+is the one-phase-per-step loop it replaced, copied verbatim; every case
+asserts that both return the same edges as the same floats, or raise the
+same error.  binarized_cfi groups outcome_table columns; its oracle is the
+loop over one outcome at a time that it replaced.  The fringe search of
+fwhm reads slope signs on a lattice in the quadrature shift.  The last
+three properties sample the signal 20 times finer than the branch walk's
+fixed step, than the fringe's feature scale, or than that lattice, and
+hold both searches to what the finer sampling shows.
 """
 
 import math
@@ -26,17 +27,17 @@ from mzhomodyne.interferometer import (
     outcome_derivs,
     outcome_distribution,
     outcome_probs,
+    outcome_table,
 )
 from mzhomodyne.metrics import (
     FIXED_RANDOM_EIGENVALUES,
     NoFringe,
     Observable,
-    _fringe_search,
     binarized_cfi,
     fwhm,
     signal,
 )
-from mzhomodyne.numerics import Interval, NoSignChange, _drive, _golden, find_root
+from mzhomodyne.numerics import Interval, NoSignChange, _drive, find_root
 from mzhomodyne.simulate import NonMonotoneBranch, invert_signal, monotone_branch
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
@@ -49,52 +50,6 @@ BRIGHT_SCHEME = BinningScheme(half_width=0.5, spacing=3.2, cutoff=3)
 BRIGHT_OBS = Observable.alternating(BRIGHT_SCHEME)
 UNIT_BINARY_OBS = Observable((1.0,), 0.0)
 BRANCH_STEP = 1e-3
-
-
-def _fringe_half_crossings(f, center):
-    """The fringe search driven on f, an array function of the phases."""
-    return _drive(lambda xs: f(np.array(xs)).tolist(), _fringe_search(center))
-
-
-def _scalar_half_crossings(f, center, scan_step=0.002, max_span=math.pi):
-    """Step-by-step fringe walk: one scalar f call per step."""
-    f0 = f(center)
-    left_probe = f(center - scan_step)
-    right_probe = f(center + scan_step)
-    if left_probe < f0 and right_probe < f0:
-        h = f
-    elif left_probe > f0 and right_probe > f0:
-        h = lambda x: -f(x)
-        f0 = -f0
-    else:
-        raise NoFringe(f"signal is not extremal at center {center}")
-
-    crossings = []
-    for sign in (-1.0, 1.0):
-        prev_x, prev_v = center, f0
-        dark = None
-        steps = int(max_span / scan_step)
-        for i in range(1, steps + 1):
-            x = center + sign * i * scan_step
-            v = h(x)
-            if v > prev_v:
-                lo = min(prev_x - sign * scan_step, x)
-                hi = max(prev_x - sign * scan_step, x)
-                dark, dark_val = _drive(lambda xs: [h(x) for x in xs],
-                                        _golden((lo, hi), grid_points=64))
-                break
-            prev_x, prev_v = x, v
-        if dark is None:
-            raise NoFringe("no dark point within half a period of the center")
-        level = 0.5 * (f0 + dark_val)
-        try:
-            crossing = find_root(lambda x: h(x) - level,
-                                 (min(center, dark), max(center, dark)))
-        except NoSignChange as exc:
-            raise NoFringe("fringe shallower than half depth") from exc
-        crossings.append(crossing)
-
-    return min(crossings), max(crossings)
 
 
 def _scalar_branch(cfg, scheme, obs, phi_true):
@@ -122,6 +77,65 @@ def _scalar_branch(cfg, scheme, obs, phi_true):
     return Interval(lo, hi)
 
 
+def _lattice(cfg, scheme):
+    """The fringe search's lattice, from its definition: c_j = j*h with
+    h = min(2a, b - 2a, 1)/20 (no b - 2a for one bin), out to alpha0/2 or
+    26.543/sqrt(2) past the outermost bin edge, as phases, then pi/2."""
+    a, b = scheme.half_width, scheme.spacing
+    h = min(2.0 * a, b - 2.0 * a if scheme.cutoff else 1.0, 1.0) / 20.0
+    end = min(0.5 * cfg.alpha0, scheme.cutoff * b + a + 26.543 / math.sqrt(2.0))
+    return [math.asin(min(1.0, 2.0 * (j * h) / cfg.alpha0))
+            for j in range(1, int(end / h) + 1)] + [math.pi / 2]
+
+
+def _scalar_fringe_width(cfg, scheme, mean, slope):
+    """Step-by-step lattice search: one scalar mean or slope call per phase.
+    Each side steps out to its first rise and takes the slope root before
+    it as its dark point, else pi/2; then the half-depth crossings, the
+    left side's error first."""
+    lattice = _lattice(cfg, scheme)
+    f0, s_left, s_right = mean(0.0), slope(-lattice[0]), slope(lattice[0])
+    if s_left > 0.0 > s_right:
+        orient = 1.0
+    elif s_left < 0.0 < s_right:
+        orient = -1.0
+    else:
+        raise NoFringe("signal is not extremal at 0")
+    darks = []
+    for side in (-1.0, 1.0):
+        prev, dark = side * lattice[0], None
+        for x in lattice[1:]:
+            if side * orient * slope(side * x) > 0.0:
+                dark = find_root(slope, tuple(sorted((prev, side * x))))
+                break
+            prev = side * x
+        darks.append(prev if dark is None else dark)
+    crossings = []
+    for dark in darks:
+        f_dark = mean(dark)
+        if orient * (f0 - f_dark) <= 1e-10 * max(abs(f0), abs(f_dark)):
+            raise NoFringe("fringe depth within rounding noise")
+        level = 0.5 * (f0 + f_dark)
+        try:
+            crossings.append(find_root(lambda x: mean(x) - level, tuple(sorted((0.0, dark)))))
+        except NoSignChange as exc:
+            raise NoFringe("fringe shallower than half depth") from exc
+    return metrics._fringe_width(min(crossings), max(crossings))
+
+
+def _lattice_fringe_width(cfg, scheme, mean, slope):
+    """The fringe search on the lattice of cfg and scheme, sent the scalar
+    mean and slope of each phase in a sweep cell's row layout."""
+    return _drive(lambda xs: [(mean(x), math.nan, slope(x)) for x in xs],
+                  metrics._fringe_search(cfg, scheme))
+
+
+def _signal_fringe_width(cfg, scheme, obs):
+    """_scalar_fringe_width on the signal's mean and slope."""
+    return _scalar_fringe_width(cfg, scheme, lambda x: signal(cfg, scheme, obs, x).mean,
+                                lambda x: signal(cfg, scheme, obs, x).slope)
+
+
 def _result(fn, *args):
     """Return value, or the type of the search error raised."""
     try:
@@ -134,11 +148,9 @@ def _result(fn, *args):
 def test_fringe_crossings_match_step_by_step_walk(nbar):
     cfg = InterferometerConfig.from_nbar(nbar)
     scheme = BinningScheme.binary(0.5)
-    f = lambda phi: signal(cfg, scheme, UNIT_BINARY_OBS, phi).mean
-    got = _result(_fringe_half_crossings, f, 0.0)
-    assert isinstance(got, tuple)
-    assert got == _result(_scalar_half_crossings, f, 0.0)
-    assert type(fwhm(cfg, scheme, UNIT_BINARY_OBS)) is float
+    got = fwhm(cfg, scheme, UNIT_BINARY_OBS)
+    assert type(got) is float
+    assert got == _signal_fringe_width(cfg, scheme, UNIT_BINARY_OBS)
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.02, 0.1, 0.18])
@@ -196,65 +208,68 @@ def _systems(draw):
     return cfg, scheme, obs, draw(st.floats(-math.pi, math.pi))
 
 
-# each example walks up to pi one scalar signal call at a time, ~0.4 s
+# each example walks one scalar signal call at a time, the branch up to pi
+# and the fringe's lattice to its first rise, ~0.4 s
 @settings(derandomize=True, max_examples=6, deadline=None, database=None)
 @given(_systems())
 def test_walks_match_step_by_step_walks_on_drawn_systems(system):
     cfg, scheme, obs, phi = system
     assert _result(monotone_branch, cfg, scheme, obs, phi) == \
         _result(_scalar_branch, cfg, scheme, obs, phi)
-    f = lambda x: signal(cfg, scheme, obs, x).mean
-    assert _result(_fringe_half_crossings, f, 0.0) == \
-        _result(_scalar_half_crossings, f, 0.0)
+    assert _result(fwhm, cfg, scheme, obs) == \
+        _result(_signal_fringe_width, cfg, scheme, obs)
 
 
-def _cosine_fringe(period):
-    """cos(pi*x/period), math.cos per point, for floats and arrays."""
-    def f(x):
-        if np.ndim(x) == 0:
-            return math.cos(math.pi * x / period)
-        return np.array([math.cos(math.pi * v / period) for v in x.tolist()])
-    return f
+# a lattice of 385 phases 0.05 apart in the shift c, then pi/2, on which
+# synthetic fringes stand in for the signal
+SYNTHETIC_CFG, SYNTHETIC_SCHEME = InterferometerConfig.from_nbar(1e4), BinningScheme.binary(0.5)
+SYNTHETIC_LATTICE = _lattice(SYNTHETIC_CFG, SYNTHETIC_SCHEME)
+
+
+def _cosine(period):
+    """(mean, slope) of cos(pi*x/period)."""
+    return (lambda x: math.cos(math.pi * x / period),
+            lambda x: -math.pi / period * math.sin(math.pi * x / period))
 
 
 def test_fringe_first_rise_on_chunk_boundary():
-    # dark point at 16.3 steps: the first rise is step 17, the first step
-    # of the second chunk, so the walk must carry step 16 across chunks
-    f = _cosine_fringe(16.3 * 0.002)
-    assert f(17 * 0.002) > f(16 * 0.002) and f(16 * 0.002) < f(15 * 0.002)
-    assert _fringe_half_crossings(f, 0.0) == _scalar_half_crossings(f, 0.0)
+    # dark point halfway between lattice phases 16 and 17: the first rise is
+    # phase 17, the first of the second chunk, so the search must carry
+    # phase 16 across chunks
+    assert metrics._shift_lattice(SYNTHETIC_CFG, SYNTHETIC_SCHEME) == SYNTHETIC_LATTICE
+    mean, slope = _cosine(0.5 * (SYNTHETIC_LATTICE[16] + SYNTHETIC_LATTICE[17]))
+    assert slope(SYNTHETIC_LATTICE[16]) < 0.0 < slope(SYNTHETIC_LATTICE[17])
+    got = _lattice_fringe_width(SYNTHETIC_CFG, SYNTHETIC_SCHEME, mean, slope)
+    assert got == _scalar_fringe_width(SYNTHETIC_CFG, SYNTHETIC_SCHEME, mean, slope)
 
 
 def _two_sided(left, right):
-    """left(x) for x < 0, else right(x): scalar functions, for floats and
-    arrays."""
-    def f(x):
-        if np.ndim(x) == 0:
-            return left(x) if x < 0 else right(x)
-        return np.array([left(v) if v < 0 else right(v) for v in x.tolist()])
-    return f
+    """(mean, slope) of left (a (mean, slope) pair) for x < 0, else right."""
+    return tuple(lambda x, i=i: (left if x < 0 else right)[i](x) for i in (0, 1))
 
 
-# sides that fail: one never turns up again within pi ("no dark point");
-# one is a cosine fringe whose dark point, 16.5 steps out, is NaN, so the
-# half level is NaN and the crossing has no sign change ("shallower")
-_FALLING = lambda x: 1.0 - x * x
-_FRINGE = lambda x: math.cos(math.pi * x / 0.033)
-_NAN_DARK = lambda x: math.nan if abs(abs(x) - 0.033) < 2e-4 else _FRINGE(x)
+# sides that fail: one falls by 2.5e-13 of the signal out to pi/2 and never
+# turns back ("rounding noise"); one is a cosine fringe whose mean is NaN
+# at its dark point, so the half level is NaN ("shallower")
+_PERIOD = 0.5 * (SYNTHETIC_LATTICE[20] + SYNTHETIC_LATTICE[21])
+_FLAT = (lambda x: 1.0 - 1e-13 * x * x, lambda x: -2e-13 * x)
+_FRINGE = _cosine(_PERIOD)
+_NAN_DARK = (lambda x: math.nan if abs(abs(x) - _PERIOD) < 1e-3 else _FRINGE[0](x),
+             _FRINGE[1])
 
 
 @pytest.mark.parametrize("left, right", [
-    (_FALLING, _FRINGE), (_FRINGE, _FALLING), (_NAN_DARK, _FRINGE),
-    (_FRINGE, _NAN_DARK), (_FALLING, _NAN_DARK), (_NAN_DARK, _FALLING),
+    (_FLAT, _FRINGE), (_FRINGE, _FLAT), (_NAN_DARK, _FRINGE),
+    (_FRINGE, _NAN_DARK), (_FLAT, _NAN_DARK), (_NAN_DARK, _FLAT),
 ], ids=["left-flat", "right-flat", "left-nan", "right-nan", "flat-nan", "nan-flat"])
 def test_fringe_failing_sides_raise_like_step_by_step_walk(left, right):
-    # both sides now run in lockstep, but a failure still reads as the
-    # sequential walk's: the left side's error when both fail
-    f = _two_sided(left, right)
+    # both sides run in lockstep, but a failure reads as the step-by-step
+    # search's: the left side's error when both fail
+    args = SYNTHETIC_CFG, SYNTHETIC_SCHEME, *_two_sided(left, right)
     with pytest.raises(NoFringe) as want:
-        _scalar_half_crossings(f, 0.0)
+        _scalar_fringe_width(*args)
     with pytest.raises(NoFringe) as got:
-        _fringe_half_crossings(f, 0.0)
+        _lattice_fringe_width(*args)
     assert str(got.value) == str(want.value)
 
 
@@ -309,9 +324,10 @@ def test_binarized_cfi_matches_outcome_loop(obs):
 
 
 # ---------------------------------------------------------------------------
-# The walks at the scale of the fringe.  Both take a fixed step in phase
-# (monotone_branch 1e-3 rad, the fringe walk 0.002 rad), while the signal's
-# features are about min(2a, b - 2a, 1)/alpha0 wide: 1.6e-4 rad at nbar=1e8.
+# The searches at the scale of the fringe.  monotone_branch takes a fixed
+# step of 1e-3 rad, while the signal's features are about
+# min(2a, b - 2a, 1)/alpha0 wide: 1.6e-4 rad at nbar=1e8.  The fringe search
+# steps a twentieth of that scale in the shift c = alpha0*sin(phi)/2.
 
 
 def _feature_step(cfg, scheme):
@@ -402,10 +418,11 @@ def test_branch_keeps_one_slope_sign_at_a_twentieth_of_its_step(system, phi):
     assert not (max(slopes) > 0.0 and min(slopes) < 0.0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the fringe walk steps _SCAN_STEP = 0.002 rad and passes over dark "
-    "points of fringes narrower than that"))
 @example(system=(BRIGHT_CFG, BRIGHT_SCHEME, Observable.ones(BRIGHT_SCHEME)))
+# a symmetric alternating fringe whose width moves from 0.2033 to 0.1731
+# when its dark value is 3.3e-6 too high (a grid minimum, not a refined one)
+@example(system=(InterferometerConfig(79.06), BinningScheme(1.0905, 8.0222, 3),
+                 Observable.alternating(BinningScheme(1.0905, 8.0222, 3))))
 @settings(derandomize=True, max_examples=15, deadline=None, database=None)
 @given(_bright_systems())
 def test_fwhm_matches_a_grid_finer_than_the_fringe(system):
@@ -417,3 +434,65 @@ def test_fwhm_matches_a_grid_finer_than_the_fringe(system):
         assert got is NoFringe
     else:
         assert got is not NoFringe and abs(got - want) <= h
+
+
+@st.composite
+def _oriented_systems(draw):
+    """A drawn bright system whose eigenvalues are negated half the time, so
+    that its central fringe is a peak or a dip."""
+    cfg, scheme, obs = draw(_bright_systems())
+    if draw(st.booleans()):
+        obs = Observable(tuple(-v for v in obs.bin_values), -obs.leftover_value)
+    return cfg, scheme, obs
+
+
+def _mean_slope_rows(cfg, scheme, obs):
+    """(mean, nan, slope) of each phase, the layout of the rows a sweep cell
+    evaluates, each an exactly rounded row sum; the search reads no
+    sensitivity."""
+    def rows(phis):
+        probs, derivs = outcome_table(cfg, scheme, phis)
+        return [(m, math.nan, s) for m, s in zip(_reduce(obs, probs), _reduce(obs, derivs))]
+    return rows
+
+
+# flat: beyond c = 19.3 every exponential of the single bin underflows, so
+# the signal never turns back before pi/2, as a peak or as a dip
+@example(system=(BRIGHT_CFG, BinningScheme.binary(0.5), UNIT_BINARY_OBS))
+@example(system=(BRIGHT_CFG, BinningScheme.binary(0.5), Observable((-1.0,), 0.0)))
+@example(system=(BRIGHT_CFG, BRIGHT_SCHEME, Observable.ones(BRIGHT_SCHEME)))
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(_oriented_systems())
+def test_dark_point_is_the_first_slope_sign_change_on_a_finer_grid(system):
+    # the shift grid c_i = i*h/20 runs to two lattice cells past the dark
+    # point, or where no bin's P' survives (20 beyond the outermost edge)
+    # when the signal never turns back; no point before the dark point may
+    # rise, and the first that does lies within one grid cell after it
+    cfg, scheme, obs = system
+    rows = _mean_slope_rows(cfg, scheme, obs)
+    lattice = metrics._shift_lattice(cfg, scheme)
+    left, right = rows([-lattice[0], lattice[0]])
+    if left[2] > 0.0 > right[2]:
+        orient = 1.0
+    elif left[2] < 0.0 < right[2]:
+        orient = -1.0
+    else:
+        assert _result(fwhm, cfg, scheme, obs) is NoFringe
+        return
+    a, b = scheme.half_width, scheme.spacing
+    h = min(2.0 * a, b - 2.0 * a if scheme.cutoff else 1.0, 1.0) / 20.0
+    tol = 1e-12 * cfg.alpha0
+    for side, first in ((-1.0, left), (1.0, right)):
+        dark, f_dark = _drive(rows, metrics._dark_point(lattice, side, orient, first))
+        assert f_dark == rows([dark])[0][0]
+        c_dark = 0.5 * cfg.alpha0 * math.sin(abs(dark))
+        never = dark == side * math.pi / 2
+        stop = scheme.cutoff * b + a + 20.0 if never else c_dark + 2.0 * h
+        cs = np.arange(1, int(min(stop, 0.5 * cfg.alpha0) / (h / 20.0)) + 1) * (h / 20.0)
+        phis = side * np.array([math.asin(min(1.0, x)) for x in (2.0 * cs / cfg.alpha0)])
+        outward = side * orient * np.array(_reduce(obs, outcome_derivs(cfg, scheme, phis)))
+        rises = cs[outward > 0.0]
+        if never:
+            assert rises.size == 0, rises[:3]
+        else:
+            assert rises.size and c_dark - tol <= rises[0] <= c_dark + h / 20.0 + tol
