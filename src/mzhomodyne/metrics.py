@@ -8,6 +8,7 @@ sweeps over (nbar, a) for the binary scheme.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -317,15 +318,20 @@ def continuous_signal(cfg: InterferometerConfig, phi):
 
 
 def _shift_lattice(cfg, scheme):
-    """Phases asin(2*j*h/alpha0), then pi/2, of a lattice in the shift
-    c = alpha0*sin(phi)/2, through which alone P depends on phi.  Its step
-    h = min(2a, b - 2a, 1)/20 (no b - 2a for one bin) follows the bins, not
-    nbar; it ends at alpha0/2, or where every bin's P and P' underflow."""
+    """Phases asin(2jh/alpha0), then pi/2, of a lattice in c = alpha0*sin(phi)/2,
+    through which alone P depends on phi, in chunks of 1, then _FIRST_CHUNK
+    doubling to _SIDE_CHUNK.  h = min(2a, b - 2a, 1)/20 (no b - 2a for one bin)
+    is at least 0.01: the Gaussian (deviation 1/2 in c) damps finer structure
+    below rounding.  c ends at alpha0/2, or where every P and P' underflows."""
     a, b = scheme.half_width, scheme.spacing
-    h = min(2.0 * a, b - 2.0 * a if scheme.cutoff else 1.0, 1.0) / 20.0
-    end = min(0.5 * cfg.alpha0, scheme.cutoff * b + a + _ERFC_ZERO / math.sqrt(2.0))
-    c = np.arange(1, int(end / h) + 1) * h  # 2c/alpha0 may round above 1: asin raises
-    return list(map(math.asin, np.fmin(1.0, 2.0 * c / cfg.alpha0).tolist())) + [math.pi / 2]
+    h = max(min(2.0 * a, b - 2.0 * a if scheme.cutoff else 1.0, 1.0), 0.2) / 20.0
+    n = int(min(0.5 * cfg.alpha0, scheme.cutoff * b + a + _ERFC_ZERO / math.sqrt(2.0)) / h)
+    lo, size = 1, 1
+    while lo <= n + 1:  # 2c/alpha0 may round above 1, where asin raises
+        j = np.arange(lo, min(lo + size, n + 2))
+        sines = np.where(j > n, 1.0, np.fmin(1.0, 2.0 * j * h / cfg.alpha0))
+        yield list(map(math.asin, sines.tolist()))
+        lo, size = lo + size, min(max(2 * size, _FIRST_CHUNK), _SIDE_CHUNK)
 
 
 def _half_crossing(center, f0, dark, f_dark, orient):
@@ -340,46 +346,50 @@ def _half_crossing(center, f0, dark, f_dark, orient):
         raise NoFringe("fringe shallower than half depth") from exc
 
 
-def _dark_point(lattice, side, orient, first):
-    """(dark, mean there) on one side, as a search sent _cell_rows (first:
-    the row at side*lattice[0]): the slope's Brent root before the first
-    lattice phase where the oriented signal rises, else side*pi/2."""
-    (prev_x, (prev_mean, _, prev_slope)), lo, size = (side * lattice[0], first), 1, _FIRST_CHUNK
-    while lo < len(lattice):
-        xs = [side * x for x in lattice[lo:lo + size]]
-        for x, (mean, _, slope) in zip(xs, (yield xs)):
-            if side * orient * slope > 0.0:
-                (a, fa), (b, fb) = sorted(((prev_x, prev_slope), (x, slope)))
-                root = _brent((a, b), 1e-12, 0.0, (fa, fb))
-                dark = _unwrap((yield from _lockstep([(root, operator.itemgetter(2))]))[0])
-                return dark, (yield [dark])[0][0]
-            prev_x, prev_mean, prev_slope = x, mean, slope
-        lo, size = lo + size, min(2 * size, _SIDE_CHUNK)
-    return prev_x, prev_mean
+def _dark_point(chunks, side, orient, prev_x, prev_row):
+    """(dark, mean there) on one side, as a search sent fringe rows, from its
+    row at prev_x through the lattice chunks after it: the slope's root before
+    the first lattice phase where the oriented signal rises, else side*pi/2."""
+    for chunk in chunks:
+        xs = [side * x for x in chunk]
+        for x, row in zip(xs, (yield xs)):
+            if side * orient * row[1] > 0.0:
+                return (yield from _slope_root({prev_x: prev_row, x: row}))
+            prev_x, prev_row = x, row
+    return prev_x, prev_row[0]
+
+
+def _slope_root(rows):
+    """(root, mean there) of the slope between the phases of rows, a dict of
+    fringe rows kept for every phase Brent asks for: the mean costs no round."""
+    bracket = sorted(rows)
+    brent = _brent(bracket, 1e-12, 0.0, [rows[x][1] for x in bracket])
+    try:
+        (x,) = next(brent)
+        while True:
+            (rows[x],) = yield [x]
+            (x,) = brent.send([rows[x][1]])
+    except StopIteration as done:
+        return done.value, rows[done.value][0]
 
 
 def _fringe_search(cfg, scheme):
     """Half-depth width of the central fringe, as a search (numerics._drive)
-    sent _cell_rows.  The slope on (-pi/2, pi/2) has the sign of dS/dc, so
-    both sides read it on one _shift_lattice, in lockstep (dark points, then
-    crossings; the left side's error first).  The first lattice phases give
-    the orientation: falling outward is a peak, rising a dip, else NoFringe."""
+    sent (mean, slope, ...) rows.  The slope on (-pi/2, pi/2) has the sign of
+    dS/dc, so both sides read it on _shift_lattice, in lockstep (the left
+    side's error first).  Falling outward from 0 is a peak, rising a dip."""
     lattice = _shift_lattice(cfg, scheme)
-    (f0, _, _), left, right = yield [0.0, -lattice[0], lattice[0]]
-    if not (left[2] > 0.0 > right[2] or left[2] < 0.0 < right[2]):
+    (x,) = next(lattice)
+    (f0, *_), left, right = yield [0.0, -x, x]
+    if not (left[1] > 0.0 > right[1] or left[1] < 0.0 < right[1]):
         raise NoFringe("signal is not extremal at 0")
-    orient = math.copysign(1.0, left[2])
-    darks = yield from _lockstep([(_dark_point(lattice, side, orient, first), None)
-                                  for side, first in ((-1.0, left), (1.0, right))])
+    orient = math.copysign(1.0, left[1])
+    sides = zip((-1.0, 1.0), itertools.tee(lattice), (left, right))
+    darks = yield from _lockstep([(_dark_point(chunks, side, orient, side * x, first), None)
+                                  for side, chunks, first in sides])
     crossings = yield from _lockstep([(_half_crossing(0.0, f0, *_unwrap(d), orient),
                                        operator.itemgetter(0)) for d in darks])
     return _fringe_width(*sorted(map(_unwrap, crossings)))
-
-
-def _cell_rows(cfg, scheme, obs, phis):
-    """(mean, sensitivity, slope) rows of one outcome_table call."""
-    means, var, slopes = _moments(obs, *outcome_table(cfg, scheme, phis))
-    return list(zip(means.tolist(), _sensitivities(var, slopes).tolist(), slopes.tolist()))
 
 
 def _fringe_width(lo: float, hi: float) -> float:
@@ -401,7 +411,8 @@ def fwhm(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable) -> f
     1e-10 of the signal (rounding noise), or when both crossings coincide.
     """
     _check_alphabet(obs, scheme)
-    return _drive(lambda xs: _cell_rows(cfg, scheme, obs, xs), _fringe_search(cfg, scheme))
+    rows = lambda xs: zip(*(_expectation(obs, t).tolist() for t in outcome_table(cfg, scheme, xs)))
+    return _drive(lambda xs: list(rows(xs)), _fringe_search(cfg, scheme))
 
 
 def fwhm_continuous(cfg: InterferometerConfig) -> float:
@@ -480,8 +491,8 @@ class SweepGrid:
 def sweep(nbar_axis, a_axis) -> SweepGrid:
     """Binary-scheme merit grid: (2pi/3)/FWHM, (1/sqrt(nbar))/dphi_min and
     visibility at each (nbar, a); nan where no value exists.  A cell runs the
-    searches of fwhm, best_sensitivity and visibility in lockstep on _cell_rows,
-    with the values and errors of those three calls.  An empty, non-finite or
+    searches of fwhm, best_sensitivity and visibility in lockstep, one
+    outcome_table call a round, with the values and errors of those three calls.  An empty, non-finite or
     unsorted axis raises ValueError before any cell."""
     nbar_axis = tuple(float(v) for v in nbar_axis)
     a_axis = tuple(float(v) for v in a_axis)
@@ -498,20 +509,21 @@ def sweep(nbar_axis, a_axis) -> SweepGrid:
         cfg = InterferometerConfig.from_nbar(nbar)
         for j, a in enumerate(a_axis):
             scheme = BinningScheme.binary(a)
-            rows = lambda xs: _cell_rows(cfg, scheme, obs, xs)
+
+            def rows(phis):  # (mean, slope, sensitivity) at each phase
+                means, var, slopes = _moments(obs, *outcome_table(cfg, scheme, phis))
+                return list(zip(means.tolist(), slopes.tolist(),
+                                _sensitivities(var, slopes).tolist()))
+
             width, best, contrast = _drive(rows, _lockstep([
                 (_fringe_search(cfg, scheme), None),
-                (_golden(_SENSITIVITY_BAND), operator.itemgetter(1)),
+                (_golden(_SENSITIVITY_BAND), operator.itemgetter(2)),
                 (_visibility_search(), operator.itemgetter(0))]))
-            try:
+            if not isinstance(width, NoFringe):
                 res[i, j] = (2.0 * math.pi / 3.0) / _unwrap(width)
-            except NoFringe:
-                pass
             _, dphi_min = _unwrap(best)
             if math.isfinite(dphi_min) and dphi_min > 0.0:
                 sens[i, j] = (1.0 / math.sqrt(nbar)) / dphi_min
-            try:
+            if not isinstance(contrast, DegenerateSignal):
                 vis[i, j] = _unwrap(contrast)
-            except DegenerateSignal:
-                pass
     return SweepGrid(nbar_axis, a_axis, res, sens, vis)

@@ -114,23 +114,48 @@ def test_sweep_cell_evaluates_the_sequential_phases_in_few_calls(monkeypatch):
     assert len(flat(lockstep)) == 795
 
 
-# the fringe search asks for at most 2*_SIDE_CHUNK = 2048 phases a round, and
-# a cell's other searches for at most 514 more, in the first round
-_ROUND_CAP = 4096
+def _lattice_size(cfg, scheme):
+    return sum(map(len, metrics._shift_lattice(cfg, scheme)))
 
 
-@pytest.mark.parametrize("cfg, scheme, run, lattice", [
-    # a lattice spacing of 5e-4 out to 18.77, read to its end on both sides
+# after a cell's first round (the 512-point scan, the 2 visibility phases
+# and the fringe's 3 probes) a round holds at most one lattice chunk of 1024
+# phases a side and the golden section's 2 phases
+_ROUND_CAP = 2050
+_STAIRS = BinningScheme(0.1, 0.4, 32)
+
+
+@pytest.mark.parametrize("cfg, scheme, run, lattice, sides", [
+    # a lattice step of 0.01 out to 18.77, read to its end on both sides
     (InterferometerConfig.from_nbar(1e6), BinningScheme.binary(0.005),
-     lambda cfg, scheme: sweep([cfg.nbar], [scheme.half_width]), 37_548),
-    # fringe_scan's 34-outcome alphabet, out to alpha0/2 = 50
+     lambda cfg, scheme: sweep([cfg.nbar], [scheme.half_width]), 1_878, 2),
+    # fringe_scan's 34-outcome alphabet, out to alpha0/2 = 50; its sides
+    # turn back within the first chunks
     (InterferometerConfig.from_nbar(1e4), BinningScheme(0.5, 3.2, 16),
-     lambda cfg, scheme: fwhm(cfg, scheme, Observable.alternating(scheme)), 1_001),
-], ids=["tiny-bin-cell", "wide-alphabet"])
-def test_no_round_exceeds_the_cap(monkeypatch, cfg, scheme, run, lattice):
-    assert len(metrics._shift_lattice(cfg, scheme)) == lattice
+     lambda cfg, scheme: fwhm(cfg, scheme, Observable.alternating(scheme)), 1_001, 0),
+    # eigenvalues -|k| falling outward past the outermost bin, so that both
+    # sides read their lattice to its end, in chunks held at 1024 phases
+    (InterferometerConfig.from_nbar(1e6), _STAIRS,
+     lambda cfg, scheme: fwhm(cfg, scheme, Observable(tuple(-abs(k) for k in range(-32, 33)),
+                                                      -33.0)), 3_167, 2),
+], ids=["tiny-bin-cell", "wide-alphabet", "falling-stairs"])
+def test_no_round_exceeds_the_cap(monkeypatch, cfg, scheme, run, lattice, sides):
+    assert _lattice_size(cfg, scheme) == lattice
     calls = _table_calls(monkeypatch, lambda: run(cfg, scheme))
-    assert max(map(len, calls)) <= _ROUND_CAP
+    assert max(map(len, calls[1:])) <= _ROUND_CAP
+    assert sum(map(len, calls)) >= sides * lattice
+
+
+@pytest.mark.parametrize("run", [
+    lambda: sweep([1e6], [1e-6]),
+    lambda: fwhm(InterferometerConfig.from_nbar(1e4), BinningScheme(0.5, 1.0 + 1e-9, 3),
+                 Observable.ones(BinningScheme(0.5, 1.0 + 1e-9, 3))),
+], ids=["bin-1e-6-wide", "gaps-1e-9-wide"])
+def test_tiny_bins_and_gaps_cost_a_few_thousand_phases(monkeypatch, run):
+    # the lattice step stays at 0.01 or more however fine the bins: at most
+    # 1878 phases a side for a bright binary cell, 2227 here for the gaps,
+    # both read to their ends
+    assert sum(map(len, _table_calls(monkeypatch, run))) <= 5_000
 
 
 def test_cell_without_fringe_keeps_sensitivity_and_visibility():

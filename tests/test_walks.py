@@ -12,6 +12,7 @@ fixed step, than the fringe's feature scale, or than that lattice, and
 hold both searches to what the finer sampling shows.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -77,12 +78,18 @@ def _scalar_branch(cfg, scheme, obs, phi_true):
     return Interval(lo, hi)
 
 
+def _lattice_step(scheme):
+    """The fringe lattice's step in the shift c: a twentieth of min(2a, b - 2a)
+    (no b - 2a for one bin) held within [0.2, 1]."""
+    a, b = scheme.half_width, scheme.spacing
+    return min(max(min(2.0 * a, b - 2.0 * a if scheme.cutoff else 1.0), 0.2), 1.0) / 20.0
+
+
 def _lattice(cfg, scheme):
     """The fringe search's lattice, from its definition: c_j = j*h with
-    h = min(2a, b - 2a, 1)/20 (no b - 2a for one bin), out to alpha0/2 or
-    26.543/sqrt(2) past the outermost bin edge, as phases, then pi/2."""
-    a, b = scheme.half_width, scheme.spacing
-    h = min(2.0 * a, b - 2.0 * a if scheme.cutoff else 1.0, 1.0) / 20.0
+    h = _lattice_step(scheme), out to alpha0/2 or 26.543/sqrt(2) past the
+    outermost bin edge, as phases, then pi/2."""
+    a, b, h = scheme.half_width, scheme.spacing, _lattice_step(scheme)
     end = min(0.5 * cfg.alpha0, scheme.cutoff * b + a + 26.543 / math.sqrt(2.0))
     return [math.asin(min(1.0, 2.0 * (j * h) / cfg.alpha0))
             for j in range(1, int(end / h) + 1)] + [math.pi / 2]
@@ -125,8 +132,8 @@ def _scalar_fringe_width(cfg, scheme, mean, slope):
 
 def _lattice_fringe_width(cfg, scheme, mean, slope):
     """The fringe search on the lattice of cfg and scheme, sent the scalar
-    mean and slope of each phase in a sweep cell's row layout."""
-    return _drive(lambda xs: [(mean(x), math.nan, slope(x)) for x in xs],
+    mean and slope of each phase as its (mean, slope) rows."""
+    return _drive(lambda xs: [(mean(x), slope(x)) for x in xs],
                   metrics._fringe_search(cfg, scheme))
 
 
@@ -236,7 +243,9 @@ def test_fringe_first_rise_on_chunk_boundary():
     # dark point halfway between lattice phases 16 and 17: the first rise is
     # phase 17, the first of the second chunk, so the search must carry
     # phase 16 across chunks
-    assert metrics._shift_lattice(SYNTHETIC_CFG, SYNTHETIC_SCHEME) == SYNTHETIC_LATTICE
+    chunks = list(metrics._shift_lattice(SYNTHETIC_CFG, SYNTHETIC_SCHEME))
+    assert list(map(len, chunks[:3])) == [1, 16, 32]
+    assert list(itertools.chain.from_iterable(chunks)) == SYNTHETIC_LATTICE
     mean, slope = _cosine(0.5 * (SYNTHETIC_LATTICE[16] + SYNTHETIC_LATTICE[17]))
     assert slope(SYNTHETIC_LATTICE[16]) < 0.0 < slope(SYNTHETIC_LATTICE[17])
     got = _lattice_fringe_width(SYNTHETIC_CFG, SYNTHETIC_SCHEME, mean, slope)
@@ -447,12 +456,11 @@ def _oriented_systems(draw):
 
 
 def _mean_slope_rows(cfg, scheme, obs):
-    """(mean, nan, slope) of each phase, the layout of the rows a sweep cell
-    evaluates, each an exactly rounded row sum; the search reads no
-    sensitivity."""
+    """(mean, slope) of each phase, the rows fwhm evaluates, each an exactly
+    rounded row sum."""
     def rows(phis):
         probs, derivs = outcome_table(cfg, scheme, phis)
-        return [(m, math.nan, s) for m, s in zip(_reduce(obs, probs), _reduce(obs, derivs))]
+        return list(zip(_reduce(obs, probs), _reduce(obs, derivs)))
     return rows
 
 
@@ -470,20 +478,21 @@ def test_dark_point_is_the_first_slope_sign_change_on_a_finer_grid(system):
     # rise, and the first that does lies within one grid cell after it
     cfg, scheme, obs = system
     rows = _mean_slope_rows(cfg, scheme, obs)
-    lattice = metrics._shift_lattice(cfg, scheme)
-    left, right = rows([-lattice[0], lattice[0]])
-    if left[2] > 0.0 > right[2]:
+    (x,) = next(metrics._shift_lattice(cfg, scheme))
+    left, right = rows([-x, x])
+    if left[1] > 0.0 > right[1]:
         orient = 1.0
-    elif left[2] < 0.0 < right[2]:
+    elif left[1] < 0.0 < right[1]:
         orient = -1.0
     else:
         assert _result(fwhm, cfg, scheme, obs) is NoFringe
         return
-    a, b = scheme.half_width, scheme.spacing
-    h = min(2.0 * a, b - 2.0 * a if scheme.cutoff else 1.0, 1.0) / 20.0
+    a, b, h = scheme.half_width, scheme.spacing, _lattice_step(scheme)
     tol = 1e-12 * cfg.alpha0
     for side, first in ((-1.0, left), (1.0, right)):
-        dark, f_dark = _drive(rows, metrics._dark_point(lattice, side, orient, first))
+        chunks = metrics._shift_lattice(cfg, scheme)
+        x = side * next(chunks)[0]
+        dark, f_dark = _drive(rows, metrics._dark_point(chunks, side, orient, x, first))
         assert f_dark == rows([dark])[0][0]
         c_dark = 0.5 * cfg.alpha0 * math.sin(abs(dark))
         never = dark == side * math.pi / 2
