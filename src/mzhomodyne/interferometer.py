@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _integer, _row_sums, erf_diff
+from .numerics import _erf_diff_floats, _integer, _row_sums, erf_diff
 
 __all__ = [
     "BinningScheme",
@@ -181,6 +181,24 @@ def _derivs(cfg, phis, g_lo, g_hi):
     factor = _INV_SQRTPI * cfg.alpha0 * cos / _SQRT2
     bins = factor[:, None] * (np.exp(-g_hi * g_hi) - np.exp(-g_lo * g_lo))
     return np.column_stack((bins, -_row_sums(bins)))
+
+
+def _float_table(cfg, scheme, phis):
+    """Yields outcome_table's (P, dP) rows at phis as lists of floats, from the
+    array path's operations in its order, so its bits: bins by _erf_diff_floats,
+    exponentials from one np.exp call (math.exp rounds some otherwise), row sums
+    by math.fsum.  A limit past the float range is inf, erfc 0 in both paths."""
+    centers = [scheme.spacing * k for k in range(-scheme.cutoff, scheme.cutoff + 1)]
+    phis, ga, m = list(map(_finite_phase, phis)), _SQRT2 * scheme.half_width, len(centers)
+    shifts = [_SQRT2 * (0.5 * cfg.alpha0 * math.sin(phi) + x) for phi in phis for x in centers]
+    g_lo, g_hi = [s - ga for s in shifts], [s + ga for s in shifts]
+    bins = [0.5 * d for d in _erf_diff_floats(g_lo, g_hi)]
+    exps = np.exp([-g * g for g in g_hi + g_lo]).tolist()
+    for i, phi in enumerate(phis):
+        factor, j = _INV_SQRTPI * cfg.alpha0 * math.cos(phi) / _SQRT2, i * m
+        p = bins[j:j + m]
+        dp = [factor * (e_hi - e_lo) for e_hi, e_lo in zip(exps[j:j + m], exps[len(shifts) + j:])]
+        yield p + [max(0.0, 1.0 - math.fsum(p))], dp + [-math.fsum(dp)]
 
 
 def outcome_probs(cfg: InterferometerConfig, scheme: BinningScheme, phis):

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interferometer import (BinningScheme, InterferometerConfig, _finite_phases,
-                             outcome_probs, outcome_table)
-from .numerics import (_ERFC_ZERO, _FIRST_CHUNK, NoSignChange, _brent, _drive, _golden,
-                       _lockstep, _row_sums, _unwrap, find_root)
+                             _float_table, outcome_probs, outcome_table)
+from .numerics import (_ERFC_ZERO, _FIRST_CHUNK, _FLOAT_PAIRS, NoSignChange, _brent, _drive,
+                       _golden, _lockstep, _row_sums, _unwrap, find_root)
 
 __all__ = [
     "AlphabetMismatch",
@@ -153,6 +153,21 @@ def _moments(obs: Observable, probs: np.ndarray, derivs: np.ndarray):
     return means, variances, _expectation(obs, derivs)
 
 
+def _signal_rows(cfg, scheme, obs, phis, pick, arrays):
+    """pick(mean, variance, slope) of obs at each phase of a search round, from
+    _float_table in floats, each a math.fsum, if the round holds at most
+    _FLOAT_PAIRS limit pairs; else arrays(phis), the caller's reduction on
+    whole arrays.  Both give _moments' bits (_row_sums equals math.fsum)."""
+    if len(phis) * (2 * scheme.cutoff + 1) > _FLOAT_PAIRS:
+        return list(arrays(phis))
+    values, rows = obs.bin_values + (obs.leftover_value,), []
+    for probs, derivs in _float_table(cfg, scheme, phis):
+        mean = math.fsum([mu * p for mu, p in zip(values, probs)])
+        variance = math.fsum([u * u * p for u, p in zip([mu - mean for mu in values], probs)])
+        rows.append(pick(mean, variance, math.fsum([mu * d for mu, d in zip(values, derivs)])))
+    return rows
+
+
 @dataclass(frozen=True)
 class SignalPoint:
     """Signal at one phase (floats) or on a phase array (arrays like phi)."""
@@ -196,6 +211,14 @@ def _sensitivities(variances: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     slopes = np.abs(slopes)
     return np.divide(np.sqrt(variances), slopes, out=np.full_like(slopes, math.inf),
                      where=~(slopes < _SLOPE_FLOOR))
+
+
+def _sensitivity(variance: float, slope: float) -> float:
+    """_sensitivities of one row, in floats; np.sqrt roots a negative variance,
+    so its nan and its warning are the array path's."""
+    if abs(slope) < _SLOPE_FLOOR:
+        return math.inf
+    return (math.sqrt(variance) if variance >= 0.0 else float(np.sqrt(variance))) / abs(slope)
 
 
 def _fisher_rows(probs: np.ndarray, derivs: np.ndarray) -> np.ndarray:
@@ -271,7 +294,8 @@ def visibility(cfg: InterferometerConfig, scheme: BinningScheme,
                obs: Observable) -> float:
     """(s(0) - s(pi/2)) / (s(0) + s(pi/2)) of the signal mean."""
     _check_alphabet(obs, scheme)
-    return _drive(lambda xs: _expectation(obs, outcome_probs(cfg, scheme, xs)).tolist(),
+    means = lambda xs: _expectation(obs, outcome_probs(cfg, scheme, xs)).tolist()
+    return _drive(lambda xs: _signal_rows(cfg, scheme, obs, xs, lambda m, v, s: m, means),
                   _visibility_search())
 
 
@@ -412,7 +436,8 @@ def fwhm(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable) -> f
     """
     _check_alphabet(obs, scheme)
     rows = lambda xs: zip(*(_expectation(obs, t).tolist() for t in outcome_table(cfg, scheme, xs)))
-    return _drive(lambda xs: list(rows(xs)), _fringe_search(cfg, scheme))
+    return _drive(lambda xs: _signal_rows(cfg, scheme, obs, xs, lambda m, v, s: (m, s), rows),
+                  _fringe_search(cfg, scheme))
 
 
 def fwhm_continuous(cfg: InterferometerConfig) -> float:
@@ -492,8 +517,8 @@ def sweep(nbar_axis, a_axis) -> SweepGrid:
     """Binary-scheme merit grid: (2pi/3)/FWHM, (1/sqrt(nbar))/dphi_min and
     visibility at each (nbar, a); nan where no value exists.  A cell runs the
     searches of fwhm, best_sensitivity and visibility in lockstep, one
-    outcome_table call a round, with the values and errors of those three calls.  An empty, non-finite or
-    unsorted axis raises ValueError before any cell."""
+    _signal_rows call a round, with the values and errors of those three
+    calls.  An empty, non-finite or unsorted axis raises ValueError first."""
     nbar_axis = tuple(float(v) for v in nbar_axis)
     a_axis = tuple(float(v) for v in a_axis)
     for name, axis in (("nbar_axis", nbar_axis), ("a_axis", a_axis)):
@@ -510,11 +535,12 @@ def sweep(nbar_axis, a_axis) -> SweepGrid:
         for j, a in enumerate(a_axis):
             scheme = BinningScheme.binary(a)
 
-            def rows(phis):  # (mean, slope, sensitivity) at each phase
+            def arrays(phis):  # (mean, slope, sensitivity) at each phase
                 means, var, slopes = _moments(obs, *outcome_table(cfg, scheme, phis))
-                return list(zip(means.tolist(), slopes.tolist(),
-                                _sensitivities(var, slopes).tolist()))
+                return zip(means.tolist(), slopes.tolist(), _sensitivities(var, slopes).tolist())
 
+            rows = lambda xs: _signal_rows(cfg, scheme, obs, xs,
+                                           lambda m, v, s: (m, s, _sensitivity(v, s)), arrays)
             width, best, contrast = _drive(rows, _lockstep([
                 (_fringe_search(cfg, scheme), None),
                 (_golden(_SENSITIVITY_BAND), operator.itemgetter(2)),

@@ -168,7 +168,7 @@ def _erf_diff_array(bx, by):
 
 
 def _erf_diff_floats(xs, ys):
-    """erf_diff of two equal-length lists of finite floats, as a list: the
+    """erf_diff of two equal-length lists of floats, none NaN, as a list: the
     array kernel's operations on each pair in float arithmetic, so its bits.
     All exps are one np.exp call, as math.exp rounds some arguments otherwise."""
     vs = xs + ys
@@ -186,12 +186,13 @@ def _erf_diff_floats(xs, ys):
             for i, (x, y) in enumerate(zip(xs, ys))]
 
 
-# Up to this many element pairs a call costs less in Python floats than in
-# the array kernel.  Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4)
-# on outcome-table limits: floats about 12 us for one pair and 4-5 us per
-# further pair, the array kernel's ~100 numpy calls 75-110 us at up to a
-# few hundred pairs.  The two cross between 20 and 32 pairs; the cut stays
-# below, so no call that the array kernel runs faster leaves it.
+# Up to this many limit pairs (phases x bins) an erf_diff call, and a search
+# round of metrics._signal_rows from phase to reduced row, run in Python floats.
+# Floats against arrays on a 2-core Xeon VM (Python 3.11, numpy 2.4), best of
+# 15: a binary round 25 against 94 us at 1 phase, 117-128 against 120-133 us at
+# 14 and 138-151 against 131-143 us at 16 (most rounds of a sweep cell hold 1-3);
+# 15 pairs over 3 or 15 bins 71-97 against 107-124 us; erf_diff alone
+# 53-69 against 88-95 us at 14-16 pairs, crossing near 24.
 _FLOAT_PAIRS = 16
 
 
@@ -405,7 +406,7 @@ def _golden(bracket, tol=1e-10, grid_points=512):
     best_x, best_f = float(xs[i]), float(fs[i])
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, n - 1)])
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = yield [c, d]

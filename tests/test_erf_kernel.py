@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mzhomodyne import interferometer, numerics
+from mzhomodyne import metrics, numerics
 from mzhomodyne.metrics import sweep
 from mzhomodyne.numerics import (
     _ERFC_ZERO,
@@ -137,16 +137,17 @@ def test_a_binary_sweep_cell_takes_only_its_grid_scan_and_walk_chunks_to_the_arr
         monkeypatch):
     # A cell's rounds are one to a few phases of its searches, except the
     # 512-point grid scan and the fringe lattice chunks of _FIRST_CHUNK points
-    # and more per side; a binary scheme has one bin, so a round of n phases
-    # is one erf_diff call of n element pairs.
+    # and more per side; each round is one metrics._signal_rows call, and a
+    # binary scheme has one bin, so a round of n phases holds n element pairs.
     rounds, reached = [], set()
     _spy_on_array_forms(monkeypatch, lambda name, v: reached.add(len(rounds) - 1))
 
-    def counted(x, y):
-        rounds.append(np.broadcast(x, y).size)
-        return erf_diff(x, y)
+    def counted(cfg, scheme, obs, phis, *rest):
+        rounds.append(len(phis))
+        return signal_rows(cfg, scheme, obs, phis, *rest)
 
-    monkeypatch.setattr(interferometer, "erf_diff", counted)
+    signal_rows = metrics._signal_rows
+    monkeypatch.setattr(metrics, "_signal_rows", counted)
     sweep([200.0], [0.5])
     assert reached == {i for i, n in enumerate(rounds) if n >= _FIRST_CHUNK}
     assert min(rounds) <= 3 and 512 < max(rounds[i] for i in reached)

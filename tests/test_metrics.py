@@ -268,6 +268,8 @@ def test_vector_sensitivity_equals_the_scalar_formula_around_the_slope_floor():
                 for s in slopes]
         got = metrics._sensitivities(np.full(len(slopes), variance), np.array(slopes))
         assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+        floats = [metrics._sensitivity(variance, s) for s in slopes]  # a float round's
+        assert np.array_equal(np.array(floats).view(np.int64), np.array(want).view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -359,14 +359,14 @@ def test_walk_stop_across_a_chunk_boundary():
 # Scalar minimisation: _golden driven with one objective call per point.
 
 
-def test_minimize_scalar_quadratic():
+def test_golden_quadratic():
     f = lambda x: (x - 1.234) ** 2 + 0.5
     x, fx = _drive(lambda xs: [f(x) for x in xs], _golden((0.0, 3.0)))
     assert abs(x - 1.234) < 1e-7
     assert abs(fx - 0.5) < 1e-12
 
 
-def test_minimize_scalar_finds_narrow_global_basin():
+def test_golden_finds_narrow_global_basin():
     # broad shallow ripples plus one narrow deep well: a descent-only
     # method started anywhere misses the well, the grid scan may not
     def f(x):
@@ -379,7 +379,7 @@ def test_minimize_scalar_finds_narrow_global_basin():
     assert fx < -0.9
 
 
-def test_minimize_scalar_tolerates_inf_values():
+def test_golden_tolerates_inf_values():
     def f(x):
         return float("inf") if x < 1.5 else (x - 2.0) ** 2
 
@@ -423,7 +423,7 @@ def _scan_problems(draw):
 @example((_scan_objective(0.5, 0.0, 0.0, 1.0, 0.0, None), (0.0, 1.0), 64))
 @example((_scan_objective(1.0, 1.0, 0.5, 3.0, 0.1, 0.7), (0.0, 3.0), 512))
 @example((_scan_objective(1.0, 1.0, 0.0, 1.0, 0.0, 9.0), (0.0, 3.0), 17))
-def test_minimize_scalar_batched_scan_equals_scalar_scan(problem):
+def test_golden_batched_scan_equals_scalar_scan(problem):
     f, bracket, n = problem
     batch = lambda xs: np.asarray(f(np.asarray(xs)), dtype=float).tolist()
     scalar = lambda xs: [f(x) for x in xs]

@@ -2,8 +2,8 @@
 
 A sweep cell runs the fringe search of fwhm, the scan and golden-section
 search of best_sensitivity and the two phases of visibility together, one
-outcome_table call per round.  The oracle calls fwhm, best_sensitivity and
-visibility one after another, each making its own table calls.  A cell
+metrics._signal_rows call per round.  The oracle calls fwhm, best_sensitivity
+and visibility one after another, each making its own rounds.  A cell
 must give the same floats, raise the same error, and evaluate the same
 phases.
 """
@@ -88,14 +88,21 @@ def test_sweep_cell_equals_sequential_oracle(nbar, a):
     assert all(_same(g, w) for g, w in zip(got, want)), (got, want)
 
 
-def _table_calls(monkeypatch, run):
-    """The phases of each outcome_table or outcome_probs call that run()
-    makes through metrics."""
-    calls = []
-    for name in ("outcome_table", "outcome_probs"):
-        def recording(cfg, scheme, phis, core=getattr(metrics, name)):
-            calls.append(np.asarray(phis, dtype=np.float64).tolist())
-            return core(cfg, scheme, phis)
+def _rounds(monkeypatch, run):
+    """The phases of each round that run() makes through metrics: each
+    _signal_rows call, which runs a small round in floats and hands a larger
+    one to outcome_table, and each outcome_table or outcome_probs call made
+    outside it (best_sensitivity's)."""
+    calls, depth = [], [0]
+    for name, at in (("_signal_rows", 1), ("outcome_table", 0), ("outcome_probs", 0)):
+        def recording(cfg, scheme, *args, core=getattr(metrics, name), at=at):
+            if not depth[0]:  # the phases follow the observable in _signal_rows
+                calls.append(np.asarray(args[at], dtype=np.float64).tolist())
+            depth[0] += 1
+            try:
+                return core(cfg, scheme, *args)
+            finally:
+                depth[0] -= 1
 
         monkeypatch.setattr(metrics, name, recording)
     run()
@@ -104,8 +111,8 @@ def _table_calls(monkeypatch, run):
 
 
 def test_sweep_cell_evaluates_the_sequential_phases_in_few_calls(monkeypatch):
-    lockstep = _table_calls(monkeypatch, lambda: sweep([5.0], [0.1]))
-    calls = _table_calls(monkeypatch, lambda: _sequential_cell(5.0, 0.1))
+    lockstep = _rounds(monkeypatch, lambda: sweep([5.0], [0.1]))
+    calls = _rounds(monkeypatch, lambda: _sequential_cell(5.0, 0.1))
     flat = lambda rounds: sorted(itertools.chain.from_iterable(rounds))
     assert flat(lockstep) == flat(calls)
     # the 512-point scan and 39 golden rounds carry the fringe search: its
@@ -141,7 +148,7 @@ _STAIRS = BinningScheme(0.1, 0.4, 32)
 ], ids=["tiny-bin-cell", "wide-alphabet", "falling-stairs"])
 def test_no_round_exceeds_the_cap(monkeypatch, cfg, scheme, run, lattice, sides):
     assert _lattice_size(cfg, scheme) == lattice
-    calls = _table_calls(monkeypatch, lambda: run(cfg, scheme))
+    calls = _rounds(monkeypatch, lambda: run(cfg, scheme))
     assert max(map(len, calls[1:])) <= _ROUND_CAP
     assert sum(map(len, calls)) >= sides * lattice
 
@@ -155,7 +162,7 @@ def test_tiny_bins_and_gaps_cost_a_few_thousand_phases(monkeypatch, run):
     # the lattice step stays at 0.01 or more however fine the bins: at most
     # 1878 phases a side for a bright binary cell, 2227 here for the gaps,
     # both read to their ends
-    assert sum(map(len, _table_calls(monkeypatch, run))) <= 5_000
+    assert sum(map(len, _rounds(monkeypatch, run))) <= 5_000
 
 
 def test_cell_without_fringe_keeps_sensitivity_and_visibility():
