@@ -169,7 +169,9 @@ def _erf_limits(cfg, scheme, phis):
 
 
 def _probs(g_lo, g_hi):
+    # a bin narrower than erf's rounding can read -5.6e-17; NaN stays NaN
     bins = 0.5 * erf_diff(g_lo, g_hi)
+    bins[bins < 0.0] = 0.0
     return np.column_stack((bins, np.fmax(0.0, 1.0 - _row_sums(bins))))
 
 
@@ -187,12 +189,13 @@ def _float_table(cfg, scheme, phis):
     """Yields outcome_table's (P, dP) rows at phis as lists of floats, from the
     array path's operations in its order, so its bits: bins by _erf_diff_floats,
     exponentials from one np.exp call (math.exp rounds some otherwise), row sums
-    by math.fsum.  A limit past the float range is inf, erfc 0 in both paths."""
+    by math.fsum, a negative bin clamped at +0.0.  A limit past the float range
+    is inf, erfc 0 in both paths."""
     centers = [scheme.spacing * k for k in range(-scheme.cutoff, scheme.cutoff + 1)]
     phis, ga, m = list(map(_finite_phase, phis)), _SQRT2 * scheme.half_width, len(centers)
     shifts = [_SQRT2 * (0.5 * cfg.alpha0 * math.sin(phi) + x) for phi in phis for x in centers]
     g_lo, g_hi = [s - ga for s in shifts], [s + ga for s in shifts]
-    bins = [0.5 * d for d in _erf_diff_floats(g_lo, g_hi)]
+    bins = [max(0.5 * d, 0.0) for d in _erf_diff_floats(g_lo, g_hi)]
     exps = np.exp([-g * g for g in g_hi + g_lo]).tolist()
     for i, phi in enumerate(phis):
         factor, j = _INV_SQRTPI * cfg.alpha0 * math.cos(phi) / _SQRT2, i * m
@@ -217,7 +220,8 @@ def outcome_table(cfg: InterferometerConfig, scheme: BinningScheme, phis):
     Returns (P, dP), each of shape [len(phis), 2*cutoff+2]: the columns are
     bins -cutoff..cutoff, then the leftover outcome.  Row i depends on
     phis[i] alone, so it equals the one-phase table of that phase bit for
-    bit.  The leftover probability is max(0, 1 - sum of the bins) and the
+    bit.  A bin is clamped at +0.0 where erf's rounding leaves it below 0.
+    The leftover probability is max(0, 1 - sum of the bins) and the
     leftover derivative the negative sum of the bin derivatives, each an
     exactly rounded math.fsum of its row.  outcome_probs and outcome_derivs
     return P and dP alone, bit for bit, for a caller that reads one half.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interferometer import (BinningScheme, InterferometerConfig, _finite_phases,
-                             _float_table, outcome_probs, outcome_table)
+                             _float_table, outcome_table)
 from .numerics import (_ERFC_ZERO, _FIRST_CHUNK, _FLOAT_PAIRS, NoSignChange, _brent, _drive,
                        _golden, _lockstep, _row_sums, _unwrap, find_root)
 
@@ -153,18 +153,21 @@ def _moments(obs: Observable, probs: np.ndarray, derivs: np.ndarray):
     return means, variances, _expectation(obs, derivs)
 
 
-def _signal_rows(cfg, scheme, obs, phis, pick, arrays):
-    """pick(mean, variance, slope) of obs at each phase of a search round, from
-    _float_table in floats, each a math.fsum, if the round holds at most
-    _FLOAT_PAIRS limit pairs; else arrays(phis), the caller's reduction on
-    whole arrays.  Both give _moments' bits (_row_sums equals math.fsum)."""
+def _signal_rows(cfg, scheme, obs, phis):
+    """(mean, slope, sqrt(var)/|slope|) of obs at each phase of a search round:
+    from _float_table in floats, each sum a math.fsum, if the round holds at
+    most _FLOAT_PAIRS limit pairs, else from _moments and _sensitivities on
+    whole arrays.  Both give the same bits (_row_sums equals math.fsum)."""
     if len(phis) * (2 * scheme.cutoff + 1) > _FLOAT_PAIRS:
-        return list(arrays(phis))
+        means, variances, slopes = _moments(obs, *outcome_table(cfg, scheme, phis))
+        return list(zip(means.tolist(), slopes.tolist(),
+                        _sensitivities(variances, slopes).tolist()))
     values, rows = obs.bin_values + (obs.leftover_value,), []
     for probs, derivs in _float_table(cfg, scheme, phis):
         mean = math.fsum([mu * p for mu, p in zip(values, probs)])
         variance = math.fsum([u * u * p for u, p in zip([mu - mean for mu in values], probs)])
-        rows.append(pick(mean, variance, math.fsum([mu * d for mu, d in zip(values, derivs)])))
+        slope = math.fsum([mu * d for mu, d in zip(values, derivs)])
+        rows.append((mean, slope, _sensitivity(variance, slope)))
     return rows
 
 
@@ -214,11 +217,8 @@ def _sensitivities(variances: np.ndarray, slopes: np.ndarray) -> np.ndarray:
 
 
 def _sensitivity(variance: float, slope: float) -> float:
-    """_sensitivities of one row, in floats; np.sqrt roots a negative variance,
-    so its nan and its warning are the array path's."""
-    if abs(slope) < _SLOPE_FLOOR:
-        return math.inf
-    return (math.sqrt(variance) if variance >= 0.0 else float(np.sqrt(variance))) / abs(slope)
+    """_sensitivities of one row, in floats."""
+    return math.inf if abs(slope) < _SLOPE_FLOOR else math.sqrt(variance) / abs(slope)
 
 
 def _fisher_rows(probs: np.ndarray, derivs: np.ndarray) -> np.ndarray:
@@ -294,14 +294,13 @@ def visibility(cfg: InterferometerConfig, scheme: BinningScheme,
                obs: Observable) -> float:
     """(s(0) - s(pi/2)) / (s(0) + s(pi/2)) of the signal mean."""
     _check_alphabet(obs, scheme)
-    means = lambda xs: _expectation(obs, outcome_probs(cfg, scheme, xs)).tolist()
-    return _drive(lambda xs: _signal_rows(cfg, scheme, obs, xs, lambda m, v, s: m, means),
-                  _visibility_search())
+    return _drive(lambda xs: _signal_rows(cfg, scheme, obs, xs), _visibility_search())
 
 
 def _visibility_search():
-    """visibility as a search: yields its two phases, is sent their means."""
-    s_bright, s_dark = yield [0.0, math.pi / 2]
+    """visibility as a search: yields its two phases, is sent their signal
+    rows (mean, ...)."""
+    (s_bright, *_), (s_dark, *_) = yield [0.0, math.pi / 2]
     denom = s_bright + s_dark
     if abs(denom) < 1e-14:
         raise DegenerateSignal(f"signal means cancel: {s_bright} + {s_dark}")
@@ -435,9 +434,7 @@ def fwhm(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable) -> f
     1e-10 of the signal (rounding noise), or when both crossings coincide.
     """
     _check_alphabet(obs, scheme)
-    rows = lambda xs: zip(*(_expectation(obs, t).tolist() for t in outcome_table(cfg, scheme, xs)))
-    return _drive(lambda xs: _signal_rows(cfg, scheme, obs, xs, lambda m, v, s: (m, s), rows),
-                  _fringe_search(cfg, scheme))
+    return _drive(lambda xs: _signal_rows(cfg, scheme, obs, xs), _fringe_search(cfg, scheme))
 
 
 def fwhm_continuous(cfg: InterferometerConfig) -> float:
@@ -475,17 +472,17 @@ def best_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme,
                      obs: Observable | None) -> tuple[float, float]:
     """(phi_min, dphi_min) over phi in (1e-4, pi/2 - 1e-4).
 
-    With an observable, minimizes error_propagation_sensitivity; with None,
-    minimizes the Cramer-Rao bound.  The guard band keeps the search away
-    from the slope zeros at 0 and pi/2 where the objective diverges.  The
-    grid scan is one outcome_table call, and so is each refinement step.
+    With an observable, minimizes error_propagation_sensitivity, read off
+    _signal_rows; with None, minimizes the Cramer-Rao bound.  The guard band
+    keeps the search away from the slope zeros at 0 and pi/2 where the
+    objective diverges.  Each round is one evaluation of its phases.
     """
     if obs is None:
-        objective = lambda phis: crb(cfg, scheme, phis)
+        objective = lambda xs: crb(cfg, scheme, xs).tolist()
     else:
         _check_alphabet(obs, scheme)
-        objective = lambda phis: error_propagation_sensitivity(cfg, scheme, obs, phis)
-    return _drive(lambda xs: objective(xs).tolist(), _golden(_SENSITIVITY_BAND))
+        objective = lambda xs: [row[2] for row in _signal_rows(cfg, scheme, obs, xs)]
+    return _drive(objective, _golden(_SENSITIVITY_BAND))
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +531,11 @@ def sweep(nbar_axis, a_axis) -> SweepGrid:
         cfg = InterferometerConfig.from_nbar(nbar)
         for j, a in enumerate(a_axis):
             scheme = BinningScheme.binary(a)
-
-            def arrays(phis):  # (mean, slope, sensitivity) at each phase
-                means, var, slopes = _moments(obs, *outcome_table(cfg, scheme, phis))
-                return zip(means.tolist(), slopes.tolist(), _sensitivities(var, slopes).tolist())
-
-            rows = lambda xs: _signal_rows(cfg, scheme, obs, xs,
-                                           lambda m, v, s: (m, s, _sensitivity(v, s)), arrays)
-            width, best, contrast = _drive(rows, _lockstep([
-                (_fringe_search(cfg, scheme), None),
-                (_golden(_SENSITIVITY_BAND), operator.itemgetter(2)),
-                (_visibility_search(), operator.itemgetter(0))]))
+            width, best, contrast = _drive(
+                lambda xs: _signal_rows(cfg, scheme, obs, xs), _lockstep([
+                    (_fringe_search(cfg, scheme), None),
+                    (_golden(_SENSITIVITY_BAND), operator.itemgetter(2)),
+                    (_visibility_search(), None)]))
             if not isinstance(width, NoFringe):
                 res[i, j] = (2.0 * math.pi / 3.0) / _unwrap(width)
             _, dphi_min = _unwrap(best)

@@ -51,6 +51,7 @@ from oracles import central_diff, score_observable
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
 FIG2_SCHEME = BinningScheme(half_width=0.5, spacing=3.8, cutoff=2)
+FIG4_SCHEME = BinningScheme(half_width=0.5, spacing=3.2, cutoff=5)
 BINARY_HALF = BinningScheme.binary(0.5)
 UNIT_BINARY_OBS = Observable((1.0,), 0.0)
 
@@ -858,15 +859,19 @@ def test_best_sensitivity_alternating_multibin():
 
 @pytest.mark.parametrize("nbar", [5.0, 200.0, 1e6])
 def test_best_sensitivity_batched_scan_equals_scalar_scan(nbar):
-    # the grid scan runs on one phase array; the per-phase scan is the oracle
+    # the grid scan runs on one phase array, and a golden round of at most
+    # _FLOAT_PAIRS limit pairs in floats (every round on fig2's scheme; fig4's
+    # first, 2 x 11 pairs, on arrays); the per-phase public scan is the oracle
     cfg = InterferometerConfig.from_nbar(nbar)
     bracket = (1e-4, math.pi / 2 - 1e-4)
-    for obs, objective in (
-        (UNIT_BINARY_OBS, lambda phi: error_propagation_sensitivity(
-            cfg, BINARY_HALF, UNIT_BINARY_OBS, phi)),
-        (None, lambda phi: crb(cfg, BINARY_HALF, phi)),
-    ):
-        assert best_sensitivity(cfg, BINARY_HALF, obs) == _drive(
+    for scheme, obs in ((BINARY_HALF, UNIT_BINARY_OBS), (BINARY_HALF, None),
+                        (FIG2_SCHEME, Observable.ones(FIG2_SCHEME)),
+                        (FIG4_SCHEME, Observable.alternating(FIG4_SCHEME))):
+        if obs is None:
+            objective = lambda phi: crb(cfg, scheme, phi)
+        else:
+            objective = lambda phi: error_propagation_sensitivity(cfg, scheme, obs, phi)
+        assert best_sensitivity(cfg, scheme, obs) == _drive(
             lambda xs: [objective(x) for x in xs], _golden(bracket))
 
 
@@ -878,12 +883,16 @@ def test_best_sensitivity_scans_its_grid_in_one_table_call(monkeypatch):
         return outcome_table(cfg, scheme, phis)
 
     monkeypatch.setattr(metrics, "outcome_table", recording)
-    for obs in (UNIT_BINARY_OBS, None):
-        calls.clear()
-        best_sensitivity(FIG2_CFG, BINARY_HALF, obs)
-        assert np.array_equal(calls[0], np.linspace(1e-4, math.pi / 2 - 1e-4, 512))
-        # then the golden-section refinement, two points and then one a call
-        assert [len(c) for c in calls[1:]] == [2] + [1] * (len(calls) - 2)
+    scan = np.linspace(1e-4, math.pi / 2 - 1e-4, 512)
+    # with the observable, the golden-section rounds of one or two phases
+    # run in floats and call no table
+    best_sensitivity(FIG2_CFG, BINARY_HALF, UNIT_BINARY_OBS)
+    assert len(calls) == 1 and np.array_equal(calls[0], scan)
+    calls.clear()
+    best_sensitivity(FIG2_CFG, BINARY_HALF, None)
+    assert np.array_equal(calls[0], scan)
+    # then the golden-section refinement, two points and then one a call
+    assert [len(c) for c in calls[1:]] == [2] + [1] * (len(calls) - 2)
 
 
 # ---------------------------------------------------------------------------

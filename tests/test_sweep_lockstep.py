@@ -91,20 +91,14 @@ def test_sweep_cell_equals_sequential_oracle(nbar, a):
 def _rounds(monkeypatch, run):
     """The phases of each round that run() makes through metrics: each
     _signal_rows call, which runs a small round in floats and hands a larger
-    one to outcome_table, and each outcome_table or outcome_probs call made
-    outside it (best_sensitivity's)."""
-    calls, depth = [], [0]
-    for name, at in (("_signal_rows", 1), ("outcome_table", 0), ("outcome_probs", 0)):
-        def recording(cfg, scheme, *args, core=getattr(metrics, name), at=at):
-            if not depth[0]:  # the phases follow the observable in _signal_rows
-                calls.append(np.asarray(args[at], dtype=np.float64).tolist())
-            depth[0] += 1
-            try:
-                return core(cfg, scheme, *args)
-            finally:
-                depth[0] -= 1
+    one to outcome_table."""
+    calls, signal_rows = [], metrics._signal_rows
 
-        monkeypatch.setattr(metrics, name, recording)
+    def recording(cfg, scheme, obs, phis):
+        calls.append(np.asarray(phis, dtype=np.float64).tolist())
+        return signal_rows(cfg, scheme, obs, phis)
+
+    monkeypatch.setattr(metrics, "_signal_rows", recording)
     run()
     monkeypatch.undo()
     return calls
