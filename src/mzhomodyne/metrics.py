@@ -17,8 +17,8 @@ import numpy as np
 
 from .interferometer import (BinningScheme, InterferometerConfig, _finite_phases,
                              _float_table, outcome_table)
-from .numerics import (_ERFC_ZERO, _FIRST_CHUNK, _FLOAT_PAIRS, NoSignChange, _brent, _drive,
-                       _golden, _lockstep, _row_sums, _unwrap, find_root)
+from .numerics import (_ERFC_ZERO, _FLOAT_PAIRS, NoSignChange, _brent, _drive, _golden,
+                       _lockstep, _row_sums, _unwrap, find_root)
 
 __all__ = [
     "AlphabetMismatch",
@@ -49,7 +49,8 @@ __all__ = [
 _SLOPE_FLOOR = 1e-14
 _PROB_FLOOR = 1e-15
 _CFI_FLOOR = 1e-20
-_SIDE_CHUNK = 1024  # most lattice phases one fringe side asks for in a round
+_FIRST_CHUNK = 16  # lattice phases a side asks for in the round after its first
+_SIDE_CHUNK = 1024  # most lattice phases one side asks for in a round
 _SENSITIVITY_BAND = (1e-4, math.pi / 2 - 1e-4)
 
 # fixed pseudorandom eigenvalue vector (bins -2..2) kept as a regression case
@@ -146,10 +147,12 @@ def _moments(obs: Observable, probs: np.ndarray, derivs: np.ndarray):
 
     The variance is the centered sum of (mu - mean)^2 P, which stays
     accurate when an eigenvalue offset dwarfs the spread (the raw
-    difference sum(mu^2 P) - mean^2 cancels catastrophically there).
+    difference sum(mu^2 P) - mean^2 cancels catastrophically there); a
+    square that overflows is as silent as in _signal_rows' float path.
     """
     means = _expectation(obs, probs)
-    variances = _row_sums((obs.all_values() - means[:, None]) ** 2 * probs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        variances = _row_sums((obs.all_values() - means[:, None]) ** 2 * probs)
     return means, variances, _expectation(obs, derivs)
 
 
@@ -383,8 +386,8 @@ def _dark_point(chunks, side, orient, prev_x, prev_row):
 
 
 def _slope_root(rows):
-    """(root, mean there) of the slope between the phases of rows, a dict of
-    fringe rows kept for every phase Brent asks for: the mean costs no round."""
+    """(root, row[0] there) of the slope row[1] between the phases of rows, a
+    dict of rows kept for every phase Brent asks for (a fringe's mean there)."""
     bracket = sorted(rows)
     brent = _brent(bracket, 1e-12, 0.0, [rows[x][1] for x in bracket])
     try:

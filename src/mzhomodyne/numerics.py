@@ -6,9 +6,9 @@ library, so CSV output is bit-stable across machines): a call with at most
 _FLOAT_PAIRS element pairs, all finite, runs in Python floats, any other
 on whole arrays, and both give the same bits; the exactly rounded row
 sum that every per-row reduction runs through (_row_sums); a bracketing Brent
-root finder, a grid-scan + golden-section minimizer and a doubling-chunk
-walk (each a search that one driver runs alone or in lockstep with
-others); and deterministic counter-based uniform random streams.
+root finder and a grid-scan + golden-section minimizer (each a search that
+one driver runs alone or in lockstep with others); and deterministic
+counter-based uniform random streams.
 """
 
 from __future__ import annotations
@@ -423,36 +423,6 @@ def _golden(bracket, tol=1e-10, grid_points=512):
         if fx < best_f:
             best_x, best_f = float(x), float(fx)
     return best_x, best_f
-
-
-_FIRST_CHUNK = 16
-
-
-def _walk(start: float, direction: float, step: float, v0: float,
-          stop: Callable[[float, float], bool]):
-    """Walk from start as a search (see _drive) to the first step x whose
-    value v makes stop(v_prev, v) true, v_prev being the value one step
-    back (v0 at start).  Returns (x_prev, x) there, or (x_last, None) when
-    no step stops.
-
-    The points x_i = start + direction*i*step, i = 1..int(pi/step), half a
-    period, are yielded in chunks that double in size from 16 points, so a
-    walk that stops after a few steps evaluates few points, and a full one
-    takes O(log n) rounds.  Each x_i is the scalar expression above, so a
-    walk sees the points a step-by-step loop would.
-    """
-    n_steps = int(math.pi / step)
-    x_prev, v_prev = start, v0
-    lo, size = 1, _FIRST_CHUNK
-    while lo <= n_steps:
-        hi = min(lo + size, n_steps + 1)
-        xs = [start + direction * i * step for i in range(lo, hi)]
-        for x, v in zip(xs, (yield xs)):
-            if stop(v_prev, v):
-                return x_prev, x
-            x_prev, v_prev = x, v
-        lo, size = hi, 2 * size
-    return x_prev, None
 
 
 # ---------------------------------------------------------------------------

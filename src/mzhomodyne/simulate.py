@@ -14,8 +14,9 @@ import numpy as np
 
 from .interferometer import (BinningScheme, InterferometerConfig, _finite_phase,
                              _finite_phases, outcome_derivs, outcome_probs)
-from .metrics import AlphabetMismatch, Observable, _check_alphabet, _expectation
-from .numerics import Interval, _drive, _lockstep, _integer, _streams, _walk, find_roots
+from .metrics import (_SLOPE_FLOOR, AlphabetMismatch, Observable, _check_alphabet,
+                      _expectation, _shift_lattice, _slope_root)
+from .numerics import Interval, _drive, _integer, _lockstep, _streams, _unwrap, find_roots
 
 __all__ = [
     "EstimationReport",
@@ -27,8 +28,6 @@ __all__ = [
     "monotone_branch",
 ]
 
-_BRANCH_STEP = 1e-3
-_SLOPE_TOL = 1e-10
 _BLOCK_DRAWS = 2 ** 16
 
 
@@ -138,48 +137,72 @@ def _draw(prefix, shots, replicas, streams):
 
 def monotone_branch(cfg: InterferometerConfig, scheme: BinningScheme,
                     obs: Observable, phi_true: float) -> Interval:
-    """Largest interval around phi_true where the sampled signal slope keeps
-    one sign (resolution 1e-3 rad, capped at half a period each way).
-    The two sides are numerics._walk searches run in lockstep, each
-    stopping at its first slope sign flip: each round is one
-    outcome_derivs call.
-
-    At an exact extremum the sign is taken from the right neighbor, so the
-    branch starts at phi_true itself.
-    """
+    """Largest interval around phi_true on which the signal slope keeps one
+    sign, read on metrics._shift_lattice (see _branch_search).  P depends on
+    phi only through c = alpha0*sin(phi)/2, so phi is folded by 2*pi and
+    mirrored through +-pi - phi off the central quarters; the ends map back
+    to k*pi +- end plus k*(pi - math.pi), rounded once, so a mirrored pi/2
+    lies past pi/2.  Every phase of one branch gets the same Interval, bit
+    for bit.  A slope below _SLOPE_FLOOR at phi_true and at the lattice
+    phases around it raises NonMonotoneBranch."""
     phi_true = _finite_phase(phi_true)
     _check_alphabet(obs, scheme)
-    return _drive(lambda xs: _expectation(obs, outcome_derivs(cfg, scheme, xs)).tolist(),
-                  _branch_search(phi_true))
-
-
-def _branch_search(phi_true):
-    """monotone_branch as a search (see numerics._drive), sent slopes."""
-    (s0,) = yield [phi_true]
-    if s0 == 0.0:
-        (s0,) = yield [phi_true + _BRANCH_STEP]
-    if s0 == 0.0:
-        raise NonMonotoneBranch(f"signal is flat around phi={phi_true}")
-    flip = lambda v_prev, v: (v_prev > 0.0) != (v > 0.0)
-    sides = [(_walk(phi_true, direction, _BRANCH_STEP, s0, flip), None)
-             for direction in (-1.0, 1.0)]
-    (lo, _), (hi, _) = yield from _lockstep(sides)
-    if lo == hi:
+    x = math.remainder(phi_true, math.tau)
+    mirror = math.copysign(1.0, x) if abs(x) > math.pi / 2 else 0.0
+    rows = lambda xs: list(zip(xs, _expectation(obs, outcome_derivs(cfg, scheme, xs)).tolist()))
+    ends = _drive(rows, _branch_search(cfg, scheme, mirror * math.pi - x if mirror else x))
+    k = 2 * round((phi_true - x) / math.tau) + mirror  # one k for both frames across +-pi
+    lo, hi = sorted((k * math.pi + (-end if mirror else end)) + k * math.sin(math.pi)
+                    for end in ends)
+    if not lo < hi:
         raise NonMonotoneBranch(f"no monotone run around phi={phi_true}")
     return Interval(lo, hi)
 
 
-def _check_branch_monotone(cfg, scheme, obs, branch):
-    _check_alphabet(obs, scheme)
-    if branch.width > 2.0 * math.pi:
-        raise NonMonotoneBranch(f"branch [{branch.lo}, {branch.hi}] is wider than 2*pi")
-    n_samples = max(int(branch.width / _BRANCH_STEP), 2)
-    slopes = _expectation(obs, outcome_derivs(
-        cfg, scheme, np.linspace(branch.lo, branch.hi, n_samples + 1)))
-    if np.any(slopes > _SLOPE_TOL) and np.any(slopes < -_SLOPE_TOL):
-        raise NonMonotoneBranch(
-            f"slope changes sign on [{branch.lo}, {branch.hi}]"
-        )
+def _sign(row):
+    """-1.0, 0.0 or 1.0: the sign of a row's slope, zero below _SLOPE_FLOOR."""
+    return 0.0 if abs(row[1]) < _SLOPE_FLOOR else math.copysign(1.0, row[1])
+
+
+def _branch_search(cfg, scheme, x):
+    """The two ends of the run of one slope sign around x in [-pi/2, pi/2],
+    as a search (see numerics._drive) sent (phase, slope) rows.  Its sign is
+    the slope's at x, else at the lattice phases around x, read outward on
+    x's side of 0: 0, q_1 and x, then a chunk a round.  The ends are found
+    in lockstep (see _outward): outward along the lattice, and inward back
+    through the rows, then along the other side if the run crosses 0."""
+    side, u = (-1.0 if x < 0.0 else 1.0), abs(x)
+    lattice = _shift_lattice(cfg, scheme)
+    *rows, at_x = yield [0.0] + [side * q for q in next(lattice)] + [x]
+    while abs(rows[-1][0]) < u:  # the lattice ends at pi/2 >= u
+        rows += (yield [side * q for q in next(lattice)])
+    i = next(j for j in range(1, len(rows)) if abs(rows[j][0]) >= u)
+    sign = _sign(at_x) or _sign(rows[i]) or _sign(rows[i - 1])
+    if not sign:
+        raise NonMonotoneBranch("signal is flat around the phase")
+    return map(_unwrap, (yield from _lockstep([
+        (_outward(_shift_lattice(cfg, scheme), -side, rows[i::-1], 1, sign), None),
+        (_outward(lattice, side, rows, i, sign), None)])))
+
+
+def _outward(lattice, side, rows, k, sign):
+    """The end of a run of sign, as a search sent rows, from rows[k] on and
+    then along one side's lattice: the first row of zero slope, the last row
+    (+-pi/2), or where the slope turns, the phase metrics._slope_root reads
+    nearest the root with a slope of 0 or of sign, so the sign holds to it."""
+    while True:
+        for j in range(k, len(rows)):
+            if _sign(rows[j]) != sign:
+                if not _sign(rows[j]):
+                    return rows[j][0]
+                seen = {row[0]: row for row in rows[j - 1:j + 1]}
+                root, _ = yield from _slope_root(seen)
+                return min((x for x, (_, slope) in seen.items() if slope * sign >= 0.0),
+                           key=lambda x: abs(x - root))
+        chunk, k = [side * q for q in next(lattice, ())], len(rows)
+        if not chunk:
+            return rows[-1][0]
+        rows += (yield chunk)
 
 
 def _invert(cfg, scheme, obs, measured, branch):
@@ -212,8 +235,8 @@ def invert_signal(cfg: InterferometerConfig, scheme: BinningScheme,
                   branch: Interval) -> float:
     """Phase whose signal mean equals measured_value on the given branch.
 
-    The branch is rejected unsampled if wider than 2*pi, else re-sampled
-    and rejected if the slope changes sign.
+    The branch is rejected unsampled if wider than 2*pi, else rejected
+    unless it lies inside monotone_branch of its midpoint.
     Values beyond the branch's signal range clamp to the endpoint whose
     signal is nearest (finite-sample fluctuations routinely overshoot).
     A non-finite measured value or branch end is rejected with ValueError.
@@ -222,7 +245,11 @@ def invert_signal(cfg: InterferometerConfig, scheme: BinningScheme,
     if not all(map(math.isfinite, (measured_value, branch.lo, branch.hi))):
         raise ValueError(f"measured value and branch ends must be finite, "
                          f"got {measured_value} on [{branch.lo}, {branch.hi}]")
-    _check_branch_monotone(cfg, scheme, obs, branch)
+    if branch.width > 2.0 * math.pi:
+        raise NonMonotoneBranch(f"branch [{branch.lo}, {branch.hi}] is wider than 2*pi")
+    own = monotone_branch(cfg, scheme, obs, 0.5 * (branch.lo + branch.hi))
+    if not own.lo <= branch.lo < branch.hi <= own.hi:
+        raise NonMonotoneBranch(f"[{branch.lo}, {branch.hi}] leaves its midpoint's {own}")
     (phi,), _ = _invert(cfg, scheme, obs, [measured_value], branch)
     return phi
 
@@ -234,7 +261,6 @@ def estimate(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable,
     measured value is inverted once, all of them in one lockstep batch (see
     numerics.find_roots); replicas that share a value share its root."""
     branch = monotone_branch(cfg, scheme, obs, replicas.phi)
-    _check_branch_monotone(cfg, scheme, obs, branch)
     measured = replicas.measured_signals(obs)
     estimates, clamped = _invert(cfg, scheme, obs, measured, branch)
     m = len(estimates)

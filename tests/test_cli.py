@@ -358,22 +358,33 @@ def test_sweep_golden_regression(tmp_path, name, axes):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+BRIGHT_SIMULATE = ["--nbar", "1e8", "--b", "3.2", "--kf", "3", "--eigenvalues", "alternating",
+                   "--phi-min", "0.0002", "--phi-max", "0.0012", "--steps", "6",
+                   "--replicas", "20", "--seed", "2"]
+
+
 @pytest.mark.parametrize("name, args", [
     # README's example
     ("simulate_readme", ["--nbar", "1000", "--b", "3.2", "--kf", "5",
                          "--eigenvalues", "alternating", "--phi-min", "0.02",
                          "--phi-max", "0.18", "--steps", "9", "--seed", "1"]),
-    # nbar=1e8: four of the six estimation rows are NonMonotoneBranch
-    ("simulate_bright", ["--nbar", "1e8", "--b", "3.2", "--kf", "3",
-                         "--eigenvalues", "alternating", "--phi-min", "0.0002",
-                         "--phi-max", "0.0012", "--steps", "6",
-                         "--replicas", "20", "--seed", "2"]),
+    # nbar=1e8, whose branches are 6.4e-4 rad wide
+    ("simulate_bright", BRIGHT_SIMULATE),
 ])
 def test_simulate_golden_regression(tmp_path, name, args):
     assert main(["simulate", *args, "--out", str(tmp_path / name)]) == 0
     for part in ("calibration", "estimation"):
         csv = f"{name}_{part}.csv"
         assert (tmp_path / csv).read_bytes() == (GOLDEN / csv).read_bytes()
+
+
+def test_simulate_estimates_every_bright_row_near_the_bound(tmp_path):
+    assert main(["simulate", *BRIGHT_SIMULATE, "--out", str(tmp_path / "bright")]) == 0
+    rows = read_rows(tmp_path / "bright_estimation.csv")[1:]
+    assert len(rows) == 6
+    for phi, _, sigma, bound, _, _, error in rows:
+        assert error == "", phi
+        assert 0.5 <= float(sigma) / float(bound) <= 2.0, phi
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mzhomodyne import metrics, numerics
-from mzhomodyne.metrics import sweep
+from mzhomodyne.metrics import _FIRST_CHUNK, sweep
 from mzhomodyne.numerics import (
     _ERFC_ZERO,
-    _FIRST_CHUNK,
     _FLOAT_PAIRS,
     _THRESH,
     _erf_diff_array,

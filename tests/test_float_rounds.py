@@ -10,6 +10,7 @@ larger round is one outcome_table call and its reduction.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,22 @@ def test_a_round_within_the_cut_makes_no_table_call(monkeypatch):
         phis = np.linspace(0.1, 1.4, _FLOAT_PAIRS // (2 * cutoff + 1)).tolist()
         _signal_rows(cfg, scheme, Observable.ones(scheme), phis)
     assert calls == []
+
+
+def test_both_paths_meet_an_overflowing_variance_silently():
+    # (1e200 - mean)**2 overflows to inf: neither a round within the cut
+    # (3 phases x 5 bins) nor one past it (4 phases) may warn, and both read
+    # inf, as does fwhm, whose rounds take both paths
+    cfg, scheme = InterferometerConfig.from_nbar(200.0), BinningScheme(0.5, 3.8, 2)
+    obs = Observable((1e200,) * 5)
+    phis = [0.1, 0.2, 0.3, 0.4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        small, large = _signal_rows(cfg, scheme, obs, phis[:3]), _signal_rows(cfg, scheme, obs, phis)
+        width = metrics.fwhm(cfg, scheme, obs)
+    assert 3 * 5 <= _FLOAT_PAIRS < 4 * 5
+    assert np.array_equal(_bits(small), _bits(large[:3]))
+    assert all(row[2] == math.inf for row in large) and math.isfinite(width)
 
 
 @st.composite

@@ -19,7 +19,6 @@ from mzhomodyne.numerics import (
     _golden,
     _row_sums,
     _streams,
-    _walk,
     erf_diff,
     find_root,
     find_roots,
@@ -317,43 +316,6 @@ def test_find_roots_rejects_lists_of_different_lengths():
     with pytest.raises(ValueError):
         find_roots(lambda xs: xs, [0.1, 0.2], [(0.0, 1.0)] * 2,
                    g_ends=[(0.0, 1.0)])
-
-
-def _counting(calls):
-    """A batch objective whose values number the points it is sent, 1, 2, ...,
-    in the order they come; calls records each call's points."""
-    def batch(xs):
-        calls.append(list(xs))
-        n = sum(map(len, calls))
-        return list(range(n - len(xs) + 1, n + 1))
-    return batch
-
-
-def test_walk_yields_doubling_chunks_of_the_half_period_span():
-    calls = []
-    never = lambda v_prev, v: False
-    got = _drive(_counting(calls), _walk(0.25, -1.0, 0.002, 0, never))
-    # int(pi / 0.002) = 1570 points
-    assert [len(xs) for xs in calls] == [16, 32, 64, 128, 256, 512, 562]
-    assert sum(calls, []) == [0.25 + -1.0 * i * 0.002 for i in range(1, 1571)]
-    assert got == (0.25 + -1.0 * 1570 * 0.002, None)
-
-
-def test_walk_stopping_at_the_first_step_takes_one_round():
-    calls = []
-    first = lambda v_prev, v: (v_prev, v) == (0, 1)  # v0, then step 1's value
-    assert _drive(_counting(calls), _walk(0.0, 1.0, 1e-3, 0, first)) == (0.0, 1e-3)
-    assert [len(xs) for xs in calls] == [16]
-
-
-def test_walk_stop_across_a_chunk_boundary():
-    # step 16 ends the first chunk and step 17 starts the second: the walk
-    # carries step 16's point and value across the round
-    calls = []
-    across = lambda v_prev, v: (v_prev, v) == (16, 17)
-    got = _drive(_counting(calls), _walk(0.1, 1.0, 1e-3, 0, across))
-    assert got == (0.1 + 1.0 * 16 * 1e-3, 0.1 + 1.0 * 17 * 1e-3)
-    assert [len(xs) for xs in calls] == [16, 32]
 
 
 # Scalar minimisation: _golden driven with one objective call per point.

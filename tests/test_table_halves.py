@@ -2,8 +2,9 @@
 
 outcome_probs and outcome_derivs return outcome_table's P and dP bit for
 bit, and the metrics reduction of either half equals signal's mean or slope
-bit for bit.  A slope search (the branch walk and its re-check) evaluates no
-error function, and the inversion rounds evaluate no derivatives.
+bit for bit.  A slope search (the branch search, which also checks the branch
+that invert_signal is given) evaluates no error function, and the inversion
+rounds evaluate no derivatives.
 """
 
 import math
@@ -102,14 +103,16 @@ def _probs_rounds(log):
 def test_slope_searches_evaluate_no_error_function(monkeypatch):
     log = _core_log(monkeypatch)
     branch = monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, 0.1)
-    # the probe at phi, then one call per round of the longer side
+    # one call per lattice round: 0, q_1 and phi, then chunks of 16, 32 and 64 out
+    # to the slope zero at c = 3.2; both ends are zero rows, refined by none
     assert log == ["derivs"] * 4
     measured = 0.5 * sum(signal(FIG4_CFG, FIG4_SCHEME, FIG4_OBS,
                                 [branch.lo, branch.hi]).mean.tolist())
     log.clear()
     invert_signal(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured, branch)
-    # the branch re-check, then the branch ends and the Brent rounds
-    assert _probs_rounds(log) == 1
+    # the branch of the given branch's midpoint, the same four rounds, then
+    # the branch ends and the Brent rounds
+    assert _probs_rounds(log) == 4
     assert not hasattr(simulate, "outcome_table")
 
 
@@ -117,9 +120,9 @@ def test_estimate_inverts_on_probabilities_alone(monkeypatch):
     (replicas,) = calibration_curve(FIG4_CFG, FIG4_SCHEME, [0.1], 400, 20, 0)
     log = _core_log(monkeypatch)
     report = estimate(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, replicas)
-    # four walk rounds and the re-check read slopes; every inversion round
-    # after them reads means
-    assert _probs_rounds(log) == 5
+    # the four lattice rounds of the branch read slopes; every inversion
+    # round after them reads means
+    assert _probs_rounds(log) == 4
     assert log.count("probs") > 2
     monkeypatch.undo()
     assert report == estimate(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, replicas)

@@ -1,15 +1,15 @@
 """Searches and column reductions against finer or one-outcome originals.
 
-The branch walk of monotone_branch is numerics._walk, a search that
-evaluates its steps in doubling chunks, both sides in lockstep.  Its oracle
-is the one-phase-per-step loop it replaced, copied verbatim; every case
-asserts that both return the same edges as the same floats, or raise the
-same error.  binarized_cfi groups outcome_table columns; its oracle is the
-loop over one outcome at a time that it replaced.  The fringe search of
-fwhm reads slope signs on a lattice in the quadrature shift.  The last
-three properties sample the signal 20 times finer than the branch walk's
-fixed step, than the fringe's feature scale, or than that lattice, and
-hold both searches to what the finer sampling shows.
+The branch search of monotone_branch and the fringe search of fwhm read
+slope signs on one lattice in the quadrature shift, in doubling chunks,
+with their two sides or ends in lockstep.  Their oracles walk the same
+lattice one scalar signal call per phase; every case asserts that both
+return the same edges as the same floats, or raise the same error.
+binarized_cfi groups outcome_table columns; its oracle is the loop over
+one outcome at a time that it replaced.  The last properties sample the
+signal 20 times finer than a 1 mrad step, than the fringe's feature scale,
+or than that lattice, and hold both searches to what the finer sampling
+shows; one more holds every phase of a branch to the same branch.
 """
 
 import itertools
@@ -50,31 +50,65 @@ BRIGHT_CFG = InterferometerConfig.from_nbar(1e8)
 BRIGHT_SCHEME = BinningScheme(half_width=0.5, spacing=3.2, cutoff=3)
 BRIGHT_OBS = Observable.alternating(BRIGHT_SCHEME)
 UNIT_BINARY_OBS = Observable((1.0,), 0.0)
+# 1 mrad, the fixed step of the walk the branch lattice replaced, coarser
+# than a feature at nbar=1e8 (6.4e-4 rad between slope zeros)
 BRANCH_STEP = 1e-3
 
 
-def _scalar_branch(cfg, scheme, obs, phi_true):
-    """Step-by-step branch walk: one scalar signal call per step."""
-    slope = lambda x: signal(cfg, scheme, obs, x).slope
-    s0 = slope(phi_true)
-    if s0 == 0.0:
-        s0 = slope(phi_true + BRANCH_STEP)
-    if s0 == 0.0:
-        raise NonMonotoneBranch(f"signal is flat around phi={phi_true}")
-    positive = s0 > 0.0
+def _scalar_run(cfg, scheme, slope, x):
+    """Step-by-step lattice walk for the ends of the run of one slope sign
+    around x in [-pi/2, pi/2].  On the path -pi/2, ..., -q_1, 0, q_1, ...,
+    pi/2 of lattice phases, x's cell ends at the first phase as far out as
+    x on x's side (0 and -0.0 count as the right).  The run's sign is the
+    slope's at x, else at that phase, else at the one before it; a slope
+    below 1e-14 counts as zero.  One scalar slope call per phase walks from
+    the cell each way to the first phase of another sign: the end if its
+    slope is zero, else find_root finds the root between it and the phase
+    before it, and the end is the phase find_root read nearest the root
+    whose slope is zero or of the run's sign.  Returns (lo, hi)."""
+    qs = _lattice(cfg, scheme)
+    path = [-q for q in reversed(qs)] + [0.0] + qs
+    sign = lambda t: 0.0 if abs(slope(t)) < 1e-14 else math.copysign(1.0, slope(t))
 
-    def walk(direction):
-        edge = phi_true
-        for i in range(1, int(math.pi / BRANCH_STEP) + 1):
-            x = phi_true + direction * i * BRANCH_STEP
-            if (slope(x) > 0.0) != positive:
-                break
-            edge = x
-        return edge
+    def walk(i, step, run):
+        while 0 <= i < len(path) and sign(path[i]) == run:
+            i += step
+        if not 0 <= i < len(path):
+            return path[i - step]
+        if sign(path[i]) == 0.0:
+            return path[i]
+        read = {}
 
-    lo, hi = walk(-1.0), walk(1.0)
-    if lo == hi:
-        raise NonMonotoneBranch(f"no monotone run around phi={phi_true}")
+        def f(t):
+            read[t] = slope(t)
+            return read[t]
+
+        root = find_root(f, tuple(sorted((path[i - step], path[i]))))
+        return min((t for t, v in read.items() if v * run >= 0.0), key=lambda t: abs(t - root))
+
+    out = 1 if x >= 0.0 else -1
+    outer = len(qs) + out
+    while abs(path[outer]) < abs(x):
+        outer += out
+    run = sign(x) or sign(path[outer]) or sign(path[outer - out])
+    if not run:
+        raise NonMonotoneBranch("signal is flat around the phase")
+    return tuple(sorted((walk(outer - out, -out, run), walk(outer, out, run))))
+
+
+def _scalar_branch(cfg, scheme, obs, phi):
+    """_scalar_run on the signal slope around phi folded by 2*pi into
+    [-pi, pi] and mirrored through +-pi - phi off the central quarters, its
+    ends mapped back to k*pi +- end, k = 2n + mirror, plus k*sin(pi)."""
+    x = math.remainder(phi, 2.0 * math.pi)
+    mirror = math.copysign(1.0, x) if abs(x) > math.pi / 2 else 0.0
+    run = _scalar_run(cfg, scheme, lambda t: signal(cfg, scheme, obs, t).slope,
+                      mirror * math.pi - x if mirror else x)
+    k = 2 * round((phi - x) / (2.0 * math.pi)) + mirror
+    lo, hi = sorted((k * math.pi + (-end if mirror else end)) + k * math.sin(math.pi)
+                    for end in run)
+    if not lo < hi:
+        raise NonMonotoneBranch(f"no monotone run around phi={phi}")
     return Interval(lo, hi)
 
 
@@ -171,36 +205,51 @@ def test_fig4_branch_matches_step_by_step_walk(phi):
 def test_bright_branch_matches_step_by_step_walk(phi, rejected):
     got = monotone_branch(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, phi)
     assert got == _scalar_branch(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, phi)
-    # the 1e-3 rad walk steps over slope sign changes at nbar=1e8; the
-    # re-sampling check must keep rejecting the branch it returns at 0.0006
+    assert got.width < BRANCH_STEP
+    # invert_signal takes the branch, and an interval 1e-4 rad each way of
+    # phi only if it lies inside it: at 0.0006 it crosses the slope zero at
+    # 6.4e-4 rad
     measured = signal(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, phi).mean
+    assert got.lo <= invert_signal(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, measured,
+                                   got) <= got.hi
+    around = Interval(phi - BRANCH_STEP / 10.0, phi + BRANCH_STEP / 10.0)
     if rejected:
         with pytest.raises(NonMonotoneBranch):
-            invert_signal(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, measured, got)
+            invert_signal(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, measured, around)
     else:
-        invert_signal(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, measured, got)
+        invert_signal(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, measured, around)
 
 
+def _ramp(scheme):
+    """Eigenvalues -cutoff..cutoff: an odd signal, whose runs cross 0."""
+    return Observable(tuple(map(float, range(-scheme.cutoff, scheme.cutoff + 1))))
+
+
+# the ramp's run around phi crosses 0; one core call (slopes only) a round:
+# 0, q_1 and phi, then lattice chunks of 16, 32 and 64 reach phi and the
+# outer end's cell; the inner end then crosses 0, and the other side's
+# chunks of 1, 16, 32 and 64 ride with the outer end's Brent rounds, one
+# phase each; the inner end's own Brent rounds come last
 @pytest.mark.parametrize("system, phi, rounds", [
-    ((FIG4_CFG, FIG4_SCHEME, FIG4_OBS), 0.1, 4),
-    ((BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS), 0.0003, 2),
+    ((FIG4_CFG, FIG4_SCHEME, _ramp(FIG4_SCHEME)), 0.1, [3, 16, 32, 65, 17, 33, 65, 1, 1, 1]),
+    ((BRIGHT_CFG, BRIGHT_SCHEME, _ramp(BRIGHT_SCHEME)), 0.0003,
+     [3, 16, 32, 65, 17, 33, 64, 1, 1]),
 ], ids=["fig4", "bright"])
 def test_branch_sides_walk_in_lockstep(monkeypatch, system, phi, rounds):
-    # one core call (the whole table or either half) for the probe at phi,
-    # then one per round of the longer side
     calls = []
     for name in ("outcome_table", "outcome_probs", "outcome_derivs"):
         def recording(cfg, scheme, phis, core=getattr(interferometer, name)):
-            calls.append(len(phis))
+            calls.append((name, len(phis)))
             return core(cfg, scheme, phis)
 
         for module in (metrics, simulate):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording)
     got = monotone_branch(*system, phi)
-    assert len(calls) == rounds
+    assert calls == [("outcome_derivs", n) for n in rounds]
     monkeypatch.undo()
     assert got == _scalar_branch(*system, phi)
+    assert got.lo < 0.0 < got.hi
 
 
 @st.composite
@@ -283,15 +332,22 @@ def test_fringe_failing_sides_raise_like_step_by_step_walk(left, right):
 
 
 def test_branch_first_flip_on_chunk_boundary():
-    # put the slope zero beyond the fig4 branch half a step after step 16,
-    # so the first flip is step 17, the first step of the second chunk
-    edge = _scalar_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, 0.1).hi
-    zero = find_root(lambda x: signal(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, x).slope,
-                     (edge, edge + BRANCH_STEP))
-    phi = zero - 16.5 * BRANCH_STEP
-    expected = _scalar_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, phi)
-    assert expected.hi == phi + 16 * BRANCH_STEP
-    assert monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, phi) == expected
+    # a synthetic slope with its zero halfway between lattice phases 16 and
+    # 17: the run from its center ends at phase 17, the first of the third
+    # round (0, q_1 and x, then 16 phases, then 32), so the search must carry
+    # phase 16 across rounds, and refine the end between the two
+    mean, slope = _cosine(0.5 * (SYNTHETIC_LATTICE[16] + SYNTHETIC_LATTICE[17]))
+    x = 0.25 * (SYNTHETIC_LATTICE[16] + SYNTHETIC_LATTICE[17])
+    calls = []
+
+    def rows(xs):
+        calls.append(len(xs))
+        return [(t, slope(t)) for t in xs]
+
+    got = sorted(_drive(rows, simulate._branch_search(SYNTHETIC_CFG, SYNTHETIC_SCHEME, x)))
+    assert calls[:3] == [3, 16, 32] and set(calls[3:]) == {1}
+    assert tuple(got) == _scalar_run(SYNTHETIC_CFG, SYNTHETIC_SCHEME, slope, x)
+    assert got[0] == 0.0 and SYNTHETIC_LATTICE[16] < got[1] < SYNTHETIC_LATTICE[17]
 
 
 def _outcome_loop_binarized_cfi(cfg, scheme, obs, phi):
@@ -409,9 +465,6 @@ def _bright_systems(draw):
     return cfg, scheme, obs
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "monotone_branch walks in fixed steps of _BRANCH_STEP = 1e-3 rad and "
-    "steps over slope sign changes of features narrower than that"))
 @example(system=(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS), phi=0.0005)
 @settings(derandomize=True, max_examples=15, deadline=None, database=None)
 @given(_bright_systems(), st.floats(-math.pi, math.pi))
@@ -425,6 +478,57 @@ def test_branch_keeps_one_slope_sign_at_a_twentieth_of_its_step(system, phi):
     slopes = _reduce(obs, outcome_derivs(cfg, scheme,
                                          np.linspace(branch.lo, branch.hi, n + 1)))
     assert not (max(slopes) > 0.0 and min(slopes) < 0.0)
+
+
+@st.composite
+def _branch_phases(draw):
+    """(cfg, scheme, obs, phi): a drawn bright system with ones, alternating,
+    ramp or drawn eigenvalues, and a phase whose shift c lies within 2 of
+    the outermost bin edge, mirrored past +-pi/2 half the time and shifted
+    by 2*pi*n, n in -2..2."""
+    cfg, scheme, _ = draw(_bright_systems())
+    n = 2 * scheme.cutoff + 1
+    drawn = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(tuple).map(Observable)
+    obs = draw(st.one_of(
+        st.sampled_from((Observable.ones, Observable.alternating, _ramp)).map(lambda f: f(scheme)),
+        drawn))
+    c = draw(st.floats(-1.0, 1.0)) * (scheme.cutoff * scheme.spacing + scheme.half_width + 2.0)
+    phi = math.asin(max(-1.0, min(1.0, 2.0 * c / cfg.alpha0)))
+    if draw(st.booleans()):
+        phi = math.copysign(math.pi, phi) - phi
+    return cfg, scheme, obs, phi + 2.0 * math.pi * draw(st.integers(-2, 2))
+
+
+def _bits(branch):
+    """The ends of a branch as int64 views, which tell every float apart."""
+    return np.array([branch.lo, branch.hi]).view(np.int64).tolist()
+
+
+@example(system=(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, 0.0005),
+         fractions=[1e-6, 0.5, 1.0 - 1e-6])
+@example(system=(FIG4_CFG, FIG4_SCHEME, _ramp(FIG4_SCHEME), math.pi - 0.05),
+         fractions=[1e-6, 0.3, 1.0 - 1e-6])
+# the branch between slope roots 4e-12 and 0.305 rad: a phase 3e-7 inside
+# either end shares its lattice cell with the root
+@example(system=(FIG2_CFG, FIG2_SCHEME, Observable(FIXED_RANDOM_EIGENVALUES), 0.3),
+         fractions=[1e-6, 1.0 - 1e-6])
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_branch_phases(), st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=4))
+def test_every_phase_of_a_branch_gets_the_same_branch(system, fractions):
+    # the branch does not depend on the phase that asks for it: a batched
+    # estimator may share one branch across all the phases inside it.  A
+    # fraction near 0 or 1 puts the phase in the lattice cell of a refined
+    # end, where the phase alone decides on which side of the root it lies
+    cfg, scheme, obs, phi = system
+    try:
+        branch = monotone_branch(cfg, scheme, obs, phi)
+    except NonMonotoneBranch:
+        return
+    assert branch.lo <= phi <= branch.hi
+    for t in fractions:
+        inside = branch.lo + t * branch.width
+        assert _bits(monotone_branch(cfg, scheme, obs, inside)) == _bits(branch)
+        assert branch.lo <= inside <= branch.hi
 
 
 @example(system=(BRIGHT_CFG, BRIGHT_SCHEME, Observable.ones(BRIGHT_SCHEME)))
