@@ -36,14 +36,12 @@ from .interferometer import (
     BinningScheme,
     InterferometerConfig,
     default_cutoff,
-    outcome_derivs,
     outcome_probs,
     outcome_table,
 )
 from .metrics import (
     FIXED_RANDOM_EIGENVALUES,
     Observable,
-    _expectation,
     _signal_columns,
     best_sensitivity,
     crb,
@@ -53,7 +51,7 @@ from .metrics import (
     visibility_boundary,
 )
 from . import numerics
-from .numerics import _row_sums, find_root
+from .numerics import _row_sums
 from .simulate import NonMonotoneBranch, calibration_curve, estimate, monotone_branch
 
 __all__ = ["ConfigError", "build_parser", "main"]
@@ -476,11 +474,10 @@ def _reproduce_fig3(out_dir: Path, seed: int, checks: _Checks) -> None:
                                    obs, grid, table)
                for name, obs in variants.items()}
 
-    # first divergence of delta_phi at positive phase: the slope zero of the
-    # all-ones signal, expected near b/alpha0
-    dark = find_root(lambda x: float(_expectation(
-        variants["ones"], outcome_derivs(cfg, scheme, [x]))[0]), (0.15, 0.4))
+    # first divergence of delta_phi at positive phase: the slope zero that
+    # ends the all-ones signal's branch through b/(2 alpha0), expected near b/alpha0
     target = scheme.spacing / cfg.alpha0
+    dark = monotone_branch(cfg, scheme, variants["ones"], 0.5 * target).hi
     checks.add(
         abs(dark - target) <= 0.10 * target,
         "dark point location",

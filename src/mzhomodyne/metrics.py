@@ -51,7 +51,6 @@ _PROB_FLOOR = 1e-15
 _CFI_FLOOR = 1e-20
 _FIRST_CHUNK = 16  # lattice phases a side asks for in the round after its first
 _SIDE_CHUNK = 1024  # most lattice phases one side asks for in a round
-_SENSITIVITY_BAND = (1e-4, math.pi / 2 - 1e-4)
 
 # fixed pseudorandom eigenvalue vector (bins -2..2) kept as a regression case
 FIXED_RANDOM_EIGENVALUES = (-0.715, 0.068, 0.839, -0.102, 0.392)
@@ -473,19 +472,24 @@ def signal_peaks(cfg: InterferometerConfig, scheme: BinningScheme) -> list[float
 
 def best_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme,
                      obs: Observable | None) -> tuple[float, float]:
-    """(phi_min, dphi_min) over phi in (1e-4, pi/2 - 1e-4).
+    """(phi_min, dphi_min) over phi in [0, pi/2].
 
     With an observable, minimizes error_propagation_sensitivity, read off
-    _signal_rows; with None, minimizes the Cramer-Rao bound.  The guard band
-    keeps the search away from the slope zeros at 0 and pi/2 where the
-    objective diverges.  Each round is one evaluation of its phases.
+    _signal_rows; with None, minimizes the Cramer-Rao bound.  It scans 0 and
+    _shift_lattice, which follows alpha0 and spans every phase where dphi is
+    finite, in one round, then refines its valleys; a round is one evaluation.
     """
     if obs is None:
         objective = lambda xs: crb(cfg, scheme, xs).tolist()
     else:
         _check_alphabet(obs, scheme)
         objective = lambda xs: [row[2] for row in _signal_rows(cfg, scheme, obs, xs)]
-    return _drive(objective, _golden(_SENSITIVITY_BAND))
+    return _drive(objective, _sensitivity_search(cfg, scheme))
+
+
+def _sensitivity_search(cfg, scheme):
+    """best_sensitivity as a search (numerics._drive) sent dphi values."""
+    return _golden([0.0, *itertools.chain.from_iterable(_shift_lattice(cfg, scheme))])
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +541,7 @@ def sweep(nbar_axis, a_axis) -> SweepGrid:
             width, best, contrast = _drive(
                 lambda xs: _signal_rows(cfg, scheme, obs, xs), _lockstep([
                     (_fringe_search(cfg, scheme), None),
-                    (_golden(_SENSITIVITY_BAND), operator.itemgetter(2)),
+                    (_sensitivity_search(cfg, scheme), operator.itemgetter(2)),
                     (_visibility_search(), None)]))
             if not isinstance(width, NoFringe):
                 res[i, j] = (2.0 * math.pi / 3.0) / _unwrap(width)

@@ -6,9 +6,9 @@ library, so CSV output is bit-stable across machines): a call with at most
 _FLOAT_PAIRS element pairs, all finite, runs in Python floats, any other
 on whole arrays, and both give the same bits; the exactly rounded row
 sum that every per-row reduction runs through (_row_sums); a bracketing Brent
-root finder and a grid-scan + golden-section minimizer (each a search that
-one driver runs alone or in lockstep with others); and deterministic
-counter-based uniform random streams.
+root finder and a minimizer that refines each valley of a scan by golden
+sections (each a search that one driver runs alone or in lockstep with
+others); and deterministic counter-based uniform random streams.
 """
 
 from __future__ import annotations
@@ -245,13 +245,6 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 _EPS = float(np.finfo(float).eps)
 
 
-def _ends(bracket):
-    lo, hi = (bracket.lo, bracket.hi) if isinstance(bracket, Interval) else bracket
-    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"bracket must be finite with lo < hi, got [{lo}, {hi}]")
-    return lo, hi
-
-
 def _drive(evaluate, search):
     """Result of a search, a generator that yields lists of points and is
     sent evaluate(points), their values."""
@@ -301,7 +294,9 @@ def _unwrap(outcome):
 def _brent(bracket, tol, target=0.0, f_ends=None):
     """Brent's method as a search (see _drive) for a root of f - target.
     f_ends, if given, is (f(lo), f(hi)), which the search then does not ask for."""
-    a, b = _ends(bracket)
+    a, b = (bracket.lo, bracket.hi) if isinstance(bracket, Interval) else bracket
+    if not (a < b and math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"bracket must be finite with lo < hi, got [{a}, {b}]")
     if not 0.0 < tol < math.inf:  # a NaN tol would never stop, an inf one stop at once
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if f_ends is None:
@@ -395,20 +390,27 @@ def find_roots(g_batch: Callable, targets, brackets, tol: float = 1e-12,
     return [_unwrap(root) for root in roots]
 
 
-def _golden(bracket, tol=1e-10, grid_points=512):
-    """(x_min, f_min) as a search (see _drive): a grid scan, yielded as one
-    array, finds the global basin among many local minima (a pure descent
-    would latch onto the wrong valley); golden sections then refine it."""
-    n = max(int(grid_points), 3)
-    xs = np.linspace(*_ends(bracket), n)
+def _golden(xs):
+    """(x_min, f_min) as a search (see _drive) over the ascending points xs: a
+    scan of them all, one round, finds the valleys (points below the one
+    before and not above the one after), which a descent could not all reach;
+    golden sections refine each in lockstep.  The scan's argmin wins ties."""
     fs = np.asarray((yield xs))
-    i = int(np.argmin(fs))
-    best_x, best_f = float(xs[i]), float(fs[i])
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, n - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    best = int(np.argmin(fs))
+    dips = np.append(True, fs[1:] < fs[:-1]) & np.append(fs[:-1] <= fs[1:], True)
+    sections = yield from _lockstep([(_section(xs, i), None)
+                                     for i in np.flatnonzero(dips).tolist()])
+    return min([(float(xs[best]), float(fs[best]))]
+               + [point for section in sections for point in _unwrap(section)],
+               key=lambda point: point[1])
+
+
+def _section(xs, i):
+    """The last two (x, f) of golden sections between the neighbours of xs[i]
+    down to sqrt(eps) of the larger end, which is positive even if one is 0."""
+    a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
+    tol, invphi = math.sqrt(_EPS) * max(abs(a), abs(b)), (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = yield [c, d]
     while b - a > tol:
         if fc < fd:
@@ -419,10 +421,7 @@ def _golden(bracket, tol=1e-10, grid_points=512):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             (fd,) = yield [d]
-    for x, fx in ((c, fc), (d, fd)):
-        if fx < best_f:
-            best_x, best_f = float(x), float(fx)
-    return best_x, best_f
+    return (c, fc), (d, fd)
 
 
 # ---------------------------------------------------------------------------

@@ -45,3 +45,15 @@ def test_traced_smoke_run_is_correct(checkout, workload):
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, done.stdout
     assert result["metrics"]["numerics.random.draws"]["value"] == SMOKE_DRAWS[workload]
+
+
+def test_merit_sweep_matches_its_reference_at_seed_0(checkout):
+    # at the reference seed the check compares the nbar ~ 5 cells and the
+    # visibility boundary with perfbench/reference.json, to SEARCH_RTOL
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "merit_sweep",
+         "--seed", "0", "--seconds", "1", "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=180)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, done.stdout

@@ -132,8 +132,8 @@ def test_reproduce_fig3_evaluates_each_grid_once(tmp_path, table_calls):
     assert cli.main(["reproduce", "fig3", "--out", str(tmp_path)]) == 0
     grids = Counter(n for n in table_calls if n > 1)
     # the signal grid serves three observables and the ratio check; the
-    # dark-point root search evaluates one phase at a time
-    assert grids == {2001: 1}
+    # dark point's branch search reads lattice chunks of its own
+    assert grids[2001] == 1
 
 
 @st.composite

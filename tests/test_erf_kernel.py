@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mzhomodyne import metrics, numerics
+from mzhomodyne.interferometer import BinningScheme, InterferometerConfig
 from mzhomodyne.metrics import _FIRST_CHUNK, sweep
 from mzhomodyne.numerics import (
     _ERFC_ZERO,
@@ -135,9 +136,10 @@ def test_each_call_evaluates_each_rational_form_at_most_once_never_empty(
 def test_a_binary_sweep_cell_takes_only_its_grid_scan_and_walk_chunks_to_the_array_forms(
         monkeypatch):
     # A cell's rounds are one to a few phases of its searches, except the
-    # 512-point grid scan and the fringe lattice chunks of _FIRST_CHUNK points
-    # and more per side; each round is one metrics._signal_rows call, and a
-    # binary scheme has one bin, so a round of n phases holds n element pairs.
+    # first, which holds the sensitivity scan (0 and the shift lattice), and
+    # the fringe lattice chunks of _FIRST_CHUNK points and more per side; each
+    # round is one metrics._signal_rows call, and a binary scheme has one bin,
+    # so a round of n phases holds n element pairs.
     rounds, reached = [], set()
     _spy_on_array_forms(monkeypatch, lambda name, v: reached.add(len(rounds) - 1))
 
@@ -149,7 +151,12 @@ def test_a_binary_sweep_cell_takes_only_its_grid_scan_and_walk_chunks_to_the_arr
     monkeypatch.setattr(metrics, "_signal_rows", counted)
     sweep([200.0], [0.5])
     assert reached == {i for i, n in enumerate(rounds) if n >= _FIRST_CHUNK}
-    assert min(rounds) <= 3 and 512 < max(rounds[i] for i in reached)
+    # the lattice steps 0.05 in c out to alpha0/2 = 7.07, then pi/2: 142
+    # phases; the first round adds the fringe's 3 probes and visibility's 2
+    lattice = sum(map(len, metrics._shift_lattice(InterferometerConfig.from_nbar(200.0),
+                                                  BinningScheme.binary(0.5))))
+    assert lattice == 142
+    assert min(rounds) <= 3 and max(rounds[i] for i in reached) == rounds[0] == 1 + lattice + 5
 
 
 # Values at the kernel's case boundaries, subnormals and the non-finite

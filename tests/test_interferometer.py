@@ -331,12 +331,11 @@ def test_bin_peak_sits_at_matching_phase():
     table = np.array(
         [outcome_distribution(FIG2_CFG, FIG2_SCHEME, phi).bin_probs for phi in grid]
     )
-    step = grid[1] - grid[0]
     for k in (-1, 1):
-        coarse = grid[np.argmax(table[:, k + 2])]
+        coarse = int(np.argmax(table[:, k + 2]))
         peak, _ = _drive(
             lambda xs: [-_prob(FIG2_CFG, FIG2_SCHEME, k + 2, phi) for phi in xs],
-            _golden((coarse - 2 * step, coarse + 2 * step)),
+            _golden(grid[coarse - 2:coarse + 3]),
         )
         expected = -math.asin(2.0 * k * 3.8 / FIG2_CFG.alpha0)
         assert abs(peak - expected) < 1e-7

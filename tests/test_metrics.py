@@ -5,6 +5,7 @@ finding from scipy, high-precision Fisher information from mpmath, and
 adaptive quadrature for the continuous reference signal.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -857,13 +858,17 @@ def test_best_sensitivity_alternating_multibin():
     assert abs(dphi_min - target) / target < 0.10
 
 
+def _sensitivity_scan(cfg, scheme):
+    """0, then every phase of the shift lattice: best_sensitivity's scan."""
+    return [0.0, *itertools.chain.from_iterable(metrics._shift_lattice(cfg, scheme))]
+
+
 @pytest.mark.parametrize("nbar", [5.0, 200.0, 1e6])
 def test_best_sensitivity_batched_scan_equals_scalar_scan(nbar):
-    # the grid scan runs on one phase array, and a golden round of at most
+    # the scan runs on one phase array, and a golden round of at most
     # _FLOAT_PAIRS limit pairs in floats (every round on fig2's scheme; fig4's
     # first, 2 x 11 pairs, on arrays); the per-phase public scan is the oracle
     cfg = InterferometerConfig.from_nbar(nbar)
-    bracket = (1e-4, math.pi / 2 - 1e-4)
     for scheme, obs in ((BINARY_HALF, UNIT_BINARY_OBS), (BINARY_HALF, None),
                         (FIG2_SCHEME, Observable.ones(FIG2_SCHEME)),
                         (FIG4_SCHEME, Observable.alternating(FIG4_SCHEME))):
@@ -872,7 +877,7 @@ def test_best_sensitivity_batched_scan_equals_scalar_scan(nbar):
         else:
             objective = lambda phi: error_propagation_sensitivity(cfg, scheme, obs, phi)
         assert best_sensitivity(cfg, scheme, obs) == _drive(
-            lambda xs: [objective(x) for x in xs], _golden(bracket))
+            lambda xs: [objective(x) for x in xs], _golden(_sensitivity_scan(cfg, scheme)))
 
 
 def test_best_sensitivity_scans_its_grid_in_one_table_call(monkeypatch):
@@ -883,7 +888,9 @@ def test_best_sensitivity_scans_its_grid_in_one_table_call(monkeypatch):
         return outcome_table(cfg, scheme, phis)
 
     monkeypatch.setattr(metrics, "outcome_table", recording)
-    scan = np.linspace(1e-4, math.pi / 2 - 1e-4, 512)
+    # 0 and the lattice: a step of 0.05 in c out to alpha0/2 = 7.07, then pi/2
+    scan = _sensitivity_scan(FIG2_CFG, BINARY_HALF)
+    assert len(scan) == 1 + 141 + 1
     # with the observable, the golden-section rounds of one or two phases
     # run in floats and call no table
     best_sensitivity(FIG2_CFG, BINARY_HALF, UNIT_BINARY_OBS)
@@ -893,6 +900,66 @@ def test_best_sensitivity_scans_its_grid_in_one_table_call(monkeypatch):
     assert np.array_equal(calls[0], scan)
     # then the golden-section refinement, two points and then one a call
     assert [len(c) for c in calls[1:]] == [2] + [1] * (len(calls) - 2)
+
+
+def _dense_oracle(cfg, scheme, obs):
+    """min of dphi over a scan in c = alpha0*sin(phi)/2 from 0 to the end of
+    the signal, at a tenth of the shift lattice's step, then over 100 golden
+    sections between the neighbours of each of the scan's local minima (one
+    per bin edge): public array calls only."""
+    a, b = scheme.half_width, scheme.spacing
+    step = max(min(2.0 * a, b - 2.0 * a if scheme.cutoff else 1.0, 1.0), 0.2) / 200.0
+    half = 0.5 * cfg.alpha0
+    c_max = min(half, scheme.cutoff * b + a + 19.0)
+    cs = np.append(np.arange(0.0, c_max, step), c_max)
+
+    def f(c):
+        phi = np.arcsin(np.minimum(1.0, c / half))
+        if obs is None:
+            return crb(cfg, scheme, phi)
+        return error_propagation_sensitivity(cfg, scheme, obs, phi)
+
+    values = f(cs)
+    minima = np.flatnonzero(np.append(True, values[1:] < values[:-1])
+                            & np.append(values[:-1] <= values[1:], True))
+    lo, hi = cs[np.maximum(minima - 1, 0)], cs[np.minimum(minima + 1, len(cs) - 1)]
+    best = values.min()
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(100):
+        c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        fc, fd = f(c), f(d)
+        best = min(best, fc.min(), fd.min())
+        lo, hi = np.where(fc < fd, lo, c), np.where(fc < fd, d, hi)
+    return best
+
+
+@st.composite
+def _sensitivity_systems(draw):
+    """nbar 1e-2..1e14, a 0.05..2, b > 2a, kf 0-5, and ones, alternating or
+    drawn eigenvalues."""
+    cfg = InterferometerConfig.from_nbar(10.0 ** draw(st.floats(-2.0, 14.0)))
+    a, kf = draw(st.floats(0.05, 2.0)), draw(st.integers(0, 5))
+    scheme = BinningScheme(a, 2.0 * a * (1.0 + draw(st.floats(1e-3, 3.0))), kf)
+    obs = draw(st.one_of(
+        st.sampled_from([Observable.ones(scheme), Observable.alternating(scheme)]),
+        st.builds(Observable, st.tuples(*[st.floats(-10.0, 10.0)] * (2 * kf + 1)),
+                  st.floats(-10.0, 10.0))))
+    return cfg, scheme, obs
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_sensitivity_systems())
+@example((InterferometerConfig.from_nbar(1e8), BinningScheme.binary(0.1), UNIT_BINARY_OBS))
+@example((InterferometerConfig.from_nbar(1e12), BinningScheme.binary(0.5), UNIT_BINARY_OBS))
+@example((InterferometerConfig.from_nbar(1e14), FIG4_SCHEME, Observable.alternating(FIG4_SCHEME)))
+def test_best_sensitivity_equals_a_dense_scan_in_the_shift(system):
+    # a bright binary optimum sits near phi = 1.38/alpha0: 1.4e-4 at nbar
+    # 1e8, inside one step of a 512-point grid over [0, pi/2], and 1.4e-6 at
+    # 1e12, below a band that stops 1e-4 short of 0
+    cfg, scheme, obs = system
+    for o in (obs, None):
+        got, want = best_sensitivity(cfg, scheme, o)[1], _dense_oracle(cfg, scheme, o)
+        assert got == want or abs(got - want) <= 1e-9 * want, (o, got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -913,6 +980,13 @@ def test_sweep_single_cell_matches_direct_calls():
     assert grid.visibility[0, 0] == pytest.approx(
         visibility(FIG2_CFG, BINARY_HALF, UNIT_BINARY_OBS), rel=1e-12
     )
+
+
+def test_sweep_sensitivity_ratio_saturates_for_bright_light():
+    # the optimum, near phi = 1.38/alpha0, is 1.4e-4 rad at nbar 1e8; the
+    # ratio keeps its bright-light limit on every row
+    grid = sweep([1e6, 1e7, 1e8], [0.1, 0.5])
+    assert np.round(grid.sensitivity_ratio, 5).tolist() == [[0.34995, 0.73221]] * 3
 
 
 def test_sweep_resolution_grows_with_photon_number():

@@ -277,11 +277,9 @@ def test_searches_reject_an_infinite_bracket_end_before_evaluating(bracket):
         calls.append(x)
         return x - 1.0
 
-    for search in (lambda: find_root(f, bracket),
-                   lambda: _drive(lambda xs: [f(x) for x in xs], _golden(bracket))):
-        with pytest.raises(ValueError, match="finite") as err:
-            search()
-        assert type(err.value) is ValueError
+    with pytest.raises(ValueError, match="finite") as err:
+        find_root(f, bracket)
+    assert type(err.value) is ValueError
     assert calls == []
 
 
@@ -321,11 +319,31 @@ def test_find_roots_rejects_lists_of_different_lengths():
 # Scalar minimisation: _golden driven with one objective call per point.
 
 
+def _golden_scalar(f, xs):
+    return _drive(lambda points: [f(x) for x in points], _golden(xs))
+
+
 def test_golden_quadratic():
     f = lambda x: (x - 1.234) ** 2 + 0.5
-    x, fx = _drive(lambda xs: [f(x) for x in xs], _golden((0.0, 3.0)))
+    x, fx = _golden_scalar(f, np.linspace(0.0, 3.0, 512))
     assert abs(x - 1.234) < 1e-7
     assert abs(fx - 0.5) < 1e-12
+
+
+def test_golden_locates_a_basin_near_zero_to_its_relative_tolerance():
+    # a basin 1.2345e-9 from 0, between scan points 1e-10 apart: the refine
+    # stops at sqrt(eps) of its bracket's larger end, 1.9e-17 here, where an
+    # absolute tolerance of 1e-10 would stop 1e-10 wide, 8% of x0
+    x0 = 1.2345e-9
+    scan = [0.0] + [k * 1e-10 for k in range(1, 41)]
+    x, _ = _golden_scalar(lambda x: ((x - x0) / x0) ** 2, scan)
+    assert abs(x - x0) <= 1e-8 * x0
+
+
+def test_golden_stops_on_a_minimum_at_zero():
+    # the bracket [0, 1e-3] has a positive tolerance, so the refine ends
+    x, fx = _golden_scalar(abs, [0.0, 1e-3, 2e-3])
+    assert 0.0 <= x <= 1e-3 * math.sqrt(np.finfo(float).eps) and fx == x
 
 
 def test_golden_finds_narrow_global_basin():
@@ -334,7 +352,7 @@ def test_golden_finds_narrow_global_basin():
     def f(x):
         return 0.2 * np.cos(7.0 * x) - np.exp(-300.0 * (x - 2.347) ** 2)
 
-    x, fx = _drive(lambda xs: [f(x) for x in xs], _golden((0.0, 4.0), tol=1e-12))
+    x, fx = _golden_scalar(f, np.linspace(0.0, 4.0, 512))
     brute = np.linspace(2.3, 2.4, 200_001)
     oracle = brute[np.argmin([f(t) for t in brute])]
     assert abs(x - oracle) < 1e-6
@@ -345,7 +363,7 @@ def test_golden_tolerates_inf_values():
     def f(x):
         return float("inf") if x < 1.5 else (x - 2.0) ** 2
 
-    x, _ = _drive(lambda xs: [f(x) for x in xs], _golden((0.0, 3.0)))
+    x, _ = _golden_scalar(f, np.linspace(0.0, 3.0, 512))
     assert abs(x - 2.0) < 1e-6
 
 
@@ -388,9 +406,8 @@ def _scan_problems(draw):
 def test_golden_batched_scan_equals_scalar_scan(problem):
     f, bracket, n = problem
     batch = lambda xs: np.asarray(f(np.asarray(xs)), dtype=float).tolist()
-    scalar = lambda xs: [f(x) for x in xs]
-    assert (_drive(batch, _golden(bracket, grid_points=n))
-            == _drive(scalar, _golden(bracket, grid_points=n)))
+    xs = np.linspace(*bracket, n)
+    assert _drive(batch, _golden(xs)) == _golden_scalar(f, xs)
 
 
 def test_central_diff_cubic():

@@ -109,19 +109,24 @@ def test_sweep_cell_evaluates_the_sequential_phases_in_few_calls(monkeypatch):
     calls = _rounds(monkeypatch, lambda: _sequential_cell(5.0, 0.1))
     flat = lambda rounds: sorted(itertools.chain.from_iterable(rounds))
     assert flat(lockstep) == flat(calls)
-    # the 512-point scan and 39 golden rounds carry the fringe search: its
-    # 3 probes, 2 x 111 lattice phases, and its Brent rounds
-    assert len(lockstep) == 40 < len(calls)
-    assert len(flat(lockstep)) == 795
+    # the lattice steps 0.01 in c out to alpha0/2 = 1.118, then pi/2: 112
+    # phases.  best_sensitivity scans 0 and the lattice in the first round,
+    # then its golden section takes 2 phases and 31 more one a round; those
+    # 33 rounds carry visibility's 2 phases and the fringe search: 0, both
+    # sides' lattices and 8 Brent rounds of 2
+    lattice = _lattice_size(InterferometerConfig.from_nbar(5.0), BinningScheme.binary(0.1))
+    assert lattice == 112
+    assert len(lockstep) == 1 + 32 < len(calls)
+    assert len(flat(lockstep)) == (1 + lattice + 33) + 2 + (1 + 2 * lattice + 16) == 389
 
 
 def _lattice_size(cfg, scheme):
     return sum(map(len, metrics._shift_lattice(cfg, scheme)))
 
 
-# after a cell's first round (the 512-point scan, the 2 visibility phases
-# and the fringe's 3 probes) a round holds at most one lattice chunk of 1024
-# phases a side and the golden section's 2 phases
+# after a cell's first round (0 and the lattice for the sensitivity scan, the
+# 2 visibility phases and the fringe's 3 probes) a round holds at most one
+# lattice chunk of 1024 phases a side and the golden section's 2 phases
 _ROUND_CAP = 2050
 _STAIRS = BinningScheme(0.1, 0.4, 32)
 
@@ -147,16 +152,19 @@ def test_no_round_exceeds_the_cap(monkeypatch, cfg, scheme, run, lattice, sides)
     assert sum(map(len, calls)) >= sides * lattice
 
 
-@pytest.mark.parametrize("run", [
-    lambda: sweep([1e6], [1e-6]),
-    lambda: fwhm(InterferometerConfig.from_nbar(1e4), BinningScheme(0.5, 1.0 + 1e-9, 3),
-                 Observable.ones(BinningScheme(0.5, 1.0 + 1e-9, 3))),
+@pytest.mark.parametrize("run, cap", [
+    # the sensitivity scan and both fringe sides read the 1,877-phase
+    # lattice, plus about 70 phases of golden and Brent rounds
+    (lambda: sweep([1e6], [1e-6]), 3 * 1_877 + 100),
+    # both fringe sides read the 2,227-phase lattice
+    (lambda: fwhm(InterferometerConfig.from_nbar(1e4), BinningScheme(0.5, 1.0 + 1e-9, 3),
+                  Observable.ones(BinningScheme(0.5, 1.0 + 1e-9, 3))), 5_000),
 ], ids=["bin-1e-6-wide", "gaps-1e-9-wide"])
-def test_tiny_bins_and_gaps_cost_a_few_thousand_phases(monkeypatch, run):
-    # the lattice step stays at 0.01 or more however fine the bins: at most
-    # 1878 phases a side for a bright binary cell, 2227 here for the gaps,
-    # both read to their ends
-    assert sum(map(len, _rounds(monkeypatch, run))) <= 5_000
+def test_tiny_bins_and_gaps_cost_a_few_thousand_phases(monkeypatch, run, cap):
+    # the lattice step stays at 0.01 or more however fine the bins, so the
+    # lattice ends at c = a + 18.77 (bin) or 3b + a + 18.77 (gaps), where
+    # every probability underflows
+    assert sum(map(len, _rounds(monkeypatch, run))) <= cap
 
 
 def test_cell_without_fringe_keeps_sensitivity_and_visibility():
