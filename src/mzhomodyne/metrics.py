@@ -17,7 +17,7 @@ import numpy as np
 
 from .interferometer import (BinningScheme, InterferometerConfig, _finite_phases,
                              _float_table, outcome_table)
-from .numerics import (_ERFC_ZERO, _FLOAT_PAIRS, NoSignChange, _brent, _drive, _golden,
+from .numerics import (_EPS, _ERFC_ZERO, _FLOAT_PAIRS, NoSignChange, _brent, _drive, _golden,
                        _lockstep, _row_sums, _unwrap, find_root)
 
 __all__ = [
@@ -361,32 +361,46 @@ def _shift_lattice(cfg, scheme):
 
 def _half_crossing(center, f0, dark, f_dark, orient):
     """The half-depth crossing between a fringe's center and its dark point
-    (orient +1 for a peak, -1 for a dip), as a search sent the signal."""
+    (orient +1 for a peak, -1 for a dip), as a search sent the signal.  Brent
+    stops at a few eps of the bracket's larger end, so the crossing is good
+    to rounding whatever the bracket."""
     if orient * (f0 - f_dark) <= 1e-10 * max(abs(f0), abs(f_dark)):
         raise NoFringe("fringe depth within rounding noise")
     (lo, f_lo), (hi, f_hi) = sorted(((center, f0), (dark, f_dark)))
+    tol = 4.0 * _EPS * max(abs(lo), abs(hi))
     try:
-        return (yield from _brent((lo, hi), 1e-12, 0.5 * (f0 + f_dark), (f_lo, f_hi)))
+        return (yield from _brent((lo, hi), tol, 0.5 * (f0 + f_dark), (f_lo, f_hi)))
     except NoSignChange as exc:
         raise NoFringe("fringe shallower than half depth") from exc
 
 
-def _dark_point(chunks, side, orient, prev_x, prev_row):
-    """(dark, mean there) on one side, as a search sent fringe rows, from its
-    row at prev_x through the lattice chunks after it: the slope's root before
-    the first lattice phase where the oriented signal rises, else side*pi/2."""
-    for chunk in chunks:
-        xs = [side * x for x in chunk]
-        for x, row in zip(xs, (yield xs)):
-            if side * orient * row[1] > 0.0:
-                return (yield from _slope_root({prev_x: prev_row, x: row}))
-            prev_x, prev_row = x, row
-    return prev_x, prev_row[0]
+def _sign(row):
+    """-1.0, 0.0 or 1.0: the sign of a row's slope row[1], zero below _SLOPE_FLOOR."""
+    return 0.0 if abs(row[1]) < _SLOPE_FLOOR else math.copysign(1.0, row[1])
 
 
-def _slope_root(rows):
-    """(root, row[0] there) of the slope row[1] between the phases of rows, a
-    dict of rows kept for every phase Brent asks for (a fringe's mean there)."""
+def _run_end(lattice, side, rows, k, sign):
+    """(end, row there) of a run of one slope sign, as a search sent rows
+    (slope at [1]), from the (phase, row) pairs rows[k:] on and then along
+    one side's lattice: the first row of zero slope, the last row (+-pi/2),
+    or where the slope turns, _turn_end of the two rows around the turn."""
+    while True:
+        for j in range(k, len(rows)):
+            if _sign(rows[j][1]) != sign:
+                if not _sign(rows[j][1]):
+                    return rows[j]
+                return (yield from _turn_end(dict(rows[j - 1:j + 1]), sign))
+        chunk, k = [side * q for q in next(lattice, ())], len(rows)
+        if not chunk:
+            return rows[-1]
+        rows += zip(chunk, (yield chunk))
+
+
+def _turn_end(rows, sign):
+    """(end, row there) of a run of sign whose slope row[1] turns between
+    the phases of rows, a dict of rows kept for every phase Brent asks for:
+    of those, the nearest the slope's root with a slope of 0 or of sign, so
+    the sign holds to it."""
     bracket = sorted(rows)
     brent = _brent(bracket, 1e-12, 0.0, [rows[x][1] for x in bracket])
     try:
@@ -395,25 +409,29 @@ def _slope_root(rows):
             (rows[x],) = yield [x]
             (x,) = brent.send([rows[x][1]])
     except StopIteration as done:
-        return done.value, rows[done.value][0]
+        return min(((x, row) for x, row in rows.items() if row[1] * sign >= 0.0),
+                   key=lambda end: abs(end[0] - done.value))
 
 
 def _fringe_search(cfg, scheme):
     """Half-depth width of the central fringe, as a search (numerics._drive)
     sent (mean, slope, ...) rows.  The slope on (-pi/2, pi/2) has the sign of
     dS/dc, so both sides read it on _shift_lattice, in lockstep (the left
-    side's error first).  Falling outward from 0 is a peak, rising a dip."""
+    side's error first).  Falling outward from 0 is a peak, rising a dip;
+    each side's dark point is the end of its run (_run_end) from +-q_1."""
     lattice = _shift_lattice(cfg, scheme)
     (x,) = next(lattice)
-    (f0, *_), left, right = yield [0.0, -x, x]
+    center, left, right = yield [0.0, -x, x]
     if not (left[1] > 0.0 > right[1] or left[1] < 0.0 < right[1]):
         raise NoFringe("signal is not extremal at 0")
     orient = math.copysign(1.0, left[1])
     sides = zip((-1.0, 1.0), itertools.tee(lattice), (left, right))
-    darks = yield from _lockstep([(_dark_point(chunks, side, orient, side * x, first), None)
-                                  for side, chunks, first in sides])
-    crossings = yield from _lockstep([(_half_crossing(0.0, f0, *_unwrap(d), orient),
-                                       operator.itemgetter(0)) for d in darks])
+    darks = yield from _lockstep([
+        (_run_end(chunks, side, [(0.0, center), (side * x, first)], 1, -side * orient), None)
+        for side, chunks, first in sides])
+    crossings = yield from _lockstep([(_half_crossing(0.0, center[0], dark, row[0], orient),
+                                       operator.itemgetter(0))
+                                      for dark, row in map(_unwrap, darks)])
     return _fringe_width(*sorted(map(_unwrap, crossings)))
 
 
@@ -429,8 +447,10 @@ def _fringe_width(lo: float, hi: float) -> float:
 def fwhm(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable) -> float:
     """Full width at half maximum of the central signal fringe around phi=0.
 
-    The baseline on each side is the signal at its dark point, the first
-    slope root where the fringe turns back (or +-pi/2 if it never does).
+    The baseline on each side is the signal at its dark point, where the
+    run of one slope sign outward from the center ends, by the rule that
+    ends a monotone_branch (_run_end): where the fringe turns back, where
+    its slope falls below _SLOPE_FLOOR, or at +-pi/2.
     Raises NoFringe when the center is not extremal, when a crossing is
     missing or falls outside (-pi/2, pi/2), when a side's depth is at most
     1e-10 of the signal (rounding noise), or when both crossings coincide.

@@ -14,8 +14,8 @@ import numpy as np
 
 from .interferometer import (BinningScheme, InterferometerConfig, _finite_phase,
                              _finite_phases, outcome_derivs, outcome_probs)
-from .metrics import (_SLOPE_FLOOR, AlphabetMismatch, Observable, _check_alphabet,
-                      _expectation, _shift_lattice, _slope_root)
+from .metrics import (AlphabetMismatch, Observable, _check_alphabet, _expectation, _run_end,
+                      _shift_lattice, _sign)
 from .numerics import Interval, _drive, _integer, _lockstep, _streams, _unwrap, find_roots
 
 __all__ = [
@@ -159,50 +159,28 @@ def monotone_branch(cfg: InterferometerConfig, scheme: BinningScheme,
     return Interval(lo, hi)
 
 
-def _sign(row):
-    """-1.0, 0.0 or 1.0: the sign of a row's slope, zero below _SLOPE_FLOOR."""
-    return 0.0 if abs(row[1]) < _SLOPE_FLOOR else math.copysign(1.0, row[1])
-
-
 def _branch_search(cfg, scheme, x):
     """The two ends of the run of one slope sign around x in [-pi/2, pi/2],
     as a search (see numerics._drive) sent (phase, slope) rows.  Its sign is
     the slope's at x, else at the lattice phases around x, read outward on
     x's side of 0: 0, q_1 and x, then a chunk a round.  The ends are found
-    in lockstep (see _outward): outward along the lattice, and inward back
-    through the rows, then along the other side if the run crosses 0."""
+    in lockstep (see metrics._run_end): outward along the lattice, and
+    inward back through the rows, then along the other side if the run
+    crosses 0."""
     side, u = (-1.0 if x < 0.0 else 1.0), abs(x)
     lattice = _shift_lattice(cfg, scheme)
-    *rows, at_x = yield [0.0] + [side * q for q in next(lattice)] + [x]
+    xs = [0.0] + [side * q for q in next(lattice)] + [x]
+    *rows, (_, at_x) = zip(xs, (yield xs))
     while abs(rows[-1][0]) < u:  # the lattice ends at pi/2 >= u
-        rows += (yield [side * q for q in next(lattice)])
+        xs = [side * q for q in next(lattice)]
+        rows += zip(xs, (yield xs))
     i = next(j for j in range(1, len(rows)) if abs(rows[j][0]) >= u)
-    sign = _sign(at_x) or _sign(rows[i]) or _sign(rows[i - 1])
+    sign = _sign(at_x) or _sign(rows[i][1]) or _sign(rows[i - 1][1])
     if not sign:
         raise NonMonotoneBranch("signal is flat around the phase")
-    return map(_unwrap, (yield from _lockstep([
-        (_outward(_shift_lattice(cfg, scheme), -side, rows[i::-1], 1, sign), None),
-        (_outward(lattice, side, rows, i, sign), None)])))
-
-
-def _outward(lattice, side, rows, k, sign):
-    """The end of a run of sign, as a search sent rows, from rows[k] on and
-    then along one side's lattice: the first row of zero slope, the last row
-    (+-pi/2), or where the slope turns, the phase metrics._slope_root reads
-    nearest the root with a slope of 0 or of sign, so the sign holds to it."""
-    while True:
-        for j in range(k, len(rows)):
-            if _sign(rows[j]) != sign:
-                if not _sign(rows[j]):
-                    return rows[j][0]
-                seen = {row[0]: row for row in rows[j - 1:j + 1]}
-                root, _ = yield from _slope_root(seen)
-                return min((x for x, (_, slope) in seen.items() if slope * sign >= 0.0),
-                           key=lambda x: abs(x - root))
-        chunk, k = [side * q for q in next(lattice, ())], len(rows)
-        if not chunk:
-            return rows[-1][0]
-        rows += (yield chunk)
+    return [end for end, _ in map(_unwrap, (yield from _lockstep([
+        (_run_end(_shift_lattice(cfg, scheme), -side, rows[i::-1], 1, sign), None),
+        (_run_end(lattice, side, rows, i, sign), None)])))]
 
 
 def _invert(cfg, scheme, obs, measured, branch):

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import mpmath
 import numpy as np
 
 from mzhomodyne.interferometer import BinningScheme, InterferometerConfig, outcome_table
@@ -109,3 +110,22 @@ def score_observable(cfg: InterferometerConfig, scheme: BinningScheme,
     values = [d / p if p > 0.0 else 0.0
               for p, d in zip(probs[0].tolist(), derivs[0].tolist())]
     return Observable(tuple(values[:-1]), values[-1])
+
+
+# The binary fringe's half-depth width to 50 digits.
+
+
+def binary_half_depth_width(cfg: InterferometerConfig, a: float) -> float:
+    """Half-depth width of the binary {1, 0} fringe from 50-digit mpmath.
+
+    P(c) = (erfc(sqrt(2)(c - a)) - erfc(sqrt(2)(c + a)))/2 falls from the
+    shift c = 0 to c = alpha0/2; its crossing c* of half of P(0) + P(alpha0/2)
+    gives the width 2*asin(2c*/alpha0).
+    """
+    with mpmath.workdps(50):
+        alpha0, a, s = mpmath.mpf(cfg.alpha0), mpmath.mpf(a), mpmath.sqrt(2)
+        p = lambda c: (mpmath.erfc(s * (c - a)) - mpmath.erfc(s * (c + a))) / 2
+        half = (p(0) + p(alpha0 / 2)) / 2
+        c = mpmath.findroot(lambda c: p(c) - half, (0, min(alpha0 / 2, a + 20)),
+                            solver="anderson")
+        return float(2 * mpmath.asin(2 * c / alpha0))

@@ -48,7 +48,7 @@ from mzhomodyne.metrics import (
 )
 from mzhomodyne.numerics import _drive, _golden
 from mzhomodyne.simulate import calibration_curve
-from oracles import central_diff, score_observable
+from oracles import binary_half_depth_width, central_diff, score_observable
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
 FIG2_SCHEME = BinningScheme(half_width=0.5, spacing=3.8, cutoff=2)
@@ -723,6 +723,18 @@ def test_fwhm_binary_half_width_bin():
     got = fwhm(FIG2_CFG, BINARY_HALF, UNIT_BINARY_OBS)
     oracle = _cdf_fwhm_oracle(200.0, 0.5)
     assert got == pytest.approx(oracle, abs=1e-7)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("nbar", [5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
+                                  1e4, 1e6, 1e8, 1e10, 1e12, 1e14])
+def test_binary_fwhm_matches_a_50_digit_half_depth_crossing(nbar, a):
+    # the sweep goldens' cells and brighter ones, whose widths shrink to
+    # 2e-7 rad: good to rounding only if the crossing search stops relative
+    # to its bracket, not at a fixed step in phase
+    cfg = InterferometerConfig.from_nbar(nbar)
+    want = binary_half_depth_width(cfg, a)
+    assert abs(fwhm(cfg, BinningScheme.binary(a), UNIT_BINARY_OBS) - want) <= 1e-14 * want
 
 
 def test_fwhm_shrinks_with_photon_number():

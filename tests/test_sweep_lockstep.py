@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mzhomodyne import metrics
+from mzhomodyne import metrics, simulate
 from mzhomodyne.interferometer import BinningScheme, InterferometerConfig
 from mzhomodyne.metrics import (
     DegenerateSignal,
@@ -27,6 +27,7 @@ from mzhomodyne.metrics import (
     sweep,
     visibility,
 )
+from mzhomodyne.simulate import monotone_branch
 
 UNIT_BINARY_OBS = Observable((1.0,), 0.0)
 
@@ -131,32 +132,55 @@ _ROUND_CAP = 2050
 _STAIRS = BinningScheme(0.1, 0.4, 32)
 
 
-@pytest.mark.parametrize("cfg, scheme, run, lattice, sides", [
-    # a lattice step of 0.01 out to 18.77, read to its end on both sides
+@pytest.mark.parametrize("cfg, scheme, run, lattice, phases", [
+    # a lattice step of 0.01 out to 18.77; the sensitivity scan reads it
+    # whole, and each fringe side stops where its slope falls below 1e-14
     (InterferometerConfig.from_nbar(1e6), BinningScheme.binary(0.005),
-     lambda cfg, scheme: sweep([cfg.nbar], [scheme.half_width]), 1_878, 2),
+     lambda cfg, scheme: sweep([cfg.nbar], [scheme.half_width]), 1_878, 2_933),
     # fringe_scan's 34-outcome alphabet, out to alpha0/2 = 50; its sides
     # turn back within the first chunks
     (InterferometerConfig.from_nbar(1e4), BinningScheme(0.5, 3.2, 16),
-     lambda cfg, scheme: fwhm(cfg, scheme, Observable.alternating(scheme)), 1_001, 0),
-    # eigenvalues -|k| falling outward past the outermost bin, so that both
-    # sides read their lattice to its end, in chunks held at 1024 phases
+     lambda cfg, scheme: fwhm(cfg, scheme, Observable.alternating(scheme)), 1_001, 239),
+    # eigenvalues -|k| falling outward past the outermost bin: each side
+    # reads a chunk of 1024 phases before its slope falls below 1e-14
     (InterferometerConfig.from_nbar(1e6), _STAIRS,
      lambda cfg, scheme: fwhm(cfg, scheme, Observable(tuple(-abs(k) for k in range(-32, 33)),
-                                                      -33.0)), 3_167, 2),
+                                                      -33.0)), 3_167, 4_079),
 ], ids=["tiny-bin-cell", "wide-alphabet", "falling-stairs"])
-def test_no_round_exceeds_the_cap(monkeypatch, cfg, scheme, run, lattice, sides):
+def test_no_round_exceeds_the_cap(monkeypatch, cfg, scheme, run, lattice, phases):
     assert _lattice_size(cfg, scheme) == lattice
     calls = _rounds(monkeypatch, lambda: run(cfg, scheme))
     assert max(map(len, calls[1:])) <= _ROUND_CAP
-    assert sum(map(len, calls)) >= sides * lattice
+    assert sum(map(len, calls)) == phases
+
+
+def test_a_branch_reads_its_lattice_to_the_end_in_capped_chunks(monkeypatch):
+    # 121 touching bins out past alpha0/2 = 50 and eigenvalues -60..60: the
+    # slope keeps its sign to +-pi/2, so the branch around 0.1 reads both
+    # sides' 5,001-phase lattices to their ends (0 and 0.1 besides), each in
+    # chunks doubling to 1024 phases
+    cfg, scheme = InterferometerConfig.from_nbar(1e4), BinningScheme(0.5, 1.0 + 1e-9, 60)
+    assert _lattice_size(cfg, scheme) == 5_001
+    calls, derivs = [], simulate.outcome_derivs
+
+    def recording(cfg, scheme, phis):
+        calls.append(len(phis))
+        return derivs(cfg, scheme, phis)
+
+    monkeypatch.setattr(simulate, "outcome_derivs", recording)
+    branch = monotone_branch(cfg, scheme, Observable(tuple(map(float, range(-60, 61)))), 0.1)
+    assert (branch.lo, branch.hi) == (-math.pi / 2, math.pi / 2)
+    assert calls == [3, 16, 32, 64, 128, 256, 512, 1025, 1040, 1056, 984,
+                     128, 256, 512, 1024, 1024, 1024, 920]
+    assert sum(calls) == 2 + 2 * 5_001 and max(calls) <= _ROUND_CAP
 
 
 @pytest.mark.parametrize("run, cap", [
-    # the sensitivity scan and both fringe sides read the 1,877-phase
-    # lattice, plus about 70 phases of golden and Brent rounds
+    # the sensitivity scan reads the 1,877-phase lattice, and each fringe
+    # side at most that (2,946 phases in all, with the golden and Brent
+    # rounds)
     (lambda: sweep([1e6], [1e-6]), 3 * 1_877 + 100),
-    # both fringe sides read the 2,227-phase lattice
+    # each fringe side reads at most the 2,227-phase lattice (2,035 in all)
     (lambda: fwhm(InterferometerConfig.from_nbar(1e4), BinningScheme(0.5, 1.0 + 1e-9, 3),
                   Observable.ones(BinningScheme(0.5, 1.0 + 1e-9, 3))), 5_000),
 ], ids=["bin-1e-6-wide", "gaps-1e-9-wide"])

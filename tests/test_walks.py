@@ -2,18 +2,22 @@
 
 The branch search of monotone_branch and the fringe search of fwhm read
 slope signs on one lattice in the quadrature shift, in doubling chunks,
-with their two sides or ends in lockstep.  Their oracles walk the same
-lattice one scalar signal call per phase; every case asserts that both
+with their two sides or ends in lockstep, and end every run of one slope
+sign by one rule.  Their oracles walk the same lattice one scalar signal
+call per phase, by one scalar run-end walk; every case asserts that both
 return the same edges as the same floats, or raise the same error.
 binarized_cfi groups outcome_table columns; its oracle is the loop over
 one outcome at a time that it replaced.  The last properties sample the
-signal 20 times finer than a 1 mrad step, than the fringe's feature scale,
-or than that lattice, and hold both searches to what the finer sampling
-shows; one more holds every phase of a branch to the same branch.
+signal 20 times finer than a 1 mrad step or than the fringe's feature
+scale, and hold both searches to what the finer sampling shows; one more
+holds every phase of a branch to the same branch, and the last holds the
+fringe's dark points to the ends of the branches around its first
+lattice phases, bit for bit.
 """
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +32,6 @@ from mzhomodyne.interferometer import (
     outcome_derivs,
     outcome_distribution,
     outcome_probs,
-    outcome_table,
 )
 from mzhomodyne.metrics import (
     FIXED_RANDOM_EIGENVALUES,
@@ -38,7 +41,7 @@ from mzhomodyne.metrics import (
     fwhm,
     signal,
 )
-from mzhomodyne.numerics import Interval, NoSignChange, _drive, find_root
+from mzhomodyne.numerics import _EPS, Interval, NoSignChange, _drive, find_root
 from mzhomodyne.simulate import NonMonotoneBranch, invert_signal, monotone_branch
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
@@ -55,45 +58,59 @@ UNIT_BINARY_OBS = Observable((1.0,), 0.0)
 BRANCH_STEP = 1e-3
 
 
+def _scalar_sign(slope):
+    """The sign of a slope function at a phase, 0.0 below 1e-14."""
+    return lambda t: 0.0 if abs(slope(t)) < 1e-14 else math.copysign(1.0, slope(t))
+
+
+def _scalar_end(path, slope, i, step, run):
+    """One scalar slope call per phase from path[i], stepping by step, to the
+    first phase of another sign than run: the end if its slope is zero, else
+    find_root finds the root between it and the phase before it, and the end
+    is the phase find_root read nearest the root whose slope is zero or of
+    the run's sign.  A run that leaves the path ends at its last phase."""
+    sign = _scalar_sign(slope)
+    while 0 <= i < len(path) and sign(path[i]) == run:
+        i += step
+    if not 0 <= i < len(path):
+        return path[i - step]
+    if sign(path[i]) == 0.0:
+        return path[i]
+    read = {}
+
+    def f(t):
+        read[t] = slope(t)
+        return read[t]
+
+    root = find_root(f, tuple(sorted((path[i - step], path[i]))))
+    return min((t for t, v in read.items() if v * run >= 0.0), key=lambda t: abs(t - root))
+
+
 def _scalar_run(cfg, scheme, slope, x):
     """Step-by-step lattice walk for the ends of the run of one slope sign
     around x in [-pi/2, pi/2].  On the path -pi/2, ..., -q_1, 0, q_1, ...,
     pi/2 of lattice phases, x's cell ends at the first phase as far out as
     x on x's side (0 and -0.0 count as the right).  The run's sign is the
     slope's at x, else at that phase, else at the one before it; a slope
-    below 1e-14 counts as zero.  One scalar slope call per phase walks from
-    the cell each way to the first phase of another sign: the end if its
-    slope is zero, else find_root finds the root between it and the phase
-    before it, and the end is the phase find_root read nearest the root
-    whose slope is zero or of the run's sign.  Returns (lo, hi)."""
-    qs = _lattice(cfg, scheme)
-    path = [-q for q in reversed(qs)] + [0.0] + qs
-    sign = lambda t: 0.0 if abs(slope(t)) < 1e-14 else math.copysign(1.0, slope(t))
-
-    def walk(i, step, run):
-        while 0 <= i < len(path) and sign(path[i]) == run:
-            i += step
-        if not 0 <= i < len(path):
-            return path[i - step]
-        if sign(path[i]) == 0.0:
-            return path[i]
-        read = {}
-
-        def f(t):
-            read[t] = slope(t)
-            return read[t]
-
-        root = find_root(f, tuple(sorted((path[i - step], path[i]))))
-        return min((t for t, v in read.items() if v * run >= 0.0), key=lambda t: abs(t - root))
-
+    below 1e-14 counts as zero.  _scalar_end walks from the cell each way.
+    Returns (lo, hi)."""
+    path = _path(cfg, scheme)
+    sign = _scalar_sign(slope)
     out = 1 if x >= 0.0 else -1
-    outer = len(qs) + out
+    outer = len(path) // 2 + out
     while abs(path[outer]) < abs(x):
         outer += out
     run = sign(x) or sign(path[outer]) or sign(path[outer - out])
     if not run:
         raise NonMonotoneBranch("signal is flat around the phase")
-    return tuple(sorted((walk(outer - out, -out, run), walk(outer, out, run))))
+    return tuple(sorted((_scalar_end(path, slope, outer - out, -out, run),
+                         _scalar_end(path, slope, outer, out, run))))
+
+
+def _path(cfg, scheme):
+    """The lattice phases -pi/2, ..., -q_1, 0, q_1, ..., pi/2."""
+    qs = _lattice(cfg, scheme)
+    return [-q for q in reversed(qs)] + [0.0] + qs
 
 
 def _scalar_branch(cfg, scheme, obs, phi):
@@ -131,34 +148,29 @@ def _lattice(cfg, scheme):
 
 def _scalar_fringe_width(cfg, scheme, mean, slope):
     """Step-by-step lattice search: one scalar mean or slope call per phase.
-    Each side steps out to its first rise and takes the slope root before
-    it as its dark point, else pi/2; then the half-depth crossings, the
-    left side's error first."""
-    lattice = _lattice(cfg, scheme)
-    f0, s_left, s_right = mean(0.0), slope(-lattice[0]), slope(lattice[0])
+    Each side's dark point is the end of the run (_scalar_end) from +-q_1
+    of the slope's sign there; then the half-depth crossings, each to 4 eps
+    of its bracket's larger end, the left side's error first."""
+    path = _path(cfg, scheme)
+    center = len(path) // 2
+    f0, s_left, s_right = mean(0.0), slope(path[center - 1]), slope(path[center + 1])
     if s_left > 0.0 > s_right:
         orient = 1.0
     elif s_left < 0.0 < s_right:
         orient = -1.0
     else:
         raise NoFringe("signal is not extremal at 0")
-    darks = []
-    for side in (-1.0, 1.0):
-        prev, dark = side * lattice[0], None
-        for x in lattice[1:]:
-            if side * orient * slope(side * x) > 0.0:
-                dark = find_root(slope, tuple(sorted((prev, side * x))))
-                break
-            prev = side * x
-        darks.append(prev if dark is None else dark)
+    darks = [_scalar_end(path, slope, center + out, out, -out * orient) for out in (-1, 1)]
     crossings = []
     for dark in darks:
         f_dark = mean(dark)
         if orient * (f0 - f_dark) <= 1e-10 * max(abs(f0), abs(f_dark)):
             raise NoFringe("fringe depth within rounding noise")
         level = 0.5 * (f0 + f_dark)
+        bracket = tuple(sorted((0.0, dark)))
         try:
-            crossings.append(find_root(lambda x: mean(x) - level, tuple(sorted((0.0, dark)))))
+            crossings.append(find_root(lambda x: mean(x) - level, bracket,
+                                       tol=4.0 * _EPS * max(map(abs, bracket))))
         except NoSignChange as exc:
             raise NoFringe("fringe shallower than half depth") from exc
     return metrics._fringe_width(min(crossings), max(crossings))
@@ -265,7 +277,7 @@ def _systems(draw):
 
 
 # each example walks one scalar signal call at a time, the branch up to pi
-# and the fringe's lattice to its first rise, ~0.4 s
+# and the fringe's lattice to the ends of its runs, ~0.4 s
 @settings(derandomize=True, max_examples=6, deadline=None, database=None)
 @given(_systems())
 def test_walks_match_step_by_step_walks_on_drawn_systems(system):
@@ -559,53 +571,39 @@ def _oriented_systems(draw):
     return cfg, scheme, obs
 
 
-def _mean_slope_rows(cfg, scheme, obs):
-    """(mean, slope) of each phase, the rows fwhm evaluates, each an exactly
-    rounded row sum."""
-    def rows(phis):
-        probs, derivs = outcome_table(cfg, scheme, phis)
-        return list(zip(_reduce(obs, probs), _reduce(obs, derivs)))
-    return rows
+def _fringe_dark_points(cfg, scheme, obs):
+    """The dark points fwhm's half-depth crossings are sought against, left
+    then right, or NoFringe where fwhm fails."""
+    darks, crossing = [], metrics._half_crossing
+
+    def recording(center, f0, dark, f_dark, orient):
+        darks.append(dark)
+        return crossing(center, f0, dark, f_dark, orient)
+
+    with mock.patch.object(metrics, "_half_crossing", recording):
+        if _result(fwhm, cfg, scheme, obs) is NoFringe:
+            return NoFringe
+    return darks
 
 
 # flat: beyond c = 19.3 every exponential of the single bin underflows, so
-# the signal never turns back before pi/2, as a peak or as a dip
+# each side's run ends on its first zero row, as a peak or as a dip
 @example(system=(BRIGHT_CFG, BinningScheme.binary(0.5), UNIT_BINARY_OBS))
 @example(system=(BRIGHT_CFG, BinningScheme.binary(0.5), Observable((-1.0,), 0.0)))
 @example(system=(BRIGHT_CFG, BRIGHT_SCHEME, Observable.ones(BRIGHT_SCHEME)))
+# a bright binary fringe, whose slope falls below 1e-14 on its tail at
+# 0.00896 rad, well inside +-pi/2
+@example(system=(InterferometerConfig.from_nbar(1e6), BinningScheme.binary(0.1),
+                 UNIT_BINARY_OBS))
 @settings(derandomize=True, max_examples=20, deadline=None, database=None)
 @given(_oriented_systems())
-def test_dark_point_is_the_first_slope_sign_change_on_a_finer_grid(system):
-    # the shift grid c_i = i*h/20 runs to two lattice cells past the dark
-    # point, or where no bin's P' survives (20 beyond the outermost edge)
-    # when the signal never turns back; no point before the dark point may
-    # rise, and the first that does lies within one grid cell after it
+def test_fringe_dark_points_are_the_branch_ends(system):
+    # one run-end rule: each side's dark point is the outer end of the
+    # monotone branch around its first lattice phase, bit for bit
     cfg, scheme, obs = system
-    rows = _mean_slope_rows(cfg, scheme, obs)
-    (x,) = next(metrics._shift_lattice(cfg, scheme))
-    left, right = rows([-x, x])
-    if left[1] > 0.0 > right[1]:
-        orient = 1.0
-    elif left[1] < 0.0 < right[1]:
-        orient = -1.0
-    else:
-        assert _result(fwhm, cfg, scheme, obs) is NoFringe
+    darks = _fringe_dark_points(cfg, scheme, obs)
+    if darks is NoFringe:
         return
-    a, b, h = scheme.half_width, scheme.spacing, _lattice_step(scheme)
-    tol = 1e-12 * cfg.alpha0
-    for side, first in ((-1.0, left), (1.0, right)):
-        chunks = metrics._shift_lattice(cfg, scheme)
-        x = side * next(chunks)[0]
-        dark, f_dark = _drive(rows, metrics._dark_point(chunks, side, orient, x, first))
-        assert f_dark == rows([dark])[0][0]
-        c_dark = 0.5 * cfg.alpha0 * math.sin(abs(dark))
-        never = dark == side * math.pi / 2
-        stop = scheme.cutoff * b + a + 20.0 if never else c_dark + 2.0 * h
-        cs = np.arange(1, int(min(stop, 0.5 * cfg.alpha0) / (h / 20.0)) + 1) * (h / 20.0)
-        phis = side * np.array([math.asin(min(1.0, x)) for x in (2.0 * cs / cfg.alpha0)])
-        outward = side * orient * np.array(_reduce(obs, outcome_derivs(cfg, scheme, phis)))
-        rises = cs[outward > 0.0]
-        if never:
-            assert rises.size == 0, rises[:3]
-        else:
-            assert rises.size and c_dark - tol <= rises[0] <= c_dark + h / 20.0 + tol
+    (q,) = next(metrics._shift_lattice(cfg, scheme))
+    ends = [monotone_branch(cfg, scheme, obs, -q).lo, monotone_branch(cfg, scheme, obs, q).hi]
+    assert np.array(darks).view(np.int64).tolist() == np.array(ends).view(np.int64).tolist()
