@@ -17,7 +17,7 @@ import numpy as np
 
 from .interferometer import (BinningScheme, InterferometerConfig, _finite_phases,
                              _float_table, outcome_table)
-from .numerics import (_EPS, _ERFC_ZERO, _FLOAT_PAIRS, NoSignChange, _brent, _drive, _golden,
+from .numerics import (_ERFC_ZERO, _FLOAT_PAIRS, NoSignChange, _brent, _drive, _golden,
                        _lockstep, _row_sums, _unwrap, find_root)
 
 __all__ = [
@@ -324,7 +324,7 @@ def visibility_boundary(half_width: float, target: float) -> float:
     obs = Observable((1.0,), 0.0)
     vis = lambda nbar: visibility(InterferometerConfig.from_nbar(nbar), scheme, obs)
     try:
-        return find_root(lambda nbar: vis(nbar) - target, (lo, hi), tol=1e-10)
+        return find_root(lambda nbar: vis(nbar) - target, (lo, hi))
     except NoSignChange:
         if vis(hi) < target:
             raise NoSolution(f"visibility at nbar={hi} still below {target}") from None
@@ -361,15 +361,14 @@ def _shift_lattice(cfg, scheme):
 
 def _half_crossing(center, f0, dark, f_dark, orient):
     """The half-depth crossing between a fringe's center and its dark point
-    (orient +1 for a peak, -1 for a dip), as a search sent the signal.  Brent
-    stops at a few eps of the bracket's larger end, so the crossing is good
-    to rounding whatever the bracket."""
+    (orient +1 for a peak, -1 for a dip), as a search sent the signal.  Brent's
+    stop follows its bracket, so the crossing is good to rounding whatever
+    the bracket."""
     if orient * (f0 - f_dark) <= 1e-10 * max(abs(f0), abs(f_dark)):
         raise NoFringe("fringe depth within rounding noise")
     (lo, f_lo), (hi, f_hi) = sorted(((center, f0), (dark, f_dark)))
-    tol = 4.0 * _EPS * max(abs(lo), abs(hi))
     try:
-        return (yield from _brent((lo, hi), tol, 0.5 * (f0 + f_dark), (f_lo, f_hi)))
+        return (yield from _brent((lo, hi), 0.5 * (f0 + f_dark), (f_lo, f_hi)))
     except NoSignChange as exc:
         raise NoFringe("fringe shallower than half depth") from exc
 
@@ -400,9 +399,10 @@ def _turn_end(rows, sign):
     """(end, row there) of a run of sign whose slope row[1] turns between
     the phases of rows, a dict of rows kept for every phase Brent asks for:
     of those, the nearest the slope's root with a slope of 0 or of sign, so
-    the sign holds to it."""
+    the sign holds to it.  Brent's stop follows the bracket, so the end is
+    good to rounding at any nbar."""
     bracket = sorted(rows)
-    brent = _brent(bracket, 1e-12, 0.0, [rows[x][1] for x in bracket])
+    brent = _brent(bracket, 0.0, [rows[x][1] for x in bracket])
     try:
         (x,) = next(brent)
         while True:

@@ -291,14 +291,14 @@ def _unwrap(outcome):
     return outcome
 
 
-def _brent(bracket, tol, target=0.0, f_ends=None):
-    """Brent's method as a search (see _drive) for a root of f - target.
+def _brent(bracket, target=0.0, f_ends=None):
+    """Brent's method as a search (see _drive) for a root of f - target, down
+    to tol = 4 eps max(|lo|, |hi|) of its bracket: good to rounding at any scale.
     f_ends, if given, is (f(lo), f(hi)), which the search then does not ask for."""
     a, b = (bracket.lo, bracket.hi) if isinstance(bracket, Interval) else bracket
     if not (a < b and math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"bracket must be finite with lo < hi, got [{a}, {b}]")
-    if not 0.0 < tol < math.inf:  # a NaN tol would never stop, an inf one stop at once
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    tol = 4.0 * _EPS * max(abs(a), abs(b))
     if f_ends is None:
         f_ends = (yield [a])[0], (yield [b])[0]
     fa, fb = f_ends[0] - target, f_ends[1] - target
@@ -356,35 +356,34 @@ def _brent(bracket, tol, target=0.0, f_ends=None):
     )
 
 
-def find_root(f: Callable[[float], float], bracket, tol: float = 1e-12) -> float:
+def find_root(f: Callable[[float], float], bracket) -> float:
     """Brent's method on a sign-changing bracket.
 
     Inverse-quadratic/secant steps with a bisection fallback, so
     convergence is guaranteed once the endpoints straddle a sign change.
-    Terminates when the bracket width falls below ~tol.
+    Terminates when the bracket is ~tol = 4 eps max(|lo|, |hi|) wide.
 
-    Raises ValueError, before any call of f, if tol is not finite and
-    positive; NoSignChange if f has the same sign at both endpoints; and
+    Raises ValueError, before any call of f, if the bracket is not finite
+    with lo < hi; NoSignChange if f has the same sign at both endpoints; and
     NoConvergence if the bracket is still wider than ~tol after 200
     iterations.
     """
-    return _drive(lambda xs: [f(x) for x in xs], _brent(bracket, tol))
+    return _drive(lambda xs: [f(x) for x in xs], _brent(bracket))
 
 
-def find_roots(g_batch: Callable, targets, brackets, tol: float = 1e-12,
-               g_ends=None) -> list:
+def find_roots(g_batch: Callable, targets, brackets, g_ends=None) -> list:
     """Roots of g(x) - targets[i] on brackets[i], found in lockstep.
 
     g_batch maps a 1-D array of points to an array of g values.  Each round
     calls it once, on the next point of every search still running.  Root i
-    equals find_root(lambda x: g(x) - targets[i], brackets[i], tol) bit for
+    equals find_root(lambda x: g(x) - targets[i], brackets[i]) bit for
     bit; once all have ended, the first failed bracket's error is raised.
     g_ends, if given, holds (g(lo), g(hi)) of each bracket, as g_batch would
     give them, and saves the searches' first two rounds.  Lists of different
     lengths raise ValueError.
     """
     g_ends = [None] * len(brackets) if g_ends is None else g_ends
-    searches = [(_brent(b, tol, t, e), None)
+    searches = [(_brent(b, t, e), None)
                 for t, b, e in zip(targets, brackets, g_ends, strict=True)]
     roots = _drive(lambda xs: g_batch(np.array(xs)).tolist(), _lockstep(searches))
     return [_unwrap(root) for root in roots]

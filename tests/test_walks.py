@@ -10,11 +10,13 @@ binarized_cfi groups outcome_table columns; its oracle is the loop over
 one outcome at a time that it replaced.  The last properties sample the
 signal 20 times finer than a 1 mrad step or than the fringe's feature
 scale, and hold both searches to what the finer sampling shows; one more
-holds every phase of a branch to the same branch, and the last holds the
-fringe's dark points to the ends of the branches around its first
-lattice phases, bit for bit.
+holds every phase of a branch to the same branch, and one the fringe's
+dark points to the ends of the branches around its first lattice phases,
+bit for bit.  The last two hold inversions and branch ends to rounding at
+nbar up to 1e12, where a fixed stop in radians would not be.
 """
 
+import bisect
 import itertools
 import math
 from unittest import mock
@@ -169,8 +171,7 @@ def _scalar_fringe_width(cfg, scheme, mean, slope):
         level = 0.5 * (f0 + f_dark)
         bracket = tuple(sorted((0.0, dark)))
         try:
-            crossings.append(find_root(lambda x: mean(x) - level, bracket,
-                                       tol=4.0 * _EPS * max(map(abs, bracket))))
+            crossings.append(find_root(lambda x: mean(x) - level, bracket))
         except NoSignChange as exc:
             raise NoFringe("fringe shallower than half depth") from exc
     return metrics._fringe_width(min(crossings), max(crossings))
@@ -245,7 +246,7 @@ def _ramp(scheme):
 @pytest.mark.parametrize("system, phi, rounds", [
     ((FIG4_CFG, FIG4_SCHEME, _ramp(FIG4_SCHEME)), 0.1, [3, 16, 32, 65, 17, 33, 65, 1, 1, 1]),
     ((BRIGHT_CFG, BRIGHT_SCHEME, _ramp(BRIGHT_SCHEME)), 0.0003,
-     [3, 16, 32, 65, 17, 33, 64, 1, 1]),
+     [3, 16, 32, 65, 17, 33, 65, 1, 1, 1]),
 ], ids=["fig4", "bright"])
 def test_branch_sides_walk_in_lockstep(monkeypatch, system, phi, rounds):
     calls = []
@@ -492,6 +493,13 @@ def test_branch_keeps_one_slope_sign_at_a_twentieth_of_its_step(system, phi):
     assert not (max(slopes) > 0.0 and min(slopes) < 0.0)
 
 
+def _phase_near_the_bins(cfg, scheme, u):
+    """The phase in [-pi/2, pi/2] whose shift c is u (in [-1, 1]) times 2
+    past the outermost bin edge."""
+    c = u * (scheme.cutoff * scheme.spacing + scheme.half_width + 2.0)
+    return math.asin(max(-1.0, min(1.0, 2.0 * c / cfg.alpha0)))
+
+
 @st.composite
 def _branch_phases(draw):
     """(cfg, scheme, obs, phi): a drawn bright system with ones, alternating,
@@ -504,8 +512,7 @@ def _branch_phases(draw):
     obs = draw(st.one_of(
         st.sampled_from((Observable.ones, Observable.alternating, _ramp)).map(lambda f: f(scheme)),
         drawn))
-    c = draw(st.floats(-1.0, 1.0)) * (scheme.cutoff * scheme.spacing + scheme.half_width + 2.0)
-    phi = math.asin(max(-1.0, min(1.0, 2.0 * c / cfg.alpha0)))
+    phi = _phase_near_the_bins(cfg, scheme, draw(st.floats(-1.0, 1.0)))
     if draw(st.booleans()):
         phi = math.copysign(math.pi, phi) - phi
     return cfg, scheme, obs, phi + 2.0 * math.pi * draw(st.integers(-2, 2))
@@ -607,3 +614,59 @@ def test_fringe_dark_points_are_the_branch_ends(system):
     (q,) = next(metrics._shift_lattice(cfg, scheme))
     ends = [monotone_branch(cfg, scheme, obs, -q).lo, monotone_branch(cfg, scheme, obs, q).hi]
     assert np.array(darks).view(np.int64).tolist() == np.array(ends).view(np.int64).tolist()
+
+
+@st.composite
+def _alternating_phases(draw):
+    """(cfg, scheme, obs, phi): nbar log-uniform in [1e2, 1e12], 0 < a,
+    b > 2a, cutoff 0-8, alternating eigenvalues, and a phase near the bins."""
+    cfg = InterferometerConfig.from_nbar(10.0 ** draw(st.floats(2.0, 12.0)))
+    a = draw(st.floats(0.05, 2.0))
+    scheme = BinningScheme(a, 2.0 * a * draw(st.floats(1.05, 4.0)), draw(st.integers(0, 8)))
+    return (cfg, scheme, Observable.alternating(scheme),
+            _phase_near_the_bins(cfg, scheme, draw(st.floats(-1.0, 1.0))))
+
+
+# a phase's own signal inverts to the phase, to Brent's stop (it returns an
+# end of a last bracket up to 8 eps of the branch's larger end wide) plus
+# the phase that the signal's rounding spans at its slope: 8 eps, for
+# eigenvalues +-1 on probabilities that sum to at most 1.  A stop fixed in
+# radians fails it from nbar 1e2
+@example(system=(BRIGHT_CFG, BRIGHT_SCHEME, BRIGHT_OBS, 0.0003), fractions=[0.05, 0.5, 0.95])
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(_alternating_phases(), st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4))
+def test_inversion_returns_the_phase_to_rounding(system, fractions):
+    cfg, scheme, obs, phi = system
+    try:
+        branch = monotone_branch(cfg, scheme, obs, phi)
+    except NonMonotoneBranch:
+        return
+    scale = max(abs(branch.lo), abs(branch.hi))
+    for t in fractions:
+        x = branch.lo + t * branch.width
+        point = signal(cfg, scheme, obs, x)
+        error = abs(invert_signal(cfg, scheme, obs, point.mean, branch) - x)
+        assert error * abs(point.slope) <= 8.0 * _EPS * (scale * abs(point.slope) + 1.0)
+
+
+# ends that are not lattice phases (0, +-pi/2 or a zero-slope row) are
+# Brent's, each within 8 eps of the larger end of its lattice cell, the
+# bracket it was given, of the slope root there; a stop fixed in radians
+# fails it from nbar 1e2
+@example(log_nbar=math.log10(200.0), u=0.3)
+@example(log_nbar=12.0, u=0.5)
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.floats(2.0, 12.0), st.floats(-1.0, 1.0))
+def test_branch_ends_off_the_lattice_are_slope_roots(log_nbar, u):
+    cfg, obs = InterferometerConfig.from_nbar(10.0 ** log_nbar), Observable(FIXED_RANDOM_EIGENVALUES)
+    try:
+        branch = monotone_branch(cfg, FIG2_SCHEME, obs, _phase_near_the_bins(cfg, FIG2_SCHEME, u))
+    except NonMonotoneBranch:
+        return
+    path = _path(cfg, FIG2_SCHEME)
+    slope = lambda x: signal(cfg, FIG2_SCHEME, obs, x).slope
+    for end in (branch.lo, branch.hi):
+        if end not in path:
+            lo, hi = path[bisect.bisect(path, end) - 1:][:2]
+            root = optimize.brentq(slope, lo, hi, xtol=1e-300, rtol=4.0 * _EPS)
+            assert abs(end - root) <= 8.0 * _EPS * max(abs(lo), abs(hi))
