@@ -52,7 +52,7 @@ from .metrics import (
 )
 from . import numerics
 from .numerics import _row_sums
-from .simulate import NonMonotoneBranch, calibration_curve, estimate, monotone_branch
+from .simulate import NonMonotoneBranch, _estimates, calibration_curve, monotone_branch
 
 __all__ = ["ConfigError", "build_parser", "main"]
 
@@ -312,16 +312,13 @@ def _estimation_rows(cfg, scheme, obs, points):
     """Inversion-estimator row of each grid point's replica set."""
     bounds = crb(cfg, scheme, [pt.phi for pt in points]).tolist()
     rows = []
-    for pt, bound in zip(points, bounds):
-        try:
-            report = estimate(cfg, scheme, obs, pt)
-            row = [report.mean_signal, report.sigma, bound, report.bias,
-                   report.std_dev, ""]
-        except NonMonotoneBranch:
+    for pt, bound, r in zip(points, bounds, _estimates(cfg, scheme, obs, points)):
+        if isinstance(r, NonMonotoneBranch):
             measured = pt.measured_signals(obs)
-            row = [math.fsum(measured) / len(measured), math.nan, bound,
-                   math.nan, math.nan, "NonMonotoneBranch"]
-        rows.append([pt.phi, *row])
+            rows.append([pt.phi, math.fsum(measured) / len(measured), math.nan, bound,
+                         math.nan, math.nan, "NonMonotoneBranch"])
+        else:
+            rows.append([pt.phi, r.mean_signal, r.sigma, bound, r.bias, r.std_dev, ""])
     return rows
 
 

@@ -2,7 +2,8 @@
 
 Repeated N-shot experiments produce occurrence frequencies N_k/N; the
 inversion estimator maps the measured signal back through the calibration
-curve g(phi) on a monotone branch around the true phase.
+curve g(phi) on a monotone branch around the true phase.  A whole curve is
+estimated in one batch: one search per branch, one Brent batch in all.
 """
 
 from __future__ import annotations
@@ -183,29 +184,26 @@ def _branch_search(cfg, scheme, x):
         (_run_end(lattice, side, rows, i, sign), None)])))]
 
 
-def _invert(cfg, scheme, obs, measured, branch):
-    """Phases of the measured signals on the branch, and how many of them
-    were clamped to an end.
-
-    One two-phase evaluation of the branch ends serves every value: a value
-    beyond the branch's signal range clamps to the end whose signal is
-    nearest; each distinct other value, in first-seen order, is inverted
-    once by one lockstep Brent batch, which is given the end signals instead
-    of evaluating them again.  Equal targets on one bracket give one root
-    bit for bit, and Brent reads a target only through f - target, tested
-    for zero and sign, so 0.0 and -0.0 may share theirs.
-    """
+def _invert(cfg, scheme, obs, measured, branches):
+    """Phase of each measured signal on its own branch, and whether it was
+    clamped to an end.  One table call evaluates every distinct branch's
+    ends: a value beyond its branch's signal range clamps to the end whose
+    signal is nearest; each distinct other (value, branch) pair is inverted
+    once, all in one lockstep Brent batch given the end signals.  Brent reads
+    a target only through f - target, tested for zero and sign, so 0.0 and
+    -0.0 may share a root."""
     means = lambda xs: _expectation(obs, outcome_probs(cfg, scheme, xs))
-    g_lo, g_hi = means([branch.lo, branch.hi]).tolist()
-    top = branch.lo if g_lo >= g_hi else branch.hi
-    bottom = branch.lo if g_lo <= g_hi else branch.hi
-    phis = [top if m > max(g_lo, g_hi) else bottom if m < min(g_lo, g_hi)
-            else None for m in measured]
-    inside = list(dict.fromkeys(m for m, phi in zip(measured, phis) if phi is None))
-    roots = dict(zip(inside, find_roots(means, inside, [branch] * len(inside),
-                                        g_ends=[(g_lo, g_hi)] * len(inside))))
-    return ([roots[m] if phi is None else phi for m, phi in zip(measured, phis)],
-            len(phis) - phis.count(None))
+    spans = dict.fromkeys(branches)
+    g = iter(means([end for b in spans for end in (b.lo, b.hi)]).tolist())
+    ends = dict(zip(spans, zip(g, g)))
+    phis = [(b.lo if g_lo >= g_hi else b.hi) if m > max(g_lo, g_hi)
+            else (b.lo if g_lo <= g_hi else b.hi) if m < min(g_lo, g_hi) else None
+            for m, b in zip(measured, branches) for g_lo, g_hi in [ends[b]]]
+    inside = dict.fromkeys((m, b) for m, b, phi in zip(measured, branches, phis) if phi is None)
+    roots = dict(zip(inside, find_roots(means, [m for m, _ in inside], [b for _, b in inside],
+                                        g_ends=[ends[b] for _, b in inside])))
+    return ([roots[m, b] if phi is None else phi for m, b, phi in zip(measured, branches, phis)],
+            [phi is not None for phi in phis])
 
 
 def invert_signal(cfg: InterferometerConfig, scheme: BinningScheme,
@@ -228,34 +226,49 @@ def invert_signal(cfg: InterferometerConfig, scheme: BinningScheme,
     own = monotone_branch(cfg, scheme, obs, 0.5 * (branch.lo + branch.hi))
     if not own.lo <= branch.lo < branch.hi <= own.hi:
         raise NonMonotoneBranch(f"[{branch.lo}, {branch.hi}] leaves its midpoint's {own}")
-    (phi,), _ = _invert(cfg, scheme, obs, [measured_value], branch)
+    (phi,), _ = _invert(cfg, scheme, obs, [measured_value], [branch])
     return phi
+
+
+def _estimates(cfg, scheme, obs, points):
+    """The EstimationReport of each ReplicaSet of a curve, or the
+    NonMonotoneBranch its phase raised.  A phase strictly inside a branch
+    already found takes it, as monotone_branch gives every phase of a branch
+    the same Interval; any other is searched.  One _invert call inverts all."""
+    found, results = [], []  # each point's branch or error, then its report
+    for pt in points:
+        branch = next((b for b in found if b.lo < pt.phi < b.hi), None)
+        if branch is None:
+            try:
+                branch = monotone_branch(cfg, scheme, obs, pt.phi)
+                found.append(branch)
+            except NonMonotoneBranch as exc:
+                branch = exc
+        results.append(branch)
+    measured = [pt.measured_signals(obs) if isinstance(b, Interval) else []
+                for pt, b in zip(points, results)]
+    phis, clamps = map(iter, _invert(cfg, scheme, obs, [m for ms in measured for m in ms],
+                                     [b for b, ms in zip(results, measured) for _ in ms]))
+    for i, (pt, ms) in enumerate(zip(points, measured)):
+        if ms:
+            m = len(ms)
+            estimates = [next(phis) for _ in ms]
+            mean = math.fsum(estimates) / m
+            std_dev = math.sqrt(math.fsum((e - mean) ** 2 for e in estimates) / m)
+            rms = math.sqrt(math.fsum((e - pt.phi) ** 2 for e in estimates) / m)
+            results[i] = EstimationReport(
+                phi_true=pt.phi, shots=pt.shots, estimates=tuple(estimates),
+                mean_signal=math.fsum(ms) / m, mean_estimate=mean, bias=mean - pt.phi,
+                std_dev=std_dev, sigma=math.sqrt(pt.shots) * rms,
+                clamp_count=sum(next(clamps) for _ in ms))
+    return results
 
 
 def estimate(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable,
              replicas: ReplicaSet) -> EstimationReport:
-    """Invert each replica's measured signal on the monotone branch around
-    the true phase and aggregate the estimator statistics.  Each distinct
-    measured value is inverted once, all of them in one lockstep batch (see
-    numerics.find_roots); replicas that share a value share its root."""
-    branch = monotone_branch(cfg, scheme, obs, replicas.phi)
-    measured = replicas.measured_signals(obs)
-    estimates, clamped = _invert(cfg, scheme, obs, measured, branch)
-    m = len(estimates)
-    mean = math.fsum(estimates) / m
-    std_dev = math.sqrt(math.fsum((e - mean) ** 2 for e in estimates) / m)
-    rms = math.sqrt(math.fsum((e - replicas.phi) ** 2 for e in estimates) / m)
-    return EstimationReport(
-        phi_true=replicas.phi,
-        shots=replicas.shots,
-        estimates=tuple(estimates),
-        mean_signal=math.fsum(measured) / m,
-        mean_estimate=mean,
-        bias=mean - replicas.phi,
-        std_dev=std_dev,
-        sigma=math.sqrt(replicas.shots) * rms,
-        clamp_count=clamped,
-    )
+    """Invert each replica's measured signal on the monotone branch around the
+    true phase and aggregate the estimator statistics: _estimates of one point."""
+    return _unwrap(_estimates(cfg, scheme, obs, [replicas])[0])
 
 
 def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,

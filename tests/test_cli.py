@@ -5,6 +5,7 @@ point.  Numeric cells are checked by exact float round trip against the
 library, which the 17-significant-digit rendering guarantees.
 """
 
+import collections
 import csv
 import json
 import math
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mzhomodyne import cli, metrics, simulate
 from mzhomodyne.cli import build_parser, main
 from mzhomodyne.interferometer import (
     BinningScheme,
@@ -363,11 +365,13 @@ BRIGHT_SIMULATE = ["--nbar", "1e8", "--b", "3.2", "--kf", "3", "--eigenvalues", 
                    "--replicas", "20", "--seed", "2"]
 
 
+# README's example
+README_SIMULATE = ["--nbar", "1000", "--b", "3.2", "--kf", "5", "--eigenvalues", "alternating",
+                   "--phi-min", "0.02", "--phi-max", "0.18", "--steps", "9", "--seed", "1"]
+
+
 @pytest.mark.parametrize("name, args", [
-    # README's example
-    ("simulate_readme", ["--nbar", "1000", "--b", "3.2", "--kf", "5",
-                         "--eigenvalues", "alternating", "--phi-min", "0.02",
-                         "--phi-max", "0.18", "--steps", "9", "--seed", "1"]),
+    ("simulate_readme", README_SIMULATE),
     # nbar=1e8, whose branches are 6.4e-4 rad wide
     ("simulate_bright", BRIGHT_SIMULATE),
 ])
@@ -501,6 +505,44 @@ def test_reproduce_fig4_golden_regression(tmp_path):
     assert main(["reproduce", "fig4", "--seed", "0", "--out", str(tmp_path)]) == 0
     for name in ("fig4_calibration.csv", "fig4_estimation.csv", "fig4_summary.txt"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _search_counts(monkeypatch):
+    """Counts of a run's table calls (outcome_probs, outcome_derivs and
+    outcome_table, wherever the package binds them), branch searches and
+    find_roots batches."""
+    counts = collections.Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, metrics, simulate):
+        for name in ("outcome_probs", "outcome_derivs", "outcome_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted("table", getattr(module, name)))
+    monkeypatch.setattr(simulate, "_branch_search", counted("branch", simulate._branch_search))
+    monkeypatch.setattr(simulate, "find_roots", counted("find_roots", simulate.find_roots))
+    return counts
+
+
+def test_reproduce_fig4_searches_each_branch_once_and_inverts_in_one_batch(
+        tmp_path, monkeypatch):
+    counts = _search_counts(monkeypatch)
+    assert main(["reproduce", "fig4", "--seed", "0", "--out", str(tmp_path)]) == 0
+    # the branch that sets fig4's grid, then one for the 21 points on it;
+    # 23 table calls in all, where estimating point by point made 308
+    assert counts["branch"] == 2
+    assert counts["find_roots"] == 1
+    assert counts["table"] <= 40
+
+
+def test_simulate_readme_example_inverts_in_one_batch(tmp_path, monkeypatch):
+    counts = _search_counts(monkeypatch)
+    assert main(["simulate", *README_SIMULATE, "--out", str(tmp_path / "run")]) == 0
+    assert counts["find_roots"] == 1
 
 
 def test_reproduce_rejects_unknown_figure(capsys):

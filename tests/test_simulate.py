@@ -5,6 +5,7 @@ brentq inversion of the cdf-reconstructed signal, an inverse-erfc analytic
 inversion for the binary tail, and binomial/KS statistical envelopes.
 """
 
+import dataclasses
 import functools
 import math
 from unittest import mock
@@ -579,9 +580,10 @@ def test_lockstep_estimate_equals_per_replica_loop(cfg, scheme, phis, replicas):
     assert 0 < clamps < len(phis) * replicas
 
 
-# _invert inverts each distinct in-branch value once.  The reference below
-# makes one find_roots call per value on the same bracket and g_ends, cached
-# by value and sign so that 0.0 and -0.0 are each inverted on their own.
+# _invert inverts each distinct in-branch (value, branch) pair once.  The
+# reference below makes one find_roots call per value, on its own branch and
+# that branch's g_ends, cached by value and sign so that 0.0 and -0.0 are
+# each inverted on their own.
 
 
 @functools.cache
@@ -592,16 +594,24 @@ def _one_root(cfg, scheme, obs, branch, g_ends, m, sign):
     return root
 
 
-def _per_value_invert(cfg, scheme, obs, measured, branch):
+@functools.cache
+def _branch_ends(cfg, scheme, obs, branch):
+    """The signal at the branch's two ends, from a two-phase evaluation."""
+    return tuple(map(float, signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean))
+
+
+def _per_value_invert(cfg, scheme, obs, measured, branches):
     """simulate._invert with one find_roots call per measured value."""
-    g_ends = tuple(map(float, signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean))
-    g_min, g_max = sorted(g_ends)
-    top = branch.lo if g_ends[0] >= g_ends[1] else branch.hi
-    bottom = branch.lo if g_ends[0] <= g_ends[1] else branch.hi
-    phis = [top if m > g_max else bottom if m < g_min
-            else _one_root(cfg, scheme, obs, branch, g_ends, m, math.copysign(1.0, m))
-            for m in measured]
-    return phis, sum(not g_min <= m <= g_max for m in measured)
+    phis, clamped = [], []
+    for m, branch in zip(measured, branches, strict=True):
+        g_ends = _branch_ends(cfg, scheme, obs, branch)
+        g_min, g_max = sorted(g_ends)
+        top = branch.lo if g_ends[0] >= g_ends[1] else branch.hi
+        bottom = branch.lo if g_ends[0] <= g_ends[1] else branch.hi
+        phis.append(top if m > g_max else bottom if m < g_min
+                    else _one_root(cfg, scheme, obs, branch, g_ends, m, math.copysign(1.0, m)))
+        clamped.append(not g_min <= m <= g_max)
+    return phis, clamped
 
 
 def _bits(values):
@@ -610,28 +620,45 @@ def _bits(values):
 
 @functools.cache
 def _fig4_targets():
-    """Fig4's branch at phi = 0.1 and 66 targets on it: k/40 for |k| <= 30
-    (beyond both ends from |k| = 28), -0.0, both end signals, and the next
-    float past each end."""
-    branch = monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, 0.1)
-    g_min, g_max = sorted(signal(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, [branch.lo, branch.hi]).mean)
-    ends = [g_min, g_max, math.nextafter(g_min, -math.inf), math.nextafter(g_max, math.inf)]
-    return branch, [k / 40 for k in range(-30, 31)] + [-0.0] + list(map(float, ends))
+    """Fig4's branches at phi = 0.1, -0.1 and 2.5, each with 66 targets on
+    it: k/40 for |k| <= 30 (beyond both ends from |k| = 28), -0.0, both end
+    signals, and the next float past each end."""
+    targets = []
+    for phi in (0.1, -0.1, 2.5):
+        branch = monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, phi)
+        g_min, g_max = sorted(_branch_ends(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, branch))
+        ends = [g_min, g_max, math.nextafter(g_min, -math.inf), math.nextafter(g_max, math.inf)]
+        targets.append((branch, [k / 40 for k in range(-30, 31)] + [-0.0] + ends))
+    return targets
 
 
-# indices into _fig4_targets: 30 is 0.0, 61 is -0.0, 0 and 60 clamp
+# (branch, target) index pairs into _fig4_targets: target 30 is 0.0, 61 is
+# -0.0, 0 and 60 clamp
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-@given(st.lists(st.integers(0, 65), min_size=1, max_size=6, unique=True).flatmap(
-    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
-@example([30, 61, 30, 0, 61, 60, 62, 63, 0, 64, 65])
-@example([61, 30, 61])
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 65)), min_size=1, max_size=8,
+                unique=True).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1,
+                                                            max_size=40)))
+@example([(0, 30), (0, 61), (0, 30), (0, 0), (0, 61), (0, 60), (0, 62), (0, 63), (0, 0),
+          (0, 64), (0, 65)])
+@example([(0, 61), (0, 30), (0, 61)])
+@example([(0, 40), (1, 40), (2, 40), (0, 40), (1, 0), (2, 60), (1, 61), (2, 30)])
 def test_invert_equals_one_find_roots_call_per_value(picks):
-    branch, targets = _fig4_targets()
-    measured = [targets[i] for i in picks]
-    got, clamped = simulate._invert(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured, branch)
-    want, want_clamped = _per_value_invert(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured, branch)
+    targets = _fig4_targets()
+    measured = [targets[b][1][i] for b, i in picks]
+    branches = [targets[b][0] for b, _ in picks]
+    calls = []
+    def spy(g_batch, values, brackets, **kwargs):
+        calls.append(list(zip(values, brackets)))
+        return find_roots(g_batch, values, brackets, **kwargs)
+    with mock.patch.object(simulate, "find_roots", spy):
+        got, clamped = simulate._invert(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured, branches)
+    want, want_clamped = _per_value_invert(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured, branches)
     assert np.array_equal(_bits(got), _bits(want))
     assert clamped == want_clamped
+    # one batch, which holds each in-branch (value, branch) pair once, in
+    # first-seen order; 0.0 and -0.0 on one branch share a lane
+    pairs = [pair for pair, c in zip(zip(measured, branches), clamped) if not c]
+    assert calls == [list(dict.fromkeys(pairs))]
 
 
 @settings(derandomize=True, max_examples=15, deadline=None, database=None)
@@ -647,24 +674,129 @@ def test_estimate_equals_per_value_inversion(phi, shots, replicas, seed):
 
 
 def test_estimate_inverts_each_distinct_in_branch_value_once(monkeypatch):
-    (rs,) = calibration_curve(FIG4_CFG, FIG4_SCHEME, [0.012], 200, 100, master_seed=4)
-    calls = []
-    def spy(g_batch, targets, *args, **kwargs):
-        calls.append(list(targets))
-        return find_roots(g_batch, targets, *args, **kwargs)
+    # 0.012 and 0.1 share a branch, -0.05 lies on its mirror image
+    points = calibration_curve(FIG4_CFG, FIG4_SCHEME, [0.012, 0.1, -0.05, 0.012], 200, 100,
+                               master_seed=4)
+    calls, searched = [], []
+    def spy(g_batch, values, brackets, **kwargs):
+        calls.append(list(zip(values, brackets)))
+        return find_roots(g_batch, values, brackets, **kwargs)
+    def logged(cfg, scheme, obs, phi):
+        searched.append(phi)
+        return monotone_branch(cfg, scheme, obs, phi)
     monkeypatch.setattr(simulate, "find_roots", spy)
-    report = estimate(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, rs)
-    branch = monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, rs.phi)
-    g_min, g_max = sorted(signal(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, [branch.lo, branch.hi]).mean)
-    in_branch = [m for m in rs.measured_signals(FIG4_OBS) if g_min <= m <= g_max]
+    monkeypatch.setattr(simulate, "monotone_branch", logged)
+    reports = simulate._estimates(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, points)
+    # the first point's branch serves the second and the fourth
+    assert searched == [0.012, -0.05]
+    pairs = []
+    for rs in points:
+        branch = monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, rs.phi)
+        g_min, g_max = sorted(_branch_ends(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, branch))
+        pairs += [(m, branch) for m in rs.measured_signals(FIG4_OBS) if g_min <= m <= g_max]
     distinct = []
-    for m in in_branch:
-        if m not in distinct:
-            distinct.append(m)
+    for pair in pairs:
+        if pair not in distinct:
+            distinct.append(pair)
     assert calls == [distinct]
-    # the point has repeats and clamped values, so both are exercised
-    assert len(distinct) < len(in_branch) < rs.replicas
-    assert report.clamp_count == rs.replicas - len(in_branch)
+    # the curve has repeats within and across points, and clamped values
+    assert len(distinct) < len(pairs) < sum(rs.replicas for rs in points)
+    assert sum(r.clamp_count for r in reports) == sum(rs.replicas for rs in points) - len(pairs)
+
+
+# The batch over a curve equals, bit for bit, each point estimated alone:
+# its own monotone_branch, and one find_roots call per value.
+
+
+def _point_reference(cfg, scheme, obs, pt):
+    """pt's EstimationReport on its own branch, or the NonMonotoneBranch its
+    branch search raised."""
+    try:
+        branch = monotone_branch(cfg, scheme, obs, pt.phi)
+    except NonMonotoneBranch as exc:
+        return exc
+    measured = pt.measured_signals(obs)
+    estimates, clamped = _per_value_invert(cfg, scheme, obs, measured, [branch] * len(measured))
+    m = len(estimates)
+    mean = math.fsum(estimates) / m
+    rms = math.sqrt(math.fsum((e - pt.phi) ** 2 for e in estimates) / m)
+    return EstimationReport(
+        phi_true=pt.phi,
+        shots=pt.shots,
+        estimates=tuple(estimates),
+        mean_signal=math.fsum(measured) / m,
+        mean_estimate=mean,
+        bias=mean - pt.phi,
+        std_dev=math.sqrt(math.fsum((e - mean) ** 2 for e in estimates) / m),
+        sigma=math.sqrt(pt.shots) * rms,
+        clamp_count=sum(clamped),
+    )
+
+
+@functools.cache
+def _curve_branches(system):
+    """The distinct branches of a system around 0: fig4's 20 over (-pi, pi),
+    and 8 of the nbar-1e8 system's 6.4e-4-rad branches."""
+    cfg, scheme, obs, span, _ = _CURVE_SYSTEMS[system]
+    return tuple(dict.fromkeys(monotone_branch(cfg, scheme, obs, float(phi))
+                               for phi in np.linspace(-span, span, 401)))
+
+
+# (cfg, scheme, obs, span of the branch scan, phases that raise)
+_CURVE_SYSTEMS = {
+    "fig4": (FIG4_CFG, FIG4_SCHEME, FIG4_OBS, 3.14, []),
+    "nbar1e8": (BRIGHT_CFG, BRIGHT_SCHEME, Observable.alternating(BRIGHT_SCHEME), 0.0028, [0.5]),
+}
+
+
+@st.composite
+def _curves(draw):
+    """(system, phases): an inner phase on each of at least 3 branches, a
+    phase at one of their ends, a repeated phase and any phase that raises,
+    plus drawn phases on the branches, in drawn order."""
+    system = draw(st.sampled_from(sorted(_CURVE_SYSTEMS)))
+    branches = draw(st.lists(st.sampled_from(_curve_branches(system)), min_size=3,
+                             max_size=5, unique=True))
+    inner = lambda b: b.lo + draw(st.floats(0.05, 0.95)) * b.width
+    end = lambda b: draw(st.sampled_from([b.lo, b.hi]))
+    phases = [inner(b) for b in branches] + [end(branches[0])]
+    for _ in range(draw(st.integers(0, 4))):
+        b = draw(st.sampled_from(branches))
+        phases.append(inner(b) if draw(st.booleans()) else end(b))
+    phases += [draw(st.sampled_from(phases))] + _CURVE_SYSTEMS[system][4]
+    return system, draw(st.permutations(phases))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(_curves(), st.sampled_from([5, 40, 200]), st.integers(1, 12),
+       st.integers(0, 2 ** 64 - 1))
+def test_curve_batch_equals_each_point_alone(curve, shots, replicas, seed):
+    system, phases = curve
+    cfg, scheme, obs, _, raising = _CURVE_SYSTEMS[system]
+    points = calibration_curve(cfg, scheme, phases, shots, replicas, seed)
+    # a point whose two records hold every shot in one bin each, of
+    # eigenvalues -1 and +1: both values lie beyond any branch's range
+    one_bin = lambda k: tuple(shots if j == k else 0 for j in range(scheme.n_outcomes))
+    anchor = next(phi for phi in phases if phi not in raising)
+    points.insert(1, ReplicaSet(anchor, shots, seed, (one_bin(0), one_bin(1))))
+    assert points[1].measured_signals(obs) == [-1.0, 1.0]
+    got = simulate._estimates(cfg, scheme, obs, points)
+    want = [_point_reference(cfg, scheme, obs, pt) for pt in points]
+    assert want[1].clamp_count == 2
+    assert sum(isinstance(w, NonMonotoneBranch) for w in want) == len(raising)
+    assert len(got) == len(want)
+    for pt, g, w in zip(points, got, want):
+        if isinstance(w, NonMonotoneBranch):
+            assert type(g) is NonMonotoneBranch and str(g) == str(w)
+            with pytest.raises(NonMonotoneBranch):
+                estimate(cfg, scheme, obs, pt)
+            continue
+        assert type(g) is EstimationReport
+        for f in dataclasses.fields(EstimationReport):
+            a, b = getattr(g, f.name), getattr(w, f.name)
+            assert type(a) is type(b), f.name
+            assert np.array_equal(_bits(a), _bits(b)), f.name
+        assert estimate(cfg, scheme, obs, pt) == g
 
 
 def test_estimate_propagates_nonmonotone_branch():
