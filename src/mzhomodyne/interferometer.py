@@ -262,8 +262,7 @@ def outcome_distribution(cfg: InterferometerConfig, scheme: BinningScheme,
                          phi: float) -> OutcomeDistribution:
     """Full alphabet probabilities and derivatives at one phase: the single
     row of outcome_table."""
-    phis, g_lo, g_hi = _erf_limits(cfg, scheme, [phi])
-    probs, derivs = _probs(g_lo, g_hi), _derivs(cfg, phis, g_lo, g_hi)
+    probs, derivs = outcome_table(cfg, scheme, [phi])
     return OutcomeDistribution(
         phi=float(phi),
         cutoff=scheme.cutoff,

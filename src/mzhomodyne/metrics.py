@@ -17,8 +17,8 @@ import numpy as np
 
 from .interferometer import (BinningScheme, InterferometerConfig, _finite_phases,
                              _float_table, outcome_table)
-from .numerics import (_ERFC_ZERO, _FLOAT_PAIRS, NoSignChange, _brent, _drive, _golden,
-                       _lockstep, _row_sums, _unwrap, find_root)
+from .numerics import (_ERFC_ZERO, NoSignChange, _brent, _drive, _golden, _lockstep,
+                       _row_sums, _unwrap, find_root)
 
 __all__ = [
     "AlphabetMismatch",
@@ -153,6 +153,15 @@ def _moments(obs: Observable, probs: np.ndarray, derivs: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         variances = _row_sums((obs.all_values() - means[:, None]) ** 2 * probs)
     return means, variances, _expectation(obs, derivs)
+
+
+# Up to this many limit pairs (phases x bins) a search round of _signal_rows,
+# the one place that picks floats over arrays, runs from phase to reduced row
+# in Python floats.  Floats against arrays on a 2-core Xeon VM (Python 3.11,
+# numpy 2.4), best of 15: a binary round 25 against 94 us at 1 phase, 117-128
+# against 120-133 us at 14 and 138-151 against 131-143 us at 16 (most rounds
+# of a sweep cell hold 1-3); 15 pairs over 3 or 15 bins 71-97 against 107-124 us.
+_FLOAT_PAIRS = 16
 
 
 def _signal_rows(cfg, scheme, obs, phis):

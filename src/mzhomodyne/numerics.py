@@ -2,13 +2,14 @@
 
 The error function, whose one entry point is erf_diff (erf over a bin),
 from fixed rational approximations (no platform-dependent special-function
-library, so CSV output is bit-stable across machines): a call with at most
-_FLOAT_PAIRS element pairs, all finite, runs in Python floats, any other
-on whole arrays, and both give the same bits; the exactly rounded row
-sum that every per-row reduction runs through (_row_sums); a bracketing Brent
-root finder and a minimizer that refines each valley of a scan by golden
-sections (each a search that one driver runs alone or in lockstep with
-others); and deterministic counter-based uniform random streams.
+library, so CSV output is bit-stable across machines), on whole arrays,
+and _erf_diff_floats, its bits pair by pair in Python floats for small
+search rounds; the exactly rounded row sum that every per-row reduction
+runs through (_row_sums: a column add on one or two columns, else math.fsum
+row by row); a bracketing Brent root finder and a minimizer that refines
+each valley of a scan by golden sections (each a search that one driver
+runs alone or in lockstep with others); and deterministic counter-based
+uniform random streams.
 """
 
 from __future__ import annotations
@@ -143,11 +144,17 @@ def _erfc_positive(y):
     return out
 
 
-def _erf_diff_array(bx, by):
-    """erf_diff of two broadcast float64 arrays, whole-array operations.
-    Each rational form runs at most once, only if some argument needs it: the
-    small one where |v| <= _THRESH, the tail ones where |v| >= _THRESH or NaN."""
-    scalar = bx.ndim == 0
+def erf_diff(x, y):
+    """erf(y) - erf(x) without catastrophic cancellation.
+
+    When both arguments sit in the same tail (beyond +-_THRESH) the
+    difference is formed from erfc values, which keeps the *relative*
+    error small even when erf(x) and erf(y) both round to +-1.  Each rational
+    form runs at most once, on whole arrays, only if some argument needs it:
+    the small one where |v| <= _THRESH, the tail ones where |v| >= _THRESH or NaN.
+    """
+    bx, by = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                                 np.asarray(y, dtype=np.float64))
     v = np.stack((np.atleast_1d(bx), np.atleast_1d(by)))
     a = np.abs(v)
     tail = ~(a < _THRESH)
@@ -158,19 +165,18 @@ def _erf_diff_array(bx, by):
     small = a <= _THRESH
     if small.any():
         f[small] = _erf_rational_small(v[small])
-    (bx, by), (fx, fy), (cx, cy) = v, f, c
-
-    out = np.where((bx >= _THRESH) & (by >= _THRESH), cx - cy,
-                   np.where((bx <= -_THRESH) & (by <= -_THRESH), cy - cx,
-                            fy - fx))
-    out[bx == by] = 0.0
-    return float(out[0]) if scalar else out
+    (vx, vy), (fx, fy), (cx, cy) = v, f, c
+    out = np.where((vx >= _THRESH) & (vy >= _THRESH), cx - cy,
+                   np.where((vx <= -_THRESH) & (vy <= -_THRESH), cy - cx, fy - fx))
+    out[vx == vy] = 0.0
+    return float(out[0]) if bx.ndim == 0 else out
 
 
 def _erf_diff_floats(xs, ys):
-    """erf_diff of two equal-length lists of floats, none NaN, as a list: the
-    array kernel's operations on each pair in float arithmetic, so its bits.
-    All exps are one np.exp call, as math.exp rounds some arguments otherwise."""
+    """erf_diff of two equal-length lists of floats, none NaN, as a list:
+    erf_diff's operations on each pair in float arithmetic, so its bits (the
+    kernel of interferometer._float_table).  All exps are one np.exp call,
+    as math.exp rounds some arguments otherwise."""
     vs = xs + ys
     parts = [_erfc_parts(abs(v), _erfc_mid if abs(v) <= 4.0 else _erfc_far)
              if _THRESH <= abs(v) <= _ERFC_ZERO else None for v in vs]
@@ -186,42 +192,8 @@ def _erf_diff_floats(xs, ys):
             for i, (x, y) in enumerate(zip(xs, ys))]
 
 
-# Up to this many limit pairs (phases x bins) an erf_diff call, and a search
-# round of metrics._signal_rows from phase to reduced row, run in Python floats.
-# Floats against arrays on a 2-core Xeon VM (Python 3.11, numpy 2.4), best of
-# 15: a binary round 25 against 94 us at 1 phase, 117-128 against 120-133 us at
-# 14 and 138-151 against 131-143 us at 16 (most rounds of a sweep cell hold 1-3);
-# 15 pairs over 3 or 15 bins 71-97 against 107-124 us; erf_diff alone
-# 53-69 against 88-95 us at 14-16 pairs, crossing near 24.
-_FLOAT_PAIRS = 16
-
-
-def erf_diff(x, y):
-    """erf(y) - erf(x) without catastrophic cancellation.
-
-    When both arguments sit in the same tail (beyond +-_THRESH) the
-    difference is formed from erfc values, which keeps the *relative*
-    error small even when erf(x) and erf(y) both round to +-1.  A call whose
-    broadcast has at most _FLOAT_PAIRS elements, all finite, runs pair by
-    pair in Python floats; any other runs on whole arrays, with each
-    rational form at most once.  Both give the same bits.
-    """
-    bx, by = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
-                                 np.asarray(y, dtype=np.float64))
-    if bx.size <= _FLOAT_PAIRS:
-        xs, ys = bx.ravel().tolist(), by.ravel().tolist()
-        if all(map(math.isfinite, xs + ys)):
-            out = _erf_diff_floats(xs, ys)
-            return out[0] if bx.ndim == 0 else np.array(out).reshape(bx.shape)
-    return _erf_diff_array(bx, by)
-
-
 # ---------------------------------------------------------------------------
 # Row sums.
-
-# Up to this many rows, math.fsum row by row costs less than the column add's
-# numpy calls (about 1 us + 0.2 us a row against 3-3.5 us on a 2-core Xeon VM).
-_FSUM_ROWS = 8
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
@@ -229,12 +201,11 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 
     A row of one or two terms needs no fsum: IEEE addition of two doubles is
     their exactly rounded sum, and + 0.0 turns a -0.0 sum into fsum's 0.0.  So
-    a table of one or two columns and more than _FSUM_ROWS rows is added by
-    columns if no term exceeds 2**1022 in magnitude, as then no sum overflows
-    (a NaN fails the test).  Others run math.fsum, which raises on overflow.
+    a table of one or two columns that has rows is added by columns if no
+    term exceeds 2**1022 in magnitude, as then no sum overflows (a NaN fails
+    the test).  Others run math.fsum, which raises on overflow.
     """
-    if (terms.shape[1] in (1, 2) and len(terms) > _FSUM_ROWS
-            and np.abs(terms).max() <= 2.0 ** 1022):
+    if terms.shape[1] in (1, 2) and len(terms) and np.abs(terms).max() <= 2.0 ** 1022:
         return (terms[:, 0] + terms[:, 1] if terms.shape[1] == 2 else terms[:, 0]) + 0.0
     return np.array(list(map(math.fsum, terms.tolist())), dtype=np.float64)
 

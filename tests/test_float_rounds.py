@@ -25,8 +25,8 @@ from mzhomodyne.interferometer import (
     _float_table,
     outcome_table,
 )
-from mzhomodyne.metrics import Observable, _moments, _sensitivities, _signal_rows
-from mzhomodyne.numerics import _ERFC_ZERO, _FLOAT_PAIRS, _THRESH, erf_diff
+from mzhomodyne.metrics import _FLOAT_PAIRS, Observable, _moments, _sensitivities, _signal_rows
+from mzhomodyne.numerics import _ERFC_ZERO, _THRESH, erf_diff
 
 _PHASES = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]),
                     st.floats(-4.0, 4.0))

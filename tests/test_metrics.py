@@ -20,7 +20,9 @@ from mzhomodyne.interferometer import (
     BinningScheme,
     InterferometerConfig,
     InvalidScheme,
+    outcome_derivs,
     outcome_distribution,
+    outcome_probs,
     outcome_table,
     quadrature_pdf,
 )
@@ -319,6 +321,22 @@ def test_fisher_rows_equal_the_fsum_of_the_kept_terms(tables):
             for p_row, d_row in zip(probs.tolist(), derivs.tolist())]
     got = metrics._fisher_rows(probs, derivs)
     assert np.array_equal(got.view(np.int64), np.array(want, dtype=np.float64).view(np.int64))
+
+
+@pytest.mark.parametrize("phis", [[], np.empty(0)], ids=["list", "array"])
+@pytest.mark.parametrize("scheme", [BinningScheme.binary(0.5), BinningScheme(0.5, 3.2, 2)],
+                         ids=["binary", "five_bins"])
+def test_an_empty_phase_grid_gives_empty_results(scheme, phis):
+    # the row sums meet tables of no rows here, which hold no largest term
+    cfg, obs = InterferometerConfig.from_nbar(100.0), Observable.alternating(scheme)
+    width = scheme.n_outcomes
+    for table in (*outcome_table(cfg, scheme, phis), outcome_probs(cfg, scheme, phis),
+                  outcome_derivs(cfg, scheme, phis)):
+        assert table.dtype == np.float64 and table.shape == (0, width)
+    point = signal(cfg, scheme, obs, phis)
+    for values in (point.phi, point.mean, point.variance, point.slope, cfi(cfg, scheme, phis),
+                   crb(cfg, scheme, phis), binarized_cfi(cfg, scheme, obs, phis)):
+        assert values.dtype == np.float64 and values.shape == (0,)
 
 
 def test_cfi_binary_equals_inverse_square_sensitivity():

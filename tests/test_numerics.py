@@ -14,7 +14,6 @@ from mzhomodyne.numerics import (
     NoConvergence,
     NoSignChange,
     RandomStream,
-    _FSUM_ROWS,
     _drive,
     _golden,
     _row_sums,
@@ -442,7 +441,8 @@ _ZEROS = st.sampled_from([0.0, -0.0])
 # Each table draws its terms from one pool, so some tables stay under the
 # column add's magnitude guard and some cross it: any finite float; small
 # values with signed zeros; subnormals; values around the guard, 2**1022,
-# up to the largest float, whose pairwise sums overflow.
+# up to the largest float, whose pairwise sums overflow; the guard, the float
+# above it and the non-finite values, which fail it, among small values.
 _TERM_POOLS = [
     st.floats(allow_nan=False, allow_infinity=False),
     st.one_of(_ZEROS, st.floats(-1e3, 1e3)),
@@ -450,16 +450,19 @@ _TERM_POOLS = [
     st.one_of(_ZEROS, st.sampled_from([_BIG, -_BIG, math.nextafter(_BIG, _MAX),
                                        2.0 ** 1023, -(2.0 ** 1023), _MAX, -_MAX]),
               st.floats(2.0 ** 1021, _MAX), st.floats(-_MAX, -(2.0 ** 1021))),
+    st.one_of(_ZEROS, st.floats(-1.0, 1.0),
+              st.sampled_from([_BIG, -_BIG, math.nextafter(_BIG, _MAX), math.nan,
+                               math.inf, -math.inf])),
 ]
 
 
 @st.composite
 def _row_tables(draw):
-    """A float64 table of 1, 2, 5 or 8 columns and 0 to 3*_FSUM_ROWS rows,
-    so both the column add and the row-by-row fsum run; a drawn row may
-    end in a pair that cancels exactly or to within an ulp."""
+    """A float64 table of 1, 2, 5 or 8 columns and 0 to 24 rows, so both the
+    column add and the row-by-row fsum run; a drawn row may end in a pair
+    that cancels exactly or to within an ulp."""
     cols = draw(st.sampled_from([1, 2, 5, 8]))
-    rows = draw(st.integers(0, 3 * _FSUM_ROWS))
+    rows = draw(st.integers(0, 24))
     terms = draw(st.sampled_from(_TERM_POOLS))
     table = [[draw(terms) for _ in range(cols)] for _ in range(rows)]
     for row in table:
@@ -484,11 +487,20 @@ def _assert_row_sums_equal_fsum(table):
     assert np.array_equal(got.view(np.int64), np.array(want, dtype=np.float64).view(np.int64))
 
 
-_MANY = 2 * _FSUM_ROWS + 1  # rows enough for the column add
+_MANY = 17  # a last row below 16 rows that alone would take the column add
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(_row_tables())
+@example(np.array([[-0.0]]))
+@example(np.full((8, 2), -0.0))
+@example(np.array([[_BIG, _BIG], [-_BIG, 1.0], [_BIG, -_BIG]]))
+@example(np.array([[math.nextafter(_BIG, _MAX)], [1.0]]))
+@example(np.array([[math.nextafter(_BIG, _MAX), -_BIG]] * 4))
+@example(np.array([[math.nan, 1.0], [0.5, 0.25]]))
+@example(np.array([[math.nan]] * 5))
+@example(np.array([[math.inf, 1.0]] * 3))
+@example(np.array([[-math.inf]] * 8))
 @example(np.full((_MANY, 1), -0.0))
 @example(np.full((_MANY, 2), -0.0))
 @example(np.tile([[5e-324, -5e-324]], (_MANY, 1)))
