@@ -154,18 +154,18 @@ def quadrature_pdf(cfg: InterferometerConfig, phi: float, p):
 
 
 def _erf_limits(cfg, scheme, phis):
-    """(phis as a list, G_minus, G_plus), each G of shape [n_phi, 2*cutoff+1].
+    """(phis as a list, G_minus, G_plus, c), each G of shape [n_phi, 2*cutoff+1].
 
     P(k|phi) integrates the Gaussian over bin k, which in erf form uses
-    G+- = sqrt(2)*(alpha0*sin(phi)/2 + k*spacing +- half_width).  The sine
-    is math.sin of each phase, so a row does not depend on the grid it is in.
-    A NaN or infinite phase raises ValueError (see _finite_phase).
+    G+- = sqrt(2)*(c + k*spacing +- half_width), c = alpha0*sin(phi)/2.  The
+    sine is math.sin of each phase, so a row does not depend on the grid it
+    is in.  A NaN or infinite phase raises ValueError (see _finite_phase).
     """
     phis = _finite_phases(phis)
     c = 0.5 * cfg.alpha0 * np.array(list(map(math.sin, phis)))
     shift = _SQRT2 * (c[:, None] + scheme.centers())
     ga = _SQRT2 * scheme.half_width
-    return phis, shift - ga, shift + ga
+    return phis, shift - ga, shift + ga, c
 
 
 def _probs(g_lo, g_hi):
@@ -178,40 +178,58 @@ def _probs(g_lo, g_hi):
 def _derivs(cfg, phis, g_lo, g_hi):
     # d/dphi [erf(G)] = (2/sqrt(pi)) exp(-G^2) * dG/dphi, and both limits have
     # dG/dphi = alpha0*cos(phi)/sqrt(2), so P'(k|phi) = (1/sqrt(pi))
-    # * (alpha0*cos(phi)/sqrt(2)) * (exp(-G_plus^2) - exp(-G_minus^2))
+    # * (alpha0*cos(phi)/sqrt(2)) * (exp(-G_plus^2) - exp(-G_minus^2)); returned
+    # with the cosines and the two exponentials, which _curved_table reuses
     cos = np.array(list(map(math.cos, phis)))
-    factor = _INV_SQRTPI * cfg.alpha0 * cos / _SQRT2
-    bins = factor[:, None] * (np.exp(-g_hi * g_hi) - np.exp(-g_lo * g_lo))
-    return np.column_stack((bins, -_row_sums(bins)))
+    e_lo, e_hi = np.exp(-g_lo * g_lo), np.exp(-g_hi * g_hi)
+    bins = (_INV_SQRTPI * cfg.alpha0 * cos / _SQRT2)[:, None] * (e_hi - e_lo)
+    return np.column_stack((bins, -_row_sums(bins))), cos, e_lo, e_hi
+
+
+def _curved_table(cfg, scheme, phis):
+    """outcome_table's (P, dP) and d2P: bin k's (1/sqrt(pi))*(g2*(e_plus - e_minus)
+    - 2*g1^2*(G_plus*e_plus - G_minus*e_minus)), e = exp(-G^2), g1 = dG/dphi,
+    g2 = dg1/dphi, and the leftover's minus their sum (NaN at an infinite limit)."""
+    phis, g_lo, g_hi, c = _erf_limits(cfg, scheme, phis)
+    derivs, cos, e_lo, e_hi = _derivs(cfg, phis, g_lo, g_hi)
+    g1 = cfg.alpha0 * cos / _SQRT2
+    bins = _INV_SQRTPI * ((-_SQRT2 * c)[:, None] * (e_hi - e_lo)
+                          - (2.0 * g1 * g1)[:, None] * (g_hi * e_hi - g_lo * e_lo))
+    return _probs(g_lo, g_hi), derivs, np.column_stack((bins, -_row_sums(bins)))
 
 
 def _float_table(cfg, scheme, phis):
-    """Yields outcome_table's (P, dP) rows at phis as lists of floats, from the
-    array path's operations in its order, so its bits: bins by _erf_diff_floats,
-    exponentials from one np.exp call (math.exp rounds some otherwise), row sums
-    by math.fsum, a negative bin clamped at +0.0.  A limit past the float range
-    is inf, erfc 0 in both paths."""
+    """Yields _curved_table's (P, dP, d2P) rows at phis as lists of floats,
+    from the array path's operations in its order, so its bits: bins by
+    _erf_diff_floats, exponentials from one np.exp call (math.exp rounds some
+    otherwise), row sums by math.fsum, a negative bin clamped at +0.0.  A limit
+    past the float range is inf, erfc 0 in both paths."""
     centers = [scheme.spacing * k for k in range(-scheme.cutoff, scheme.cutoff + 1)]
     phis, ga, m = list(map(_finite_phase, phis)), _SQRT2 * scheme.half_width, len(centers)
-    shifts = [_SQRT2 * (0.5 * cfg.alpha0 * math.sin(phi) + x) for phi in phis for x in centers]
+    cs = [0.5 * cfg.alpha0 * math.sin(phi) for phi in phis]
+    shifts = [_SQRT2 * (c + x) for c in cs for x in centers]
     g_lo, g_hi = [s - ga for s in shifts], [s + ga for s in shifts]
     bins = [max(0.5 * d, 0.0) for d in _erf_diff_floats(g_lo, g_hi)]
     exps = np.exp([-g * g for g in g_hi + g_lo]).tolist()
-    for i, phi in enumerate(phis):
-        factor, j = _INV_SQRTPI * cfg.alpha0 * math.cos(phi) / _SQRT2, i * m
+    for i, (phi, c) in enumerate(zip(phis, cs)):
+        cos, j, g2 = math.cos(phi), i * m, -_SQRT2 * c
+        factor, g1 = _INV_SQRTPI * cfg.alpha0 * cos / _SQRT2, cfg.alpha0 * cos / _SQRT2
+        limits = list(zip(g_lo[j:j + m], g_hi[j:j + m], exps[len(shifts) + j:], exps[j:j + m]))
         p = bins[j:j + m]
-        dp = [factor * (e_hi - e_lo) for e_hi, e_lo in zip(exps[j:j + m], exps[len(shifts) + j:])]
-        yield p + [max(0.0, 1.0 - math.fsum(p))], dp + [-math.fsum(dp)]
+        dp = [factor * (e_hi - e_lo) for _, _, e_lo, e_hi in limits]
+        ddp = [_INV_SQRTPI * (g2 * (e_hi - e_lo) - 2.0 * g1 * g1 * (hi * e_hi - lo * e_lo))
+               for lo, hi, e_lo, e_hi in limits]
+        yield p + [max(0.0, 1.0 - math.fsum(p))], dp + [-math.fsum(dp)], ddp + [-math.fsum(ddp)]
 
 
 def outcome_probs(cfg: InterferometerConfig, scheme: BinningScheme, phis):
     """The P of outcome_table alone."""
-    return _probs(*_erf_limits(cfg, scheme, phis)[1:])
+    return _probs(*_erf_limits(cfg, scheme, phis)[1:3])
 
 
 def outcome_derivs(cfg: InterferometerConfig, scheme: BinningScheme, phis):
     """The dP of outcome_table alone; it evaluates no error function."""
-    return _derivs(cfg, *_erf_limits(cfg, scheme, phis))
+    return _derivs(cfg, *_erf_limits(cfg, scheme, phis)[:3])[0]
 
 
 def outcome_table(cfg: InterferometerConfig, scheme: BinningScheme, phis):
@@ -226,8 +244,8 @@ def outcome_table(cfg: InterferometerConfig, scheme: BinningScheme, phis):
     exactly rounded math.fsum of its row.  outcome_probs and outcome_derivs
     return P and dP alone, bit for bit, for a caller that reads one half.
     """
-    phis, g_lo, g_hi = _erf_limits(cfg, scheme, phis)
-    return _probs(g_lo, g_hi), _derivs(cfg, phis, g_lo, g_hi)
+    phis, g_lo, g_hi, _ = _erf_limits(cfg, scheme, phis)
+    return _probs(g_lo, g_hi), _derivs(cfg, phis, g_lo, g_hi)[0]
 
 
 @dataclass(frozen=True)

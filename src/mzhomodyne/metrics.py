@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import (BinningScheme, InterferometerConfig, _finite_phases,
-                             _float_table, outcome_table)
-from .numerics import (_ERFC_ZERO, NoSignChange, _brent, _drive, _golden, _lockstep,
-                       _row_sums, _unwrap, find_root)
+from .interferometer import (BinningScheme, InterferometerConfig, _curved_table,
+                             _finite_phases, _float_table, outcome_table)
+from .numerics import (_ERFC_ZERO, NoSignChange, _brent, _drive, _lockstep, _row_sums,
+                       _unwrap, find_root)
 
 __all__ = [
     "AlphabetMismatch",
@@ -165,20 +164,31 @@ _FLOAT_PAIRS = 16
 
 
 def _signal_rows(cfg, scheme, obs, phis):
-    """(mean, slope, sqrt(var)/|slope|) of obs at each phase of a search round:
-    from _float_table in floats, each sum a math.fsum, if the round holds at
-    most _FLOAT_PAIRS limit pairs, else from _moments and _sensitivities on
-    whole arrays.  Both give the same bits (_row_sums equals math.fsum)."""
+    """(mean, slope, sqrt(var)/|slope|, E) of obs at each phase of a search
+    round.  E = V'S - 2VS' (S the slope, V the variance, V' = sum (mu - mean)^2
+    P' as the P' sum to 0, S' = sum mu P'') is dphi's stationarity column,
+    finite where S = 0 (dphi' = dphi E/(2VS)), NaN where V is not.  From
+    _float_table in floats, each sum a math.fsum, if the round holds at most
+    _FLOAT_PAIRS limit pairs, else from _curved_table on whole arrays: the
+    same bits (_row_sums equals math.fsum)."""
     if len(phis) * (2 * scheme.cutoff + 1) > _FLOAT_PAIRS:
-        means, variances, slopes = _moments(obs, *outcome_table(cfg, scheme, phis))
+        probs, derivs, curves = _curved_table(cfg, scheme, phis)
+        means, variances, slopes = _moments(obs, probs, derivs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (obs.all_values() - means[:, None]) ** 2 * derivs
+            turns = (_row_sums(np.where((variances < math.inf)[:, None], terms, math.nan))
+                     * slopes - 2.0 * variances * _expectation(obs, curves))
         return list(zip(means.tolist(), slopes.tolist(),
-                        _sensitivities(variances, slopes).tolist()))
+                        _sensitivities(variances, slopes).tolist(), turns.tolist()))
     values, rows = obs.bin_values + (obs.leftover_value,), []
-    for probs, derivs in _float_table(cfg, scheme, phis):
+    for probs, derivs, curves in _float_table(cfg, scheme, phis):
         mean = math.fsum([mu * p for mu, p in zip(values, probs)])
-        variance = math.fsum([u * u * p for u, p in zip([mu - mean for mu in values], probs)])
+        u2 = [u * u for u in [mu - mean for mu in values]]
+        variance = math.fsum([q * p for q, p in zip(u2, probs)])
         slope = math.fsum([mu * d for mu, d in zip(values, derivs)])
-        rows.append((mean, slope, _sensitivity(variance, slope)))
+        dv = math.fsum([q * d for q, d in zip(u2, derivs)]) if variance < math.inf else math.nan
+        turn = dv * slope - 2.0 * variance * math.fsum([mu * c for mu, c in zip(values, curves)])
+        rows.append((mean, slope, _sensitivity(variance, slope), turn))
     return rows
 
 
@@ -256,6 +266,15 @@ def _bounds(probs: np.ndarray, derivs: np.ndarray) -> np.ndarray:
     info = _fisher_rows(probs, derivs)
     return np.divide(1.0, np.sqrt(info), out=np.full_like(info, math.inf),
                      where=~(info < _CFI_FLOOR))
+
+
+def _bound_rows(cfg, scheme, phis):
+    """(crb, F') at each phase, F' = sum P'(2PP'' - P'^2)/P^2 over the terms
+    _fisher_rows keeps: the bound's stationarity column, as crb' = -F'/(2F^1.5)."""
+    probs, derivs, curves = _curved_table(cfg, scheme, phis)
+    turns = _row_sums(np.divide(derivs * (2.0 * probs * curves - derivs * derivs), probs * probs,
+                                out=np.zeros_like(probs), where=probs >= _PROB_FLOOR))
+    return list(zip(_bounds(probs, derivs).tolist(), turns.tolist()))
 
 
 def crb(cfg: InterferometerConfig, scheme: BinningScheme, phi):
@@ -368,16 +387,30 @@ def _shift_lattice(cfg, scheme):
         lo, size = lo + size, min(max(2 * size, _FIRST_CHUNK), _SIDE_CHUNK)
 
 
-def _half_crossing(center, f0, dark, f_dark, orient):
-    """The half-depth crossing between a fringe's center and its dark point
-    (orient +1 for a peak, -1 for a dip), as a search sent the signal.  Brent's
-    stop follows its bracket, so the crossing is good to rounding whatever
-    the bracket."""
+def _root_rows(rows, col, target=0.0):
+    """Brent's root of row[col] - target between the two phases of rows, a dict
+    of rows by phase, as a search sent rows, each kept in rows (rows[root])."""
+    bracket = sorted(rows)
+    brent = _brent(bracket, target, [rows[x][col] for x in bracket])
+    try:
+        (x,) = next(brent)
+        while True:
+            (rows[x],) = yield [x]
+            (x,) = brent.send([rows[x][col]])
+    except StopIteration as done:
+        return done.value
+
+
+def _half_crossing(center, dark, orient):
+    """The half-depth crossing between a fringe's center and its dark point,
+    (phase, row) pairs with the signal at row[0] (orient +1 for a peak, -1 for
+    a dip), as a search sent rows.  Brent's stop follows its bracket, so the
+    crossing is good to rounding whatever the bracket."""
+    f0, f_dark = center[1][0], dark[1][0]
     if orient * (f0 - f_dark) <= 1e-10 * max(abs(f0), abs(f_dark)):
         raise NoFringe("fringe depth within rounding noise")
-    (lo, f_lo), (hi, f_hi) = sorted(((center, f0), (dark, f_dark)))
     try:
-        return (yield from _brent((lo, hi), 0.5 * (f0 + f_dark), (f_lo, f_hi)))
+        return (yield from _root_rows(dict((center, dark)), 0, 0.5 * (f0 + f_dark)))
     except NoSignChange as exc:
         raise NoFringe("fringe shallower than half depth") from exc
 
@@ -391,35 +424,23 @@ def _run_end(lattice, side, rows, k, sign):
     """(end, row there) of a run of one slope sign, as a search sent rows
     (slope at [1]), from the (phase, row) pairs rows[k:] on and then along
     one side's lattice: the first row of zero slope, the last row (+-pi/2),
-    or where the slope turns, _turn_end of the two rows around the turn."""
+    or where the slope turns, of the rows that _root_rows reads for the
+    slope's root between the two rows around the turn, the nearest the root
+    with a slope of 0 or of sign, so the sign holds to it.  Brent's stop
+    follows the bracket, so that end is good to rounding at any nbar."""
     while True:
         for j in range(k, len(rows)):
             if _sign(rows[j][1]) != sign:
                 if not _sign(rows[j][1]):
                     return rows[j]
-                return (yield from _turn_end(dict(rows[j - 1:j + 1]), sign))
+                turn = dict(rows[j - 1:j + 1])
+                root = yield from _root_rows(turn, 1)
+                return min(((x, row) for x, row in turn.items() if row[1] * sign >= 0.0),
+                           key=lambda end: abs(end[0] - root))
         chunk, k = [side * q for q in next(lattice, ())], len(rows)
         if not chunk:
             return rows[-1]
         rows += zip(chunk, (yield chunk))
-
-
-def _turn_end(rows, sign):
-    """(end, row there) of a run of sign whose slope row[1] turns between
-    the phases of rows, a dict of rows kept for every phase Brent asks for:
-    of those, the nearest the slope's root with a slope of 0 or of sign, so
-    the sign holds to it.  Brent's stop follows the bracket, so the end is
-    good to rounding at any nbar."""
-    bracket = sorted(rows)
-    brent = _brent(bracket, 0.0, [rows[x][1] for x in bracket])
-    try:
-        (x,) = next(brent)
-        while True:
-            (rows[x],) = yield [x]
-            (x,) = brent.send([rows[x][1]])
-    except StopIteration as done:
-        return min(((x, row) for x, row in rows.items() if row[1] * sign >= 0.0),
-                   key=lambda end: abs(end[0] - done.value))
 
 
 def _fringe_search(cfg, scheme):
@@ -436,11 +457,10 @@ def _fringe_search(cfg, scheme):
     orient = math.copysign(1.0, left[1])
     sides = zip((-1.0, 1.0), itertools.tee(lattice), (left, right))
     darks = yield from _lockstep([
-        (_run_end(chunks, side, [(0.0, center), (side * x, first)], 1, -side * orient), None)
+        _run_end(chunks, side, [(0.0, center), (side * x, first)], 1, -side * orient)
         for side, chunks, first in sides])
-    crossings = yield from _lockstep([(_half_crossing(0.0, center[0], dark, row[0], orient),
-                                       operator.itemgetter(0))
-                                      for dark, row in map(_unwrap, darks)])
+    crossings = yield from _lockstep([_half_crossing((0.0, center), dark, orient)
+                                      for dark in map(_unwrap, darks)])
     return _fringe_width(*sorted(map(_unwrap, crossings)))
 
 
@@ -472,10 +492,10 @@ def fwhm_continuous(cfg: InterferometerConfig) -> float:
     """Width of the un-binned reference fringe |mean quadrature| at half
     depth, centered on its peak at phi=pi/2, whose dark points are 0 and pi;
     equals 2*pi/3."""
-    evaluate = lambda xs: np.abs(continuous_signal(cfg, xs)).tolist()
-    f0, left, right = evaluate([math.pi / 2, 0.0, math.pi])
-    crossing = lambda *dark: _drive(evaluate, _half_crossing(math.pi / 2, f0, *dark, 1.0))
-    return crossing(math.pi, right) - crossing(0.0, left)
+    evaluate = lambda xs: [(f,) for f in np.abs(continuous_signal(cfg, xs)).tolist()]
+    center, left, right = zip([math.pi / 2, 0.0, math.pi], evaluate([math.pi / 2, 0.0, math.pi]))
+    crossing = lambda dark: _drive(evaluate, _half_crossing(center, dark, 1.0))
+    return crossing(right) - crossing(left)
 
 
 def signal_peaks(cfg: InterferometerConfig, scheme: BinningScheme) -> list[float]:
@@ -504,21 +524,40 @@ def best_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme,
     """(phi_min, dphi_min) over phi in [0, pi/2].
 
     With an observable, minimizes error_propagation_sensitivity, read off
-    _signal_rows; with None, minimizes the Cramer-Rao bound.  It scans 0 and
-    _shift_lattice, which follows alpha0 and spans every phase where dphi is
-    finite, in one round, then refines its valleys; a round is one evaluation.
+    _signal_rows; with None, the Cramer-Rao bound, read off _bound_rows.
+    It scans 0 and _shift_lattice, which follows alpha0 and spans every phase
+    where dphi is finite, in one round, then refines its valleys; a round is
+    one evaluation.
     """
     if obs is None:
-        objective = lambda xs: crb(cfg, scheme, xs).tolist()
+        evaluate = lambda xs: _bound_rows(cfg, scheme, xs)
     else:
         _check_alphabet(obs, scheme)
-        objective = lambda xs: [row[2] for row in _signal_rows(cfg, scheme, obs, xs)]
-    return _drive(objective, _sensitivity_search(cfg, scheme))
+        evaluate = lambda xs: _signal_rows(cfg, scheme, obs, xs)
+    return _drive(evaluate, _sensitivity_search(cfg, scheme))
 
 
 def _sensitivity_search(cfg, scheme):
-    """best_sensitivity as a search (numerics._drive) sent dphi values."""
-    return _golden([0.0, *itertools.chain.from_iterable(_shift_lattice(cfg, scheme))])
+    """best_sensitivity as a search (numerics._drive) sent rows ending in dphi and its
+    stationarity column.  A scan, one round, finds the valleys (below the point before,
+    not above the one after); each goes in lockstep to Brent's root of the column between
+    it and the first neighbour across which the column changes sign, else keeps its scan
+    point.  (phi, dphi) of the least dphi, the first on ties."""
+    xs = [0.0, *itertools.chain.from_iterable(_shift_lattice(cfg, scheme))]
+    rows = yield xs
+    fs, turns, last = [row[-2] for row in rows], [row[-1] for row in rows], len(xs) - 1
+
+    def refine(i):
+        j = next((j for j in (i - 1, i + 1) if 0 <= j <= last and turns[i] * turns[j] < 0.0), i)
+        bracket = {xs[i]: rows[i], xs[j]: rows[j]}
+        root = xs[i] if j == i else (yield from _root_rows(bracket, -1))
+        return root, bracket[root]
+
+    valleys = [refine(i) for i in range(last + 1)
+               if (i == 0 or fs[i] < fs[i - 1]) and (i == last or fs[i] <= fs[i + 1])]
+    best = min(map(_unwrap, (yield from _lockstep(valleys))), key=lambda point: point[1][-2],
+               default=(0.0, rows[0]))
+    return best[0], best[1][-2]
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +608,8 @@ def sweep(nbar_axis, a_axis) -> SweepGrid:
             scheme = BinningScheme.binary(a)
             width, best, contrast = _drive(
                 lambda xs: _signal_rows(cfg, scheme, obs, xs), _lockstep([
-                    (_fringe_search(cfg, scheme), None),
-                    (_sensitivity_search(cfg, scheme), operator.itemgetter(2)),
-                    (_visibility_search(), None)]))
+                    _fringe_search(cfg, scheme), _sensitivity_search(cfg, scheme),
+                    _visibility_search()]))
             if not isinstance(width, NoFringe):
                 res[i, j] = (2.0 * math.pi / 3.0) / _unwrap(width)
             _, dphi_min = _unwrap(best)

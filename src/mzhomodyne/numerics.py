@@ -6,10 +6,9 @@ library, so CSV output is bit-stable across machines), on whole arrays,
 and _erf_diff_floats, its bits pair by pair in Python floats for small
 search rounds; the exactly rounded row sum that every per-row reduction
 runs through (_row_sums: a column add on one or two columns, else math.fsum
-row by row); a bracketing Brent root finder and a minimizer that refines
-each valley of a scan by golden sections (each a search that one driver
-runs alone or in lockstep with others); and deterministic counter-based
-uniform random streams.
+row by row); Brent's bracketing root search, the one search algorithm of
+the package, which one driver runs alone or in lockstep with other searches;
+and deterministic counter-based uniform random streams.
 """
 
 from __future__ import annotations
@@ -211,7 +210,7 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Root finding and minimization.
+# Root finding.
 
 _EPS = float(np.finfo(float).eps)
 
@@ -229,15 +228,14 @@ def _drive(evaluate, search):
 
 
 def _lockstep(searches):
-    """(search, objective) pairs in lockstep as one search, each sent its values
-    mapped by its objective (None: as they are).  Returns results or errors."""
+    """Searches run in lockstep as one search; returns their results or errors."""
     outcomes = [None] * len(searches)
     running, sent = list(range(len(searches))), [None] * len(searches)
     while True:
         points, alive, ends = [], [], []
         for i, values in zip(running, sent):
             try:
-                xs = searches[i][0].send(values)
+                xs = searches[i].send(values)
             except StopIteration as done:
                 outcomes[i] = done.value
             except Exception as exc:
@@ -250,9 +248,6 @@ def _lockstep(searches):
             return outcomes
         values = yield points
         running, sent = alive, [values[a:b] for a, b in zip([0] + ends, ends)]
-        for k, i in enumerate(alive):
-            if searches[i][1] is not None:
-                sent[k] = list(map(searches[i][1], sent[k]))
 
 
 def _unwrap(outcome):
@@ -354,44 +349,9 @@ def find_roots(g_batch: Callable, targets, brackets, g_ends=None) -> list:
     lengths raise ValueError.
     """
     g_ends = [None] * len(brackets) if g_ends is None else g_ends
-    searches = [(_brent(b, t, e), None)
-                for t, b, e in zip(targets, brackets, g_ends, strict=True)]
+    searches = [_brent(b, t, e) for t, b, e in zip(targets, brackets, g_ends, strict=True)]
     roots = _drive(lambda xs: g_batch(np.array(xs)).tolist(), _lockstep(searches))
     return [_unwrap(root) for root in roots]
-
-
-def _golden(xs):
-    """(x_min, f_min) as a search (see _drive) over the ascending points xs: a
-    scan of them all, one round, finds the valleys (points below the one
-    before and not above the one after), which a descent could not all reach;
-    golden sections refine each in lockstep.  The scan's argmin wins ties."""
-    fs = np.asarray((yield xs))
-    best = int(np.argmin(fs))
-    dips = np.append(True, fs[1:] < fs[:-1]) & np.append(fs[:-1] <= fs[1:], True)
-    sections = yield from _lockstep([(_section(xs, i), None)
-                                     for i in np.flatnonzero(dips).tolist()])
-    return min([(float(xs[best]), float(fs[best]))]
-               + [point for section in sections for point in _unwrap(section)],
-               key=lambda point: point[1])
-
-
-def _section(xs, i):
-    """The last two (x, f) of golden sections between the neighbours of xs[i]
-    down to sqrt(eps) of the larger end, which is positive even if one is 0."""
-    a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
-    tol, invphi = math.sqrt(_EPS) * max(abs(a), abs(b)), (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = yield [c, d]
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            (fc,) = yield [c]
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            (fd,) = yield [d]
-    return (c, fc), (d, fd)
 
 
 # ---------------------------------------------------------------------------

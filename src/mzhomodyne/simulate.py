@@ -180,8 +180,8 @@ def _branch_search(cfg, scheme, x):
     if not sign:
         raise NonMonotoneBranch("signal is flat around the phase")
     return [end for end, _ in map(_unwrap, (yield from _lockstep([
-        (_run_end(_shift_lattice(cfg, scheme), -side, rows[i::-1], 1, sign), None),
-        (_run_end(lattice, side, rows, i, sign), None)])))]
+        _run_end(_shift_lattice(cfg, scheme), -side, rows[i::-1], 1, sign),
+        _run_end(lattice, side, rows, i, sign)])))]
 
 
 def _invert(cfg, scheme, obs, measured, branches):

@@ -1,12 +1,13 @@
 """A search round in Python floats against the array path.
 
 metrics._signal_rows runs a round of at most _FLOAT_PAIRS limit pairs
-(phases x bins) from phase to reduced row in Python floats: the table from
-interferometer._float_table, each mean, variance and slope a math.fsum, and
-the sensitivity from metrics._sensitivity.  On every drawn round these equal
-outcome_table, _moments and _sensitivities bit for bit (int64 views, which
+(phases x bins) from phase to reduced row in Python floats: the table and
+its second derivatives from interferometer._float_table, each mean,
+variance, slope and stationarity sum a math.fsum, and the sensitivity from
+metrics._sensitivity.  On every drawn round these equal outcome_table,
+_curved_table, _moments and _sensitivities bit for bit (int64 views, which
 tell +0.0 from -0.0), and a non-finite phase raises the same error.  A
-larger round is one outcome_table call and its reduction.
+larger round is one _curved_table call and its reduction.
 """
 
 import math
@@ -21,12 +22,13 @@ from mzhomodyne import metrics
 from mzhomodyne.interferometer import (
     BinningScheme,
     InterferometerConfig,
+    _curved_table,
     _erf_limits,
     _float_table,
     outcome_table,
 )
 from mzhomodyne.metrics import _FLOAT_PAIRS, Observable, _moments, _sensitivities, _signal_rows
-from mzhomodyne.numerics import _ERFC_ZERO, _THRESH, erf_diff
+from mzhomodyne.numerics import _ERFC_ZERO, _THRESH, _row_sums, erf_diff
 
 _PHASES = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]),
                     st.floats(-4.0, 4.0))
@@ -63,13 +65,19 @@ ZERO_LEFTOVER = (3528223.544200611, 2.8196818875730165, 5.639363775146036, 7, [1
 
 
 def _array_round(cfg, scheme, obs, phis):
-    """(P, dP, rows): the table and its (mean, slope, sensitivity) rows on
-    whole arrays.  numpy warns where a limit overflows to inf, which the
-    float path meets silently."""
-    with np.errstate(over="ignore"):
-        probs, derivs = outcome_table(cfg, scheme, phis)
-    means, variances, slopes = _moments(obs, probs, derivs)
-    return probs, derivs, np.column_stack((means, slopes, _sensitivities(variances, slopes)))
+    """(P, dP, d2P, rows): the table and its (mean, slope, sensitivity, E)
+    rows on whole arrays, E = V'S - 2VS' with V' = sum (mu - mean)^2 P' and
+    S' = sum mu P''.  numpy warns where a limit overflows to inf (where d2P
+    reads inf * 0), which the float path meets silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs, derivs, curves = _curved_table(cfg, scheme, phis)
+        assert all(np.array_equal(_bits(got), _bits(want))
+                   for got, want in zip((probs, derivs), outcome_table(cfg, scheme, phis)))
+        means, variances, slopes = _moments(obs, probs, derivs)
+        turns = (_row_sums((obs.all_values() - means[:, None]) ** 2 * derivs) * slopes
+                 - 2.0 * variances * _row_sums(obs.all_values() * curves))
+    return probs, derivs, curves, np.column_stack(
+        (means, slopes, _sensitivities(variances, slopes), turns))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -86,22 +94,23 @@ def _array_round(cfg, scheme, obs, phis):
           Observable((1.0, 2.0, 3.0), 0.5), [0.3, -1.0]))
 def test_a_float_round_equals_the_table_and_its_reduction(system):
     cfg, scheme, obs, phis = system
-    probs, derivs, want = _array_round(cfg, scheme, obs, phis)
-    p, dp = zip(*_float_table(cfg, scheme, phis))
+    probs, derivs, curves, want = _array_round(cfg, scheme, obs, phis)
+    p, dp, ddp = zip(*_float_table(cfg, scheme, phis))
     assert np.array_equal(_bits(p), _bits(probs))
     assert np.array_equal(_bits(dp), _bits(derivs))
+    assert np.array_equal(_bits(ddp), _bits(curves))
     assert np.array_equal(_bits(_signal_rows(cfg, scheme, obs, phis)), _bits(want))
 
 
 def test_the_examples_reach_a_clamped_bin_a_zero_leftover_and_the_far_tail():
     cfg, scheme, obs, phis = _system(1.0, 5e-17, 1.0, 0, [1e6], 0.0, [0.7263963198159908])
-    assert erf_diff(*_erf_limits(cfg, scheme, phis)[1:])[0, 0] < 0.0
-    probs, _, ((_, slope, sens),) = _array_round(cfg, scheme, obs, phis)
+    assert erf_diff(*_erf_limits(cfg, scheme, phis)[1:3])[0, 0] < 0.0
+    probs, _, _, ((_, slope, sens, _),) = _array_round(cfg, scheme, obs, phis)
     assert _bits(probs[0, 0]) == _bits(0.0) and probs[0, 1] == 1.0
     # the variance is the exact 0 of a one-valued outcome, past the slope floor
     assert abs(slope) > metrics._SLOPE_FLOOR and _bits(sens) == _bits(0.0)
     cfg, scheme, _, phis = _system(*ZERO_LEFTOVER)
-    (p, _), = _float_table(cfg, scheme, phis)
+    (p, _, _), = _float_table(cfg, scheme, phis)
     assert math.fsum(p[:-1]) > 1.0 and p[-1] == 0.0
     assert 0.5 * cfg.alpha0 * abs(math.sin(phis[0])) * math.sqrt(2.0) > _ERFC_ZERO
 
@@ -136,9 +145,9 @@ def _table_calls(monkeypatch):
 
     def recording(cfg, scheme, phis):
         calls.append(len(phis))
-        return outcome_table(cfg, scheme, phis)
+        return _curved_table(cfg, scheme, phis)
 
-    monkeypatch.setattr(metrics, "outcome_table", recording)
+    monkeypatch.setattr(metrics, "_curved_table", recording)
     return calls
 
 
@@ -152,7 +161,7 @@ def test_a_round_past_the_cut_is_one_table_call_and_its_reduction(monkeypatch):
         calls.clear()
         got = _signal_rows(cfg, scheme, obs, phis)
         assert calls == [len(phis)]
-        assert np.array_equal(_bits(got), _bits(_array_round(cfg, scheme, obs, phis)[2]))
+        assert np.array_equal(_bits(got), _bits(_array_round(cfg, scheme, obs, phis)[3]))
 
 
 def test_a_round_within_the_cut_makes_no_table_call(monkeypatch):
@@ -208,5 +217,5 @@ def test_no_bin_probability_is_negative(system):
     with np.errstate(over="ignore"):
         probs, _ = outcome_table(cfg, scheme, phis)
     assert (probs >= 0.0).all()
-    p, _ = zip(*_float_table(cfg, scheme, phis))
+    p, *_ = zip(*_float_table(cfg, scheme, phis))
     assert np.array_equal(_bits(p), _bits(probs))

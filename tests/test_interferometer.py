@@ -34,7 +34,7 @@ from mzhomodyne.metrics import (
     error_propagation_sensitivity,
     signal,
 )
-from mzhomodyne.numerics import _drive, _golden, erf_diff
+from mzhomodyne.numerics import erf_diff, find_root
 from oracles import (
     GaussianState,
     central_diff,
@@ -333,12 +333,12 @@ def test_bin_peak_sits_at_matching_phase():
     )
     for k in (-1, 1):
         coarse = int(np.argmax(table[:, k + 2]))
-        peak, _ = _drive(
-            lambda xs: [-_prob(FIG2_CFG, FIG2_SCHEME, k + 2, phi) for phi in xs],
-            _golden(grid[coarse - 2:coarse + 3]),
-        )
+        # the peak is Brent's root of the bin's dP between the grid points
+        # around the coarse maximum, good to rounding
+        peak = find_root(lambda phi: outcome_derivs(FIG2_CFG, FIG2_SCHEME, [phi])[0, k + 2],
+                         (grid[coarse - 1], grid[coarse + 1]))
         expected = -math.asin(2.0 * k * 3.8 / FIG2_CFG.alpha0)
-        assert abs(peak - expected) < 1e-7
+        assert abs(peak - expected) < 1e-13
     # |2 k b| > alpha0 for k = +-2 here: the mean never reaches those bin
     # centers, so the maximum sits at the swing extremum instead
     assert np.argmax(table[:, 4]) == 0

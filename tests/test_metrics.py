@@ -48,9 +48,10 @@ from mzhomodyne.metrics import (
     visibility,
     visibility_boundary,
 )
-from mzhomodyne.numerics import _drive, _golden
+from mzhomodyne.numerics import _drive
 from mzhomodyne.simulate import calibration_curve
-from oracles import binary_half_depth_width, central_diff, score_observable
+from oracles import (binary_best_sensitivity, binary_half_depth_width, central_diff,
+                     score_observable)
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
 FIG2_SCHEME = BinningScheme(half_width=0.5, spacing=3.8, cutoff=2)
@@ -896,41 +897,45 @@ def _sensitivity_scan(cfg, scheme):
 
 @pytest.mark.parametrize("nbar", [5.0, 200.0, 1e6])
 def test_best_sensitivity_batched_scan_equals_scalar_scan(nbar):
-    # the scan runs on one phase array, and a golden round of at most
+    # the scan runs on one phase array, and a Brent round of at most
     # _FLOAT_PAIRS limit pairs in floats (every round on fig2's scheme; fig4's
-    # first, 2 x 11 pairs, on arrays); the per-phase public scan is the oracle
+    # with 2 valleys or more, 2 x 11 pairs, on arrays); the oracle drives the
+    # same search one phase a call, and its dphi is the public one's
     cfg = InterferometerConfig.from_nbar(nbar)
     for scheme, obs in ((BINARY_HALF, UNIT_BINARY_OBS), (BINARY_HALF, None),
                         (FIG2_SCHEME, Observable.ones(FIG2_SCHEME)),
                         (FIG4_SCHEME, Observable.alternating(FIG4_SCHEME))):
         if obs is None:
-            objective = lambda phi: crb(cfg, scheme, phi)
+            rows, public = (lambda xs: metrics._bound_rows(cfg, scheme, xs)), crb
         else:
-            objective = lambda phi: error_propagation_sensitivity(cfg, scheme, obs, phi)
-        assert best_sensitivity(cfg, scheme, obs) == _drive(
-            lambda xs: [objective(x) for x in xs], _golden(_sensitivity_scan(cfg, scheme)))
+            rows = lambda xs: metrics._signal_rows(cfg, scheme, obs, xs)
+            public = lambda cfg, scheme, phi: error_propagation_sensitivity(cfg, scheme, obs, phi)
+        phi, dphi = best_sensitivity(cfg, scheme, obs)
+        assert (phi, dphi) == _drive(lambda xs: [row for x in xs for row in rows([x])],
+                                     metrics._sensitivity_search(cfg, scheme))
+        assert dphi == public(cfg, scheme, phi)
 
 
 def test_best_sensitivity_scans_its_grid_in_one_table_call(monkeypatch):
-    calls = []
+    calls, curved_table = [], metrics._curved_table
 
     def recording(cfg, scheme, phis):
         calls.append(np.array(phis, dtype=float))
-        return outcome_table(cfg, scheme, phis)
+        return curved_table(cfg, scheme, phis)
 
-    monkeypatch.setattr(metrics, "outcome_table", recording)
+    monkeypatch.setattr(metrics, "_curved_table", recording)
     # 0 and the lattice: a step of 0.05 in c out to alpha0/2 = 7.07, then pi/2
     scan = _sensitivity_scan(FIG2_CFG, BINARY_HALF)
     assert len(scan) == 1 + 141 + 1
-    # with the observable, the golden-section rounds of one or two phases
-    # run in floats and call no table
+    # with the observable, the Brent rounds of one phase run in floats and
+    # call no table
     best_sensitivity(FIG2_CFG, BINARY_HALF, UNIT_BINARY_OBS)
     assert len(calls) == 1 and np.array_equal(calls[0], scan)
     calls.clear()
     best_sensitivity(FIG2_CFG, BINARY_HALF, None)
     assert np.array_equal(calls[0], scan)
-    # then the golden-section refinement, two points and then one a call
-    assert [len(c) for c in calls[1:]] == [2] + [1] * (len(calls) - 2)
+    # then Brent's refinement of the one valley, one phase a call
+    assert 2 <= len(calls) <= 16 and [len(c) for c in calls[1:]] == [1] * (len(calls) - 1)
 
 
 def _dense_oracle(cfg, scheme, obs):
@@ -991,6 +996,52 @@ def test_best_sensitivity_equals_a_dense_scan_in_the_shift(system):
     for o in (obs, None):
         got, want = best_sensitivity(cfg, scheme, o)[1], _dense_oracle(cfg, scheme, o)
         assert got == want or abs(got - want) <= 1e-9 * want, (o, got, want)
+
+
+@pytest.mark.parametrize("nbar", [5.0, 1e2, 1e4, 1e6, 1e8, 1e10, 1e12, 1e14])
+@pytest.mark.parametrize("a", [0.1, 0.5, 1.0])
+def test_binary_best_phase_is_the_stationary_point_to_rounding(nbar, a):
+    # Brent's root of the stationarity column holds phi to rounding at any
+    # nbar; a minimizer of dphi, which is flat there, holds it to sqrt(eps)
+    cfg = InterferometerConfig.from_nbar(nbar)
+    phi, _ = best_sensitivity(cfg, BinningScheme.binary(a), UNIT_BINARY_OBS)
+    want, _ = binary_best_sensitivity(cfg, a, phi)
+    assert abs(phi - want) <= 1e-13 * want, (phi, want)
+
+
+def test_best_sensitivity_keeps_a_minimum_at_zero_without_a_sign_change():
+    # the signal of eigenvalues (0, 0, 1) is bin 1's probability, whose slope
+    # at 0 is not 0: dphi rises from phi = 0, the stationarity column keeps
+    # its sign across the first lattice step, and 0 is returned as scanned
+    scheme, obs = BinningScheme(0.5, 1.5, 1), Observable((0.0, 0.0, 1.0))
+    (q,) = next(metrics._shift_lattice(FIG2_CFG, scheme))
+    (*_, f0, e0), (*_, f1, e1) = metrics._signal_rows(FIG2_CFG, scheme, obs, [0.0, q])
+    assert f0 < f1 and e0 * e1 > 0.0
+    assert best_sensitivity(FIG2_CFG, scheme, obs) == (0.0, f0)
+    dense = error_propagation_sensitivity(FIG2_CFG, scheme, obs, np.linspace(0.0, q, 2001))
+    assert int(np.argmin(dense)) == 0 and dense[0] == f0
+
+
+def test_a_valley_whose_neighbours_keep_the_columns_sign_keeps_its_scan_point():
+    # scan noise can make a valley across which the stationarity column does
+    # not change sign: there is no bracket to refine, so the search returns
+    # the scan point after its one round
+    xs, rounds = _sensitivity_scan(FIG2_CFG, BINARY_HALF), []
+
+    def rows(phis):
+        rounds.append(len(phis))
+        return [(abs(x - xs[40]) + 1.0, 1.0) for x in phis]
+
+    assert _drive(rows, metrics._sensitivity_search(FIG2_CFG, BINARY_HALF)) == (xs[40], 1.0)
+    assert rounds == [len(xs)]
+
+
+def test_a_scan_without_a_valley_keeps_its_first_point():
+    # NaN compares false both ways, so a scan of NaN dphi (from eigenvalues
+    # whose squares overflow, where a probability is 0) has no valley at all
+    nan_rows = lambda phis: [(math.nan, math.nan)] * len(phis)
+    phi, dphi = _drive(nan_rows, metrics._sensitivity_search(FIG2_CFG, BINARY_HALF))
+    assert phi == 0.0 and math.isnan(dphi)
 
 
 # ---------------------------------------------------------------------------

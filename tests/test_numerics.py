@@ -14,8 +14,6 @@ from mzhomodyne.numerics import (
     NoConvergence,
     NoSignChange,
     RandomStream,
-    _drive,
-    _golden,
     _row_sums,
     _streams,
     erf_diff,
@@ -309,100 +307,6 @@ def test_find_roots_rejects_lists_of_different_lengths():
     with pytest.raises(ValueError):
         find_roots(lambda xs: xs, [0.1, 0.2], [(0.0, 1.0)] * 2,
                    g_ends=[(0.0, 1.0)])
-
-
-# Scalar minimisation: _golden driven with one objective call per point.
-
-
-def _golden_scalar(f, xs):
-    return _drive(lambda points: [f(x) for x in points], _golden(xs))
-
-
-def test_golden_quadratic():
-    f = lambda x: (x - 1.234) ** 2 + 0.5
-    x, fx = _golden_scalar(f, np.linspace(0.0, 3.0, 512))
-    assert abs(x - 1.234) < 1e-7
-    assert abs(fx - 0.5) < 1e-12
-
-
-def test_golden_locates_a_basin_near_zero_to_its_relative_tolerance():
-    # a basin 1.2345e-9 from 0, between scan points 1e-10 apart: the refine
-    # stops at sqrt(eps) of its bracket's larger end, 1.9e-17 here, where an
-    # absolute tolerance of 1e-10 would stop 1e-10 wide, 8% of x0
-    x0 = 1.2345e-9
-    scan = [0.0] + [k * 1e-10 for k in range(1, 41)]
-    x, _ = _golden_scalar(lambda x: ((x - x0) / x0) ** 2, scan)
-    assert abs(x - x0) <= 1e-8 * x0
-
-
-def test_golden_stops_on_a_minimum_at_zero():
-    # the bracket [0, 1e-3] has a positive tolerance, so the refine ends
-    x, fx = _golden_scalar(abs, [0.0, 1e-3, 2e-3])
-    assert 0.0 <= x <= 1e-3 * math.sqrt(np.finfo(float).eps) and fx == x
-
-
-def test_golden_finds_narrow_global_basin():
-    # broad shallow ripples plus one narrow deep well: a descent-only
-    # method started anywhere misses the well, the grid scan may not
-    def f(x):
-        return 0.2 * np.cos(7.0 * x) - np.exp(-300.0 * (x - 2.347) ** 2)
-
-    x, fx = _golden_scalar(f, np.linspace(0.0, 4.0, 512))
-    brute = np.linspace(2.3, 2.4, 200_001)
-    oracle = brute[np.argmin([f(t) for t in brute])]
-    assert abs(x - oracle) < 1e-6
-    assert fx < -0.9
-
-
-def test_golden_tolerates_inf_values():
-    def f(x):
-        return float("inf") if x < 1.5 else (x - 2.0) ** 2
-
-    x, _ = _golden_scalar(f, np.linspace(0.0, 3.0, 512))
-    assert abs(x - 2.0) < 1e-6
-
-
-# A vectorised objective drives _golden with one call per round (as
-# best_sensitivity does), and gives what per-point calls give.  The drawn objectives use only exactly rounded
-# operations, so one expression gives the same value on a phase array as at
-# each of its points: a parabola plus a sawtooth ripple (many local minima),
-# optionally rounded down to a quantum (exact ties on the grid; 1e6 ties
-# them all) and set to +inf below a cut (an inf plateau that may cover the
-# whole grid).
-
-
-def _scan_objective(x0, curv, amp, freq, quantum, cut):
-    def f(x):
-        t = x * freq - np.floor(x * freq)
-        v = curv * (x - x0) * (x - x0) + amp * t * (1.0 - t)
-        if quantum:
-            v = np.floor(v / quantum) * quantum
-        return v if cut is None else np.where(x < cut, np.inf, v)
-    return f
-
-
-@st.composite
-def _scan_problems(draw):
-    lo = draw(st.floats(-10.0, 10.0))
-    hi = lo + draw(st.floats(1e-3, 10.0))
-    f = _scan_objective(
-        draw(st.floats(lo, hi)), draw(st.floats(0.0, 10.0)),
-        draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 50.0)),
-        draw(st.sampled_from((0.0, 1e-3, 0.1, 1.0, 1e6))),
-        draw(st.one_of(st.none(), st.floats(lo - 1.0, hi + 1.0))))
-    return f, (lo, hi), draw(st.integers(3, 600))
-
-
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(_scan_problems())
-@example((_scan_objective(0.5, 0.0, 0.0, 1.0, 0.0, None), (0.0, 1.0), 64))
-@example((_scan_objective(1.0, 1.0, 0.5, 3.0, 0.1, 0.7), (0.0, 3.0), 512))
-@example((_scan_objective(1.0, 1.0, 0.0, 1.0, 0.0, 9.0), (0.0, 3.0), 17))
-def test_golden_batched_scan_equals_scalar_scan(problem):
-    f, bracket, n = problem
-    batch = lambda xs: np.asarray(f(np.asarray(xs)), dtype=float).tolist()
-    xs = np.linspace(*bracket, n)
-    assert _drive(batch, _golden(xs)) == _golden_scalar(f, xs)
 
 
 def test_central_diff_cubic():

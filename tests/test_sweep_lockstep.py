@@ -1,7 +1,7 @@
 """Sweep cells run in lockstep against the three functions called alone.
 
-A sweep cell runs the fringe search of fwhm, the scan and golden-section
-search of best_sensitivity and the two phases of visibility together, one
+A sweep cell runs the fringe search of fwhm, the scan and Brent refinement
+of best_sensitivity and the two phases of visibility together, one
 metrics._signal_rows call per round.  The oracle calls fwhm, best_sensitivity
 and visibility one after another, each making its own rounds.  A cell
 must give the same floats, raise the same error, and evaluate the same
@@ -112,13 +112,22 @@ def test_sweep_cell_evaluates_the_sequential_phases_in_few_calls(monkeypatch):
     assert flat(lockstep) == flat(calls)
     # the lattice steps 0.01 in c out to alpha0/2 = 1.118, then pi/2: 112
     # phases.  best_sensitivity scans 0 and the lattice in the first round,
-    # then its golden section takes 2 phases and 31 more one a round; those
-    # 33 rounds carry visibility's 2 phases and the fringe search: 0, both
-    # sides' lattices and 8 Brent rounds of 2
+    # then Brent takes 5 phases, one a round, for its one valley; the 12
+    # rounds carry visibility's 2 phases and the fringe search: 0, both
+    # sides' lattices in 3 rounds of chunks and 8 Brent rounds of 2
     lattice = _lattice_size(InterferometerConfig.from_nbar(5.0), BinningScheme.binary(0.1))
     assert lattice == 112
-    assert len(lockstep) == 1 + 32 < len(calls)
-    assert len(flat(lockstep)) == (1 + lattice + 33) + 2 + (1 + 2 * lattice + 16) == 389
+    assert len(lockstep) == 1 + 3 + 8 < len(calls)
+    assert len(flat(lockstep)) == (1 + lattice + 5) + 2 + (1 + 2 * lattice + 16) == 361
+
+
+@pytest.mark.parametrize("nbar", [5.0, 1e2, 1e4, 1e6, 1e8])
+def test_a_binary_cell_takes_at_most_16_rounds(monkeypatch, nbar):
+    # the sensitivity's Brent rounds ride on the fringe search's lattice
+    # chunks and half-depth rounds: 9 to 16 rounds a cell over nbar 5..1e8 and
+    # a 0.05..2, where a golden-section refinement made 33 to 36
+    for a in (0.05, 0.25, 1.0, 2.0):
+        assert len(_rounds(monkeypatch, lambda: sweep([nbar], [a]))) <= 16, a
 
 
 def _lattice_size(cfg, scheme):
@@ -127,7 +136,8 @@ def _lattice_size(cfg, scheme):
 
 # after a cell's first round (0 and the lattice for the sensitivity scan, the
 # 2 visibility phases and the fringe's 3 probes) a round holds at most one
-# lattice chunk of 1024 phases a side and the golden section's 2 phases
+# lattice chunk of 1024 phases a side and one Brent phase for each of the
+# sensitivity scan's valleys, of which a binary cell has one or two
 _ROUND_CAP = 2050
 _STAIRS = BinningScheme(0.1, 0.4, 32)
 
@@ -136,7 +146,7 @@ _STAIRS = BinningScheme(0.1, 0.4, 32)
     # a lattice step of 0.01 out to 18.77; the sensitivity scan reads it
     # whole, and each fringe side stops where its slope falls below 1e-14
     (InterferometerConfig.from_nbar(1e6), BinningScheme.binary(0.005),
-     lambda cfg, scheme: sweep([cfg.nbar], [scheme.half_width]), 1_878, 2_933),
+     lambda cfg, scheme: sweep([cfg.nbar], [scheme.half_width]), 1_878, 2_906),
     # fringe_scan's 34-outcome alphabet, out to alpha0/2 = 50; its sides
     # turn back within the first chunks
     (InterferometerConfig.from_nbar(1e4), BinningScheme(0.5, 3.2, 16),
@@ -177,8 +187,7 @@ def test_a_branch_reads_its_lattice_to_the_end_in_capped_chunks(monkeypatch):
 
 @pytest.mark.parametrize("run, cap", [
     # the sensitivity scan reads the 1,877-phase lattice, and each fringe
-    # side at most that (2,946 phases in all, with the golden and Brent
-    # rounds)
+    # side at most that (2,929 phases in all, with the Brent rounds)
     (lambda: sweep([1e6], [1e-6]), 3 * 1_877 + 100),
     # each fringe side reads at most the 2,227-phase lattice (2,035 in all)
     (lambda: fwhm(InterferometerConfig.from_nbar(1e4), BinningScheme(0.5, 1.0 + 1e-9, 3),

@@ -583,9 +583,9 @@ def _fringe_dark_points(cfg, scheme, obs):
     then right, or NoFringe where fwhm fails."""
     darks, crossing = [], metrics._half_crossing
 
-    def recording(center, f0, dark, f_dark, orient):
-        darks.append(dark)
-        return crossing(center, f0, dark, f_dark, orient)
+    def recording(center, dark, orient):
+        darks.append(dark[0])
+        return crossing(center, dark, orient)
 
     with mock.patch.object(metrics, "_half_crossing", recording):
         if _result(fwhm, cfg, scheme, obs) is NoFringe:
