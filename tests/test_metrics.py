@@ -897,9 +897,8 @@ def _sensitivity_scan(cfg, scheme):
 
 @pytest.mark.parametrize("nbar", [5.0, 200.0, 1e6])
 def test_best_sensitivity_batched_scan_equals_scalar_scan(nbar):
-    # the scan runs on one phase array, and a Brent round of at most
-    # _FLOAT_PAIRS limit pairs in floats (every round on fig2's scheme; fig4's
-    # with 2 valleys or more, 2 x 11 pairs, on arrays); the oracle drives the
+    # the scan runs on one phase array, and each Brent round in floats or on
+    # arrays by its size (_FLOAT_PAIRS limit pairs); the oracle drives the
     # same search one phase a call, and its dphi is the public one's
     cfg = InterferometerConfig.from_nbar(nbar)
     for scheme, obs in ((BINARY_HALF, UNIT_BINARY_OBS), (BINARY_HALF, None),

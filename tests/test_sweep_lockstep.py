@@ -124,8 +124,8 @@ def test_sweep_cell_evaluates_the_sequential_phases_in_few_calls(monkeypatch):
 @pytest.mark.parametrize("nbar", [5.0, 1e2, 1e4, 1e6, 1e8])
 def test_a_binary_cell_takes_at_most_16_rounds(monkeypatch, nbar):
     # the sensitivity's Brent rounds ride on the fringe search's lattice
-    # chunks and half-depth rounds: 9 to 16 rounds a cell over nbar 5..1e8 and
-    # a 0.05..2, where a golden-section refinement made 33 to 36
+    # chunks and half-depth rounds, so a cell takes 9 to 16 rounds over nbar
+    # 5..1e8 and a 0.05..2
     for a in (0.05, 0.25, 1.0, 2.0):
         assert len(_rounds(monkeypatch, lambda: sweep([nbar], [a]))) <= 16, a
 
@@ -137,7 +137,7 @@ def _lattice_size(cfg, scheme):
 # after a cell's first round (0 and the lattice for the sensitivity scan, the
 # 2 visibility phases and the fringe's 3 probes) a round holds at most one
 # lattice chunk of 1024 phases a side and one Brent phase for each of the
-# sensitivity scan's valleys, of which a binary cell has one or two
+# sensitivity scan's valleys
 _ROUND_CAP = 2050
 _STAIRS = BinningScheme(0.1, 0.4, 32)
 
