@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .interferometer import (BinningScheme, InterferometerConfig, _curved_table,
                              _finite_phases, _float_table, outcome_table)
-from .numerics import (_ERFC_ZERO, NoSignChange, _brent, _drive, _lockstep, _row_sums,
-                       _unwrap, find_root)
+from .numerics import _ERFC_ZERO, NoSignChange, _brent, _drive, _lockstep, _row_sums, find_root
 
 __all__ = [
     "AlphabetMismatch",
@@ -64,7 +64,7 @@ class SchemeNotBinary(ValueError):
 
 
 class DegenerateSignal(ValueError):
-    """Signal means cancel; visibility undefined."""
+    """Signal means cancel (no visibility), or its variance overflows (NaN dphi)."""
 
 
 class NoSolution(ValueError):
@@ -154,12 +154,12 @@ def _moments(obs: Observable, probs: np.ndarray, derivs: np.ndarray):
     return means, variances, _expectation(obs, derivs)
 
 
-# Up to this many limit pairs (phases x bins) a search round of _signal_rows,
-# the one place that picks floats over arrays, runs from phase to reduced row
-# in Python floats.  Floats against arrays on a 2-core Xeon VM (Python 3.11,
-# numpy 2.4), best of 15: a binary round 25 against 94 us at 1 phase, 117-128
-# against 120-133 us at 14 and 138-151 against 131-143 us at 16 (most rounds
-# of a sweep cell hold 1-3); 15 pairs over 3 or 15 bins 71-97 against 107-124 us.
+# Up to this many limit pairs (phases x bins) a search round of _signal_rows runs
+# from phase to reduced row in Python floats.  Floats against arrays, best of 15 on a
+# 2-core Xeon VM (Python 3.11, numpy 2.4): a binary round 17 against 144 us at 1 phase,
+# 29-30 against 159-168 at 2, 41-42 against 165 at 3 (a cell's rounds but its chunks and
+# scan hold 1-3), 152-156 against 181-183 at 14 and 165-173 against 185 at 16; 15 pairs
+# over 3 or 15 bins 110 or 82-83 against 177-179 or 159-160 us.
 _FLOAT_PAIRS = 16
 
 
@@ -324,13 +324,7 @@ def visibility(cfg: InterferometerConfig, scheme: BinningScheme,
                obs: Observable) -> float:
     """(s(0) - s(pi/2)) / (s(0) + s(pi/2)) of the signal mean."""
     _check_alphabet(obs, scheme)
-    return _drive(lambda xs: _signal_rows(cfg, scheme, obs, xs), _visibility_search())
-
-
-def _visibility_search():
-    """visibility as a search: yields its two phases, is sent their signal
-    rows (mean, ...)."""
-    (s_bright, *_), (s_dark, *_) = yield [0.0, math.pi / 2]
+    (s_bright, *_), (s_dark, *_) = _signal_rows(cfg, scheme, obs, [0.0, math.pi / 2])
     denom = s_bright + s_dark
     if abs(denom) < 1e-14:
         raise DegenerateSignal(f"signal means cancel: {s_bright} + {s_dark}")
@@ -460,8 +454,8 @@ def _fringe_search(cfg, scheme):
         _run_end(chunks, side, [(0.0, center), (side * x, first)], 1, -side * orient)
         for side, chunks, first in sides])
     crossings = yield from _lockstep([_half_crossing((0.0, center), dark, orient)
-                                      for dark in map(_unwrap, darks)])
-    return _fringe_width(*sorted(map(_unwrap, crossings)))
+                                      for dark in darks])
+    return _fringe_width(*sorted(crossings))
 
 
 def _fringe_width(lo: float, hi: float) -> float:
@@ -527,7 +521,7 @@ def best_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme,
     _signal_rows; with None, the Cramer-Rao bound, read off _bound_rows.
     It scans 0 and _shift_lattice, which follows alpha0 and spans every phase
     where dphi is finite, in one round, then refines its valleys; a round is
-    one evaluation.
+    one evaluation.  Raises DegenerateSignal if dphi is NaN at a scan phase.
     """
     if obs is None:
         evaluate = lambda xs: _bound_rows(cfg, scheme, xs)
@@ -540,12 +534,16 @@ def best_sensitivity(cfg: InterferometerConfig, scheme: BinningScheme,
 def _sensitivity_search(cfg, scheme):
     """best_sensitivity as a search (numerics._drive) sent rows ending in dphi and its
     stationarity column.  A scan, one round, finds the valleys (below the point before,
-    not above the one after); each goes in lockstep to Brent's root of the column between
-    it and the first neighbour across which the column changes sign, else keeps its scan
-    point.  (phi, dphi) of the least dphi, the first on ties."""
+    not above the one after), or raises DegenerateSignal at its first NaN dphi; each
+    valley goes in lockstep to Brent's root of the column between it and the first
+    neighbour across which the column changes sign, else keeps its scan point.
+    (phi, dphi) of the least dphi, the first on ties."""
     xs = [0.0, *itertools.chain.from_iterable(_shift_lattice(cfg, scheme))]
     rows = yield xs
     fs, turns, last = [row[-2] for row in rows], [row[-1] for row in rows], len(xs) - 1
+    nans = [x for x, f in zip(xs, fs) if math.isnan(f)]
+    if nans:
+        raise DegenerateSignal(f"dphi is NaN at scan phase {nans[0]}")
 
     def refine(i):
         j = next((j for j in (i - 1, i + 1) if 0 <= j <= last and turns[i] * turns[j] < 0.0), i)
@@ -555,7 +553,7 @@ def _sensitivity_search(cfg, scheme):
 
     valleys = [refine(i) for i in range(last + 1)
                if (i == 0 or fs[i] < fs[i - 1]) and (i == last or fs[i] <= fs[i + 1])]
-    best = min(map(_unwrap, (yield from _lockstep(valleys))), key=lambda point: point[1][-2],
+    best = min((yield from _lockstep(valleys)), key=lambda point: point[1][-2],
                default=(0.0, rows[0]))
     return best[0], best[1][-2]
 
@@ -587,10 +585,10 @@ class SweepGrid:
 
 def sweep(nbar_axis, a_axis) -> SweepGrid:
     """Binary-scheme merit grid: (2pi/3)/FWHM, (1/sqrt(nbar))/dphi_min and
-    visibility at each (nbar, a); nan where no value exists.  A cell runs the
-    searches of fwhm, best_sensitivity and visibility in lockstep, one
-    _signal_rows call a round, with the values and errors of those three
-    calls.  An empty, non-finite or unsorted axis raises ValueError first."""
+    visibility at each (nbar, a), from fwhm, best_sensitivity and visibility
+    called in turn; nan where fwhm raises NoFringe, dphi_min is not finite
+    and positive, or visibility raises DegenerateSignal.  Any other error
+    propagates.  An empty, non-finite or unsorted axis raises ValueError first."""
     nbar_axis = tuple(float(v) for v in nbar_axis)
     a_axis = tuple(float(v) for v in a_axis)
     for name, axis in (("nbar_axis", nbar_axis), ("a_axis", a_axis)):
@@ -606,15 +604,11 @@ def sweep(nbar_axis, a_axis) -> SweepGrid:
         cfg = InterferometerConfig.from_nbar(nbar)
         for j, a in enumerate(a_axis):
             scheme = BinningScheme.binary(a)
-            width, best, contrast = _drive(
-                lambda xs: _signal_rows(cfg, scheme, obs, xs), _lockstep([
-                    _fringe_search(cfg, scheme), _sensitivity_search(cfg, scheme),
-                    _visibility_search()]))
-            if not isinstance(width, NoFringe):
-                res[i, j] = (2.0 * math.pi / 3.0) / _unwrap(width)
-            _, dphi_min = _unwrap(best)
+            with suppress(NoFringe):
+                res[i, j] = (2.0 * math.pi / 3.0) / fwhm(cfg, scheme, obs)
+            _, dphi_min = best_sensitivity(cfg, scheme, obs)
             if math.isfinite(dphi_min) and dphi_min > 0.0:
                 sens[i, j] = (1.0 / math.sqrt(nbar)) / dphi_min
-            if not isinstance(contrast, DegenerateSignal):
-                vis[i, j] = _unwrap(contrast)
+            with suppress(DegenerateSignal):
+                vis[i, j] = visibility(cfg, scheme, obs)
     return SweepGrid(nbar_axis, a_axis, res, sens, vis)

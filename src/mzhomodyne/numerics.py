@@ -1,14 +1,14 @@
 """Self-contained numerical kernels.
 
-The error function, whose one entry point is erf_diff (erf over a bin),
-from fixed rational approximations (no platform-dependent special-function
-library, so CSV output is bit-stable across machines), on whole arrays,
-and _erf_diff_floats, its bits pair by pair in Python floats for small
-search rounds; the exactly rounded row sum that every per-row reduction
-runs through (_row_sums: a column add on one or two columns, else math.fsum
-row by row); Brent's bracketing root search, the one search algorithm of
-the package, which one driver runs alone or in lockstep with other searches;
-and deterministic counter-based uniform random streams.
+The error function, whose one entry point is erf_diff (erf over a bin), from fixed
+rational approximations (no platform-dependent special-function library, so CSV output
+is bit-stable across machines), on whole arrays, and _erf_diff_floats, its bits pair by
+pair in Python floats for small search rounds; the exactly rounded row sum that every
+per-row reduction runs through (_row_sums: a column add on one or two columns, else
+math.fsum row by row); Brent's bracketing root search, the one search algorithm of the
+package, run alone by one driver or with others in lockstep, which raises the first
+failed one's error once all have ended; and deterministic counter-based uniform random
+streams.
 """
 
 from __future__ import annotations
@@ -228,7 +228,8 @@ def _drive(evaluate, search):
 
 
 def _lockstep(searches):
-    """Searches run in lockstep as one search; returns their results or errors."""
+    """Searches run in lockstep as one search; once all have ended, raises the
+    first failed search's error in search order, else returns their results."""
     outcomes = [None] * len(searches)
     running, sent = list(range(len(searches))), [None] * len(searches)
     while True:
@@ -245,16 +246,11 @@ def _lockstep(searches):
                 points.extend(xs)
                 ends.append(len(points))
         if not alive:
+            for error in filter(lambda outcome: isinstance(outcome, Exception), outcomes):
+                raise error
             return outcomes
         values = yield points
         running, sent = alive, [values[a:b] for a, b in zip([0] + ends, ends)]
-
-
-def _unwrap(outcome):
-    """A search's result from _lockstep, or raise the exception it raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def _brent(bracket, target=0.0, f_ends=None):
@@ -350,8 +346,7 @@ def find_roots(g_batch: Callable, targets, brackets, g_ends=None) -> list:
     """
     g_ends = [None] * len(brackets) if g_ends is None else g_ends
     searches = [_brent(b, t, e) for t, b, e in zip(targets, brackets, g_ends, strict=True)]
-    roots = _drive(lambda xs: g_batch(np.array(xs)).tolist(), _lockstep(searches))
-    return [_unwrap(root) for root in roots]
+    return _drive(lambda xs: g_batch(np.array(xs)).tolist(), _lockstep(searches))
 
 
 # ---------------------------------------------------------------------------

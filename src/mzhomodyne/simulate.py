@@ -17,7 +17,7 @@ from .interferometer import (BinningScheme, InterferometerConfig, _finite_phase,
                              _finite_phases, outcome_derivs, outcome_probs)
 from .metrics import (AlphabetMismatch, Observable, _check_alphabet, _expectation, _run_end,
                       _shift_lattice, _sign)
-from .numerics import Interval, _drive, _integer, _lockstep, _streams, _unwrap, find_roots
+from .numerics import Interval, _drive, _integer, _lockstep, _streams, find_roots
 
 __all__ = [
     "EstimationReport",
@@ -179,9 +179,9 @@ def _branch_search(cfg, scheme, x):
     sign = _sign(at_x) or _sign(rows[i][1]) or _sign(rows[i - 1][1])
     if not sign:
         raise NonMonotoneBranch("signal is flat around the phase")
-    return [end for end, _ in map(_unwrap, (yield from _lockstep([
+    return [end for end, _ in (yield from _lockstep([
         _run_end(_shift_lattice(cfg, scheme), -side, rows[i::-1], 1, sign),
-        _run_end(lattice, side, rows, i, sign)])))]
+        _run_end(lattice, side, rows, i, sign)]))]
 
 
 def _invert(cfg, scheme, obs, measured, branches):
@@ -267,8 +267,12 @@ def _estimates(cfg, scheme, obs, points):
 def estimate(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable,
              replicas: ReplicaSet) -> EstimationReport:
     """Invert each replica's measured signal on the monotone branch around the
-    true phase and aggregate the estimator statistics: _estimates of one point."""
-    return _unwrap(_estimates(cfg, scheme, obs, [replicas])[0])
+    true phase and aggregate the estimator statistics: _estimates of one point,
+    whose NonMonotoneBranch is raised."""
+    (report,) = _estimates(cfg, scheme, obs, [replicas])
+    if isinstance(report, NonMonotoneBranch):
+        raise report
+    return report
 
 
 def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,

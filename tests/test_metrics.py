@@ -1035,12 +1035,26 @@ def test_a_valley_whose_neighbours_keep_the_columns_sign_keeps_its_scan_point():
     assert rounds == [len(xs)]
 
 
-def test_a_scan_without_a_valley_keeps_its_first_point():
+def test_a_scan_of_nan_dphi_raises_degenerate_signal():
     # NaN compares false both ways, so a scan of NaN dphi (from eigenvalues
-    # whose squares overflow, where a probability is 0) has no valley at all
-    nan_rows = lambda phis: [(math.nan, math.nan)] * len(phis)
-    phi, dphi = _drive(nan_rows, metrics._sensitivity_search(FIG2_CFG, BINARY_HALF))
-    assert phi == 0.0 and math.isnan(dphi)
+    # whose squares overflow, where a probability is 0) has no valley at all:
+    # the search names the first NaN phase instead of returning one
+    nan_rows = lambda phis: [(1.0, 1.0) if phi == 0.0 else (math.nan, math.nan) for phi in phis]
+    (q,) = next(metrics._shift_lattice(FIG2_CFG, BINARY_HALF))
+    with pytest.raises(DegenerateSignal) as err:
+        _drive(nan_rows, metrics._sensitivity_search(FIG2_CFG, BINARY_HALF))
+    assert str(err.value) == f"dphi is NaN at scan phase {q}"
+
+
+def test_best_sensitivity_raises_when_the_variance_overflows():
+    # eigenvalues of 1e200 square past the largest double, and inf times an
+    # outer bin's P = 0 makes the variance NaN: dphi is NaN wherever the slope
+    # passes its floor.  The bound reads no eigenvalue and stays finite
+    scheme = BinningScheme(0.5, 40.0, 3)
+    obs = Observable((1e200,) * 7)
+    with pytest.raises(DegenerateSignal, match="dphi is NaN at scan phase"):
+        best_sensitivity(FIG2_CFG, scheme, obs)
+    assert best_sensitivity(FIG2_CFG, scheme, None)[1] > 0.0
 
 
 # ---------------------------------------------------------------------------

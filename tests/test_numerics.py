@@ -14,6 +14,8 @@ from mzhomodyne.numerics import (
     NoConvergence,
     NoSignChange,
     RandomStream,
+    _drive,
+    _lockstep,
     _row_sums,
     _streams,
     erf_diff,
@@ -286,6 +288,38 @@ def test_find_roots_raises_an_infinite_lane_error_in_lane_order():
     with pytest.raises(ValueError, match=r"\[0.0, inf\]") as err:
         find_roots(batch, [0.0, 5.0], [(0.0, math.inf), (0.0, 2.0)])
     assert type(err.value) is ValueError
+
+
+def _counted_search(name, rounds, ended, fail_in=None):
+    """A search that asks for [name] in each of its rounds and checks it is
+    sent [name] back; it raises in round fail_in, else returns name after its
+    rounds, and either way appends name to ended."""
+    try:
+        for r in range(rounds):
+            if r == fail_in:
+                raise ArithmeticError(f"{name} failed in round {r}")
+            assert (yield [name]) == [name]
+        return name
+    finally:
+        ended.append(name)
+
+
+def test_lockstep_raises_the_first_failed_search_after_all_have_ended():
+    # the third search fails in round 1 and the second in round 3; the first
+    # runs its 5 rounds to the end, and then the second's error is raised
+    sizes, ended = [], []
+    evaluate = lambda xs: sizes.append(len(xs)) or list(xs)
+    searches = [_counted_search("first", 5, ended), _counted_search("second", 5, ended, 3),
+                _counted_search("third", 5, ended, 1)]
+    with pytest.raises(ArithmeticError, match="^second failed in round 3$"):
+        _drive(evaluate, _lockstep(searches))
+    assert sizes == [3, 2, 2, 1, 1]
+    assert ended == ["third", "second", "first"]
+    # with no failure, the results come back in search order
+    sizes, ended = [], []
+    searches = [_counted_search(name, n, ended) for name, n in (("a", 4), ("b", 1), ("c", 2))]
+    assert _drive(evaluate, _lockstep(searches)) == ["a", "b", "c"]
+    assert sizes == [3, 2, 1, 1] and ended == ["b", "c", "a"]
 
 
 def test_find_roots_propagates_no_sign_change():

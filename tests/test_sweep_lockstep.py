@@ -1,11 +1,11 @@
-"""Sweep cells run in lockstep against the three functions called alone.
+"""Sweep cells against the three functions called alone, and the rounds
+of their searches.
 
-A sweep cell runs the fringe search of fwhm, the scan and Brent refinement
-of best_sensitivity and the two phases of visibility together, one
-metrics._signal_rows call per round.  The oracle calls fwhm, best_sensitivity
-and visibility one after another, each making its own rounds.  A cell
-must give the same floats, raise the same error, and evaluate the same
-phases.
+A sweep cell calls fwhm, best_sensitivity and visibility in turn, each
+making its own metrics._signal_rows rounds.  The oracle calls them one
+after another and keeps the values as a cell does, so a cell must give the
+same floats, raise the same error, and make the same rounds.  The searches'
+round counts, round sizes and phase totals are pinned here as well.
 """
 
 import itertools
@@ -105,39 +105,43 @@ def _rounds(monkeypatch, run):
     return calls
 
 
-def test_sweep_cell_evaluates_the_sequential_phases_in_few_calls(monkeypatch):
-    lockstep = _rounds(monkeypatch, lambda: sweep([5.0], [0.1]))
-    calls = _rounds(monkeypatch, lambda: _sequential_cell(5.0, 0.1))
-    flat = lambda rounds: sorted(itertools.chain.from_iterable(rounds))
-    assert flat(lockstep) == flat(calls)
+def test_sweep_cell_makes_the_rounds_of_the_three_calls_in_turn(monkeypatch):
+    cfg, scheme = InterferometerConfig.from_nbar(5.0), BinningScheme.binary(0.1)
+    cell = _rounds(monkeypatch, lambda: sweep([5.0], [0.1]))
+    calls = [_rounds(monkeypatch, lambda: run(cfg, scheme, UNIT_BINARY_OBS))
+             for run in (fwhm, best_sensitivity, visibility)]
+    assert cell == list(itertools.chain.from_iterable(calls))
     # the lattice steps 0.01 in c out to alpha0/2 = 1.118, then pi/2: 112
-    # phases.  best_sensitivity scans 0 and the lattice in the first round,
-    # then Brent takes 5 phases, one a round, for its one valley; the 12
-    # rounds carry visibility's 2 phases and the fringe search: 0, both
-    # sides' lattices in 3 rounds of chunks and 8 Brent rounds of 2
-    lattice = _lattice_size(InterferometerConfig.from_nbar(5.0), BinningScheme.binary(0.1))
+    # phases.  fwhm reads 0 and both sides' first phases, then both sides'
+    # lattices in 3 rounds of chunks and 8 Brent rounds of 2; best_sensitivity
+    # scans 0 and the lattice, then Brent takes 5 phases, one a round, for its
+    # one valley; visibility reads its 2 phases in one round
+    lattice = _lattice_size(cfg, scheme)
     assert lattice == 112
-    assert len(lockstep) == 1 + 3 + 8 < len(calls)
-    assert len(flat(lockstep)) == (1 + lattice + 5) + 2 + (1 + 2 * lattice + 16) == 361
+    assert list(map(len, calls)) == [1 + 3 + 8, 1 + 5, 1] and len(cell) == 19
+    assert list(map(len, calls[2])) == [2]
+    assert sum(map(len, cell)) == (1 + 2 * lattice + 16) + (1 + lattice + 5) + 2 == 361
 
 
 @pytest.mark.parametrize("nbar", [5.0, 1e2, 1e4, 1e6, 1e8])
-def test_a_binary_cell_takes_at_most_16_rounds(monkeypatch, nbar):
-    # the sensitivity's Brent rounds ride on the fringe search's lattice
-    # chunks and half-depth rounds, so a cell takes 9 to 16 rounds over nbar
-    # 5..1e8 and a 0.05..2
+def test_a_binary_search_takes_few_rounds(monkeypatch, nbar):
+    # over nbar 5..1e8 and a 0.05..2, best_sensitivity takes its scan and 3
+    # to 8 Brent rounds, fwhm its probes, lattice chunks and Brent rounds, 9
+    # to 15 in all; visibility's one round makes a cell 16 to 22
+    cfg, obs = InterferometerConfig.from_nbar(nbar), UNIT_BINARY_OBS
     for a in (0.05, 0.25, 1.0, 2.0):
-        assert len(_rounds(monkeypatch, lambda: sweep([nbar], [a]))) <= 16, a
+        scheme = BinningScheme.binary(a)
+        assert len(_rounds(monkeypatch, lambda: best_sensitivity(cfg, scheme, obs))) <= 9, a
+        assert len(_rounds(monkeypatch, lambda: fwhm(cfg, scheme, obs))) <= 15, a
 
 
 def _lattice_size(cfg, scheme):
     return sum(map(len, metrics._shift_lattice(cfg, scheme)))
 
 
-# after a cell's first round (0 and the lattice for the sensitivity scan, the
-# 2 visibility phases and the fringe's 3 probes) a round holds at most one
-# lattice chunk of 1024 phases a side and one Brent phase for each of the
-# sensitivity scan's valleys
+# but for best_sensitivity's scan (0 and the lattice), a round holds at most
+# one lattice chunk of 1024 phases for each of the fringe's two sides, or one
+# Brent phase for each of the sensitivity scan's valleys
 _ROUND_CAP = 2050
 _STAIRS = BinningScheme(0.1, 0.4, 32)
 
@@ -160,7 +164,7 @@ _STAIRS = BinningScheme(0.1, 0.4, 32)
 def test_no_round_exceeds_the_cap(monkeypatch, cfg, scheme, run, lattice, phases):
     assert _lattice_size(cfg, scheme) == lattice
     calls = _rounds(monkeypatch, lambda: run(cfg, scheme))
-    assert max(map(len, calls[1:])) <= _ROUND_CAP
+    assert max(len(c) for c in calls if len(c) != 1 + lattice) <= _ROUND_CAP
     assert sum(map(len, calls)) == phases
 
 
