@@ -42,9 +42,9 @@ from .interferometer import (
 from .metrics import (
     FIXED_RANDOM_EIGENVALUES,
     Observable,
+    _bounds,
     _signal_columns,
     best_sensitivity,
-    crb,
     fwhm,
     fwhm_continuous,
     sweep,
@@ -52,7 +52,7 @@ from .metrics import (
 )
 from . import numerics
 from .numerics import _row_sums
-from .simulate import NonMonotoneBranch, _estimates, calibration_curve, monotone_branch
+from .simulate import NonMonotoneBranch, _estimates, _sample, monotone_branch
 
 __all__ = ["ConfigError", "build_parser", "main"]
 
@@ -308,18 +308,20 @@ def _cmd_sweep(config, grid, cfg, scheme, obs) -> int:
     return 0
 
 
-def _estimation_rows(cfg, scheme, obs, points):
-    """Inversion-estimator row of each grid point's replica set."""
-    bounds = crb(cfg, scheme, [pt.phi for pt in points]).tolist()
+def _simulation(cfg, scheme, obs, grid, shots, replicas, seed):
+    """calibration_curve's replica sets on grid and the inversion-estimator row
+    of each, with its crb, from one evaluation of the grid's outcome table."""
+    probs, derivs = outcome_table(cfg, scheme, grid)
+    points, bounds = _sample(grid, probs, shots, replicas, seed), _bounds(probs, derivs)
     rows = []
-    for pt, bound, r in zip(points, bounds, _estimates(cfg, scheme, obs, points)):
+    for pt, bound, r in zip(points, bounds.tolist(), _estimates(cfg, scheme, obs, points)):
         if isinstance(r, NonMonotoneBranch):
             measured = pt.measured_signals(obs)
             rows.append([pt.phi, math.fsum(measured) / len(measured), math.nan, bound,
                          math.nan, math.nan, "NonMonotoneBranch"])
         else:
             rows.append([pt.phi, r.mean_signal, r.sigma, bound, r.bias, r.std_dev, ""])
-    return rows
+    return points, rows
 
 
 def _write_simulation(out_base, scheme, points, est_rows=None):
@@ -347,11 +349,9 @@ def _cmd_simulate(config, grid, cfg, scheme, obs) -> int:
     out_base = config.out
     if out_base.endswith(".csv"):
         out_base = out_base[:-4]
-    points = calibration_curve(cfg, scheme, grid, config.shots,
-                               config.replicas, config.seed)
-    cal_path, est_path = _write_simulation(
-        out_base, scheme, points, _estimation_rows(cfg, scheme, obs, points)
-    )
+    points, est_rows = _simulation(cfg, scheme, obs, grid, config.shots,
+                                   config.replicas, config.seed)
+    cal_path, est_path = _write_simulation(out_base, scheme, points, est_rows)
     print(f"wrote {cal_path}", file=sys.stderr)
     print(f"wrote {est_path}", file=sys.stderr)
     return 0
@@ -441,11 +441,11 @@ def _reproduce_fig2(out_dir: Path, seed: int, checks: _Checks) -> None:
 
     shots, replicas = 200, 10
     cal_grid = np.linspace(-math.pi, math.pi, 41)
-    points = calibration_curve(cfg, scheme, cal_grid, shots, replicas, seed)
+    cal_probs = outcome_probs(cfg, scheme, cal_grid)
+    points = _sample(cal_grid, cal_probs, shots, replicas, seed)
     _write_simulation(str(out_dir / "fig2"), scheme, points)
 
     cells = ok = 0
-    cal_probs = outcome_probs(cfg, scheme, [pt.phi for pt in points])
     for pt, probs in zip(points, cal_probs.tolist()):
         for freq, p in zip(pt.mean_freqs, probs):
             se = math.sqrt(max(p * (1.0 - p), 0.0) / (shots * replicas))
@@ -505,8 +505,7 @@ def _reproduce_fig4(out_dir: Path, seed: int, checks: _Checks) -> None:
     width = branch.hi - branch.lo
     grid = branch.lo + width * np.linspace(0.05, 0.95, 21)
     shots, replicas = 200, 400
-    points = calibration_curve(cfg, scheme, grid, shots, replicas, seed)
-    est_rows = _estimation_rows(cfg, scheme, obs, points)
+    points, est_rows = _simulation(cfg, scheme, obs, grid, shots, replicas, seed)
     _write_simulation(str(out_dir / "fig4"), scheme, points, est_rows)
 
     clean = [row for row in est_rows if row[6] == ""]

@@ -48,7 +48,7 @@ __all__ = [
 _SLOPE_FLOOR = 1e-14
 _PROB_FLOOR = 1e-15
 _CFI_FLOOR = 1e-20
-_FIRST_CHUNK = 16  # lattice phases a side asks for in the round after its first
+_FIRST_CELLS = 256  # table cells (phases x outcomes) a side asks for after its first round
 _SIDE_CHUNK = 1024  # most lattice phases one side asks for in a round
 
 # fixed pseudorandom eigenvalue vector (bins -2..2) kept as a regression case
@@ -366,19 +366,20 @@ def continuous_signal(cfg: InterferometerConfig, phi):
 
 def _shift_lattice(cfg, scheme):
     """Phases asin(2jh/alpha0), then pi/2, of a lattice in c = alpha0*sin(phi)/2,
-    through which alone P depends on phi, in chunks of 1, then _FIRST_CHUNK
-    doubling to _SIDE_CHUNK.  h = min(2a, b - 2a, 1)/20 (no b - 2a for one bin)
-    is at least 0.01: the Gaussian (deviation 1/2 in c) damps finer structure
-    below rounding.  c ends at alpha0/2, or where every P and P' underflows."""
+    through which alone P depends on phi, in chunks of 1, then of _FIRST_CELLS table
+    cells (phases x outcomes, at least 1 phase; a smaller array round is mostly numpy
+    dispatch) doubling to _SIDE_CHUNK phases.  h = min(2a, b - 2a, 1)/20 (no b - 2a
+    for one bin) is at least 0.01: the Gaussian (deviation 1/2 in c) damps finer
+    structure below rounding.  c ends at alpha0/2, or where every P and P' underflows."""
     a, b = scheme.half_width, scheme.spacing
     h = max(min(2.0 * a, b - 2.0 * a if scheme.cutoff else 1.0, 1.0), 0.2) / 20.0
     n = int(min(0.5 * cfg.alpha0, scheme.cutoff * b + a + _ERFC_ZERO / math.sqrt(2.0)) / h)
-    lo, size = 1, 1
+    lo, size, first = 1, 1, max(1, _FIRST_CELLS // scheme.n_outcomes)
     while lo <= n + 1:  # 2c/alpha0 may round above 1, where asin raises
         j = np.arange(lo, min(lo + size, n + 2))
         sines = np.where(j > n, 1.0, np.fmin(1.0, 2.0 * j * h / cfg.alpha0))
         yield list(map(math.asin, sines.tolist()))
-        lo, size = lo + size, min(max(2 * size, _FIRST_CHUNK), _SIDE_CHUNK)
+        lo, size = lo + size, min(max(2 * size, first), _SIDE_CHUNK)
 
 
 def _root_rows(rows, col, target=0.0):

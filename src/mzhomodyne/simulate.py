@@ -184,25 +184,25 @@ def _branch_search(cfg, scheme, x):
         _run_end(lattice, side, rows, i, sign)]))]
 
 
-def _invert(cfg, scheme, obs, measured, branches):
-    """Phase of each measured signal on its own branch, and whether it was
-    clamped to an end.  One table call evaluates every distinct branch's
-    ends: a value beyond its branch's signal range clamps to the end whose
-    signal is nearest; each distinct other (value, branch) pair is inverted
-    once, all in one lockstep Brent batch given the end signals.  Brent reads
-    a target only through f - target, tested for zero and sign, so 0.0 and
-    -0.0 may share a root."""
+def _invert(cfg, scheme, obs, measured, spans, keys):
+    """Phase of each measured signal on its branch, spans[k] for its k in keys,
+    and whether it was clamped to an end.  One table call evaluates the ends of
+    spans: a value beyond its branch's signal range clamps to the end whose
+    signal is nearest; each distinct other (value, k) pair is inverted once,
+    all in one lockstep Brent batch, in first-seen order, given the end
+    signals.  Brent reads a target only through f - target, tested for zero
+    and sign, so 0.0 and -0.0 may share a root."""
     means = lambda xs: _expectation(obs, outcome_probs(cfg, scheme, xs))
-    spans = dict.fromkeys(branches)
     g = iter(means([end for b in spans for end in (b.lo, b.hi)]).tolist())
-    ends = dict(zip(spans, zip(g, g)))
+    ends = list(zip(g, g))
     phis = [(b.lo if g_lo >= g_hi else b.hi) if m > max(g_lo, g_hi)
             else (b.lo if g_lo <= g_hi else b.hi) if m < min(g_lo, g_hi) else None
-            for m, b in zip(measured, branches) for g_lo, g_hi in [ends[b]]]
-    inside = dict.fromkeys((m, b) for m, b, phi in zip(measured, branches, phis) if phi is None)
-    roots = dict(zip(inside, find_roots(means, [m for m, _ in inside], [b for _, b in inside],
-                                        g_ends=[ends[b] for _, b in inside])))
-    return ([roots[m, b] if phi is None else phi for m, b, phi in zip(measured, branches, phis)],
+            for m, k in zip(measured, keys) for b, (g_lo, g_hi) in [(spans[k], ends[k])]]
+    inside = dict.fromkeys((m, k) for m, k, phi in zip(measured, keys, phis) if phi is None)
+    roots = dict(zip(inside, find_roots(means, [m for m, _ in inside],
+                                        [spans[k] for _, k in inside],
+                                        g_ends=[ends[k] for _, k in inside])))
+    return ([roots[m, k] if phi is None else phi for m, k, phi in zip(measured, keys, phis)],
             [phi is not None for phi in phis])
 
 
@@ -226,29 +226,30 @@ def invert_signal(cfg: InterferometerConfig, scheme: BinningScheme,
     own = monotone_branch(cfg, scheme, obs, 0.5 * (branch.lo + branch.hi))
     if not own.lo <= branch.lo < branch.hi <= own.hi:
         raise NonMonotoneBranch(f"[{branch.lo}, {branch.hi}] leaves its midpoint's {own}")
-    (phi,), _ = _invert(cfg, scheme, obs, [measured_value], [branch])
+    (phi,), _ = _invert(cfg, scheme, obs, [measured_value], [branch], [0])
     return phi
 
 
 def _estimates(cfg, scheme, obs, points):
-    """The EstimationReport of each ReplicaSet of a curve, or the
-    NonMonotoneBranch its phase raised.  A phase strictly inside a branch
-    already found takes it, as monotone_branch gives every phase of a branch
-    the same Interval; any other is searched.  One _invert call inverts all."""
-    found, results = [], []  # each point's branch or error, then its report
+    """The EstimationReport of each ReplicaSet of a curve, or the NonMonotoneBranch its
+    phase raised.  A phase strictly inside a branch already found takes it, as
+    monotone_branch gives every phase of a branch the same Interval; any other is
+    searched.  One _invert call inverts all, each branch keyed by its index in spans."""
+    spans, results = [], []  # the distinct branches; each point's key or error, then report
     for pt in points:
-        branch = next((b for b in found if b.lo < pt.phi < b.hi), None)
-        if branch is None:
+        key = next((k for k, b in enumerate(spans) if b.lo < pt.phi < b.hi), None)
+        if key is None:
             try:
                 branch = monotone_branch(cfg, scheme, obs, pt.phi)
-                found.append(branch)
+                spans += [branch] * (branch not in spans)  # a phase at an end may find it again
+                key = spans.index(branch)
             except NonMonotoneBranch as exc:
-                branch = exc
-        results.append(branch)
-    measured = [pt.measured_signals(obs) if isinstance(b, Interval) else []
-                for pt, b in zip(points, results)]
-    phis, clamps = map(iter, _invert(cfg, scheme, obs, [m for ms in measured for m in ms],
-                                     [b for b, ms in zip(results, measured) for _ in ms]))
+                key = exc
+        results.append(key)
+    measured = [pt.measured_signals(obs) if isinstance(k, int) else []
+                for pt, k in zip(points, results)]
+    phis, clamps = map(iter, _invert(cfg, scheme, obs, [m for ms in measured for m in ms], spans,
+                                     [k for k, ms in zip(results, measured) for _ in ms]))
     for i, (pt, ms) in enumerate(zip(points, measured)):
         if ms:
             m = len(ms)
@@ -284,15 +285,20 @@ def calibration_curve(cfg: InterferometerConfig, scheme: BinningScheme,
     Replica i of grid point p consumes random stream p*replicas + i, so no
     two grid points share draws, and stream (s, i) at phi is record i of a
     one-point grid at master_seed s.  The keys are checked, then the grid's
-    outcome table is evaluated once and _draw counts each point's draws.
+    outcome table is evaluated once and _sample draws from its rows.
     """
     phi_grid = _finite_phases(phi_grid)
     if len(phi_grid) == 0:
         raise ValueError("phi_grid must be nonempty")
     replicas = _integer("replicas", replicas, 1)
     shots = _integer("shots", shots, 1)
+    master_seed = _integer("master_seed", master_seed, 0, 2 ** 64)
+    return _sample(phi_grid, outcome_probs(cfg, scheme, phi_grid), shots, replicas, master_seed)
+
+
+def _sample(phi_grid, probs, shots, replicas, master_seed):
+    """calibration_curve on checked keys, from the grid's outcome_probs rows."""
     streams = _streams(master_seed, 0, len(phi_grid) * replicas)
-    prefixes = np.cumsum(outcome_probs(cfg, scheme, phi_grid)[:, :-1], axis=1)
     return [ReplicaSet(phi, shots, master_seed,
                        tuple(map(tuple, _draw(prefix, shots, replicas, streams).tolist())))
-            for phi, prefix in zip(phi_grid, prefixes)]
+            for phi, prefix in zip(phi_grid, np.cumsum(probs[:, :-1], axis=1))]

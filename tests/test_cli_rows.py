@@ -5,6 +5,8 @@ is the csv.writer path it replaced, copied verbatim; the two must write the
 same bytes.  A dataset grid is evaluated by one core call (outcome_table,
 or the half of it that the command reads), and its signal, sensitivity and
 bound columns equal the library functions called one by one, bit for bit.
+So is a calibration grid: one table feeds the sampler, the crb column of the
+estimation rows and fig2's check.
 """
 
 import csv
@@ -106,19 +108,33 @@ def test_row_template_rejects_a_number_in_a_text_column(tmp_path):
 CORE = ("outcome_table", "outcome_probs", "outcome_derivs")
 
 
-@pytest.fixture
-def table_calls(monkeypatch):
-    """The phase count of every call of a core entry point (the whole table
-    or either half of it), from any layer."""
-    calls = []
+def _spy_on_core(monkeypatch, record):
+    """Route every call of a core entry point (the whole table or either
+    half of it), from any layer, through record(phis)."""
     for name in CORE:
         def counted(cfg, scheme, phis, core=getattr(interferometer, name)):
-            calls.append(len(phis))
+            record(phis)
             return core(cfg, scheme, phis)
 
         for module in (cli, metrics, simulate):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """The phase count of every core call."""
+    calls = []
+    _spy_on_core(monkeypatch, lambda phis: calls.append(len(phis)))
+    return calls
+
+
+@pytest.fixture
+def table_phases(monkeypatch):
+    """The phases of every core call, as lists of floats."""
+    calls = []
+    _spy_on_core(monkeypatch,
+                 lambda phis: calls.append(np.asarray(phis, dtype=np.float64).tolist()))
     return calls
 
 
@@ -134,6 +150,24 @@ def test_reproduce_fig3_evaluates_each_grid_once(tmp_path, table_calls):
     # the signal grid serves three observables and the ratio check; the
     # dark point's branch search reads lattice chunks of its own
     assert grids[2001] == 1
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--out", "sim"], ["reproduce", "fig4"],
+                                  ["reproduce", "fig2"]], ids=["simulate", "fig4", "fig2"])
+def test_a_calibration_grid_is_evaluated_once(tmp_path, monkeypatch, table_phases, argv):
+    # the grid the sampler draws on is read by one core call, whose rows also
+    # give the estimation rows' crb column and fig2's calibration check
+    grids, sample = [], cli._sample
+
+    def recorded(phi_grid, *rest):
+        grids.append(np.asarray(phi_grid, dtype=np.float64).tolist())
+        return sample(phi_grid, *rest)
+
+    monkeypatch.setattr(cli, "_sample", recorded)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    (grid,) = grids
+    assert table_phases.count(grid) == 1
 
 
 @st.composite

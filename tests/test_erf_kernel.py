@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from mzhomodyne import metrics, numerics
 from mzhomodyne.interferometer import BinningScheme, InterferometerConfig
-from mzhomodyne.metrics import _FIRST_CHUNK, sweep
+from mzhomodyne.metrics import _FIRST_CELLS, _FLOAT_PAIRS, sweep
 from mzhomodyne.numerics import (
     _ERFC_ZERO,
     _THRESH,
@@ -133,9 +133,10 @@ def test_a_binary_sweep_cell_takes_only_its_grid_scan_and_walk_chunks_to_the_arr
         monkeypatch):
     # A cell calls fwhm, best_sensitivity and visibility in turn.  Their
     # rounds are one to a few phases, except the fringe lattice chunks of
-    # _FIRST_CHUNK points and more per side and the sensitivity scan (0 and
-    # the shift lattice); each round is one metrics._signal_rows call, and a
-    # binary scheme has one bin, so a round of n phases holds n element pairs.
+    # _FIRST_CELLS // 2 points and more per side and the sensitivity scan (0
+    # and the shift lattice); each round is one metrics._signal_rows call, and
+    # a binary scheme has one bin, so a round of n phases holds n element
+    # pairs, and one of more than _FLOAT_PAIRS runs on the arrays.
     rounds, reached = [], set()
     _spy_on_array_forms(monkeypatch, lambda name, v: reached.add(len(rounds) - 1))
 
@@ -146,15 +147,15 @@ def test_a_binary_sweep_cell_takes_only_its_grid_scan_and_walk_chunks_to_the_arr
     signal_rows = metrics._signal_rows
     monkeypatch.setattr(metrics, "_signal_rows", counted)
     sweep([200.0], [0.5])
-    assert reached == {i for i, n in enumerate(rounds) if n >= _FIRST_CHUNK}
+    assert reached == {i for i, n in enumerate(rounds) if n > _FLOAT_PAIRS}
     # the lattice steps 0.05 in c out to alpha0/2 = 7.07, then pi/2: 142
-    # phases; the fringe's sides read chunks of 16, 32 and 64 phases each
-    # before they reach their dark points, then the scan reads 0 and the lattice
+    # phases; the fringe's sides read one chunk of 128 phases each before
+    # they reach their dark points, then the scan reads 0 and the lattice
     lattice = sum(map(len, metrics._shift_lattice(InterferometerConfig.from_nbar(200.0),
                                                   BinningScheme.binary(0.5))))
-    assert lattice == 142
+    assert lattice == 142 and _FIRST_CELLS // 2 == 128
     assert min(rounds) <= 3
-    assert [rounds[i] for i in sorted(reached)] == [2 * 16, 2 * 32, 2 * 64, 1 + lattice]
+    assert [rounds[i] for i in sorted(reached)] == [2 * 128, 1 + lattice]
 
 
 # Values at the kernel's case boundaries, subnormals and the non-finite

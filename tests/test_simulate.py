@@ -600,10 +600,11 @@ def _branch_ends(cfg, scheme, obs, branch):
     return tuple(map(float, signal(cfg, scheme, obs, [branch.lo, branch.hi]).mean))
 
 
-def _per_value_invert(cfg, scheme, obs, measured, branches):
-    """simulate._invert with one find_roots call per measured value."""
+def _per_value_invert(cfg, scheme, obs, measured, spans, keys):
+    """simulate._invert with one find_roots call per measured value, each on
+    its branch spans[k] for its k in keys."""
     phis, clamped = [], []
-    for m, branch in zip(measured, branches, strict=True):
+    for m, branch in zip(measured, [spans[k] for k in keys], strict=True):
         g_ends = _branch_ends(cfg, scheme, obs, branch)
         g_min, g_max = sorted(g_ends)
         top = branch.lo if g_ends[0] >= g_ends[1] else branch.hi
@@ -645,14 +646,16 @@ def _fig4_targets():
 def test_invert_equals_one_find_roots_call_per_value(picks):
     targets = _fig4_targets()
     measured = [targets[b][1][i] for b, i in picks]
-    branches = [targets[b][0] for b, _ in picks]
+    spans, keys = [branch for branch, _ in targets], [b for b, _ in picks]
+    branches = [spans[k] for k in keys]
     calls = []
     def spy(g_batch, values, brackets, **kwargs):
         calls.append(list(zip(values, brackets)))
         return find_roots(g_batch, values, brackets, **kwargs)
     with mock.patch.object(simulate, "find_roots", spy):
-        got, clamped = simulate._invert(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured, branches)
-    want, want_clamped = _per_value_invert(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured, branches)
+        got, clamped = simulate._invert(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured, spans, keys)
+    want, want_clamped = _per_value_invert(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured, spans,
+                                           keys)
     assert np.array_equal(_bits(got), _bits(want))
     assert clamped == want_clamped
     # one batch, which holds each in-branch (value, branch) pair once, in
@@ -673,22 +676,22 @@ def test_estimate_equals_per_value_inversion(phi, shots, replicas, seed):
     assert np.array_equal(_bits(report.estimates), _bits(want.estimates))
 
 
-def test_estimate_inverts_each_distinct_in_branch_value_once(monkeypatch):
-    # 0.012 and 0.1 share a branch, -0.05 lies on its mirror image
-    points = calibration_curve(FIG4_CFG, FIG4_SCHEME, [0.012, 0.1, -0.05, 0.012], 200, 100,
-                               master_seed=4)
-    calls, searched = [], []
+def _assert_one_lane_per_distinct_value(monkeypatch, phis, searched):
+    """_estimates on a curve over phis searches the branches of searched
+    alone, and inverts each distinct in-branch (value, branch) pair once."""
+    points = calibration_curve(FIG4_CFG, FIG4_SCHEME, phis, 200, 100, master_seed=4)
+    calls, logged_phis = [], []
     def spy(g_batch, values, brackets, **kwargs):
         calls.append(list(zip(values, brackets)))
         return find_roots(g_batch, values, brackets, **kwargs)
     def logged(cfg, scheme, obs, phi):
-        searched.append(phi)
+        logged_phis.append(phi)
         return monotone_branch(cfg, scheme, obs, phi)
     monkeypatch.setattr(simulate, "find_roots", spy)
     monkeypatch.setattr(simulate, "monotone_branch", logged)
     reports = simulate._estimates(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, points)
-    # the first point's branch serves the second and the fourth
-    assert searched == [0.012, -0.05]
+    # a point strictly inside a branch already found takes it
+    assert logged_phis == searched
     pairs = []
     for rs in points:
         branch = monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, rs.phi)
@@ -704,6 +707,16 @@ def test_estimate_inverts_each_distinct_in_branch_value_once(monkeypatch):
     assert sum(r.clamp_count for r in reports) == sum(rs.replicas for rs in points) - len(pairs)
 
 
+def test_estimate_inverts_each_distinct_in_branch_value_once(monkeypatch):
+    # 0.012 and 0.1 share a branch, -0.05 lies on its mirror image
+    _assert_one_lane_per_distinct_value(monkeypatch, [0.012, 0.1, -0.05, 0.012], [0.012, -0.05])
+
+
+def test_a_branch_found_twice_keeps_one_lane_per_value(monkeypatch):
+    # 0.0 ends the branch of 0.1, so its own search finds that branch again
+    _assert_one_lane_per_distinct_value(monkeypatch, [0.1, 0.0, 0.012], [0.1, 0.0])
+
+
 # The batch over a curve equals, bit for bit, each point estimated alone:
 # its own monotone_branch, and one find_roots call per value.
 
@@ -716,7 +729,8 @@ def _point_reference(cfg, scheme, obs, pt):
     except NonMonotoneBranch as exc:
         return exc
     measured = pt.measured_signals(obs)
-    estimates, clamped = _per_value_invert(cfg, scheme, obs, measured, [branch] * len(measured))
+    estimates, clamped = _per_value_invert(cfg, scheme, obs, measured, [branch],
+                                           [0] * len(measured))
     m = len(estimates)
     mean = math.fsum(estimates) / m
     rms = math.sqrt(math.fsum((e - pt.phi) ** 2 for e in estimates) / m)

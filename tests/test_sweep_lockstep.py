@@ -113,12 +113,14 @@ def test_sweep_cell_makes_the_rounds_of_the_three_calls_in_turn(monkeypatch):
     assert cell == list(itertools.chain.from_iterable(calls))
     # the lattice steps 0.01 in c out to alpha0/2 = 1.118, then pi/2: 112
     # phases.  fwhm reads 0 and both sides' first phases, then both sides'
-    # lattices in 3 rounds of chunks and 8 Brent rounds of 2; best_sensitivity
-    # scans 0 and the lattice, then Brent takes 5 phases, one a round, for its
-    # one valley; visibility reads its 2 phases in one round
+    # other 111 lattice phases in one round of chunks (up to 128 phases a side,
+    # _FIRST_CELLS over the binary table's 2 columns) and 8 Brent rounds of 2;
+    # best_sensitivity scans 0 and the lattice, then Brent takes 5 phases, one
+    # a round, for its one valley; visibility reads its 2 phases in one round
     lattice = _lattice_size(cfg, scheme)
-    assert lattice == 112
-    assert list(map(len, calls)) == [1 + 3 + 8, 1 + 5, 1] and len(cell) == 19
+    assert lattice == 112 and metrics._FIRST_CELLS // scheme.n_outcomes == 128
+    assert list(map(len, calls)) == [1 + 1 + 8, 1 + 5, 1] and len(cell) == 17
+    assert list(map(len, calls[0][:2])) == [3, 2 * (lattice - 1)]
     assert list(map(len, calls[2])) == [2]
     assert sum(map(len, cell)) == (1 + 2 * lattice + 16) + (1 + lattice + 5) + 2 == 361
 
@@ -126,8 +128,8 @@ def test_sweep_cell_makes_the_rounds_of_the_three_calls_in_turn(monkeypatch):
 @pytest.mark.parametrize("nbar", [5.0, 1e2, 1e4, 1e6, 1e8])
 def test_a_binary_search_takes_few_rounds(monkeypatch, nbar):
     # over nbar 5..1e8 and a 0.05..2, best_sensitivity takes its scan and 3
-    # to 8 Brent rounds, fwhm its probes, lattice chunks and Brent rounds, 9
-    # to 15 in all; visibility's one round makes a cell 16 to 22
+    # to 8 Brent rounds, fwhm its probes, lattice chunks and Brent rounds, 8
+    # to 13 in all; visibility's one round makes a cell 15 to 20
     cfg, obs = InterferometerConfig.from_nbar(nbar), UNIT_BINARY_OBS
     for a in (0.05, 0.25, 1.0, 2.0):
         scheme = BinningScheme.binary(a)
@@ -140,26 +142,30 @@ def _lattice_size(cfg, scheme):
 
 
 # but for best_sensitivity's scan (0 and the lattice), a round holds at most
-# one lattice chunk of 1024 phases for each of the fringe's two sides, or one
-# Brent phase for each of the sensitivity scan's valleys
+# one lattice chunk of _SIDE_CHUNK = 1024 phases for each of the fringe's two
+# sides, or one Brent phase for each of the sensitivity scan's valleys.
+# _FIRST_CELLS sizes a walk's first chunks in table cells, so a narrow table
+# reaches that cap in fewer rounds, but the cap is in phases, whatever the width
 _ROUND_CAP = 2050
 _STAIRS = BinningScheme(0.1, 0.4, 32)
 
 
 @pytest.mark.parametrize("cfg, scheme, run, lattice, phases", [
     # a lattice step of 0.01 out to 18.77; the sensitivity scan reads it
-    # whole, and each fringe side stops where its slope falls below 1e-14
+    # whole, and each fringe side stops where its slope falls below 1e-14,
+    # in its chunk of 1024 phases after chunks of 128, 256 and 512
     (InterferometerConfig.from_nbar(1e6), BinningScheme.binary(0.005),
-     lambda cfg, scheme: sweep([cfg.nbar], [scheme.half_width]), 1_878, 2_906),
+     lambda cfg, scheme: sweep([cfg.nbar], [scheme.half_width]), 1_878, 3_706),
     # fringe_scan's 34-outcome alphabet, out to alpha0/2 = 50; its sides
-    # turn back within the first chunks
+    # turn back within the first chunks, of 7, 14, 28, 56 phases
     (InterferometerConfig.from_nbar(1e4), BinningScheme(0.5, 3.2, 16),
-     lambda cfg, scheme: fwhm(cfg, scheme, Observable.alternating(scheme)), 1_001, 239),
+     lambda cfg, scheme: fwhm(cfg, scheme, Observable.alternating(scheme)), 1_001, 225),
     # eigenvalues -|k| falling outward past the outermost bin: each side
-    # reads a chunk of 1024 phases before its slope falls below 1e-14
+    # reads chunks of 3 phases doubling to 768, then one of 1024 phases,
+    # before its slope falls below 1e-14
     (InterferometerConfig.from_nbar(1e6), _STAIRS,
      lambda cfg, scheme: fwhm(cfg, scheme, Observable(tuple(-abs(k) for k in range(-32, 33)),
-                                                      -33.0)), 3_167, 4_079),
+                                                      -33.0)), 3_167, 5_129),
 ], ids=["tiny-bin-cell", "wide-alphabet", "falling-stairs"])
 def test_no_round_exceeds_the_cap(monkeypatch, cfg, scheme, run, lattice, phases):
     assert _lattice_size(cfg, scheme) == lattice
@@ -172,7 +178,7 @@ def test_a_branch_reads_its_lattice_to_the_end_in_capped_chunks(monkeypatch):
     # 121 touching bins out past alpha0/2 = 50 and eigenvalues -60..60: the
     # slope keeps its sign to +-pi/2, so the branch around 0.1 reads both
     # sides' 5,001-phase lattices to their ends (0 and 0.1 besides), each in
-    # chunks doubling to 1024 phases
+    # chunks doubling from 2 phases (_FIRST_CELLS over 122 outcomes) to 1024
     cfg, scheme = InterferometerConfig.from_nbar(1e4), BinningScheme(0.5, 1.0 + 1e-9, 60)
     assert _lattice_size(cfg, scheme) == 5_001
     calls, derivs = [], simulate.outcome_derivs
@@ -184,8 +190,9 @@ def test_a_branch_reads_its_lattice_to_the_end_in_capped_chunks(monkeypatch):
     monkeypatch.setattr(simulate, "outcome_derivs", recording)
     branch = monotone_branch(cfg, scheme, Observable(tuple(map(float, range(-60, 61)))), 0.1)
     assert (branch.lo, branch.hi) == (-math.pi / 2, math.pi / 2)
-    assert calls == [3, 16, 32, 64, 128, 256, 512, 1025, 1040, 1056, 984,
-                     128, 256, 512, 1024, 1024, 1024, 920]
+    assert metrics._FIRST_CELLS // scheme.n_outcomes == 2
+    assert calls == [3, 2, 4, 8, 16, 32, 64, 128, 256, 513, 1026, 1028, 1032, 922,
+                     32, 64, 128, 256, 512, 1024, 1024, 1024, 906]
     assert sum(calls) == 2 + 2 * 5_001 and max(calls) <= _ROUND_CAP
 
 

@@ -103,16 +103,17 @@ def _probs_rounds(log):
 def test_slope_searches_evaluate_no_error_function(monkeypatch):
     log = _core_log(monkeypatch)
     branch = monotone_branch(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, 0.1)
-    # one call per lattice round: 0, q_1 and phi, then chunks of 16, 32 and 64 out
-    # to the slope zero at c = 3.2; both ends are zero rows, refined by none
-    assert log == ["derivs"] * 4
+    # one call per lattice round: 0, q_1 and phi, then chunks of 21 and 42 (_FIRST_CELLS
+    # over 12 outcomes) out to the slope zero at c = 3.2; both ends are zero rows,
+    # refined by none
+    assert log == ["derivs"] * 3
     measured = 0.5 * sum(signal(FIG4_CFG, FIG4_SCHEME, FIG4_OBS,
                                 [branch.lo, branch.hi]).mean.tolist())
     log.clear()
     invert_signal(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, measured, branch)
-    # the branch of the given branch's midpoint, the same four rounds, then
+    # the branch of the given branch's midpoint, the same three rounds, then
     # the branch ends and the Brent rounds
-    assert _probs_rounds(log) == 4
+    assert _probs_rounds(log) == 3
     assert not hasattr(simulate, "outcome_table")
 
 
@@ -120,9 +121,9 @@ def test_estimate_inverts_on_probabilities_alone(monkeypatch):
     (replicas,) = calibration_curve(FIG4_CFG, FIG4_SCHEME, [0.1], 400, 20, 0)
     log = _core_log(monkeypatch)
     report = estimate(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, replicas)
-    # the four lattice rounds of the branch read slopes; every inversion
+    # the three lattice rounds of the branch read slopes; every inversion
     # round after them reads means
-    assert _probs_rounds(log) == 4
+    assert _probs_rounds(log) == 3
     assert log.count("probs") > 2
     monkeypatch.undo()
     assert report == estimate(FIG4_CFG, FIG4_SCHEME, FIG4_OBS, replicas)

@@ -239,14 +239,16 @@ def _ramp(scheme):
 
 
 # the ramp's run around phi crosses 0; one core call (slopes only) a round:
-# 0, q_1 and phi, then lattice chunks of 16, 32 and 64 reach phi and the
-# outer end's cell; the inner end then crosses 0, and the other side's
-# chunks of 1, 16, 32 and 64 ride with the outer end's Brent rounds, one
-# phase each; the inner end's own Brent rounds come last
+# 0, q_1 and phi, then lattice chunks (of 21, 42 and 84 phases for fig4's 12
+# outcomes, 32 and 64 for the bright system's 8: _FIRST_CELLS = 256 cells,
+# then doubling) reach phi and the outer end's cell; the inner end then
+# crosses 0, and the other side's chunks of 1, 21 (32), 42 (64) and 84 ride
+# with the outer end's Brent rounds, one phase each; the inner end's own
+# Brent rounds come last
 @pytest.mark.parametrize("system, phi, rounds", [
-    ((FIG4_CFG, FIG4_SCHEME, _ramp(FIG4_SCHEME)), 0.1, [3, 16, 32, 65, 17, 33, 65, 1, 1, 1]),
+    ((FIG4_CFG, FIG4_SCHEME, _ramp(FIG4_SCHEME)), 0.1, [3, 21, 42, 85, 22, 43, 85, 1, 1, 1]),
     ((BRIGHT_CFG, BRIGHT_SCHEME, _ramp(BRIGHT_SCHEME)), 0.0003,
-     [3, 16, 32, 65, 17, 33, 65, 1, 1, 1]),
+     [3, 32, 65, 33, 65, 2, 1, 1]),
 ], ids=["fig4", "bright"])
 def test_branch_sides_walk_in_lockstep(monkeypatch, system, phi, rounds):
     calls = []
@@ -301,15 +303,22 @@ def _cosine(period):
             lambda x: -math.pi / period * math.sin(math.pi * x / period))
 
 
-def test_fringe_first_rise_on_chunk_boundary():
-    # dark point halfway between lattice phases 16 and 17: the first rise is
-    # phase 17, the first of the second chunk, so the search must carry
-    # phase 16 across chunks
+def _edge():
+    """The index of the first lattice phase of the third chunk, which
+    follows the second chunk's last phase across a round."""
     chunks = list(metrics._shift_lattice(SYNTHETIC_CFG, SYNTHETIC_SCHEME))
-    assert list(map(len, chunks[:3])) == [1, 16, 32]
     assert list(itertools.chain.from_iterable(chunks)) == SYNTHETIC_LATTICE
-    mean, slope = _cosine(0.5 * (SYNTHETIC_LATTICE[16] + SYNTHETIC_LATTICE[17]))
-    assert slope(SYNTHETIC_LATTICE[16]) < 0.0 < slope(SYNTHETIC_LATTICE[17])
+    assert len(chunks) > 3 and len(chunks[2]) == 2 * len(chunks[1]) > 2
+    return len(chunks[0]) + len(chunks[1])
+
+
+def test_fringe_first_rise_on_chunk_boundary():
+    # dark point halfway between the last lattice phase of the second chunk
+    # and the first of the third: the first rise is that first phase, so the
+    # search must carry the last one across chunks
+    edge = _edge()
+    mean, slope = _cosine(0.5 * (SYNTHETIC_LATTICE[edge - 1] + SYNTHETIC_LATTICE[edge]))
+    assert slope(SYNTHETIC_LATTICE[edge - 1]) < 0.0 < slope(SYNTHETIC_LATTICE[edge])
     got = _lattice_fringe_width(SYNTHETIC_CFG, SYNTHETIC_SCHEME, mean, slope)
     assert got == _scalar_fringe_width(SYNTHETIC_CFG, SYNTHETIC_SCHEME, mean, slope)
 
@@ -345,12 +354,15 @@ def test_fringe_failing_sides_raise_like_step_by_step_walk(left, right):
 
 
 def test_branch_first_flip_on_chunk_boundary():
-    # a synthetic slope with its zero halfway between lattice phases 16 and
-    # 17: the run from its center ends at phase 17, the first of the third
-    # round (0, q_1 and x, then 16 phases, then 32), so the search must carry
-    # phase 16 across rounds, and refine the end between the two
-    mean, slope = _cosine(0.5 * (SYNTHETIC_LATTICE[16] + SYNTHETIC_LATTICE[17]))
-    x = 0.25 * (SYNTHETIC_LATTICE[16] + SYNTHETIC_LATTICE[17])
+    # a synthetic slope with its zero halfway between the last lattice phase
+    # of the second chunk and the first of the third: the run from its center
+    # ends at that first phase, the first of the third round (0, q_1 and x,
+    # then the second chunk, then the third), so the search must carry the
+    # last one across rounds, and refine the end between the two
+    edge = _edge()
+    chunks = list(map(len, metrics._shift_lattice(SYNTHETIC_CFG, SYNTHETIC_SCHEME)))
+    mean, slope = _cosine(0.5 * (SYNTHETIC_LATTICE[edge - 1] + SYNTHETIC_LATTICE[edge]))
+    x = 0.25 * (SYNTHETIC_LATTICE[edge - 1] + SYNTHETIC_LATTICE[edge])
     calls = []
 
     def rows(xs):
@@ -358,9 +370,9 @@ def test_branch_first_flip_on_chunk_boundary():
         return [(t, slope(t)) for t in xs]
 
     got = sorted(_drive(rows, simulate._branch_search(SYNTHETIC_CFG, SYNTHETIC_SCHEME, x)))
-    assert calls[:3] == [3, 16, 32] and set(calls[3:]) == {1}
+    assert calls[:3] == [3, *chunks[1:3]] and set(calls[3:]) == {1}
     assert tuple(got) == _scalar_run(SYNTHETIC_CFG, SYNTHETIC_SCHEME, slope, x)
-    assert got[0] == 0.0 and SYNTHETIC_LATTICE[16] < got[1] < SYNTHETIC_LATTICE[17]
+    assert got[0] == 0.0 and SYNTHETIC_LATTICE[edge - 1] < got[1] < SYNTHETIC_LATTICE[edge]
 
 
 def _outcome_loop_binarized_cfi(cfg, scheme, obs, phi):
