@@ -13,7 +13,7 @@ from mzhomodyne import (
     BinningScheme,
     InterferometerConfig,
     default_cutoff,
-    outcome_distribution,
+    outcome_probs,
     quadrature_pdf,
 )
 
@@ -31,25 +31,24 @@ print(f"bins of half width {a} at spacing {b}: indices -{kf}..{kf} "
 print("\nconditional probabilities across the fringe:")
 header = "phi".rjust(8) + "".join(f"P({k})".rjust(11) for k in scheme.bin_indices())
 print(header + "P(left)".rjust(11) + "sum".rjust(9))
-for phi in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, math.pi / 2):
-    dist = outcome_distribution(cfg, scheme, phi)
-    cells = "".join(f"{p:11.3e}" for p in dist.bin_probs)
-    total = math.fsum(dist.all_probs())
-    print(f"{phi:8.3f}{cells}{dist.leftover_prob:11.3e}{total:9.5f}")
+# one row per phase: the bins -kf..kf, then the leftover in the last column
+phis = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, math.pi / 2)
+for phi, row in zip(phis, outcome_probs(cfg, scheme, phis)):
+    cells = "".join(f"{p:11.3e}" for p in row[:-1])
+    print(f"{phi:8.3f}{cells}{row[-1]:11.3e}{math.fsum(row):9.5f}")
 
 # each bin probability is the continuous pdf integrated over the bin window;
 # check bin 1 at phi = -0.3 against a crude Riemann sum
 phi = -0.3
-dist = outcome_distribution(cfg, scheme, phi)
+closed = outcome_probs(cfg, scheme, [phi])[0, kf + 1]
 step = 2 * a / 4000
 riemann = sum(
     quadrature_pdf(cfg, phi, b + (i + 0.5) * step - a) * step for i in range(4000)
 )
-print(f"\nbin 1 at phi={phi}: closed form {dist.bin_probs[kf + 1]:.8f}, "
+print(f"\nbin 1 at phi={phi}: closed form {closed:.8f}, "
       f"Riemann sum over the window {riemann:.8f}")
 
 # mirror symmetry about phi = pi/2: the quadrature mean depends on sin(phi)
-left = outcome_distribution(cfg, scheme, 0.7)
-right = outcome_distribution(cfg, scheme, math.pi - 0.7)
-print(f"mirror check P(-1|0.7) = {left.bin_probs[kf - 1]:.12f} equals "
-      f"P(-1|pi-0.7) = {right.bin_probs[kf - 1]:.12f}")
+left, right = outcome_probs(cfg, scheme, [0.7, math.pi - 0.7])[:, kf - 1]
+print(f"mirror check P(-1|0.7) = {left:.12f} equals "
+      f"P(-1|pi-0.7) = {right:.12f}")

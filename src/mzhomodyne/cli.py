@@ -44,7 +44,6 @@ from .metrics import (
     Observable,
     _bounds,
     _signal_columns,
-    best_sensitivity,
     fwhm,
     fwhm_continuous,
     sweep,
@@ -278,18 +277,16 @@ def _write_signal(out: Optional[str], obs, grid, table):
     return columns
 
 
-def _cmd_probs(config, grid, cfg, scheme, obs) -> int:
+def _cmd_probs(config, grid, cfg, scheme, obs) -> None:
     _write_probs(config.out, scheme, grid, outcome_probs(cfg, scheme, grid))
-    return 0
 
 
-def _cmd_signal(config, grid, cfg, scheme, obs) -> int:
+def _cmd_signal(config, grid, cfg, scheme, obs) -> None:
     _write_signal(config.out, obs, grid, outcome_table(cfg, scheme, grid))
-    return 0
 
 
-def _write_sweep(out: Optional[str], nbar_axis, a_axis) -> None:
-    """Long format: one row per (nbar, a) cell, nbar outermost."""
+def _write_sweep(out: Optional[str], nbar_axis, a_axis):
+    """Long format: one row per (nbar, a) cell, nbar outermost; returns the grid."""
     try:
         grid = sweep(nbar_axis, a_axis)
     except ValueError as exc:
@@ -301,11 +298,11 @@ def _write_sweep(out: Optional[str], nbar_axis, a_axis) -> None:
             grid.resolution_ratio.ravel(), grid.sensitivity_ratio.ravel(),
             grid.visibility.ravel()),
     )
+    return grid
 
 
-def _cmd_sweep(config, grid, cfg, scheme, obs) -> int:
+def _cmd_sweep(config, grid, cfg, scheme, obs) -> None:
     _write_sweep(config.out, config.nbar_axis, config.a_axis)
-    return 0
 
 
 def _simulation(cfg, scheme, obs, grid, shots, replicas, seed):
@@ -343,77 +340,65 @@ def _write_simulation(out_base, scheme, points, est_rows=None):
     return cal_path, est_path
 
 
-def _cmd_simulate(config, grid, cfg, scheme, obs) -> int:
+def _cmd_simulate(config, grid, cfg, scheme, obs) -> None:
     if config.out is None:
         raise ConfigError("simulate writes two files and needs --out")
-    out_base = config.out
-    if out_base.endswith(".csv"):
-        out_base = out_base[:-4]
+    out_base = config.out.removesuffix(".csv")
     points, est_rows = _simulation(cfg, scheme, obs, grid, config.shots,
                                    config.replicas, config.seed)
     cal_path, est_path = _write_simulation(out_base, scheme, points, est_rows)
     print(f"wrote {cal_path}", file=sys.stderr)
     print(f"wrote {est_path}", file=sys.stderr)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # Canonical datasets with threshold checks.
 
 
-class _Checks:
-    def __init__(self):
-        self.lines = []
-        self.failed = False
-
-    def add(self, ok: bool, name: str, detail: str) -> None:
-        self.lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-        if not ok:
-            self.failed = True
+def _check(ok: bool, name: str, detail: str) -> str:
+    return f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
 
 
-def _reproduce_fig1(out_dir: Path, seed: int, checks: _Checks) -> None:
-    _write_sweep(str(out_dir / "fig1_sweep.csv"), _PARAMS["nbar_axis"].default,
-                 _PARAMS["a_axis"].default)
+def _within(name: str, got: float, want: float, rel: float, digits: int) -> str:
+    """The check |got - want| <= rel * want."""
+    return _check(abs(got - want) <= rel * want, name,
+                  f"got {got:.{digits}f}, want {want:.{digits}f} within {rel:.0%}")
+
+
+def _reproduce_fig1(out_dir: Path, seed: int, checks: list) -> None:
+    grid = _write_sweep(str(out_dir / "fig1_sweep.csv"), _PARAMS["nbar_axis"].default,
+                        _PARAMS["a_axis"].default)
 
     width = fwhm_continuous(InterferometerConfig.from_nbar(_DEFAULT_NBAR))
     target = 2.0 * math.pi / 3.0
-    checks.add(
+    checks.append(_check(
         abs(width - target) <= 1e-9,
         "reference fringe width",
         f"got {width:.12f}, want {target:.12f} within 1e-9",
-    )
+    ))
 
-    unit = Observable((1.0,), 0.0)
+    # the sweep's a = 0.5 cells hold (1/sqrt(nbar)) / dphi_min
     for nbar in (200.0, 1000.0):
-        cfg = InterferometerConfig.from_nbar(nbar)
-        _, best = best_sensitivity(cfg, BinningScheme.binary(0.5), unit)
-        target = 1.37 / math.sqrt(nbar)
-        checks.add(
-            abs(best - target) <= 0.05 * target,
-            f"best sensitivity at nbar={nbar:g}",
-            f"got {best:.6f}, want {target:.6f} within 5%",
-        )
+        ratio = grid.sensitivity_ratio[grid.nbar_axis.index(nbar), grid.a_axis.index(0.5)]
+        best, target = (1.0 / math.sqrt(nbar)) / ratio, 1.37 / math.sqrt(nbar)
+        checks.append(_within(f"best sensitivity at nbar={nbar:g}", best, target, 0.05, 6))
 
     # Narrow-bin limit: P(bin 0) ~ exp(-(nbar/2) sin^2 phi), so the FWHM
     # tends to 2*sqrt(2 ln2)/sqrt(nbar) and the visibility to tanh(nbar/4),
     # which reaches 0.9 at nbar = 4*atanh(0.9) = 5.889.
     narrow_scheme = BinningScheme.binary(0.05)
-    narrow = fwhm(InterferometerConfig.from_nbar(200.0), narrow_scheme, unit)
+    narrow = fwhm(InterferometerConfig.from_nbar(200.0), narrow_scheme,
+                  Observable.ones(narrow_scheme))
     target = 2.0 * math.sqrt(2.0 * math.log(2.0)) / math.sqrt(200.0)
-    checks.add(
-        abs(narrow - target) <= 0.10 * target,
-        "narrow bin fringe width",
-        f"got {narrow:.6f}, want {target:.6f} within 10%",
-    )
+    checks.append(_within("narrow bin fringe width", narrow, target, 0.10, 6))
 
     boundary = visibility_boundary(narrow_scheme.half_width, 0.9)
-    checks.add(
+    checks.append(_check(
         5.6 <= boundary <= 6.0,
         "visibility threshold",
         f"got nbar={boundary:.4f} at a={narrow_scheme.half_width:g}, "
         f"want within [5.6, 6.0]",
-    )
+    ))
 
 
 def _fig2_system():
@@ -422,22 +407,22 @@ def _fig2_system():
     return cfg, scheme
 
 
-def _reproduce_fig2(out_dir: Path, seed: int, checks: _Checks) -> None:
+def _reproduce_fig2(out_dir: Path, seed: int, checks: list) -> None:
     cfg, scheme = _fig2_system()
     grid = np.linspace(-math.pi, math.pi, 2001)
     probs = outcome_probs(cfg, scheme, grid)
     _write_probs(str(out_dir / "fig2_probs.csv"), scheme, grid, probs)
     worst_row_sum = np.abs(_row_sums(probs) - 1.0).max()
-    checks.add(
+    checks.append(_check(
         scheme.n_outcomes == 6,
         "probability column count",
         f"got {scheme.n_outcomes} outcome columns, want 6",
-    )
-    checks.add(
+    ))
+    checks.append(_check(
         worst_row_sum <= 1e-12,
         "probability row sums",
         f"worst |sum - 1| = {worst_row_sum:.3e}, want <= 1e-12",
-    )
+    ))
 
     shots, replicas = 200, 10
     cal_grid = np.linspace(-math.pi, math.pi, 41)
@@ -451,14 +436,14 @@ def _reproduce_fig2(out_dir: Path, seed: int, checks: _Checks) -> None:
             se = math.sqrt(max(p * (1.0 - p), 0.0) / (shots * replicas))
             cells += 1
             ok += abs(freq - p) <= max(3.0 * se, 1e-12)
-    checks.add(
+    checks.append(_check(
         ok / cells >= 0.95,
         "calibration within three standard errors",
         f"{ok}/{cells} cells inside, want >= 95%",
-    )
+    ))
 
 
-def _reproduce_fig3(out_dir: Path, seed: int, checks: _Checks) -> None:
+def _reproduce_fig3(out_dir: Path, seed: int, checks: list) -> None:
     cfg, scheme = _fig2_system()
     variants = {
         "ones": Observable.ones(scheme),
@@ -475,11 +460,7 @@ def _reproduce_fig3(out_dir: Path, seed: int, checks: _Checks) -> None:
     # ends the all-ones signal's branch through b/(2 alpha0), expected near b/alpha0
     target = scheme.spacing / cfg.alpha0
     dark = monotone_branch(cfg, scheme, variants["ones"], 0.5 * target).hi
-    checks.add(
-        abs(dark - target) <= 0.10 * target,
-        "dark point location",
-        f"got {dark:.5f}, want {target:.5f} within 10%",
-    )
+    checks.append(_within("dark point location", dark, target, 0.10, 5))
 
     # the ratio check reads the rows written to fig3_signal_alternating.csv
     cap = 10.0 * 1.37 / math.sqrt(cfg.nbar)
@@ -490,14 +471,14 @@ def _reproduce_fig3(out_dir: Path, seed: int, checks: _Checks) -> None:
             continue
         included += 1
         ok += math.isfinite(delta) and delta / bound <= 1.25
-    checks.add(
+    checks.append(_check(
         included > 0 and ok / included >= 0.90,
         "alternating ratio within 1.25",
         f"{ok}/{included} usable grid points inside, want >= 90%",
-    )
+    ))
 
 
-def _reproduce_fig4(out_dir: Path, seed: int, checks: _Checks) -> None:
+def _reproduce_fig4(out_dir: Path, seed: int, checks: list) -> None:
     cfg = InterferometerConfig.from_nbar(1000.0)
     scheme = BinningScheme(half_width=0.5, spacing=3.2, cutoff=5)
     obs = Observable.alternating(scheme)
@@ -513,17 +494,17 @@ def _reproduce_fig4(out_dir: Path, seed: int, checks: _Checks) -> None:
         1 for row in clean
         if math.isfinite(row[3]) and abs(row[2] - row[3]) <= 0.25 * row[3]
     )
-    checks.add(
+    checks.append(_check(
         len(clean) == len(est_rows) and tracked >= math.ceil(0.8 * len(est_rows)),
         "sigma tracks the bound",
         f"{tracked}/{len(est_rows)} points within 25%, want >= 80%",
-    )
+    ))
     unbiased = sum(1 for row in clean if abs(row[4]) < row[5])
-    checks.add(
+    checks.append(_check(
         unbiased == len(clean),
         "unbiased estimates",
         f"|bias| < replica std dev at {unbiased}/{len(clean)} points",
-    )
+    ))
 
 
 _FIGURES = {
@@ -538,14 +519,14 @@ def _cmd_reproduce(ns: argparse.Namespace) -> int:
     seed = _PARAMS["seed"].parse("seed", ns.seed)
     out_dir = Path(ns.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    checks = _Checks()
+    checks = []
     _FIGURES[ns.figure](out_dir, seed, checks)
-    summary = "\n".join(checks.lines) + "\n"
+    summary = "\n".join(checks) + "\n"
     summary_path = out_dir / f"{ns.figure}_summary.txt"
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(summary)
     sys.stdout.write(summary)
-    return 1 if checks.failed else 0
+    return 1 if any(line.startswith("FAIL") for line in checks) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +595,8 @@ def main(argv=None) -> int:
     try:
         if ns.command == "reproduce":
             return _cmd_reproduce(ns)
-        return _COMMANDS[ns.command].run(*_build_config(ns))
+        _COMMANDS[ns.command].run(*_build_config(ns))
+        return 0
     except (ConfigError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

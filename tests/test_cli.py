@@ -490,6 +490,31 @@ def test_reproduce_fig1_passes(tmp_path, capsys):
     assert (tmp_path / "fig1_sweep.csv").exists()
 
 
+def test_reproduce_exits_1_on_a_failing_check(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "visibility_boundary", lambda half_width, target: 7.0)
+    assert main(["reproduce", "fig1", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert sum(line.startswith("PASS  ") for line in lines) == 4
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL  visibility threshold: got nbar=7.0000 at a=0.05, want within [5.6, 6.0]"]
+    assert (tmp_path / "fig1_summary.txt").read_bytes() == out.encode()
+
+
+def test_reproduce_fig1_runs_one_sensitivity_search_per_sweep_cell(tmp_path, monkeypatch):
+    searches = []
+    search = metrics._sensitivity_search
+
+    def spy(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(metrics, "_sensitivity_search", spy)
+    assert main(["reproduce", "fig1", "--seed", "0", "--out", str(tmp_path)]) == 0
+    # the sweep's 8 x 4 cells; the best-sensitivity checks read two of them back
+    assert len(searches) == 32
+
+
 def test_reproduce_fig4_passes(tmp_path, capsys):
     assert main(["reproduce", "fig4", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
