@@ -198,28 +198,36 @@ def _curved_table(cfg, scheme, phis):
     return _probs(g_lo, g_hi), derivs, np.column_stack((bins, -_row_sums(bins)))
 
 
-def _float_table(cfg, scheme, phis):
-    """Yields _curved_table's (P, dP, d2P) rows at phis as lists of floats,
-    from the array path's operations in its order, so its bits: bins by
-    _erf_diff_floats, exponentials from one np.exp call (math.exp rounds some
-    otherwise), row sums by math.fsum, a negative bin clamped at +0.0.  A limit
-    past the float range is inf, erfc 0 in both paths."""
+def _float_table(cfg, scheme, phis, order=2):
+    """Yields the first order + 1 of _curved_table's (P, dP, d2P) rows at phis as
+    lists of floats, from the array path's operations in its order, so its bits: bins
+    by _erf_diff_floats, exponentials from one np.exp call (math.exp rounds some
+    otherwise), row sums by math.fsum, a negative bin clamped at +0.0.  A limit past
+    the float range is inf, erfc 0 in both paths.  Order 0 takes no exponential or
+    cosine, and order 1 no d2P."""
     centers = [scheme.spacing * k for k in range(-scheme.cutoff, scheme.cutoff + 1)]
     phis, ga, m = list(map(_finite_phase, phis)), _SQRT2 * scheme.half_width, len(centers)
     cs = [0.5 * cfg.alpha0 * math.sin(phi) for phi in phis]
     shifts = [_SQRT2 * (c + x) for c in cs for x in centers]
     g_lo, g_hi = [s - ga for s in shifts], [s + ga for s in shifts]
     bins = [max(0.5 * d, 0.0) for d in _erf_diff_floats(g_lo, g_hi)]
-    exps = np.exp([-g * g for g in g_hi + g_lo]).tolist()
+    exps = np.exp([-g * g for g in g_hi + g_lo]).tolist() if order else []
     for i, (phi, c) in enumerate(zip(phis, cs)):
-        cos, j, g2 = math.cos(phi), i * m, -_SQRT2 * c
-        factor, g1 = _INV_SQRTPI * cfg.alpha0 * cos / _SQRT2, cfg.alpha0 * cos / _SQRT2
-        limits = list(zip(g_lo[j:j + m], g_hi[j:j + m], exps[len(shifts) + j:], exps[j:j + m]))
+        j = i * m
         p = bins[j:j + m]
-        dp = [factor * (e_hi - e_lo) for _, _, e_lo, e_hi in limits]
-        ddp = [_INV_SQRTPI * (g2 * (e_hi - e_lo) - 2.0 * g1 * g1 * (hi * e_hi - lo * e_lo))
-               for lo, hi, e_lo, e_hi in limits]
-        yield p + [max(0.0, 1.0 - math.fsum(p))], dp + [-math.fsum(dp)], ddp + [-math.fsum(ddp)]
+        row = (p + [max(0.0, 1.0 - math.fsum(p))],)
+        if order:
+            cos = math.cos(phi)
+            factor = _INV_SQRTPI * cfg.alpha0 * cos / _SQRT2
+            limits = list(zip(g_lo[j:j + m], g_hi[j:j + m], exps[len(shifts) + j:], exps[j:j + m]))
+            dp = [factor * (e_hi - e_lo) for _, _, e_lo, e_hi in limits]
+            row += (dp + [-math.fsum(dp)],)
+        if order > 1:
+            g1, g2 = cfg.alpha0 * cos / _SQRT2, -_SQRT2 * c
+            ddp = [_INV_SQRTPI * (g2 * (e_hi - e_lo) - 2.0 * g1 * g1 * (hi * e_hi - lo * e_lo))
+                   for lo, hi, e_lo, e_hi in limits]
+            row += (ddp + [-math.fsum(ddp)],)
+        yield row
 
 
 def outcome_probs(cfg: InterferometerConfig, scheme: BinningScheme, phis):

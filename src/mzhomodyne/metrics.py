@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interferometer import (BinningScheme, InterferometerConfig, _curved_table,
-                             _finite_phases, _float_table, outcome_table)
+                             _finite_phases, _float_table, outcome_probs, outcome_table)
 from .numerics import _ERFC_ZERO, NoSignChange, _brent, _drive, _lockstep, _row_sums, find_root
 
 __all__ = [
@@ -155,23 +155,31 @@ def _moments(obs: Observable, probs: np.ndarray, derivs: np.ndarray):
 
 
 # Up to this many limit pairs (phases x bins) a search round of _signal_rows runs
-# from phase to reduced row in Python floats.  Floats against arrays, best of 15 on a
-# 2-core Xeon VM (Python 3.11, numpy 2.4): a binary round 17 against 144 us at 1 phase,
-# 29-30 against 159-168 at 2, 41-42 against 165 at 3 (a cell's rounds but its chunks and
-# scan hold 1-3), 152-156 against 181-183 at 14 and 165-173 against 185 at 16; 15 pairs
-# over 3 or 15 bins 110 or 82-83 against 177-179 or 159-160 us.
+# from phase to reduced row in Python floats.  Floats against arrays at orders 0, 1
+# and 2, best of 15 on a 2-core Xeon VM (Python 3.11, numpy 2.4), a binary round:
+# 9, 12-13 and 15-16 against 54, 69-70 and 112-117 us at 1 phase; 19-21, 29-32 and
+# 40-42 against 86, 102-106 and 149-150 at 3 (a cell's rounds but its chunks and scan
+# hold 1-3); 85-89, 130-148 and 177-178 against 90-92, 109-110 and 156 at 16.  15
+# pairs over 3 or 15 bins: 62-63, 83 and 107 or 60, 70 and 79 against 85-87, 102-104
+# and 145-146 or 103-105, 118-121 and 161-163 us.
 _FLOAT_PAIRS = 16
 
 
-def _signal_rows(cfg, scheme, obs, phis):
+def _signal_rows(cfg, scheme, obs, phis, order=2):
     """(mean, slope, sqrt(var)/|slope|, E) of obs at each phase of a search
-    round.  E = V'S - 2VS' (S the slope, V the variance, V' = sum (mu - mean)^2
-    P' as the P' sum to 0, S' = sum mu P'') is dphi's stationarity column,
-    finite where S = 0 (dphi' = dphi E/(2VS)), NaN where V is not.  From
-    _float_table in floats, each sum a math.fsum, if the round holds at most
-    _FLOAT_PAIRS limit pairs, else from _curved_table on whole arrays: the
-    same bits (_row_sums equals math.fsum)."""
+    round, or (mean,) at order 0 and (mean, slope) at order 1: the columns
+    that need P's phase derivatives up to order.  E = V'S - 2VS' (S the slope,
+    V the variance, V' = sum (mu - mean)^2 P' as the P' sum to 0, S' = sum mu
+    P'') is dphi's stationarity column, finite where S = 0 (dphi' = dphi
+    E/(2VS)), NaN where V is not.  From _float_table in floats, each sum a
+    math.fsum, if the round holds at most _FLOAT_PAIRS limit pairs, else from
+    outcome_probs, outcome_table or _curved_table (order 0, 1, 2) on whole
+    arrays: the same bits (_row_sums equals math.fsum)."""
     if len(phis) * (2 * scheme.cutoff + 1) > _FLOAT_PAIRS:
+        if order < 2:
+            tables = (outcome_table(cfg, scheme, phis) if order
+                      else [outcome_probs(cfg, scheme, phis)])
+            return list(zip(*[_expectation(obs, table).tolist() for table in tables]))
         probs, derivs, curves = _curved_table(cfg, scheme, phis)
         means, variances, slopes = _moments(obs, probs, derivs)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -181,11 +189,14 @@ def _signal_rows(cfg, scheme, obs, phis):
         return list(zip(means.tolist(), slopes.tolist(),
                         _sensitivities(variances, slopes).tolist(), turns.tolist()))
     values, rows = obs.bin_values + (obs.leftover_value,), []
-    for probs, derivs, curves in _float_table(cfg, scheme, phis):
-        mean = math.fsum([mu * p for mu, p in zip(values, probs)])
+    for table in _float_table(cfg, scheme, phis, order):
+        sums = tuple(math.fsum([mu * x for mu, x in zip(values, column)]) for column in table[:2])
+        if order < 2:
+            rows.append(sums)
+            continue
+        (mean, slope), (probs, derivs, curves) = sums, table
         u2 = [u * u for u in [mu - mean for mu in values]]
         variance = math.fsum([q * p for q, p in zip(u2, probs)])
-        slope = math.fsum([mu * d for mu, d in zip(values, derivs)])
         dv = math.fsum([q * d for q, d in zip(u2, derivs)]) if variance < math.inf else math.nan
         turn = dv * slope - 2.0 * variance * math.fsum([mu * c for mu, c in zip(values, curves)])
         rows.append((mean, slope, _sensitivity(variance, slope), turn))
@@ -324,7 +335,7 @@ def visibility(cfg: InterferometerConfig, scheme: BinningScheme,
                obs: Observable) -> float:
     """(s(0) - s(pi/2)) / (s(0) + s(pi/2)) of the signal mean."""
     _check_alphabet(obs, scheme)
-    (s_bright, *_), (s_dark, *_) = _signal_rows(cfg, scheme, obs, [0.0, math.pi / 2])
+    (s_bright,), (s_dark,) = _signal_rows(cfg, scheme, obs, [0.0, math.pi / 2], 0)
     denom = s_bright + s_dark
     if abs(denom) < 1e-14:
         raise DegenerateSignal(f"signal means cancel: {s_bright} + {s_dark}")
@@ -439,11 +450,11 @@ def _run_end(lattice, side, rows, k, sign):
 
 
 def _fringe_search(cfg, scheme):
-    """Half-depth width of the central fringe, as a search (numerics._drive)
-    sent (mean, slope, ...) rows.  The slope on (-pi/2, pi/2) has the sign of
-    dS/dc, so both sides read it on _shift_lattice, in lockstep (the left
-    side's error first).  Falling outward from 0 is a peak, rising a dip;
-    each side's dark point is the end of its run (_run_end) from +-q_1."""
+    """The two _half_crossing searches of the central fringe, left then right,
+    as a search (numerics._drive) sent (mean, slope, ...) rows.  The slope on
+    (-pi/2, pi/2) has the sign of dS/dc, so both sides read it on _shift_lattice,
+    in lockstep (the left side's error first).  Falling outward from 0 is a peak,
+    rising a dip; each side's dark point is the end of its run (_run_end) from +-q_1."""
     lattice = _shift_lattice(cfg, scheme)
     (x,) = next(lattice)
     center, left, right = yield [0.0, -x, x]
@@ -454,9 +465,7 @@ def _fringe_search(cfg, scheme):
     darks = yield from _lockstep([
         _run_end(chunks, side, [(0.0, center), (side * x, first)], 1, -side * orient)
         for side, chunks, first in sides])
-    crossings = yield from _lockstep([_half_crossing((0.0, center), dark, orient)
-                                      for dark in darks])
-    return _fringe_width(*sorted(crossings))
+    return [_half_crossing((0.0, center), dark, orient) for dark in darks]
 
 
 def _fringe_width(lo: float, hi: float) -> float:
@@ -478,9 +487,13 @@ def fwhm(cfg: InterferometerConfig, scheme: BinningScheme, obs: Observable) -> f
     Raises NoFringe when the center is not extremal, when a crossing is
     missing or falls outside (-pi/2, pi/2), when a side's depth is at most
     1e-10 of the signal (rounding noise), or when both crossings coincide.
+    The walk reads the mean and slope (order 1), the two crossings, in
+    lockstep, the mean alone (order 0).
     """
     _check_alphabet(obs, scheme)
-    return _drive(lambda xs: _signal_rows(cfg, scheme, obs, xs), _fringe_search(cfg, scheme))
+    searches = _drive(lambda xs: _signal_rows(cfg, scheme, obs, xs, 1), _fringe_search(cfg, scheme))
+    crossings = _drive(lambda xs: _signal_rows(cfg, scheme, obs, xs, 0), _lockstep(searches))
+    return _fringe_width(*sorted(crossings))
 
 
 def fwhm_continuous(cfg: InterferometerConfig) -> float:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mzhomodyne import metrics
+from mzhomodyne import interferometer, metrics
 from mzhomodyne.interferometer import (
     BinningScheme,
     InterferometerConfig,
@@ -183,11 +183,62 @@ def test_both_paths_meet_an_overflowing_variance_silently():
     phis = [0.1, 0.2, 0.3, 0.4]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        small, large = _signal_rows(cfg, scheme, obs, phis[:3]), _signal_rows(cfg, scheme, obs, phis)
+        small = _signal_rows(cfg, scheme, obs, phis[:3])
+        large = _signal_rows(cfg, scheme, obs, phis)
         width = metrics.fwhm(cfg, scheme, obs)
     assert 3 * 5 <= _FLOAT_PAIRS < 4 * 5
     assert np.array_equal(_bits(small), _bits(large[:3]))
     assert all(row[2] == math.inf for row in large) and math.isfinite(width)
+
+
+# the binary scheme, fig2's six outcomes and fig4's twelve, and fig2's bins
+# under eigenvalues whose squared spread overflows, so the variance is inf
+_ORDER_SYSTEMS = [
+    (5.3, BinningScheme.binary(0.13), Observable((1.0,), 0.0)),
+    (200.0, BinningScheme(0.5, 3.8, 2), Observable.ones(BinningScheme(0.5, 3.8, 2), 0.25)),
+    (1e3, BinningScheme(0.5, 3.2, 5), Observable.alternating(BinningScheme(0.5, 3.2, 5))),
+    (200.0, BinningScheme(0.5, 3.8, 2), Observable((1e200,) * 5)),
+]
+
+
+@pytest.mark.parametrize("nbar, scheme, obs", _ORDER_SYSTEMS,
+                         ids=["binary", "fig2", "fig4", "inf-variance"])
+def test_an_order_cut_row_is_the_full_rows_prefix(nbar, scheme, obs):
+    # at orders 0 and 1 a row is (mean,) and (mean, slope), bit for bit the
+    # order-2 row's, in rounds at the cut (floats) and one phase past it (arrays)
+    cfg, most = InterferometerConfig.from_nbar(nbar), _FLOAT_PAIRS // (2 * scheme.cutoff + 1)
+    for n in (most, most + 1):
+        phis = np.linspace(-1.4, 1.4, n).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full = _signal_rows(cfg, scheme, obs, phis)
+            cut = [_signal_rows(cfg, scheme, obs, phis, order) for order in (0, 1)]
+        for order, rows in enumerate(cut):
+            assert all(len(row) == order + 1 for row in rows)
+            assert np.array_equal(_bits(rows), _bits([row[:order + 1] for row in full]))
+    # E is NaN where the variance is not finite, and only there
+    assert all(math.isnan(row[3]) for row in full) == (obs.bin_values[0] == 1e200)
+
+
+def test_an_order_0_float_table_takes_no_exponential(monkeypatch):
+    calls = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            calls.append(len(x))
+            return np.exp(x)
+
+    monkeypatch.setattr(interferometer, "np", Spy())
+    cfg, scheme = InterferometerConfig.from_nbar(200.0), BinningScheme(0.5, 3.8, 2)
+    phis = [0.1, 0.7]
+    for order in (0, 1, 2):
+        calls.clear()
+        rows = list(_float_table(cfg, scheme, phis, order))
+        assert [len(row) for row in rows] == [order + 1] * len(phis)
+        assert calls == ([2 * len(phis) * 5] if order else [])
 
 
 @st.composite

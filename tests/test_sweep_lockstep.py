@@ -26,6 +26,7 @@ from mzhomodyne.metrics import (
     fwhm,
     sweep,
     visibility,
+    visibility_boundary,
 )
 from mzhomodyne.simulate import monotone_branch
 
@@ -95,9 +96,9 @@ def _rounds(monkeypatch, run):
     one to outcome_table."""
     calls, signal_rows = [], metrics._signal_rows
 
-    def recording(cfg, scheme, obs, phis):
+    def recording(cfg, scheme, obs, phis, *rest):
         calls.append(np.asarray(phis, dtype=np.float64).tolist())
-        return signal_rows(cfg, scheme, obs, phis)
+        return signal_rows(cfg, scheme, obs, phis, *rest)
 
     monkeypatch.setattr(metrics, "_signal_rows", recording)
     run()
@@ -123,6 +124,26 @@ def test_sweep_cell_makes_the_rounds_of_the_three_calls_in_turn(monkeypatch):
     assert list(map(len, calls[0][:2])) == [3, 2 * (lattice - 1)]
     assert list(map(len, calls[2])) == [2]
     assert sum(map(len, cell)) == (1 + 2 * lattice + 16) + (1 + lattice + 5) + 2 == 361
+
+
+def test_each_search_asks_for_the_columns_it_reads(monkeypatch):
+    # the cell's 17 rounds over 361 phases, each at the order of the phase
+    # derivatives its search reads: fwhm's walk (0 and q_1, then the lattice
+    # chunks) the mean and slope, its 8 crossing rounds the mean alone;
+    # best_sensitivity dphi and its stationarity column; visibility the mean
+    rounds, signal_rows = [], metrics._signal_rows
+
+    def recording(cfg, scheme, obs, phis, order=2):
+        rounds.append((len(phis), order))
+        return signal_rows(cfg, scheme, obs, phis, order)
+
+    monkeypatch.setattr(metrics, "_signal_rows", recording)
+    sweep([5.0], [0.1])
+    assert [order for _, order in rounds] == [1] * 2 + [0] * 8 + [2] * 6 + [0]
+    assert len(rounds) == 17 and sum(n for n, _ in rounds) == 361
+    rounds.clear()
+    visibility_boundary(0.5, 0.9)
+    assert rounds and {order for _, order in rounds} == {0}
 
 
 @pytest.mark.parametrize("nbar", [5.0, 1e2, 1e4, 1e6, 1e8])

@@ -43,7 +43,7 @@ from mzhomodyne.metrics import (
     fwhm,
     signal,
 )
-from mzhomodyne.numerics import _EPS, Interval, NoSignChange, _drive, find_root
+from mzhomodyne.numerics import _EPS, Interval, NoSignChange, _drive, _lockstep, find_root
 from mzhomodyne.simulate import NonMonotoneBranch, invert_signal, monotone_branch
 
 FIG2_CFG = InterferometerConfig.from_nbar(200.0)
@@ -178,10 +178,12 @@ def _scalar_fringe_width(cfg, scheme, mean, slope):
 
 
 def _lattice_fringe_width(cfg, scheme, mean, slope):
-    """The fringe search on the lattice of cfg and scheme, sent the scalar
-    mean and slope of each phase as its (mean, slope) rows."""
-    return _drive(lambda xs: [(mean(x), slope(x)) for x in xs],
-                  metrics._fringe_search(cfg, scheme))
+    """The fringe search on the lattice of cfg and scheme, then its two
+    crossings in lockstep, as fwhm drives them, sent the scalar mean and
+    slope of each phase as its (mean, slope) rows."""
+    rows = lambda xs: [(mean(x), slope(x)) for x in xs]
+    crossings = _drive(rows, _lockstep(_drive(rows, metrics._fringe_search(cfg, scheme))))
+    return metrics._fringe_width(*sorted(crossings))
 
 
 def _signal_fringe_width(cfg, scheme, obs):
@@ -670,7 +672,8 @@ def test_inversion_returns_the_phase_to_rounding(system, fractions):
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(st.floats(2.0, 12.0), st.floats(-1.0, 1.0))
 def test_branch_ends_off_the_lattice_are_slope_roots(log_nbar, u):
-    cfg, obs = InterferometerConfig.from_nbar(10.0 ** log_nbar), Observable(FIXED_RANDOM_EIGENVALUES)
+    cfg = InterferometerConfig.from_nbar(10.0 ** log_nbar)
+    obs = Observable(FIXED_RANDOM_EIGENVALUES)
     try:
         branch = monotone_branch(cfg, FIG2_SCHEME, obs, _phase_near_the_bins(cfg, FIG2_SCHEME, u))
     except NonMonotoneBranch:
